@@ -2,8 +2,9 @@
 
 Cubicle hyperplane arrangements for test spectra, chamber enumeration by
 incremental double description, extremal-edge extraction, convex hulls of
-rational point sets, and LP-based redundancy filtering.  No floating point
-enters this module.
+rational point sets, and redundancy filtering.  The double-description
+engine works on primitive integer vectors and keeps one incidence bitmask
+per ray.  No floating point enters this module.
 """
 
 from __future__ import annotations
@@ -11,14 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
+from operator import mul
 
 from .rational import (
     canon_hyperplane,
     dot,
-    lp_max,
     nullspace,
     primitive,
     rank,
+    row_space_basis,
     solve_any,
     solve_square,
     to_fractions,
@@ -37,20 +40,49 @@ class Cone:
     """Pointed polyhedral cone carried in both representations.
 
     ``ineqs`` are integer normals (h.x >= 0); ``rays`` are the primitive
-    extreme rays.  Both parts are kept consistent by the constructors in
-    this module.
+    extreme rays.  ``incidence`` holds one int per ray whose bit j is set
+    when ``ineqs[j]`` is tight on that ray; it is computed when absent.
+    All parts are kept consistent by the constructors in this module.
     """
 
     ineqs: tuple
     rays: tuple
+    incidence: tuple = field(default=None, compare=False, repr=False)
 
     @property
     def dim(self):
         return len(self.rays[0]) if self.rays else len(self.ineqs[0])
 
 
-def _canon_ray(vec):
+def _idot(u, v):
+    return sum(map(mul, u, v))
+
+
+def _int_vector(vec):
+    """Primitive integer vector, a positive multiple of a rational one."""
+    if all(type(x) is int for x in vec):
+        g = gcd(*vec)
+        return tuple(x // g for x in vec) if g > 1 else tuple(vec)
     return primitive(vec)
+
+
+def _bits(mask):
+    """Indices of the set bits of a mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _incidence(cone: Cone) -> tuple:
+    if cone.incidence is not None:
+        return cone.incidence
+    return tuple(
+        sum(1 << j for j, h in enumerate(cone.ineqs) if _idot(h, r) == 0)
+        for r in cone.rays
+    )
 
 
 def positive_orthant(d: int) -> Cone:
@@ -71,85 +103,168 @@ def sorted_nonneg_cone(d: int) -> Cone:
     return Cone(tuple(ineqs), rays)
 
 
-def _adjacent(ineqs, rays, p, q):
-    """Combinatorial adjacency of extreme rays p, q of the cone."""
-    tight = [h for h in ineqs if dot(h, p) == 0 and dot(h, q) == 0]
-    for r in rays:
-        if r == p or r == q:
-            continue
-        if all(dot(h, r) == 0 for h in tight):
-            return False
-    return True
+def _crossing_rays(rays, masks, vals, pos, neg, d, bit):
+    """Rays on h.x = 0 between adjacent rays p in pos and q in neg.
+
+    p and q are adjacent when no third ray is tight on every inequality the
+    two share; a shared tight set below d - 2 rules adjacency out at once.
+    Returns the new primitive rays and their masks (with ``bit`` set).
+    """
+    new_rays, new_masks = [], []
+    for p in pos:
+        mp, vp, rp = masks[p], vals[p], rays[p]
+        for q in neg:
+            common = mp & masks[q]
+            if common.bit_count() < d - 2:
+                continue
+            # p and q themselves always contain the shared set
+            if sum(m & common == common for m in masks) > 2:
+                continue
+            vq = vals[q]
+            new = [vp * b - vq * a for a, b in zip(rp, rays[q])]
+            g = gcd(*new)
+            new_rays.append(tuple(x // g for x in new) if g > 1 else tuple(new))
+            new_masks.append(common | bit)
+    return new_rays, new_masks
+
+
+def _prune(ineqs, rays, masks):
+    """Cone with the redundant inequalities of a ray-complete one dropped.
+
+    An inequality tight on every ray is an implicit equality and stays.  Of
+    the others, one per maximal tight ray set stays: those are the facets.
+    """
+    full = (1 << len(rays)) - 1
+    tight = [0] * len(ineqs)
+    for i, mask in enumerate(masks):
+        for j in _bits(mask):
+            tight[j] |= 1 << i
+    partial = [t for t in tight if t != full]
+    keep, seen = [], set()
+    for j, t in enumerate(tight):
+        if t != full:
+            if t in seen or any(t & u == t and u != t for u in partial):
+                continue
+            seen.add(t)
+        keep.append(j)
+    if len(keep) < len(ineqs):
+        ineqs = tuple(ineqs[j] for j in keep)
+        masks = [0] * len(rays)
+        for k, j in enumerate(keep):
+            for i in _bits(tight[j]):
+                masks[i] |= 1 << k
+    return Cone(tuple(ineqs), tuple(rays), tuple(masks))
 
 
 def split_cone(cone: Cone, h):
     """Split a cone by the hyperplane h.x = 0.
 
     Returns (plus, minus); a side is None when the hyperplane does not cut
-    the cone's interior (the cone then lies weakly on the other side).
+    the cone's interior (the cone then lies weakly on the other side, and
+    is returned unchanged as that side).
     """
-    h = tuple(Fraction(x) for x in h)
-    vals = [dot(h, r) for r in cone.rays]
-    pos = [r for r, v in zip(cone.rays, vals) if v > 0]
-    neg = [r for r, v in zip(cone.rays, vals) if v < 0]
-    zer = [r for r, v in zip(cone.rays, vals) if v == 0]
-    # positive scaling only: the halfspace is directed
-    hplus = primitive(h)
+    h = _int_vector(h)
+    rays = cone.rays
+    vals = [_idot(h, r) for r in rays]
+    pos = [i for i, v in enumerate(vals) if v > 0]
+    neg = [i for i, v in enumerate(vals) if v < 0]
     if not neg:
-        return Cone(cone.ineqs + (hplus,), cone.rays), None
+        return cone, None
     if not pos:
-        return None, Cone(cone.ineqs + (tuple(-x for x in hplus),), cone.rays)
-    combos = []
-    for p in pos:
-        for q in neg:
-            if _adjacent(cone.ineqs, cone.rays, p, q):
-                vp, vq = dot(h, p), dot(h, q)
-                new = tuple(vp * b - vq * a for a, b in zip(p, q))
-                combos.append(_canon_ray(new))
-    combos = list(dict.fromkeys(combos))
-    plus = Cone(
-        cone.ineqs + (hplus,),
-        tuple(dict.fromkeys([_canon_ray(r) for r in pos + zer] + combos)),
-    )
-    minus = Cone(
-        cone.ineqs + (tuple(-x for x in hplus),),
-        tuple(dict.fromkeys([_canon_ray(r) for r in neg + zer] + combos)),
-    )
-    return plus, minus
+        return None, cone
+    zer = [i for i, v in enumerate(vals) if v == 0]
+    masks = _incidence(cone)
+    bit = 1 << len(cone.ineqs)
+    new_rays, new_masks = _crossing_rays(rays, masks, vals, pos, neg, cone.dim, bit)
+    zer_rays = [rays[i] for i in zer]
+    zer_masks = [masks[i] | bit for i in zer]
+    sides = []
+    for side, normal in ((pos, h), (neg, tuple(-x for x in h))):
+        sides.append(_prune(
+            cone.ineqs + (normal,),
+            [rays[i] for i in side] + zer_rays + new_rays,
+            [masks[i] for i in side] + zer_masks + new_masks,
+        ))
+    return sides[0], sides[1]
+
+
+def _simplicial_start(rows, d):
+    """Indices of d independent rows, and the extreme rays of their cone.
+
+    Fraction-free Gauss-Jordan on [B | I]: it leaves [D | Y] with D
+    diagonal and Y = D B^-1, so ray j is column j of B^-1 scaled positively.
+    """
+    chosen, echelon = [], []          # echelon: (pivot column, reduced row)
+    for i, row in enumerate(rows):
+        red = list(row)
+        for col, piv in echelon:
+            if red[col]:
+                red = [piv[col] * a - red[col] * b for a, b in zip(red, piv)]
+        col = next((c for c, v in enumerate(red) if v), None)
+        if col is not None:
+            g = gcd(*red)
+            echelon.append((col, [x // g for x in red]))
+            chosen.append(i)
+            if len(chosen) == d:
+                break
+    if len(chosen) < d:
+        raise GeometryError("cone is not pointed (normals do not span)")
+    aug = [list(rows[i]) + [int(j == k) for j in range(d)]
+           for k, i in enumerate(chosen)]
+    for col in range(d):
+        piv_row = next(r for r in range(col, d) if aug[r][col])
+        aug[col], aug[piv_row] = aug[piv_row], aug[col]
+        piv = aug[col]
+        for r in range(d):
+            f = aug[r][col]
+            if r != col and f:
+                red = [piv[col] * a - f * b for a, b in zip(aug[r], piv)]
+                g = gcd(*red)
+                aug[r] = [x // g for x in red]
+    diag = [aug[k][k] for k in range(d)]
+    lcm = 1
+    for v in diag:
+        lcm = lcm * abs(v) // gcd(lcm, v)
+    rays = []
+    for j in range(d):
+        col = [aug[k][d + j] * (lcm // diag[k]) for k in range(d)]
+        rays.append(_int_vector(col))
+    return chosen, rays
 
 
 def rays_from_inequalities(ineqs, d: int) -> tuple:
     """Extreme rays of the pointed cone {x : ineqs . x >= 0}.
 
     Starts from an invertible subset of the normals and inserts the rest by
-    double description steps.
+    double description steps.  A cone without interior yields the extreme
+    rays of the face it is; the cone {0} yields ().
     """
-    rows = [to_fractions(r) for r in ineqs]
-    base_idx = []
-    chosen = []
-    for i, row in enumerate(rows):
-        if rank(chosen + [row]) > len(chosen):
-            chosen.append(row)
-            base_idx.append(i)
-        if len(chosen) == d:
-            break
-    if len(chosen) < d:
-        raise GeometryError("cone is not pointed (normals do not span)")
-    rays = []
-    for j in range(d):
-        e = [Fraction(0)] * d
-        e[j] = Fraction(1)
-        col = solve_square([list(r) for r in chosen], e)
-        rays.append(_canon_ray(col))
-    cone = Cone(tuple(tuple(map(Fraction, r)) for r in chosen), tuple(rays))
-    for i, row in enumerate(rows):
-        if i in base_idx:
+    rows = [_int_vector(r) for r in ineqs]
+    rows = [r for r in rows if any(r)]
+    chosen, rays = _simplicial_start(rows, d)
+    full = (1 << d) - 1
+    cone = Cone(tuple(rows[i] for i in chosen), tuple(rays),
+                tuple(full ^ (1 << j) for j in range(d)))
+    skip = set(chosen)
+    for i, h in enumerate(rows):
+        if i in skip:
             continue
-        plus, _ = split_cone(cone, row)
-        if plus is None:
-            # Cone is entirely on the negative side: empty interior.
+        rays, masks = cone.rays, cone.incidence
+        vals = [_idot(h, r) for r in rays]
+        pos = [k for k, v in enumerate(vals) if v > 0]
+        neg = [k for k, v in enumerate(vals) if v < 0]
+        if not neg:
+            continue
+        zer = [k for k, v in enumerate(vals) if v == 0]
+        if not pos and not zer:
             return tuple()
-        cone = plus
+        bit = 1 << len(cone.ineqs)
+        new_rays, new_masks = _crossing_rays(rays, masks, vals, pos, neg, d, bit)
+        cone = _prune(
+            cone.ineqs + (h,),
+            [rays[k] for k in pos + zer] + new_rays,
+            [masks[k] for k in pos] + [masks[k] | bit for k in zer] + new_masks,
+        )
     return cone.rays
 
 
@@ -184,7 +299,7 @@ class Arrangement:
 
 
 def _cuts_interior(h, cone: Cone) -> bool:
-    vals = [dot(to_fractions(h), r) for r in cone.rays]
+    vals = [_idot(h, r) for r in cone.rays]
     return any(v > 0 for v in vals) and any(v < 0 for v in vals)
 
 
@@ -349,11 +464,11 @@ def enumerate_chambers(arrangement: Arrangement, dim_cap: int = DIM_CAP):
 
 
 def extremal_edges(chambers) -> tuple:
-    """Union of all chambers' extreme rays, deduplicated canonically."""
+    """Union of all chambers' extreme rays (primitive), deduplicated."""
     seen = dict()
     for ch in chambers:
         for r in ch.cone.rays:
-            seen[_canon_ray(r)] = True
+            seen[r] = True
     return tuple(sorted(seen))
 
 
@@ -416,7 +531,7 @@ def convex_hull(points, dim_cap: int = DIM_CAP) -> HullResult:
         if lift is None:
             raise GeometryError("facet lift failed (inconsistent basis)")
         rhs = gamma0 + dot(to_fractions(lift), p0)
-        normal, rhs = _canon_facet(lift, rhs)
+        normal, rhs = canon_inequality(lift, rhs)
         facets.append((normal, rhs))
     return HullResult(tuple(sorted(facets)), tuple(sorted(equalities)), k)
 
@@ -427,49 +542,129 @@ def canon_inequality(normal, rhs):
     return scaled[:-1], Fraction(scaled[-1])
 
 
-_canon_facet = canon_inequality
+def _affine_chart(ambient_eqs, d):
+    """(x0, basis) with {x : eqs} = {x0 + sum y_i basis_i}, or None if empty.
+
+    The basis vectors are primitive integer vectors.
+    """
+    if not ambient_eqs:
+        return (0,) * d, [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    normals = [n for n, _ in ambient_eqs]
+    x0 = solve_any(normals, [r for _, r in ambient_eqs])
+    if x0 is None:
+        return None
+    return x0, [_int_vector(v) for v in nullspace(normals, ncols=d)]
+
+
+def _homogenize(normal, rhs, chart):
+    """normal.x <= rhs on the chart, as a primitive row g with g.(t, y) >= 0."""
+    x0, basis = chart
+    return _int_vector((rhs - _idot(normal, x0),)
+                       + tuple(-_idot(normal, b) for b in basis))
+
+
+def _generators(rows, D):
+    """Generators of the cone {z in R^D : row.z >= 0 for every row}.
+
+    Returns (lineality basis, extreme rays of the pointed part) as integer
+    vectors; the pointed part lies in the row space of ``rows``.
+    """
+    rho = rank(rows) if rows else 0
+    if rho == D:
+        return (), rays_from_inequalities(rows, D)
+    lineality = tuple(_int_vector(v) for v in nullspace(rows, ncols=D))
+    if rho == 0:
+        return lineality, ()
+    basis = [_int_vector(b) for b in row_space_basis(rows)[0]]
+    rays = rays_from_inequalities(
+        [tuple(_idot(r, b) for b in basis) for r in rows], rho)
+    return lineality, tuple(
+        _int_vector([_idot(c, col) for col in zip(*basis)]) for c in rays)
+
+
+def _feasible(gens) -> bool:
+    """Whether a homogenized system (first coordinate t >= 0) has a point."""
+    return any(g[0] > 0 for g in gens[1])
+
+
+def _implies(row, gens) -> bool:
+    lineality, rays = gens
+    return (all(_idot(row, r) >= 0 for r in rays)
+            and all(_idot(row, v) == 0 for v in lineality))
+
+
+def _tight_mask(row, rays) -> int:
+    return sum(1 << i for i, r in enumerate(rays) if _idot(row, r) == 0)
+
+
+def _dimension(gens) -> int:
+    return len(gens[0]) + rank(gens[1])
 
 
 def redundancy_filter(inequalities, ambient_ineqs=(), ambient_eqs=()):
     """Drop every inequality implied by the others plus the ambient system.
 
     Inequalities are (normal, rhs) pairs meaning normal.x <= rhs, all exact
-    rationals.  Raises GeometryError if the ambient system is infeasible.
+    rationals.  The result is the one the sequential rule gives: each
+    inequality in turn is dropped when the ones still kept, with the
+    ambient system, are feasible and imply it.  Raises GeometryError if the
+    ambient system is infeasible.
+
+    The ambient equalities are substituted away and the system homogenized
+    (t >= 0), so the polyhedron becomes a cone whose generators are
+    enumerated once by double description.  When the inequalities leave the
+    polyhedron nonempty and of the ambient system's dimension, an inequality
+    is kept iff its tight generators span a facet that no ambient inequality
+    and no later inequality also defines.  Otherwise each inequality is
+    decided in order with one enumeration of the others.
     """
-    ineqs = [(_canon_facet(n, r)) for n, r in inequalities]
+    ineqs = [canon_inequality(n, r) for n, r in inequalities]
     ineqs = list(dict.fromkeys(ineqs))
-    amb_ub = [list(map(Fraction, n)) + [Fraction(r)] for n, r in ambient_ineqs]
-    amb_eq = [list(map(Fraction, n)) + [Fraction(r)] for n, r in ambient_eqs]
+    amb_ub = [(to_fractions(n), Fraction(r)) for n, r in ambient_ineqs]
+    amb_eq = [(to_fractions(n), Fraction(r)) for n, r in ambient_eqs]
     if ineqs:
         d = len(ineqs[0][0])
     elif amb_ub:
-        d = len(amb_ub[0]) - 1
+        d = len(amb_ub[0][0])
     else:
         return []
-    feas = lp_max(
-        [Fraction(0)] * d,
-        [row[:-1] for row in amb_ub],
-        [row[-1] for row in amb_ub],
-        [row[:-1] for row in amb_eq],
-        [row[-1] for row in amb_eq],
-    )
-    if feas.status == "infeasible":
+    chart = _affine_chart(amb_eq, d)
+    if chart is None:
+        raise GeometryError("ambient system is infeasible")
+    D = len(chart[1]) + 1
+    records = [_homogenize(n, r, chart) for n, r in ineqs]
+    ambient = [_homogenize(n, r, chart) for n, r in amb_ub]
+    ambient.append((1,) + (0,) * (D - 1))               # t >= 0
+
+    gens = _generators(records + ambient, D)
+    rays = gens[1]
+    masks = [_tight_mask(row, rays) for row in records]
+    if _feasible(gens):
+        # an inequality tight on the whole polyhedron may or may not cut it
+        # below the ambient system's dimension
+        degenerate = ((1 << len(rays)) - 1 in masks and
+                      _dimension(_generators(ambient, D)) > _dimension(gens))
+    elif _feasible(_generators(ambient, D)):
+        degenerate = True
+    else:
         raise GeometryError("ambient system is infeasible")
 
-    kept = list(ineqs)
-    i = 0
-    while i < len(kept):
-        normal, rhs = kept[i]
-        others = kept[:i] + kept[i + 1:]
-        res = lp_max(
-            list(normal),
-            [list(n) for n, _ in others] + [row[:-1] for row in amb_ub],
-            [r for _, r in others] + [row[-1] for row in amb_ub],
-            [row[:-1] for row in amb_eq],
-            [row[-1] for row in amb_eq],
-        )
-        if res.status == "optimal" and res.value <= rhs:
-            kept.pop(i)
-        else:
-            i += 1
+    if degenerate:
+        kept = list(range(len(records)))
+        for i in range(len(records)):
+            others = [records[j] for j in kept if j != i] + ambient
+            others_gens = _generators(others, D)
+            if _feasible(others_gens) and _implies(records[i], others_gens):
+                kept.remove(i)
+        return [ineqs[i] for i in kept]
+
+    facet_rank = rank(rays) - 1
+    ambient_masks = {_tight_mask(row, rays) for row in ambient}
+    kept = []
+    for i, mask in enumerate(masks):
+        if (mask in ambient_masks or mask in masks[i + 1:]
+                or mask.bit_count() < facet_rank
+                or rank([rays[k] for k in _bits(mask)]) != facet_rank):
+            continue
+        kept.append(ineqs[i])
     return kept

@@ -25,9 +25,12 @@ class UsageError(Exception):
 
 
 def emit(record: dict, stream=None):
+    """Print one record as a JSON line; a non-finite float raises ValueError
+    (an exit-2 error) instead of printing invalid JSON."""
     out = dict(record)
     out["schema"] = SCHEMA
-    print(json.dumps(out, default=_json_default), file=stream or sys.stdout)
+    print(json.dumps(out, default=_json_default, allow_nan=False),
+          file=stream or sys.stdout)
 
 
 def _json_default(value):
@@ -173,7 +176,7 @@ def build_parser() -> Parser:
 def load_state(path: str) -> dict:
     data = sys.stdin.read() if path == "-" else open(path).read()
     state = json.loads(data)
-    if state.get("format_version") != 1:
+    if not isinstance(state, dict) or state.get("format_version") != 1:
         raise UsageError("unsupported state file format_version")
     return state
 
@@ -182,13 +185,24 @@ def _complex_array(entries):
     return np.array([complex(re, im) for re, im in entries])
 
 
+def _check_state_schema(state) -> str:
+    """The state's kind, after checking that the keys it needs are there."""
+    if not isinstance(state.get("system"), str):
+        raise UsageError("state file lacks a 'system' string")
+    kind = state.get("kind", "pure")
+    key = "amplitudes" if kind == "pure" else "matrix"
+    if not isinstance(state.get(key), list):
+        raise UsageError(f"{kind} state file lacks the {key!r} list")
+    return kind
+
+
 def state_to_objects(state: dict):
     from .fermion import FermionState, fermion_basis
     from .systems import parse_system
     from .tensor import DensityMatrix, PureState
 
+    kind = _check_state_schema(state)
     system = parse_system(state["system"])
-    kind = state.get("kind", "pure")
     if system.kind == "fermion":
         basis = fermion_basis(system.r, system.n)
         if kind == "pure":
@@ -471,7 +485,9 @@ def cmd_verify(args) -> int:
         "system": report.system,
         "trials": report.trials,
         "seed": report.seed,
-        "min_slack": _fmt_real(report.min_slack),
+        # no trials leave the minimum slack at +inf, which JSON cannot hold
+        "min_slack": (_fmt_real(report.min_slack)
+                      if math.isfinite(report.min_slack) else None),
         "violations": report.violations,
         "wall_time": _fmt_real(report.wall_time),
         "tolerance": report.tolerance,

@@ -1,7 +1,10 @@
 """Exact rational linear algebra and a small dense simplex solver.
 
-Everything here works over ``fractions.Fraction``; no floating point.  The
-simplex uses Bland's rule, so it terminates on degenerate problems.
+Everything here is exact: ``fractions.Fraction``, or Python ints where
+``rank`` eliminates fraction-free; no floating point.  The simplex uses
+Bland's rule, so it terminates on degenerate problems.  The library no
+longer calls it; the tests keep it as the oracle of
+``chambers.redundancy_filter``.
 """
 
 from __future__ import annotations
@@ -45,26 +48,33 @@ def canon_hyperplane(vec):
 
 
 def rank(rows) -> int:
-    """Rank of a list of rational vectors (Gaussian elimination)."""
-    mat = [list(map(Fraction, r)) for r in rows]
+    """Rank of a list of rational vectors.
+
+    Each row is scaled to integers, then eliminated fraction-free (Bareiss):
+    every division is exact, so entries stay integers of bounded size.
+    """
+    mat = [list(r) if all(type(x) is int for x in r) else list(primitive(r))
+           for r in rows]
     if not mat:
         return 0
     ncols = len(mat[0])
     rk = 0
-    col = 0
-    while rk < len(mat) and col < ncols:
+    prev = 1
+    for col in range(ncols):
         pivot = next((i for i in range(rk, len(mat)) if mat[i][col] != 0), None)
         if pivot is None:
-            col += 1
             continue
         mat[rk], mat[pivot] = mat[pivot], mat[rk]
-        pv = mat[rk][col]
+        prow = mat[rk]
+        pv = prow[col]
         for i in range(rk + 1, len(mat)):
-            if mat[i][col] != 0:
-                factor = mat[i][col] / pv
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[rk])]
+            row = mat[i]
+            f = row[col]
+            mat[i] = [(pv * a - f * b) // prev for a, b in zip(row, prow)]
+        prev = pv
         rk += 1
-        col += 1
+        if rk == len(mat):
+            break
     return rk
 
 

@@ -350,3 +350,217 @@ def test_redundancy_filter_basic_2x2_against_vertex_oracle():
     assert vertices
     for normal, rhs in basic:
         assert all(dot(to_fractions(normal), v) <= rhs for v in vertices)
+
+
+# ---------------------------------------------------------------------------
+# Double description against brute force
+
+def _bruteforce_rays(normals, d):
+    """Extreme rays of a pointed cone: each primitive +-nullspace vector of
+    a rank-(d-1) subset of the normals that satisfies every normal."""
+    from qmarginal.rational import nullspace, primitive, rank
+
+    rays = set()
+    for subset in combinations(normals, d - 1):
+        if rank(list(subset)) != d - 1:
+            continue
+        (v,) = nullspace(list(subset), ncols=d)
+        for sgn in (1, -1):
+            ray = primitive(tuple(sgn * x for x in v))
+            if all(dot(to_fractions(h), to_fractions(ray)) >= 0 for h in normals):
+                rays.add(ray)
+    return rays
+
+
+def _random_pointed_normals(rng, d):
+    """Random normals spanning R^d; some sets hold a +-pair, so that the
+    cone has no interior.  Entries in {-1, 0, 1} make degenerate cones,
+    where sharing d - 2 facets does not make two rays adjacent."""
+    from qmarginal.rational import rank
+
+    span = 3 if d <= 3 else 1
+    while True:
+        normals = [tuple(rng.randint(-span, span) for _ in range(d))
+                   for _ in range(rng.randint(d, d + 5))]
+        if rng.random() < 0.4:
+            h = normals[0]
+            normals.append(tuple(-x for x in h))
+        if rank(normals) == d:
+            return normals
+
+
+def test_rays_from_inequalities_cone_without_interior():
+    from qmarginal.chambers import rays_from_inequalities
+
+    assert rays_from_inequalities([(1, 0), (0, 1), (-1, 0)], 2) == ((0, 1),)
+    assert rays_from_inequalities([(1, 0), (0, 1), (-1, -1)], 2) == ()
+
+
+def test_rays_from_inequalities_matches_bruteforce_oracle():
+    import random
+
+    from qmarginal.chambers import rays_from_inequalities
+
+    rng = random.Random(20261018)
+    flat = 0
+    for trial in range(320):
+        d = 2 + trial % 4
+        normals = _random_pointed_normals(rng, d)
+        got = rays_from_inequalities(normals, d)
+        assert len(got) == len(set(got))
+        want = _bruteforce_rays(normals, d)
+        assert set(got) == want, (normals, got, want)
+        flat += bool(want) and len(want) < d
+    assert flat >= 20   # nonempty cones without interior were exercised
+
+
+def test_split_of_degenerate_cone_matches_bruteforce_oracle():
+    """Cone over square x square pyramid (d = 6).  The rays over opposite
+    square corners and the apex share the pyramid's four triangles, d - 2
+    facets, yet are not adjacent; a split between them adds no ray."""
+    from qmarginal.chambers import Cone, rays_from_inequalities
+
+    square = [(1, -1, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0),
+              (1, 0, -1, 0, 0, 0), (1, 0, 1, 0, 0, 0)]
+    pyramid = [(0, 0, 0, 0, 0, 1), (1, 0, 0, -1, 0, -1), (1, 0, 0, 1, 0, -1),
+               (1, 0, 0, 0, -1, -1), (1, 0, 0, 0, 1, -1)]
+    normals = square + pyramid
+    rays = rays_from_inequalities(normals, 6)
+    assert len(rays) == 20 and set(rays) == _bruteforce_rays(normals, 6)
+    h = (0, 1, 1, 0, 0, 0)
+    plus, minus = split_cone(Cone(tuple(normals), rays), h)
+    assert set(plus.rays) == _bruteforce_rays(normals + [h], 6)
+    assert set(minus.rays) == _bruteforce_rays(normals + [tuple(-x for x in h)], 6)
+
+
+def test_random_arrangement_chambers_are_full_dimensional():
+    import random
+
+    from qmarginal.chambers import Arrangement, positive_orthant
+    from qmarginal.rational import canon_hyperplane, rank
+
+    rng = random.Random(7)
+    for trial in range(24):
+        d = 2 + trial % 3
+        cone = positive_orthant(d)
+        hyperplanes = sorted({
+            canon_hyperplane(tuple(rng.randint(-2, 2) for _ in range(d)))
+            for _ in range(rng.randint(1, 5))
+        } - {(0,) * d})
+        arr = Arrangement(None, cone, tuple(hyperplanes), None)
+        chambers = enumerate_chambers(arr)
+        assert chambers
+        for ch in chambers:
+            assert rank(ch.cone.rays) == d
+            signed = [h if s == "+" else tuple(-x for x in h)
+                      for h, s in zip(hyperplanes, ch.signs)]
+            assert set(ch.cone.rays) == _bruteforce_rays(
+                list(cone.ineqs) + signed, d)
+
+
+# ---------------------------------------------------------------------------
+# Redundancy filter against the sequential LP loop
+
+def _lp_redundancy_filter(inequalities, ambient_ineqs=(), ambient_eqs=()):
+    """Sequential oracle: drop each record that the records still kept,
+    with the ambient system, bound by an exact LP."""
+    from qmarginal.chambers import canon_inequality
+    from qmarginal.rational import lp_max
+
+    ineqs = list(dict.fromkeys(canon_inequality(n, r) for n, r in inequalities))
+    amb_ub = [(list(map(F, n)), F(r)) for n, r in ambient_ineqs]
+    a_eq = [list(map(F, n)) for n, _ in ambient_eqs]
+    b_eq = [F(r) for _, r in ambient_eqs]
+    if ineqs:
+        d = len(ineqs[0][0])
+    elif amb_ub:
+        d = len(amb_ub[0][0])
+    else:
+        return []
+    feas = lp_max([0] * d, [n for n, _ in amb_ub], [r for _, r in amb_ub], a_eq, b_eq)
+    if feas.status == "infeasible":
+        raise GeometryError("ambient system is infeasible")
+    kept = list(ineqs)
+    i = 0
+    while i < len(kept):
+        normal, rhs = kept[i]
+        rows = kept[:i] + kept[i + 1:] + amb_ub
+        res = lp_max(list(normal), [list(n) for n, _ in rows],
+                     [r for _, r in rows], a_eq, b_eq)
+        if res.status == "optimal" and res.value <= rhs:
+            kept.pop(i)
+        else:
+            i += 1
+    return kept
+
+
+def _random_filter_system(rng, case, d):
+    """(records, ambient inequalities, ambient equalities) of one case."""
+    def vec():
+        return tuple(rng.randint(-3, 3) for _ in range(d))
+
+    records = [(vec(), F(rng.randint(-2, 6))) for _ in range(rng.randint(2, 6))]
+    box = [(tuple(s * int(i == j) for j in range(d)), F(4))
+           for i in range(d) for s in (1, -1)]
+    ub, eq = (box if rng.random() < 0.6 else []), []
+    if case == "duplicates":
+        n, r = rng.choice(records)
+        k = rng.choice((2, 3, F(1, 2)))
+        records += [(n, r), (tuple(k * x for x in n), k * r)]
+        rng.shuffle(records)
+    elif case == "implicit":
+        n, r = records[0]
+        records.insert(rng.randrange(len(records)), (tuple(-x for x in n), -r))
+    elif case == "ambient_pair":
+        n, r = vec(), F(rng.randint(-1, 1))
+        ub = ub + [(n, r), (tuple(-x for x in n), -r)]
+        if rng.random() < 0.5:
+            records.append((n, r))
+    elif case == "empty":
+        n, r = records[0]
+        records.append((tuple(-x for x in n), -r - 1))
+    elif case == "unbounded":
+        ub = []
+        records = [(tuple(-abs(x) for x in n), r) for n, r in records]
+    elif case == "line":
+        ub = [(n[:-1] + (0,), r) for n, r in ub]
+        records = [(n[:-1] + (0,), r) for n, r in records]
+    elif case == "equality":
+        eq = [(vec(), F(rng.randint(-2, 2)))]
+    elif case == "equality_twin":
+        # a record shifted by a multiple of the equality: the same facet
+        e, c = vec(), F(rng.randint(-2, 2))
+        eq = [(e, c)]
+        n, r = records[0]
+        k = rng.choice((1, 2, -1))
+        records.insert(rng.randrange(1, len(records) + 1),
+                       (tuple(a + k * b for a, b in zip(n, e)), r + k * c))
+    elif case == "infeasible_ambient":
+        n = vec()
+        ub = ub + [(n, F(-1)), (tuple(-x for x in n), F(-1))]
+    return records, ub, eq
+
+
+FILTER_CASES = ("plain", "duplicates", "implicit", "ambient_pair", "empty",
+                "unbounded", "line", "equality", "equality_twin",
+                "infeasible_ambient")
+
+
+def test_redundancy_filter_matches_sequential_lp_on_random_systems():
+    import random
+
+    rng = random.Random(31337)
+    raised = 0
+    for trial in range(24 * len(FILTER_CASES)):
+        case = FILTER_CASES[trial % len(FILTER_CASES)]
+        d = 2 + trial % 3
+        records, ub, eq = _random_filter_system(rng, case, d)
+        try:
+            want = _lp_redundancy_filter(records, ub, eq)
+        except GeometryError:
+            with pytest.raises(GeometryError):
+                redundancy_filter(records, ub, eq)
+            raised += 1
+            continue
+        assert redundancy_filter(records, ub, eq) == want, (case, records, ub, eq)
+    assert raised >= 24   # every infeasible-ambient system raised in both

@@ -262,6 +262,55 @@ def test_verify_command():
     assert records[-1]["violations"] == 0
 
 
+def _strict_json(line):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(line, parse_constant=reject)
+
+
+def test_verify_zero_trials_emits_null_min_slack():
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmarginal.cli", "verify", "--family", "BD6",
+         "--system", "fermi:6:3:pure", "--trials", "0", "--seed", "9"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (record,) = [_strict_json(line) for line in proc.stdout.splitlines()]
+    assert record["trials"] == 0
+    assert record["min_slack"] is None
+
+
+def test_non_finite_output_is_an_exit_two_error():
+    # -1e400 parses to -inf; the report would carry a NaN slack
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmarginal.cli", "check", "--family", "BD6",
+         "--spectrum", "1,1,0.5,0.5,0,-1e400"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    for line in proc.stdout.splitlines():
+        _strict_json(line)
+    errors = [_strict_json(line) for line in proc.stderr.splitlines()]
+    assert errors[-1]["record"] == "error"
+
+
+@pytest.mark.parametrize("state", [
+    {"format_version": 1, "kind": "pure", "system": "2x2"},
+    {"format_version": 1, "system": "2x2"},
+    {"format_version": 1, "kind": "mixed", "system": "2x2"},
+    {"format_version": 1, "kind": "pure", "amplitudes": [[1.0, 0.0]] * 4},
+    [1, 2],
+])
+def test_reduce_malformed_state_exits_two(tmp_path, state):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state))
+    code, records, errors = run_cli(["reduce", "--state", str(path)])
+    assert code == 2
+    assert records == []
+    assert errors[-1]["record"] == "error"
+
+
 def test_verify_requires_seed():
     code, _, errors = run_cli([
         "verify", "--family", "BD6", "--system", "fermi:6:3:pure",

@@ -27,6 +27,35 @@ def test_rank():
     assert rank([(0, 0, 0)]) == 0
 
 
+def test_rank_matches_fraction_elimination_on_deficient_matrices():
+    import random
+
+    def fraction_rank(rows):
+        rows = [list(map(F, r)) for r in rows]
+        rk = 0
+        for col in range(len(rows[0])):
+            piv = next((i for i in range(rk, len(rows)) if rows[i][col]), None)
+            if piv is None:
+                continue
+            rows[rk], rows[piv] = rows[piv], rows[rk]
+            for i in range(rk + 1, len(rows)):
+                f = rows[i][col] / rows[rk][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rk])]
+            rk += 1
+        return rk
+
+    rng = random.Random(11)
+    for trial in range(400):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        basis = [[rng.randint(-3, 3) for _ in range(n)]
+                 for _ in range(rng.randint(0, min(m, n)))]
+        rows = [[sum(c * b[j] for c, b in zip(coef, basis)) for j in range(n)]
+                for coef in ([rng.randint(-2, 2) for _ in basis] for _ in range(m))]
+        if trial % 2:
+            rows = [[F(x, rng.randint(1, 4)) for x in r] for r in rows]
+        assert rank(rows) == fraction_rank(rows), rows
+
+
 def test_solve_square():
     x = solve_square([[2, 0], [0, 4]], [1, 1])
     assert x == (F(1, 2), F(1, 4))
