@@ -3,15 +3,21 @@
 Each family carries its own ordering and normalization convention;
 ``check_family`` canonicalizes the input bundle (re-sorting and
 re-normalizing as declared, recording that it did) before evaluating.
-Family ids are stable strings and part of the CLI contract.
+The exact ``Fraction`` records are the source of truth; checks evaluate a
+float64 linear system compiled from them on first use, over a block of
+bundles at once.  Family ids are stable strings and part of the CLI
+contract.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
-from .spectra import Spectrum, renormalize, spectrum
+import numpy as np
+
+from .spectra import Spectrum, SpectrumError
 from .systems import SystemDescriptor, parse_system
 
 
@@ -73,56 +79,6 @@ class CheckReport:
     n_inequalities: int
     tolerance: float
     notes: tuple = ()
-
-
-def _report(family_id, slacks, labels, tol, notes=()):
-    worst = min(slacks) if slacks else 0.0
-    violated = tuple(lbl for s, lbl in zip(slacks, labels) if s < -tol)
-    return CheckReport(
-        family_id=family_id,
-        satisfied=worst >= -tol,
-        worst_slack=worst,
-        violated=violated,
-        n_inequalities=len(slacks),
-        tolerance=tol,
-        notes=tuple(notes),
-    )
-
-
-def _eval_records(family_id, records, values, tol, notes=()):
-    slacks = [r.slack(values) for r in records]
-    labels = [r.label or f"#{i}" for i, r in enumerate(records)]
-    return _report(family_id, slacks, labels, tol, notes)
-
-
-def _desc(spec: Spectrum):
-    return tuple(sorted(spec.as_floats(), reverse=True))
-
-
-def _need_sites(bundle, count, size, family_id):
-    if len(bundle.sites) != count:
-        raise CatalogError(f"{family_id} needs {count} site spectra")
-    for s in bundle.sites:
-        if len(s) != size:
-            raise CatalogError(f"{family_id} needs site spectra of length {size}")
-    return [_desc(s) for s in bundle.sites]
-
-
-def _need_joint(bundle, size, family_id):
-    if bundle.joint is None or len(bundle.joint) != size:
-        raise CatalogError(f"{family_id} needs a joint spectrum of length {size}")
-    return _desc(bundle.joint)
-
-
-def _need_one_body(bundle, r, n, family_id):
-    lam = bundle.one_body
-    if lam is None or len(lam) != r:
-        raise CatalogError(f"{family_id} needs a one-body spectrum of length {r}")
-    notes = []
-    if abs(float(lam.trace_tag) - n) > 1e-10:
-        lam = renormalize(lam, float(n))
-        notes.append(f"renormalized one-body spectrum to trace {n}")
-    return tuple(sorted(lam.as_floats(), reverse=True)), notes
 
 
 # ---------------------------------------------------------------------------
@@ -403,148 +359,367 @@ CHSH_RECORDS = _chsh_records_full()
 
 
 # ---------------------------------------------------------------------------
-# Family checkers
+# Blocks of bundles
+#
+# A check canonicalizes the bundle's slot arrays as the family declares
+# (sorting, renormalizing, gap sorting, minimum entries) and then evaluates
+# every inequality at once.  Linear families evaluate a float64 system
+# compiled from their records; F84_ABS and TWO_PARTICLE_PURE are nonlinear
+# and have evaluators of their own.  Campaigns pass blocks of trials through
+# the same code; ``check_family`` passes a block of one.
 
-def _check_polygon(fam, bundle, tol):
-    if len(bundle.sites) < 2:
+# Trials per block in campaigns and equivalence runs.  The largest block
+# array of the catalogued systems, the entries of fermi:8:4 that the 1-RDM
+# map reads (1190 complex numbers per trial), takes 0.6 MB.
+BLOCK_TRIALS = 32
+
+
+@dataclass(frozen=True)
+class SpectraBlock:
+    """T spectra bundles stacked slot by slot, one row per bundle.
+
+    ``sites`` holds one (T, d) array per site, ``joint`` a (T, D) array and
+    ``one_body`` a (T, r) array with ``one_body_trace`` its (T,) declared
+    traces.  Rows may be in any order; each family canonicalizes them.
+    """
+
+    sites: tuple = ()
+    joint: np.ndarray = None
+    one_body: np.ndarray = None
+    one_body_trace: np.ndarray = None
+
+
+def _rows(spec: Spectrum):
+    if spec is None:
+        return None
+    return np.array(spec.as_floats(), dtype=float).reshape(1, len(spec))
+
+
+def _block_of_one(bundle: SpectraBundle) -> SpectraBlock:
+    lam = bundle.one_body
+    return SpectraBlock(
+        sites=tuple(_rows(s) for s in bundle.sites),
+        joint=_rows(bundle.joint),
+        one_body=_rows(lam),
+        one_body_trace=None if lam is None else np.array([float(lam.trace_tag)]),
+    )
+
+
+@dataclass(frozen=True)
+class _Canonical:
+    """Canonical slot arrays of a block; ``renormalized`` marks the rows
+    whose one-body spectrum was rescaled to trace ``target``."""
+
+    values: dict
+    notes: tuple = ()
+    renormalized: np.ndarray = None
+    target: object = None
+
+
+def _desc(rows: np.ndarray) -> np.ndarray:
+    return np.sort(rows, axis=1)[:, ::-1]
+
+
+def _sequential_sum(rows: np.ndarray) -> np.ndarray:
+    """Row sums added left to right, as Python's ``sum`` adds a tuple."""
+    total = np.zeros(len(rows))
+    for j in range(rows.shape[1]):
+        total = total + rows[:, j]
+    return total
+
+
+def _need_sites(block, count, size, family_id):
+    if len(block.sites) != count:
+        raise CatalogError(f"{family_id} needs {count} site spectra")
+    for s in block.sites:
+        if s.shape[1] != size:
+            raise CatalogError(f"{family_id} needs site spectra of length {size}")
+    return [_desc(s) for s in block.sites]
+
+
+def _need_joint(block, size, family_id):
+    if block.joint is None or block.joint.shape[1] != size:
+        raise CatalogError(f"{family_id} needs a joint spectrum of length {size}")
+    return _desc(block.joint)
+
+
+def _one_body(block, family_id, r=None):
+    lam = block.one_body
+    if lam is None or (r is not None and lam.shape[1] != r):
+        length = "" if r is None else f" of length {r}"
+        raise CatalogError(f"{family_id} needs a one-body spectrum{length}")
+    return _desc(lam)
+
+
+def _renormalize(block, lam, n):
+    """Rescale the rows whose declared trace is not ``n`` to sum to ``n``,
+    as ``spectra.renormalize`` does."""
+    off = np.abs(block.one_body_trace - n) > 1e-10
+    if off.any():
+        total = _sequential_sum(lam[off])
+        if np.any(total == 0.0):
+            raise SpectrumError("cannot renormalize a zero-sum spectrum")
+        lam = lam.copy()
+        lam[off] = lam[off] * (float(n) / total)[:, None]
+    return lam, off
+
+
+def _fermi_slots(fam, block):
+    r, n = fam.meta["r"], fam.meta["n"]
+    lam, off = _renormalize(block, _one_body(block, fam.family_id, r), n)
+    return _Canonical({"lam": lam}, renormalized=off, target=n)
+
+
+def _polygon_slots(fam, block):
+    if len(block.sites) < 2:
         raise CatalogError("POLYGON needs at least two site spectra")
-    mins = []
-    for s in bundle.sites:
-        if len(s) != 2:
-            raise CatalogError("POLYGON applies to qubit marginals")
-        mins.append(min(s.as_floats()))
-    slacks = [sum(mins) - 2 * m for m in mins]
-    labels = [f"site{i}" for i in range(len(mins))]
-    return _report(fam.family_id, slacks, labels, tol)
+    if any(s.shape[1] != 2 for s in block.sites):
+        raise CatalogError("POLYGON applies to qubit marginals")
+    return _Canonical({"mins": np.column_stack([s.min(axis=1) for s in block.sites])})
 
 
-def _check_bravyi(fam, bundle, tol):
-    sites = _need_sites(bundle, 2, 2, fam.family_id)
-    joint = _need_joint(bundle, 4, fam.family_id)
-    values = {"mins": (sites[0][1], sites[1][1]), "joint": joint}
-    return _eval_records(fam.family_id, fam.records, values, tol)
+def _bravyi_slots(fam, block):
+    sites = _need_sites(block, 2, 2, fam.family_id)
+    joint = _need_joint(block, 4, fam.family_id)
+    return _Canonical({"mins": np.column_stack([sites[0][:, 1], sites[1][:, 1]]),
+                       "joint": joint})
 
 
-def _check_franz(fam, bundle, tol):
-    sites = _need_sites(bundle, 3, 3, fam.family_id)
-    asc = [tuple(reversed(s)) for s in sites]
-    values = {f"site{i}": asc[i] for i in range(3)}
-    return _eval_records(
-        fam.family_id, fam.records, values, tol, notes=("sites sorted increasing",)
-    )
+def _franz_slots(fam, block):
+    sites = _need_sites(block, 3, 3, fam.family_id)
+    return _Canonical({f"site{i}": s[:, ::-1] for i, s in enumerate(sites)},
+                      notes=("sites sorted increasing",))
 
 
-def _check_basic(fam, bundle, tol):
-    if len(bundle.sites) != 2:
+def _basic_slots(fam, block):
+    if len(block.sites) != 2:
         raise CatalogError("BASIC needs two site spectra")
-    a = _desc(bundle.sites[0])
-    b = _desc(bundle.sites[1])
-    ab = _need_joint(bundle, len(a) * len(b), fam.family_id)
-    m, n = len(a), len(b)
-    slacks, labels = [], []
-    for k in range(1, m + 1):
-        slacks.append(sum(ab[: k * n]) - sum(a[:k]))
-        labels.append(f"A{k}")
-    for l in range(1, n + 1):
-        slacks.append(sum(ab[: m * l]) - sum(b[:l]))
-        labels.append(f"B{l}")
-    return _report(fam.family_id, slacks, labels, tol)
+    a, b = _desc(block.sites[0]), _desc(block.sites[1])
+    joint = _need_joint(block, a.shape[1] * b.shape[1], fam.family_id)
+    return _Canonical({"a": a, "b": b, "joint": joint})
 
 
-def _check_three_qubit(fam, bundle, tol):
-    sites = _need_sites(bundle, 3, 2, fam.family_id)
-    joint = _need_joint(bundle, 8, fam.family_id)
-    deltas = sorted(s[0] - s[1] for s in sites)
-    values = {"delta": tuple(deltas), "joint": joint}
-    return _eval_records(
-        fam.family_id, fam.records, values, tol, notes=("gaps sorted increasing",)
-    )
+def _three_qubit_slots(fam, block):
+    sites = _need_sites(block, 3, 2, fam.family_id)
+    joint = _need_joint(block, 8, fam.family_id)
+    gaps = np.sort(np.column_stack([s[:, 0] - s[:, 1] for s in sites]), axis=1)
+    return _Canonical({"delta": gaps, "joint": joint},
+                      notes=("gaps sorted increasing",))
 
 
-def _check_pauli(fam, bundle, tol):
+def _pauli_slots(fam, block):
     # The occupation-box criterion applies to the spectrum as given; the
     # chemist normalization (trace n) is the caller's contract.
-    lam = bundle.one_body
-    if lam is None:
-        raise CatalogError("PAULI needs a one-body spectrum")
-    vals = tuple(sorted(lam.as_floats(), reverse=True))
-    slacks, labels = [], []
-    for i, v in enumerate(vals):
-        slacks.append(v)
-        labels.append(f"l{i+1}>=0")
-        slacks.append(1.0 - v)
-        labels.append(f"l{i+1}<=1")
-    return _report(fam.family_id, slacks, labels, tol)
+    return _Canonical({"lam": _one_body(block, fam.family_id)})
 
 
-def _check_even_degeneracy(fam, bundle, tol):
-    r, n = fam.meta["r"], fam.meta["n"]
+PAIR_TOL = 1e-8
+
+
+def _even_degeneracy_slots(fam, block):
+    lam = _one_body(block, fam.family_id)
+    # The system is taken from the bundle: r entries, n the rounded trace.
+    ns = np.rint(block.one_body_trace)
+    r, n = lam.shape[1], int(ns[0])
+    if np.any(ns != n):
+        raise CatalogError(f"{fam.family_id} needs one particle number per block")
     if n not in (2, r - 2):
         raise CatalogError(
             f"even-degeneracy criterion applies to two particles or two "
             f"holes, not (r={r}, n={n})"
         )
-    lam, notes = _need_one_body(bundle, r, n, fam.family_id)
-    pair_tol = 1e-8
-    vals = list(lam)
-    leftover = None
-    if r % 2 == 1:
-        if n == 2:
-            leftover = abs(vals.pop())       # the odd eigenvalue must be 0
-        else:
-            leftover = abs(vals.pop(0) - 1)  # holes: the odd eigenvalue is 1
-    defect = 0.0
-    for i in range(0, len(vals), 2):
-        defect = max(defect, abs(vals[i] - vals[i + 1]))
-    if leftover is not None:
-        defect = max(defect, leftover)
-    slacks = [pair_tol - defect]
-    return _report(
-        fam.family_id,
-        slacks,
-        ["even-degeneracy defect"],
-        0.0,
-        tuple(notes) + (f"pairing tolerance {pair_tol}",),
-    )
+    lam, off = _renormalize(block, lam, n)
+    return _Canonical({"lam": lam}, notes=(f"pairing tolerance {PAIR_TOL}",),
+                      renormalized=off, target=n)
 
 
-def _check_fermi_records(fam, bundle, tol):
-    r, n = fam.meta["r"], fam.meta["n"]
-    lam, notes = _need_one_body(bundle, r, n, fam.family_id)
-    return _eval_records(fam.family_id, fam.records, {"lam": lam}, tol, notes)
+def _w2h4_slots(fam, block):
+    lam, off = _renormalize(block, _one_body(block, fam.family_id, 4), 1)
+    nu = _need_joint(block, 6, fam.family_id)
+    return _Canonical({"lam": lam, "nu": nu}, renormalized=off, target=1)
 
 
-def _check_f84_abs(fam, bundle, tol):
-    lam, notes = _need_one_body(bundle, 8, 4, fam.family_id)
-    total = 0.0
-    for pattern in F84_ABS_PATTERNS:
-        total += abs(sum(c * v for c, v in zip(pattern, lam)))
-    return _report(fam.family_id, [4.0 - total], ["sum|x|<=4"], tol, notes)
-
-
-def _check_w2h4(fam, bundle, tol):
-    r, n = 4, 2
-    lam = bundle.one_body
-    if lam is None or len(lam) != r:
-        raise CatalogError(f"{fam.family_id} needs a one-body spectrum of length {r}")
-    notes = []
-    if abs(float(lam.trace_tag) - 1.0) > 1e-10:
-        lam = renormalize(lam, 1.0)
-        notes.append("renormalized one-body spectrum to trace 1")
-    nu = _need_joint(bundle, 6, fam.family_id)
-    values = {"lam": tuple(sorted(lam.as_floats(), reverse=True)), "nu": nu}
-    return _eval_records(fam.family_id, fam.records, values, tol, notes)
-
-
-def _check_w2h5_meta(fam, bundle, tol):
+def _w2h5_slots(fam, block):
     raise CatalogError(
         "W2H5 is recorded as metadata only (460 independent inequalities); "
         "the list is not reproduced"
     )
 
 
-def _check_chsh_records(fam, bundle, tol):
+def _chsh_slots(fam, block):
     raise CatalogError("use check_chsh for correlation data")
+
+
+# Records of the families whose inequalities depend on the system size.
+
+def _polygon_records(widths):
+    k = widths["mins"]
+    return tuple(
+        _rec((("mins", tuple(1 if j == i else -1 for j in range(k))),), 0, "<=",
+             f"site{i}")
+        for i in range(k)
+    )
+
+
+def _basic_records(widths):
+    m, n = widths["a"], widths["b"]
+
+    def first(count, size):
+        return tuple(1 if i < count else 0 for i in range(size))
+
+    rows = [(first(k, m), first(0, n), k * n, f"A{k}") for k in range(1, m + 1)]
+    rows += [(first(0, m), first(l, n), m * l, f"B{l}") for l in range(1, n + 1)]
+    return tuple(
+        _rec((("a", a), ("b", b), ("joint", tuple(-c for c in first(cut, m * n)))),
+             0, "<=", label)
+        for a, b, cut, label in rows
+    )
+
+
+def _pauli_records(widths):
+    r = widths["lam"]
+    out = []
+    for i in range(r):
+        unit = tuple(int(j == i) for j in range(r))
+        out.append(_rec((("lam", tuple(-c for c in unit)),), 0, "<=", f"l{i+1}>=0"))
+        out.append(_rec((("lam", unit),), 1, "<=", f"l{i+1}<=1"))
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Evaluation
+
+def _combine(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """x (T, k) times a (m, k) transposed, each product sum taken over k in
+    order.  Every row of the result is then bitwise the same whatever else
+    the block holds, which a BLAS product does not promise."""
+    if a.shape[1] == 0:
+        return np.zeros((len(x), len(a)))
+    out = x[:, :1] * a[:, 0]
+    for j in range(1, a.shape[1]):
+        out += x[:, j:j + 1] * a[:, j]
+    return out
+
+
+@dataclass(frozen=True)
+class LinearSystem:
+    """Inequality records compiled to float64 over a fixed slot layout.
+
+    Row i reads A[i] . x <= b[i], or A[i] . x == b[i] where ``eq[i]``;
+    ``slots`` gives each slot's name and column range in term order.
+    """
+
+    slots: tuple
+    A: np.ndarray
+    b: np.ndarray
+    eq: np.ndarray
+    labels: tuple
+
+    def slacks(self, values: dict) -> np.ndarray:
+        """(T, m) slacks b - A x, or -|A x - b| for equalities.
+
+        As in ``InequalityRecord.lhs``, each slot's terms are summed in
+        order and the slot sums are added in order.
+        """
+        lhs = None
+        for name, lo, hi in self.slots:
+            part = _combine(values[name], self.A[:, lo:hi])
+            lhs = part if lhs is None else lhs + part
+        if lhs is None:   # no records: one empty row per bundle
+            lhs = np.zeros((len(next(iter(values.values()))), 0))
+        return np.where(self.eq, -np.abs(lhs - self.b), self.b - lhs)
+
+
+@lru_cache(maxsize=None)
+def _linear_system(family_id: str, widths: tuple) -> LinearSystem:
+    """The compiled form of a family's records; ``widths`` are the slot
+    widths, which fix the records of the size-dependent families."""
+    fam = get_family(family_id)
+    records = fam.records if fam.generate is None else fam.generate(dict(widths))
+    slots, col = [], 0
+    for name, coeffs in records[0].terms if records else ():
+        slots.append((name, col, col + len(coeffs)))
+        col += len(coeffs)
+    layout = [name for name, _, _ in slots]
+    A = np.zeros((len(records), col))
+    for i, rec in enumerate(records):
+        if [name for name, _ in rec.terms] != layout:
+            raise CatalogError(f"{family_id} records do not share one slot layout")
+        A[i] = [float(c) for _, coeffs in rec.terms for c in coeffs]
+    b = np.array([float(rec.bound) for rec in records])
+    eq = np.array([rec.relation != "<=" for rec in records], dtype=bool)
+    for arr in (A, b, eq):
+        arr.setflags(write=False)
+    labels = tuple(rec.label or f"#{i}" for i, rec in enumerate(records))
+    return LinearSystem(tuple(slots), A, b, eq, labels)
+
+
+def _linear(fam, canon, tolerance):
+    widths = tuple((name, x.shape[1]) for name, x in canon.values.items())
+    system = _linear_system(fam.family_id, widths)
+    return system.slacks(canon.values), system.labels, tolerance
+
+
+def _abs_sum(fam, canon, tolerance):
+    patterns = np.array(F84_ABS_PATTERNS, dtype=float)
+    total = np.zeros(len(canon.values["lam"]))
+    for col in _combine(canon.values["lam"], patterns).T:
+        total = total + np.abs(col)
+    return (4.0 - total)[:, None], ("sum|x|<=4",), tolerance
+
+
+def _even_degeneracy(fam, canon, tolerance):
+    lam, n = canon.values["lam"], canon.target
+    parts = [np.zeros((len(lam), 1))]
+    if lam.shape[1] % 2 == 1:
+        if n == 2:
+            parts.append(np.abs(lam[:, -1:]))       # the odd eigenvalue must be 0
+            lam = lam[:, :-1]
+        else:
+            parts.append(np.abs(lam[:, :1] - 1))    # holes: the odd eigenvalue is 1
+            lam = lam[:, 1:]
+    parts.append(np.abs(lam[:, 0::2] - lam[:, 1::2]))
+    defect = np.hstack(parts).max(axis=1)
+    return (PAIR_TOL - defect)[:, None], ("even-degeneracy defect",), 0.0
+
+
+@dataclass(frozen=True)
+class BlockCheck:
+    """One family's slacks on a block of T bundles, one row per bundle."""
+
+    family_id: str
+    slacks: np.ndarray
+    labels: tuple
+    tolerance: float
+    notes: tuple = ()
+    renormalized: np.ndarray = None
+    target: object = None
+
+    def worst(self) -> np.ndarray:
+        """(T,) worst slack per bundle; 0 for a family without inequalities."""
+        if not self.labels:
+            return np.zeros(len(self.slacks))
+        return self.slacks.min(axis=1)
+
+    def satisfied(self) -> np.ndarray:
+        return self.worst() >= -self.tolerance
+
+    def report(self, row: int) -> CheckReport:
+        slacks = self.slacks[row]
+        worst = float(self.worst()[row])
+        notes = self.notes
+        if self.renormalized is not None and self.renormalized[row]:
+            notes = (f"renormalized one-body spectrum to trace {self.target}",) + notes
+        return CheckReport(
+            family_id=self.family_id,
+            satisfied=worst >= -self.tolerance,
+            worst_slack=worst,
+            violated=tuple(lbl for s, lbl in zip(slacks, self.labels)
+                           if s < -self.tolerance),
+            n_inequalities=len(self.labels),
+            tolerance=self.tolerance,
+            notes=notes,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -552,14 +727,21 @@ def _check_chsh_records(fam, bundle, tol):
 
 @dataclass(frozen=True)
 class Family:
+    """A registered family: ``canonicalize`` maps a block to canonical slot
+    arrays, ``evaluate`` maps those to slacks (the compiled records by
+    default), and ``generate`` makes the records of a family whose
+    inequalities depend on the slot widths."""
+
     family_id: str
     system: str
     conventions: str
     declared_count: int
     records: tuple
-    checker: object = field(compare=False)
+    canonicalize: object = field(compare=False)
     matcher: object = field(compare=False)
     meta: dict = field(default=None, compare=False)
+    evaluate: object = field(default=_linear, compare=False)
+    generate: object = field(default=None, compare=False)
 
 
 def _m_polygon(d: SystemDescriptor):
@@ -584,93 +766,94 @@ def _add(family):
 _add(Family(
     "POLYGON", "qubit arrays, pure",
     "minimal marginal eigenvalues; each bounded by the sum of the others",
-    0, (), _check_polygon, _m_polygon, {},
+    0, (), _polygon_slots, _m_polygon, {}, generate=_polygon_records,
 ))
 _add(Family(
     "BRAVYI_2Q", "2x2 mixed",
     "minimal marginal eigenvalues and the global spectrum sorted decreasing",
-    7, BRAVYI_RECORDS, _check_bravyi,
+    7, BRAVYI_RECORDS, _bravyi_slots,
     lambda d: (not d.pure) and d.kind in ("tensor", "qubits") and d.dims == (2, 2),
     {},
 ))
 _add(Family(
     "FRANZ_3QUTRIT", "3x3x3 pure",
     "marginal spectra sorted increasing; all site permutations, deduplicated",
-    36, FRANZ_RECORDS, _check_franz,
+    36, FRANZ_RECORDS, _franz_slots,
     lambda d: d.pure and d.kind == "tensor" and d.dims == (3, 3, 3),
     {},
 ))
 _add(Family(
     "BASIC", "bipartite m x n mixed",
     "partial sums of marginal spectra bounded by partial sums of the joint",
-    0, (), _check_basic,
+    0, (), _basic_slots,
     lambda d: (not d.pure) and d.kind in ("tensor", "qubits") and len(d.dims) == 2,
-    {},
+    {}, generate=_basic_records,
 ))
 _add(Family(
     "THREE_QUBIT_MIXED", "2x2x2 mixed",
     "site gaps sorted increasing, joint spectrum decreasing; as printed",
-    10, THREE_QUBIT_RECORDS, _check_three_qubit,
+    10, THREE_QUBIT_RECORDS, _three_qubit_slots,
     lambda d: (not d.pure) and d.kind in ("tensor", "qubits") and d.dims == (2, 2, 2),
     {},
 ))
 _add(Family(
     "PAULI", "fermionic (r, n)",
     "occupation numbers in [0, 1], chemist trace n",
-    0, (), _check_pauli,
-    lambda d: d.kind == "fermion", {"r": None, "n": None},
+    0, (), _pauli_slots,
+    lambda d: d.kind == "fermion", {"r": None, "n": None}, generate=_pauli_records,
 ))
 _add(Family(
     "TWO_PARTICLE_PURE", "fermionic (r, 2) or (r, r-2) pure",
     "even degeneracy of occupation numbers; odd leftover 0 (particles) or 1 (holes)",
-    1, (), _check_even_degeneracy,
+    1, (), _even_degeneracy_slots,
     lambda d: d.kind == "fermion" and d.pure and (d.n == 2 or d.n == d.r - 2),
-    {"r": None, "n": None},
+    {"r": None, "n": None}, evaluate=_even_degeneracy,
 ))
 _add(Family(
     "BD6", "fermionic (6, 3) pure",
     "three pair equalities and l4 <= l5 + l6, chemist trace 3",
-    4, BD6_RECORDS, _check_fermi_records, _m_fermi(6, 3, True), {"r": 6, "n": 3},
+    4, BD6_RECORDS, _fermi_slots, _m_fermi(6, 3, True), {"r": 6, "n": 3},
 ))
 _add(Family(
     "F7_BD", "fermionic (7, 3) pure",
     "four triple sums bounded below by 1, chemist trace 3",
-    4, F7_BD_RECORDS, _check_fermi_records, _m_fermi(7, 3, True), {"r": 7, "n": 3},
+    4, F7_BD_RECORDS, _fermi_slots, _m_fermi(7, 3, True), {"r": 7, "n": 3},
 ))
 _add(Family(
     "F7_LIST", "fermionic (7, 3) pure",
     "zero-sum test-spectrum form, coefficients 3 / -4, bound 2",
-    4, F7_LIST_RECORDS, _check_fermi_records, _m_fermi(7, 3, True), {"r": 7, "n": 3},
+    4, F7_LIST_RECORDS, _fermi_slots, _m_fermi(7, 3, True), {"r": 7, "n": 3},
 ))
 _add(Family(
     "F8_31", "fermionic (8, 3) pure",
     "31 inequalities grouped by extremal edge, chemist trace 3",
-    31, F8_31_RECORDS, _check_fermi_records, _m_fermi(8, 3, True), {"r": 8, "n": 3},
+    31, F8_31_RECORDS, _fermi_slots, _m_fermi(8, 3, True), {"r": 8, "n": 3},
 ))
 _add(Family(
     "F84_14", "fermionic (8, 4) pure",
     "14 inequalities in two edge groups, chemist trace 4",
-    14, F84_14_RECORDS, _check_fermi_records, _m_fermi(8, 4, True), {"r": 8, "n": 4},
+    14, F84_14_RECORDS, _fermi_slots, _m_fermi(8, 4, True), {"r": 8, "n": 4},
 ))
 _add(Family(
     "F84_ABS", "fermionic (8, 4) pure",
     "absolute-value form sum_i |x_i| <= 4 over seven sign patterns",
-    1, (), _check_f84_abs, _m_fermi(8, 4, True), {"r": 8, "n": 4},
+    1, (), _fermi_slots, _m_fermi(8, 4, True), {"r": 8, "n": 4},
+    evaluate=_abs_sum,
 ))
 _add(Family(
     "W2H4_MIXED", "fermionic (4, 2) mixed",
     "both spectra normalized to equal trace (canonical 1), decreasing order",
-    22, W2H4_RECORDS, _check_w2h4, _m_fermi(4, 2, False), {"r": 4, "n": 2},
+    22, W2H4_RECORDS, _w2h4_slots, _m_fermi(4, 2, False), {"r": 4, "n": 2},
 ))
 _add(Family(
     "W2H5_META", "fermionic (5, 2) mixed",
     "460 independent inequalities recorded as metadata; list not reproduced",
-    460, (), _check_w2h5_meta, _m_fermi(5, 2, False), {"r": 5, "n": 2},
+    460, (), _w2h5_slots, _m_fermi(5, 2, False), {"r": 5, "n": 2},
 ))
 _add(Family(
     "CHSH_16", "two-qubit correlations, two settings per site",
     "sixteen sign/swap images of the base correlation inequality",
-    16, CHSH_RECORDS, _check_chsh_records, lambda d: False, {},
+    16, CHSH_RECORDS, _chsh_slots, lambda d: False, {},
 ))
 
 
@@ -700,26 +883,24 @@ def applicable_families(system) -> tuple:
     return tuple(out)
 
 
+def check_block(family_id: str, block: SpectraBlock,
+                tolerance: float = 1e-10) -> BlockCheck:
+    """Evaluate every inequality of a family on each bundle of a block."""
+    fam = get_family(family_id)
+    canon = fam.canonicalize(fam, block)
+    slacks, labels, tolerance = fam.evaluate(fam, canon, tolerance)
+    return BlockCheck(family_id, slacks, labels, tolerance, canon.notes,
+                      canon.renormalized, canon.target)
+
+
 def check_family(family_id: str, bundle: SpectraBundle, tolerance: float = 1e-10) -> CheckReport:
     """Evaluate every inequality of a family on a spectra bundle.
 
     Input spectra are canonicalized per the family's declared conventions
-    (re-sorted, re-normalized); equalities are checked two-sided.
+    (re-sorted, re-normalized); equalities are checked two-sided.  The
+    bundle runs as a block of one through ``check_block``.
     """
-    fam = get_family(family_id)
-    meta = dict(fam.meta or {})
-    if fam.meta is not None and "r" in fam.meta and fam.meta["r"] is None:
-        # Families parameterized by the system take (r, n) from the bundle.
-        lam = bundle.one_body
-        if lam is None:
-            raise CatalogError(f"{family_id} needs a one-body spectrum")
-        meta["r"] = len(lam)
-        meta["n"] = int(round(float(lam.trace_tag)))
-        fam = Family(
-            fam.family_id, fam.system, fam.conventions, fam.declared_count,
-            fam.records, fam.checker, fam.matcher, meta,
-        )
-    return fam.checker(fam, bundle, tolerance)
+    return check_block(family_id, _block_of_one(bundle), tolerance).report(0)
 
 
 def check_chsh(correlations, tolerance: float = 1e-10) -> CheckReport:
@@ -735,8 +916,9 @@ def check_chsh(correlations, tolerance: float = 1e-10) -> CheckReport:
     for c in corr:
         if abs(c) > 1 + 1e-12:
             raise CatalogError(f"correlation {c} outside [-1, 1]")
-    fam = get_family("CHSH_16")
-    return _eval_records("CHSH_16", fam.records, {"corr": corr}, tolerance)
+    system = _linear_system("CHSH_16", (("corr", 4),))
+    slacks = system.slacks({"corr": np.array([corr])})
+    return BlockCheck("CHSH_16", slacks, system.labels, tolerance).report(0)
 
 
 @dataclass(frozen=True)
@@ -749,17 +931,16 @@ class EquivalenceReport:
 
 
 def _sample_valid_occupation(rng, r, n, perturbed: bool):
-    """Sorted trace-n vector inside the Pauli box [0, 1]^r, by rejection."""
-    import numpy as np
-
+    """Trace-n vector inside the Pauli box [0, 1]^r, by rejection."""
+    alpha = np.ones(r)
     for _ in range(10000):
         if perturbed:
             vals = np.abs(n / r + 0.3 * rng.standard_normal(r))
             vals *= n / vals.sum()
         else:
-            vals = rng.dirichlet(np.ones(r)) * n
+            vals = rng.dirichlet(alpha) * n
         if vals.max() <= 1.0:
-            return sorted(vals, reverse=True)
+            return vals
     raise CatalogError(f"could not sample a valid occupation spectrum for ({r}, {n})")
 
 
@@ -768,8 +949,11 @@ def check_equivalence(family_a: str, family_b: str, samples: int, seed: int,
     """Compare two families of the same system on random sorted, correctly
     normalized valid spectra (a mix of simplex-like and perturbed points,
     all inside the Pauli box).
+
+    The samples are drawn one after another from one generator and checked
+    in blocks; the first disagreement is the first in sample order.
     """
-    from .tensor import rng_from_seed
+    from .tensor import rng_from_seed, spectra_rows
 
     fa, fb = get_family(family_a), get_family(family_b)
     if (fa.meta or {}).get("r") != (fb.meta or {}).get("r") or (
@@ -780,14 +964,16 @@ def check_equivalence(family_a: str, family_b: str, samples: int, seed: int,
     rng = rng_from_seed(seed)
     disagreements = 0
     first = None
-    for trial in range(samples):
-        vals = _sample_valid_occupation(rng, r, n, perturbed=trial % 2 == 1)
-        lam = spectrum(vals, trace_tag=float(n))
-        bundle = SpectraBundle(one_body=lam)
-        ra = check_family(family_a, bundle, tolerance)
-        rb = check_family(family_b, bundle, tolerance)
-        if ra.satisfied != rb.satisfied:
-            disagreements += 1
-            if first is None:
-                first = tuple(lam.as_floats())
+    for lo in range(0, samples, BLOCK_TRIALS):
+        trials = range(lo, min(lo + BLOCK_TRIALS, samples))
+        lam = spectra_rows(np.array([
+            _sample_valid_occupation(rng, r, n, perturbed=trial % 2 == 1)
+            for trial in trials
+        ]), float(n))
+        block = SpectraBlock(one_body=lam, one_body_trace=np.full(len(lam), float(n)))
+        differ = np.flatnonzero(check_block(family_a, block, tolerance).satisfied()
+                                != check_block(family_b, block, tolerance).satisfied())
+        disagreements += len(differ)
+        if first is None and len(differ):
+            first = tuple(float(v) for v in lam[differ[0]])
     return EquivalenceReport(family_a, family_b, samples, disagreements, first)

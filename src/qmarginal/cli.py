@@ -48,12 +48,23 @@ def _fmt_real(x: float) -> float:
 
 
 def _parse_number(text: str):
+    """An int, a p/q rational or a finite float; any other token is a usage
+    error that names it."""
     text = text.strip()
-    if "/" in text:
-        return Fraction(text)
-    if "." in text or "e" in text or "E" in text:
-        return float(text)
-    return int(text)
+    try:
+        if "/" in text:
+            return Fraction(text)
+        if not any(c in text for c in ".eE"):
+            try:
+                return int(text)
+            except ValueError:
+                pass  # "nan", "inf": named below
+        value = float(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise UsageError(f"not a finite number: {text!r}")
+    return value
 
 
 def _parse_vector(text: str):
@@ -488,6 +499,7 @@ def cmd_verify(args) -> int:
         # no trials leave the minimum slack at +inf, which JSON cannot hold
         "min_slack": (_fmt_real(report.min_slack)
                       if math.isfinite(report.min_slack) else None),
+        "worst_trial": report.worst_trial,
         "violations": report.violations,
         "wall_time": _fmt_real(report.wall_time),
         "tolerance": report.tolerance,

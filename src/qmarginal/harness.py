@@ -5,6 +5,12 @@ matching system (Haar pure, fixed-spectrum mixed, or fermionic), computes
 marginal spectra and runs the family check.  Per-trial seeds are derived
 from the campaign seed by counter offset, so reports are independent of
 worker count and bit-reproducible.
+
+Trials run in blocks of ``BLOCK_TRIALS``.  Each trial still draws from its
+own ``rng_from_seed(seed, stream=trial)`` generator, with the calls the
+per-trial samplers make; the block is then reduced, eigensolved and checked
+at once.  Every operation on a block acts on each trial's rows alone, so a
+trial's slack is bitwise the same whatever block it falls in.
 """
 
 from __future__ import annotations
@@ -13,27 +19,37 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
 
 from .catalog import (
+    BLOCK_TRIALS,
     CatalogError,
+    SpectraBlock,
     SpectraBundle,
-    check_equivalence,
-    check_family,
+    check_block,
     get_family,
 )
-from .fermion import fermion_basis, haar_fermion, one_rdm, one_rdm_mixed
+from .fermion import fermion_basis
 from .spectra import Spectrum, spectrum
 from .systems import SystemDescriptor, parse_system
 from .tensor import (
-    PureState,
+    complex_gaussian,
+    fixed_spectrum_stack,
+    fixed_spectrum_values,
     haar_pure,
-    haar_unitary,
+    haar_vectors,
+    hilbert_schmidt_stack,
+    partial_trace_stack,
     pure_marginal,
-    random_density,
+    pure_marginal_stack,
     rng_from_seed,
+    spectra_of_stack,
+    spectra_rows,
     spectrum_of,
+    unitaries_from_gaussian,
 )
 
 
@@ -48,64 +64,71 @@ class CampaignReport:
     wall_time: float
     tolerance: float
     notes: tuple = ()
+    # Lowest stream index whose slack is min_slack; None without trials.
+    worst_trial: int = None
 
 
-def _pure_site_bundle(psi: PureState) -> SpectraBundle:
-    sites = tuple(
-        spectrum_of(pure_marginal(psi, [i])) for i in range(len(psi.dims))
-    )
-    size = math.prod(psi.dims)
-    joint = Spectrum((1.0,) + (0.0,) * (size - 1), 1.0)
-    return SpectraBundle(sites=sites, joint=joint)
+def _pure_joint(count: int, size: int) -> np.ndarray:
+    joint = np.zeros((count, size))
+    joint[:, 0] = 1.0
+    return joint
 
 
-def _mixed_site_bundle(rho) -> SpectraBundle:
-    from .tensor import partial_trace
-
-    sites = tuple(
-        spectrum_of(partial_trace(rho, [i])) for i in range(len(rho.dims))
-    )
-    return SpectraBundle(sites=sites, joint=spectrum_of(rho))
-
-
-def _fermi_fixed_spectrum_bundle(r, n, nu, rng) -> SpectraBundle:
+@lru_cache(maxsize=None)
+def _one_rdm_columns(r: int, n: int) -> tuple:
+    """The sparse 1-RDM map of ``fermion_basis(r, n)`` restricted to the
+    columns it reads, and those columns as (dst, src) index pairs."""
     basis = fermion_basis(r, n)
-    vals = np.array(nu.as_floats())
-    if len(vals) != basis.dim:
-        raise CatalogError(
-            f"state spectrum needs {basis.dim} entries for (r={r}, n={n})"
-        )
-    u = haar_unitary(basis.dim, rng)
-    rho = (u * np.clip(vals, 0.0, None)) @ u.conj().T
-    rho = (rho + rho.conj().T) / 2
-    gamma = one_rdm_mixed(rho, basis)
-    return SpectraBundle(one_body=spectrum_of(gamma), joint=spectrum(vals, 1.0))
+    full = basis.one_rdm_map()
+    cols = np.unique(full.indices)
+    compact = sparse.csr_matrix(
+        (full.data, np.searchsorted(cols, full.indices), full.indptr),
+        shape=(r * r, len(cols)),
+    )
+    dst, src = np.divmod(cols, basis.dim)
+    return compact, dst, src
 
 
-def sample_bundle(family_id: str, system: SystemDescriptor, seed: int,
-                  trial: int, nu: Spectrum = None) -> SpectraBundle:
-    """Draw one state of the system as the family demands and reduce it."""
-    if system.kind == "fermion":
-        if system.pure:
-            psi = haar_fermion(system.r, system.n, seed, stream=trial)
-            basis = psi.basis
-            joint = Spectrum((1.0,) + (0.0,) * (basis.dim - 1), 1.0)
-            return SpectraBundle(one_body=spectrum_of(one_rdm(psi)), joint=joint)
-        rng = rng_from_seed(seed, stream=trial)
-        if nu is None:
-            dim = fermion_basis(system.r, system.n).dim
-            nu = spectrum(rng.dirichlet(np.ones(dim)), 1.0)
-        return _fermi_fixed_spectrum_bundle(system.r, system.n, nu, rng)
+def _one_rdm_stack(r: int, n: int, entries: np.ndarray) -> np.ndarray:
+    """(T, r, r) one-particle RDMs from the (columns, T) entries of
+    vec(conj rho) that the map reads, as ``one_rdm`` computes them."""
+    compact = _one_rdm_columns(r, n)[0]
+    gamma = (compact @ entries).T.reshape(-1, r, r)
+    return (gamma + gamma.conj().swapaxes(-1, -2)) / 2
+
+
+def _fermion_block(system: SystemDescriptor, seed, trials, nu) -> SpectraBlock:
+    """One-body spectra of fermionic states: Haar pure states drawn as
+    ``haar_fermion`` draws them, or mixed states with a Dirichlet spectrum
+    (or ``nu``) in a Haar basis.  The products the 1-RDM map reads are formed
+    per entry, never the (T, dim, dim) outer products."""
+    r, n = system.r, system.n
+    dim = fermion_basis(r, n).dim
+    _, dst, src = _one_rdm_columns(r, n)
     if system.pure:
-        return _pure_site_bundle(haar_pure(system.dims, seed, stream=trial))
-    rng = rng_from_seed(seed, stream=trial)
-    if nu is not None:
-        from .tensor import random_mixed_with_spectrum
-
-        rho = random_mixed_with_spectrum(nu, system.dims, seed, stream=trial)
+        amps = haar_vectors(dim, seed, trials).T
+        entries = amps[dst].conj()
+        entries *= amps[src]
+        lam = spectra_of_stack(_one_rdm_stack(r, n, entries), float(n))
+        return SpectraBlock(one_body=lam, one_body_trace=np.full(len(lam), float(n)),
+                            joint=_pure_joint(len(lam), dim))
+    if nu is not None and len(nu) != dim:
+        raise CatalogError(f"state spectrum needs {dim} entries for (r={r}, n={n})")
+    draws, gaussians = [], []
+    for trial in trials:
+        rng = rng_from_seed(seed, trial)
+        if nu is None:
+            draws.append(rng.dirichlet(np.ones(dim)))
+        gaussians.append(complex_gaussian((dim, dim), rng))
+    if nu is None:
+        vals = spectra_rows(np.array(draws), 1.0)
     else:
-        rho = random_density(system.dims, rng)
-    return _mixed_site_bundle(rho)
+        vals = np.tile(nu.as_floats(), (len(trials), 1))
+    rho = fixed_spectrum_stack(unitaries_from_gaussian(np.array(gaussians)), vals)
+    trace = n * np.trace(rho, axis1=1, axis2=2).real
+    gamma = _one_rdm_stack(r, n, rho[:, dst, src].conj().T)
+    return SpectraBlock(one_body=spectra_of_stack(gamma, trace),
+                        one_body_trace=trace, joint=vals)
 
 
 def _bipartitions(dims):
@@ -117,53 +140,77 @@ def _bipartitions(dims):
     ]
 
 
-def _basic_bundles(system: SystemDescriptor, seed, trial, nu):
-    """BASIC applies to bipartitions; multi-factor systems check every
-    single-site-versus-rest split of the same sampled state."""
-    from .tensor import partial_trace, random_density, random_mixed_with_spectrum
-
-    rng = rng_from_seed(seed, stream=trial)
-    if nu is not None:
-        rho = random_mixed_with_spectrum(nu, system.dims, seed, stream=trial)
+def _mixed_blocks(system: SystemDescriptor, seed, trials, nu, basic) -> list:
+    """Random density matrices of a tensor system, reduced per site or, for
+    BASIC, per single-site-versus-rest split of the same state."""
+    dims = system.dims
+    size = math.prod(dims)
+    gaussians = np.array([complex_gaussian((size, size), rng_from_seed(seed, trial))
+                          for trial in trials])
+    if nu is None:
+        rho = hilbert_schmidt_stack(gaussians)
     else:
-        rho = random_density(system.dims, rng)
-    out = []
-    joint = spectrum_of(rho)
-    for left, right in _bipartitions(system.dims):
-        sites = (
-            spectrum_of(partial_trace(rho, list(left))),
-            spectrum_of(partial_trace(rho, list(right))),
-        )
-        out.append(SpectraBundle(sites=sites, joint=joint))
-    return out
-
-
-def _run_trial(family_id, system, seed, trial, nu, tolerance):
-    if family_id == "BASIC" and system.kind in ("tensor", "qubits"):
-        bundles = _basic_bundles(system, seed, trial, nu)
+        vals = fixed_spectrum_values(nu, size, dims)
+        rho = fixed_spectrum_stack(unitaries_from_gaussian(gaussians), vals)
+    joint = spectra_of_stack(rho, 1.0)
+    if not basic:
+        splits = [tuple((i,) for i in range(len(dims)))]
     else:
-        bundles = [sample_bundle(family_id, system, seed, trial, nu)]
-    worst = math.inf
-    violated = 0
-    for bundle in bundles:
-        report = check_family(family_id, bundle, tolerance)
-        worst = min(worst, report.worst_slack)
-    if worst < -tolerance:
-        violated = 1
-    return worst, violated
+        splits = _bipartitions(dims)
+    return [
+        SpectraBlock(sites=tuple(spectra_of_stack(partial_trace_stack(rho, dims, keep), 1.0)
+                                 for keep in split), joint=joint)
+        for split in splits
+    ]
+
+
+def _sample_blocks(system: SystemDescriptor, seed, trials, nu=None,
+                   basic=False) -> list:
+    """Draw the states of ``trials`` and reduce them to spectra blocks."""
+    if system.kind == "fermion":
+        return [_fermion_block(system, seed, trials, nu)]
+    if basic or not system.pure:
+        return _mixed_blocks(system, seed, trials, nu, basic)
+    size = math.prod(system.dims)
+    amps = haar_vectors(size, seed, trials)
+    sites = tuple(spectra_of_stack(pure_marginal_stack(amps, system.dims, [i]), 1.0)
+                  for i in range(len(system.dims)))
+    return [SpectraBlock(sites=sites, joint=_pure_joint(len(trials), size))]
+
+
+def sample_bundle(system: SystemDescriptor, seed: int, trial: int,
+                  nu: Spectrum = None) -> SpectraBundle:
+    """Draw one state of the system and reduce it: a block of one trial."""
+    block = _sample_blocks(system, seed, range(trial, trial + 1), nu)[0]
+
+    def row(values, trace=1.0):
+        return None if values is None else Spectrum(tuple(map(float, values[0])), trace)
+
+    return SpectraBundle(
+        sites=tuple(row(s) for s in block.sites),
+        joint=row(block.joint),
+        one_body=(None if block.one_body is None
+                  else row(block.one_body, float(block.one_body_trace[0]))),
+    )
 
 
 def _campaign_chunk(args):
+    """(min slack, its lowest trial index, violations) over trials lo..hi."""
     family_id, system_str, seed, lo, hi, nu_vals, tolerance = args
     system = parse_system(system_str)
     nu = spectrum(nu_vals, 1.0) if nu_vals is not None else None
-    worst = math.inf
-    violations = 0
-    for trial in range(lo, hi):
-        slack, bad = _run_trial(family_id, system, seed, trial, nu, tolerance)
-        worst = min(worst, slack)
-        violations += bad
-    return worst, violations
+    basic = family_id == "BASIC" and system.kind in ("tensor", "qubits")
+    worst, worst_trial, violations = math.inf, None, 0
+    for start in range(lo, hi, BLOCK_TRIALS):
+        trials = range(start, min(start + BLOCK_TRIALS, hi))
+        slack = np.min([check_block(family_id, block, tolerance).worst()
+                        for block in _sample_blocks(system, seed, trials, nu, basic)],
+                       axis=0)
+        violations += int(np.count_nonzero(slack < -tolerance))
+        i = int(np.argmin(slack))
+        if slack[i] < worst:
+            worst, worst_trial = float(slack[i]), trials[i]
+    return worst, worst_trial, violations
 
 
 def mc_verify(family_id: str, system, trials: int, seed: int,
@@ -172,7 +219,8 @@ def mc_verify(family_id: str, system, trials: int, seed: int,
     """Monte-Carlo soundness campaign for one family on one system.
 
     Deterministic per (family, system, trials, seed) and independent of the
-    worker count: the min-slack/violation-count reduction is associative.
+    worker count: the min-slack/violation-count reduction is associative,
+    and the worst trial is the lowest stream index reaching the minimum.
     """
     if isinstance(system, str):
         system = parse_system(system)
@@ -188,21 +236,24 @@ def mc_verify(family_id: str, system, trials: int, seed: int,
         ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             partials = list(pool.map(_campaign_chunk, chunks))
-        worst = min(p[0] for p in partials)
-        violations = sum(p[1] for p in partials)
     else:
-        worst, violations = _campaign_chunk(
+        partials = [_campaign_chunk(
             (family_id, str(system), seed, 0, trials, nu_vals, tolerance)
-        )
+        )]
+    worst, worst_trial = min(
+        ((p[0], p[1]) for p in partials if p[1] is not None),
+        default=(math.inf, None),
+    )
     return CampaignReport(
         family_id=family_id,
         system=str(system),
         trials=trials,
         seed=seed,
         min_slack=worst,
-        violations=violations,
+        violations=sum(p[2] for p in partials),
         wall_time=time.perf_counter() - start,
         tolerance=tolerance,
+        worst_trial=worst_trial,
     )
 
 
@@ -237,8 +288,6 @@ def isospectrality_campaign(formats, trials: int, seed: int) -> IsospectralityRe
         time.perf_counter() - start,
     )
 
-
-equivalence_campaign = check_equivalence
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ and trace renormalization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,6 +34,9 @@ class Spectrum:
     def __post_init__(self):
         vals = tuple(self.values)
         object.__setattr__(self, "values", vals)
+        for v in vals + (self.trace_tag,):
+            if not math.isfinite(float(v)):
+                raise SpectrumError(f"spectrum value {v} is not finite")
         for a, b in zip(vals, vals[1:]):
             if float(a) < float(b) - SORT_TOL:
                 raise SpectrumError(f"spectrum not nonincreasing: {a} < {b}")

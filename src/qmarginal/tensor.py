@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import Spectrum
+from .spectra import SUM_TOL, Spectrum, SpectrumError
 
 HERM_TOL = 1e-10
 PSD_CLAMP = 1e-12
@@ -39,6 +39,7 @@ class PureState:
             raise StateError(
                 f"amplitude count {amps.size} does not match dims {dims}"
             )
+        _require_finite(amps, "amplitude")
         norm2 = float(np.vdot(amps, amps).real)
         if abs(norm2 - 1.0) > 1e-12:
             raise StateError(f"state norm^2 = {norm2}, expected 1")
@@ -74,18 +75,86 @@ class DensityMatrix:
         size = math.prod(dims)
         if mat.shape != (size, size):
             raise StateError(f"matrix shape {mat.shape} does not match dims {dims}")
-        if np.max(np.abs(mat - mat.conj().T)) > HERM_TOL:
-            raise StateError("density matrix is not Hermitian")
-        eigs = np.linalg.eigvalsh(mat)
-        if eigs.min() < -PSD_CLAMP:
-            raise StateError(f"density matrix has negative eigenvalue {eigs.min()}")
-        tr = float(np.trace(mat).real)
-        if abs(tr - float(self.trace)) > HERM_TOL:
-            raise StateError(f"trace {tr} does not match declared {self.trace}")
         mat = mat.copy()
+        eigs = _checked_eigenvalues(mat[None], self.trace)[0]
         mat.setflags(write=False)
+        eigs.setflags(write=False)
         object.__setattr__(self, "entries", mat)
         object.__setattr__(self, "dims", dims)
+        # Kept so that spectrum_of does not solve the same matrix twice.
+        object.__setattr__(self, "_eigenvalues", eigs)
+
+
+def _require_finite(values: np.ndarray, what: str):
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = values[~finite].flat[0]
+        raise StateError(f"{what} {bad} is not finite")
+
+
+def _checked_eigenvalues(mats: np.ndarray, trace) -> np.ndarray:
+    """Ascending eigenvalues of a (T, d, d) stack of density matrices.
+
+    Each matrix gets the checks of ``DensityMatrix``: finite entries,
+    Hermitian residual at most HERM_TOL, no eigenvalue below -PSD_CLAMP
+    (from the same eigensolve) and trace within HERM_TOL of ``trace``, a
+    scalar or one value per matrix.  The comparisons are written so that a
+    NaN fails them.
+    """
+    _require_finite(mats, "density matrix entry")
+    herm = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(1, 2), initial=0.0)
+    if not np.all(herm <= HERM_TOL):
+        raise StateError("density matrix is not Hermitian")
+    eigs = np.linalg.eigvalsh(mats)
+    low = eigs[:, 0] if eigs.shape[1] else np.zeros(len(eigs))
+    if not np.all(low >= -PSD_CLAMP):
+        raise StateError(f"density matrix has negative eigenvalue {low.min()}")
+    traces = np.trace(mats, axis1=1, axis2=2).real
+    declared = np.broadcast_to(np.asarray(trace, dtype=float), traces.shape)
+    off = ~(np.abs(traces - declared) <= HERM_TOL)
+    if off.any():
+        i = int(np.argmax(off))
+        raise StateError(f"trace {traces[i]} does not match declared {declared[i]}")
+    return eigs
+
+
+def spectra_rows(values: np.ndarray, trace) -> np.ndarray:
+    """Rows of ``values`` sorted nonincreasing, each checked as ``Spectrum``
+    checks its entries: finite, and summing to ``trace`` (a scalar or one
+    value per row) within SUM_TOL."""
+    rows = np.sort(values, axis=1)[:, ::-1]
+    if not np.isfinite(rows).all():
+        raise SpectrumError(f"spectrum value {rows[~np.isfinite(rows)][0]} is not finite")
+    sums = rows.sum(axis=1)
+    declared = np.broadcast_to(np.asarray(trace, dtype=float), sums.shape)
+    off = ~(np.abs(sums - declared) <= SUM_TOL)
+    if off.any():
+        i = int(np.argmax(off))
+        raise SpectrumError(
+            f"spectrum sum {sums[i]} does not match trace tag {declared[i]}"
+        )
+    return rows
+
+
+def spectra_of_stack(mats: np.ndarray, trace) -> np.ndarray:
+    """Nonincreasing eigenvalues of a (T, d, d) stack of density matrices,
+    one row per matrix, with every check that ``DensityMatrix`` and
+    ``spectrum_of`` make: one eigensolve per matrix, batched."""
+    eigs = _clamp_negative_zero(_checked_eigenvalues(mats, trace)[:, ::-1])
+    return spectra_rows(eigs, trace)
+
+
+def _clamp_negative_zero(eigs: np.ndarray) -> np.ndarray:
+    return np.where((eigs > -PSD_CLAMP) & (eigs < 0.0), 0.0, eigs)
+
+
+def _split_factors(nf: int, keep) -> tuple:
+    keep = sorted(set(int(k) for k in keep))
+    if not keep or len(keep) >= nf:
+        raise StateError(f"keep must be a nonempty proper subset, got {keep}")
+    if keep[0] < 0 or keep[-1] >= nf:
+        raise StateError(f"factor index out of range in {keep}")
+    return keep, [i for i in range(nf) if i not in keep]
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -95,55 +164,67 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     result satisfies Tr(rho_keep X) = Tr(rho (X tensor 1)) for observables X
     on the kept factors, and inherits the trace normalization.
     """
-    keep = sorted(set(int(k) for k in keep))
-    nf = len(rho.dims)
-    if not keep or len(keep) >= nf:
-        raise StateError(f"keep must be a nonempty proper subset, got {keep}")
-    if keep[0] < 0 or keep[-1] >= nf:
-        raise StateError(f"factor index out of range in {keep}")
-    drop = [i for i in range(nf) if i not in keep]
-    tensor = rho.entries.reshape(rho.dims + rho.dims)
-    # Contract dropped row indices against dropped column indices.
-    for offset, i in enumerate(drop):
-        axis = i - offset
-        ncur = tensor.ndim // 2
-        tensor = np.trace(tensor, axis1=axis, axis2=axis + ncur)
+    keep, _ = _split_factors(len(rho.dims), keep)
     kept_dims = tuple(rho.dims[i] for i in keep)
-    size = math.prod(kept_dims)
-    return DensityMatrix(tensor.reshape(size, size), kept_dims, trace=rho.trace)
+    mat = partial_trace_stack(rho.entries[None], rho.dims, keep)[0]
+    return DensityMatrix(mat, kept_dims, trace=rho.trace)
+
+
+def partial_trace_stack(mats: np.ndarray, dims, keep) -> np.ndarray:
+    """``partial_trace`` of each matrix of a (T, D, D) stack over ``dims``;
+    unchecked, (T, K, K)."""
+    dims = tuple(dims)
+    keep, drop = _split_factors(len(dims), keep)
+    tensor = mats.reshape((len(mats),) + dims + dims)
+    # Contract dropped row indices against dropped column indices; axis 0
+    # is the stack.
+    for offset, i in enumerate(drop):
+        axis = 1 + i - offset
+        ncur = (tensor.ndim - 1) // 2
+        tensor = np.trace(tensor, axis1=axis, axis2=axis + ncur)
+    size = math.prod(dims[i] for i in keep)
+    return tensor.reshape(len(mats), size, size)
 
 
 def pure_marginal(psi: PureState, keep) -> DensityMatrix:
     """Marginal of a pure state without forming the full density matrix."""
-    keep = sorted(set(int(k) for k in keep))
-    nf = len(psi.dims)
-    if not keep or len(keep) >= nf:
-        raise StateError(f"keep must be a nonempty proper subset, got {keep}")
-    drop = [i for i in range(nf) if i not in keep]
-    tensor = psi.amplitudes.reshape(psi.dims)
-    perm = keep + drop
-    kept_size = math.prod(psi.dims[i] for i in keep)
-    mat = tensor.transpose(perm).reshape(kept_size, -1)
-    rho = mat @ mat.conj().T
+    keep, _ = _split_factors(len(psi.dims), keep)
+    rho = pure_marginal_stack(psi.amplitudes[None], psi.dims, keep)[0]
     return DensityMatrix(rho, tuple(psi.dims[i] for i in keep), trace=1.0)
+
+
+def pure_marginal_stack(amps: np.ndarray, dims, keep) -> np.ndarray:
+    """``pure_marginal`` of each row of a (T, D) stack of unit vectors over
+    ``dims``; unchecked, (T, K, K)."""
+    dims = tuple(dims)
+    keep, drop = _split_factors(len(dims), keep)
+    tensor = amps.reshape((len(amps),) + dims)
+    kept_size = math.prod(dims[i] for i in keep)
+    perm = [0] + [1 + i for i in keep + drop]
+    mat = tensor.transpose(perm).reshape(len(amps), kept_size, -1)
+    return mat @ mat.conj().swapaxes(-1, -2)
 
 
 def spectrum_of(hermitian, trace_tag=None, tol: float = HERM_TOL) -> Spectrum:
     """Nonincreasing eigenvalues of a Hermitian matrix as a Spectrum.
 
     Eigenvalues in (-PSD_CLAMP, 0) are clamped to zero before validation.
+    A ``DensityMatrix`` reuses the eigenvalues its constructor computed.
     """
+    eigs = None
     if isinstance(hermitian, DensityMatrix):
         if trace_tag is None:
             trace_tag = hermitian.trace
+        eigs = hermitian._eigenvalues
         hermitian = hermitian.entries
     mat = np.asarray(hermitian, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise StateError(f"expected square matrix, got shape {mat.shape}")
     if np.max(np.abs(mat - mat.conj().T)) > tol:
         raise StateError("matrix is not Hermitian")
-    eigs = np.linalg.eigvalsh(mat)[::-1]
-    eigs = np.where((eigs > -PSD_CLAMP) & (eigs < 0.0), 0.0, eigs)
+    if eigs is None:
+        eigs = np.linalg.eigvalsh(mat)
+    eigs = _clamp_negative_zero(eigs[::-1])
     if trace_tag is None:
         trace_tag = float(np.trace(mat).real)
     return Spectrum(tuple(float(e) for e in eigs), float(trace_tag))
@@ -232,46 +313,80 @@ def rng_from_seed(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def complex_gaussian(shape, rng: np.random.Generator) -> np.ndarray:
+    """I.i.d. standard complex Gaussians: the real parts are drawn first,
+    then the imaginary parts.  Every Haar sampler here draws through it."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def haar_vectors(size: int, seed: int, streams) -> np.ndarray:
+    """(T, size) Haar-random unit vectors, row i drawn from stream
+    ``streams[i]``: normalized i.i.d. standard complex Gaussians."""
+    out = np.empty((len(streams), size), dtype=complex)
+    for i, stream in enumerate(streams):
+        vec = complex_gaussian(size, rng_from_seed(seed, stream))
+        vec /= np.linalg.norm(vec)
+        out[i] = vec
+    return out
+
+
 def haar_pure(dims, seed: int, stream: int = 0) -> PureState:
     """Haar-random pure state: normalized i.i.d. standard complex Gaussians."""
     dims = tuple(int(d) for d in dims)
-    rng = rng_from_seed(seed, stream)
-    size = math.prod(dims)
-    vec = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    vec /= np.linalg.norm(vec)
-    return PureState(vec, dims)
+    return PureState(haar_vectors(math.prod(dims), seed, [stream])[0], dims)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR with phase correction."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return unitaries_from_gaussian(complex_gaussian((dim, dim), rng)[None])[0]
+
+
+def unitaries_from_gaussian(z: np.ndarray) -> np.ndarray:
+    """QR with phase correction of each matrix of a (T, d, d) stack of
+    complex Gaussians: Haar unitaries, as ``haar_unitary`` makes them."""
     q, r = np.linalg.qr(z)
-    phases = np.diag(r).copy()
+    phases = np.diagonal(r, axis1=1, axis2=2).copy()
     phases /= np.abs(phases)
-    return q * phases
+    return q * phases[:, None, :]
 
 
-def random_mixed_with_spectrum(nu: Spectrum, dims, seed: int, stream: int = 0) -> DensityMatrix:
-    """Density matrix with exactly the given spectrum, Haar-random basis."""
-    dims = tuple(int(d) for d in dims)
-    size = math.prod(dims)
+def fixed_spectrum_values(nu: Spectrum, size: int, dims) -> np.ndarray:
+    """The spectrum of ``random_mixed_with_spectrum`` as floats, checked."""
     vals = np.array(nu.as_floats())
     if len(vals) != size:
         raise StateError(f"spectrum length {len(vals)} does not match dims {dims}")
     if vals.min() < -1e-12 or abs(vals.sum() - 1.0) > 1e-10:
         raise StateError("spectrum must be nonnegative with unit sum")
-    rng = rng_from_seed(seed, stream)
-    u = haar_unitary(size, rng)
-    rho = (u * np.clip(vals, 0.0, None)) @ u.conj().T
-    rho = (rho + rho.conj().T) / 2
-    return DensityMatrix(rho, dims, trace=1.0)
+    return vals
+
+
+def fixed_spectrum_stack(u: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """u diag(vals) u^dag, symmetrized, for a (T, d, d) stack of unitaries;
+    ``vals`` is one spectrum or one per unitary.  Negative entries are
+    clamped to zero.  Unchecked."""
+    vals = np.broadcast_to(np.clip(vals, 0.0, None), u.shape[:2])
+    rho = (u * vals[:, None, :]) @ u.conj().swapaxes(-1, -2)
+    return (rho + rho.conj().swapaxes(-1, -2)) / 2
+
+
+def random_mixed_with_spectrum(nu: Spectrum, dims, seed: int, stream: int = 0) -> DensityMatrix:
+    """Density matrix with exactly the given spectrum, Haar-random basis."""
+    dims = tuple(int(d) for d in dims)
+    vals = fixed_spectrum_values(nu, math.prod(dims), dims)
+    u = haar_unitary(len(vals), rng_from_seed(seed, stream))
+    return DensityMatrix(fixed_spectrum_stack(u[None], vals)[0], dims, trace=1.0)
 
 
 def random_density(dims, rng: np.random.Generator) -> DensityMatrix:
     """Hilbert-Schmidt random density matrix (GG*/Tr normalization)."""
     dims = tuple(int(d) for d in dims)
     size = math.prod(dims)
-    g = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
-    return DensityMatrix(rho, dims, trace=1.0)
+    g = complex_gaussian((size, size), rng)
+    return DensityMatrix(hilbert_schmidt_stack(g[None])[0], dims, trace=1.0)
+
+
+def hilbert_schmidt_stack(g: np.ndarray) -> np.ndarray:
+    """G G^dag / Tr for each matrix of a (T, d, d) stack; unchecked."""
+    rho = g @ g.conj().swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    return rho

@@ -2,6 +2,7 @@
 
 from itertools import product
 
+import numpy as np
 import pytest
 
 from qmarginal.catalog import (
@@ -288,3 +289,393 @@ def test_planted_violation_is_flagged():
     bad = SpectraBundle(one_body=spectrum((1, 1, 1, 0, 0, 0.0001), 3.0001))
     rep = check_family("BD6", bad, tolerance=1e-10)
     assert not rep.satisfied
+
+
+# ---------------------------------------------------------------------------
+# Compiled evaluation against the per-record loop
+#
+# The checkers below are the record-by-record evaluation that the compiled
+# float64 path replaced, kept as its reference.
+
+from qmarginal.catalog import F84_ABS_PATTERNS  # noqa: E402
+from qmarginal.spectra import Spectrum, renormalize  # noqa: E402
+
+
+def _ref_report(slacks, labels, tol, notes=()):
+    worst = min(slacks) if slacks else 0.0
+    violated = tuple(lbl for s, lbl in zip(slacks, labels) if s < -tol)
+    return (worst >= -tol, worst, violated, len(slacks), tol, tuple(notes)), slacks
+
+
+def _ref_eval_records(records, values, tol, notes=()):
+    slacks = [r.slack(values) for r in records]
+    labels = [r.label or f"#{i}" for i, r in enumerate(records)]
+    return _ref_report(slacks, labels, tol, notes)
+
+
+def _ref_desc(spec):
+    return tuple(sorted(spec.as_floats(), reverse=True))
+
+
+def _ref_need_sites(bundle, count, size, family_id):
+    if len(bundle.sites) != count:
+        raise CatalogError(f"{family_id} needs {count} site spectra")
+    for s in bundle.sites:
+        if len(s) != size:
+            raise CatalogError(f"{family_id} needs site spectra of length {size}")
+    return [_ref_desc(s) for s in bundle.sites]
+
+
+def _ref_need_joint(bundle, size, family_id):
+    if bundle.joint is None or len(bundle.joint) != size:
+        raise CatalogError(f"{family_id} needs a joint spectrum of length {size}")
+    return _ref_desc(bundle.joint)
+
+
+def _ref_need_one_body(bundle, r, n, family_id):
+    lam = bundle.one_body
+    if lam is None or len(lam) != r:
+        raise CatalogError(f"{family_id} needs a one-body spectrum of length {r}")
+    notes = []
+    if abs(float(lam.trace_tag) - n) > 1e-10:
+        lam = renormalize(lam, float(n))
+        notes.append(f"renormalized one-body spectrum to trace {n}")
+    return tuple(sorted(lam.as_floats(), reverse=True)), notes
+
+
+def _ref_polygon(fam, bundle, tol):
+    if len(bundle.sites) < 2:
+        raise CatalogError("POLYGON needs at least two site spectra")
+    mins = []
+    for s in bundle.sites:
+        if len(s) != 2:
+            raise CatalogError("POLYGON applies to qubit marginals")
+        mins.append(min(s.as_floats()))
+    slacks = [sum(mins) - 2 * m for m in mins]
+    return _ref_report(slacks, [f"site{i}" for i in range(len(mins))], tol)
+
+
+def _ref_bravyi(fam, bundle, tol):
+    sites = _ref_need_sites(bundle, 2, 2, fam.family_id)
+    joint = _ref_need_joint(bundle, 4, fam.family_id)
+    values = {"mins": (sites[0][1], sites[1][1]), "joint": joint}
+    return _ref_eval_records(fam.records, values, tol)
+
+
+def _ref_franz(fam, bundle, tol):
+    sites = _ref_need_sites(bundle, 3, 3, fam.family_id)
+    values = {f"site{i}": tuple(reversed(s)) for i, s in enumerate(sites)}
+    return _ref_eval_records(fam.records, values, tol, ("sites sorted increasing",))
+
+
+def _ref_basic(fam, bundle, tol):
+    if len(bundle.sites) != 2:
+        raise CatalogError("BASIC needs two site spectra")
+    a = _ref_desc(bundle.sites[0])
+    b = _ref_desc(bundle.sites[1])
+    ab = _ref_need_joint(bundle, len(a) * len(b), fam.family_id)
+    m, n = len(a), len(b)
+    slacks, labels = [], []
+    for k in range(1, m + 1):
+        slacks.append(sum(ab[: k * n]) - sum(a[:k]))
+        labels.append(f"A{k}")
+    for l in range(1, n + 1):
+        slacks.append(sum(ab[: m * l]) - sum(b[:l]))
+        labels.append(f"B{l}")
+    return _ref_report(slacks, labels, tol)
+
+
+def _ref_three_qubit(fam, bundle, tol):
+    sites = _ref_need_sites(bundle, 3, 2, fam.family_id)
+    joint = _ref_need_joint(bundle, 8, fam.family_id)
+    values = {"delta": tuple(sorted(s[0] - s[1] for s in sites)), "joint": joint}
+    return _ref_eval_records(fam.records, values, tol, ("gaps sorted increasing",))
+
+
+def _ref_pauli(fam, bundle, tol):
+    vals = tuple(sorted(bundle.one_body.as_floats(), reverse=True))
+    slacks, labels = [], []
+    for i, v in enumerate(vals):
+        slacks.append(v)
+        labels.append(f"l{i+1}>=0")
+        slacks.append(1.0 - v)
+        labels.append(f"l{i+1}<=1")
+    return _ref_report(slacks, labels, tol)
+
+
+def _ref_even_degeneracy(fam, bundle, tol):
+    r, n = fam.meta["r"], fam.meta["n"]
+    if n not in (2, r - 2):
+        raise CatalogError(
+            f"even-degeneracy criterion applies to two particles or two "
+            f"holes, not (r={r}, n={n})"
+        )
+    lam, notes = _ref_need_one_body(bundle, r, n, fam.family_id)
+    pair_tol = 1e-8
+    vals = list(lam)
+    leftover = None
+    if r % 2 == 1:
+        if n == 2:
+            leftover = abs(vals.pop())
+        else:
+            leftover = abs(vals.pop(0) - 1)
+    defect = 0.0
+    for i in range(0, len(vals), 2):
+        defect = max(defect, abs(vals[i] - vals[i + 1]))
+    if leftover is not None:
+        defect = max(defect, leftover)
+    return _ref_report([pair_tol - defect], ["even-degeneracy defect"], 0.0,
+                       tuple(notes) + (f"pairing tolerance {pair_tol}",))
+
+
+def _ref_fermi_records(fam, bundle, tol):
+    r, n = fam.meta["r"], fam.meta["n"]
+    lam, notes = _ref_need_one_body(bundle, r, n, fam.family_id)
+    return _ref_eval_records(fam.records, {"lam": lam}, tol, notes)
+
+
+def _ref_f84_abs(fam, bundle, tol):
+    lam, notes = _ref_need_one_body(bundle, 8, 4, fam.family_id)
+    total = 0.0
+    for pattern in F84_ABS_PATTERNS:
+        total += abs(sum(c * v for c, v in zip(pattern, lam)))
+    return _ref_report([4.0 - total], ["sum|x|<=4"], tol, notes)
+
+
+def _ref_w2h4(fam, bundle, tol):
+    lam = bundle.one_body
+    if lam is None or len(lam) != 4:
+        raise CatalogError(f"{fam.family_id} needs a one-body spectrum of length 4")
+    notes = []
+    if abs(float(lam.trace_tag) - 1.0) > 1e-10:
+        lam = renormalize(lam, 1.0)
+        notes.append("renormalized one-body spectrum to trace 1")
+    nu = _ref_need_joint(bundle, 6, fam.family_id)
+    values = {"lam": tuple(sorted(lam.as_floats(), reverse=True)), "nu": nu}
+    return _ref_eval_records(fam.records, values, tol, notes)
+
+
+def _ref_w2h5_meta(fam, bundle, tol):
+    raise CatalogError(
+        "W2H5 is recorded as metadata only (460 independent inequalities); "
+        "the list is not reproduced"
+    )
+
+
+def _ref_chsh_records(fam, bundle, tol):
+    raise CatalogError("use check_chsh for correlation data")
+
+
+_REF_CHECKERS = {
+    "POLYGON": _ref_polygon,
+    "BRAVYI_2Q": _ref_bravyi,
+    "FRANZ_3QUTRIT": _ref_franz,
+    "BASIC": _ref_basic,
+    "THREE_QUBIT_MIXED": _ref_three_qubit,
+    "PAULI": _ref_pauli,
+    "TWO_PARTICLE_PURE": _ref_even_degeneracy,
+    "BD6": _ref_fermi_records,
+    "F7_BD": _ref_fermi_records,
+    "F7_LIST": _ref_fermi_records,
+    "F8_31": _ref_fermi_records,
+    "F84_14": _ref_fermi_records,
+    "F84_ABS": _ref_f84_abs,
+    "W2H4_MIXED": _ref_w2h4,
+    "W2H5_META": _ref_w2h5_meta,
+    "CHSH_16": _ref_chsh_records,
+}
+
+
+def _ref_check_family(family_id, bundle, tol=1e-10):
+    """(report fields, slacks) of the per-record loop."""
+    import dataclasses
+
+    fam = get_family(family_id)
+    if fam.meta is not None and fam.meta.get("r", 0) is None:
+        lam = bundle.one_body
+        if lam is None:
+            raise CatalogError(f"{family_id} needs a one-body spectrum")
+        meta = {"r": len(lam), "n": int(round(float(lam.trace_tag)))}
+        fam = dataclasses.replace(fam, meta=meta)
+    return _REF_CHECKERS[family_id](fam, bundle, tol)
+
+
+def _raw(values, trace=None):
+    """A Spectrum in the given order; entries may rise by less than the
+    sorting tolerance."""
+    values = tuple(float(v) for v in values)
+    return Spectrum(values, sum(values) if trace is None else trace)
+
+
+def _jitter_unsorted(rng, values):
+    """Swap one adjacent pair after nudging it within the sort tolerance."""
+    vals = sorted(values, reverse=True)
+    i = int(rng.integers(len(vals) - 1))
+    mid = (vals[i] + vals[i + 1]) / 2
+    vals[i], vals[i + 1] = mid - 4e-13, mid + 4e-13
+    return vals
+
+
+def _random_spectrum(rng, size, scale=1.0):
+    vals = list(rng.dirichlet(np.ones(size)) * scale)
+    if rng.random() < 0.25:
+        return _raw(_jitter_unsorted(rng, vals))
+    return spectrum(vals)
+
+
+def _one_body(rng, r, n):
+    """Occupations of trace n, some outside [0, 1]; a quarter declare a
+    different trace (they need renormalizing), a quarter are nudged out of
+    order within the sorting tolerance."""
+    vals = list(rng.dirichlet(np.ones(r) * rng.choice([0.5, 2.0, 8.0])) * n)
+    pick = rng.random()
+    if pick < 0.25:
+        scale = rng.choice([0.5, 1.0 / n, 1.0 + 1e-3])
+        vals = [v * scale for v in vals]
+        return _raw(sorted(vals, reverse=True))
+    if pick < 0.5:
+        return _raw(_jitter_unsorted(rng, vals), float(n))
+    return spectrum(vals, float(n))
+
+
+def _bundles(family_id, rng, count):
+    out = []
+    for _ in range(count):
+        if family_id == "POLYGON":
+            k = int(rng.integers(2, 6))
+            out.append(SpectraBundle(sites=tuple(
+                _random_spectrum(rng, 2) for _ in range(k))))
+        elif family_id == "BRAVYI_2Q":
+            out.append(SpectraBundle(
+                sites=(_random_spectrum(rng, 2), _random_spectrum(rng, 2)),
+                joint=_random_spectrum(rng, 4)))
+        elif family_id == "FRANZ_3QUTRIT":
+            out.append(SpectraBundle(sites=tuple(
+                _random_spectrum(rng, 3) for _ in range(3))))
+        elif family_id == "BASIC":
+            m, n = (int(x) for x in rng.integers(2, 4, size=2))
+            out.append(SpectraBundle(
+                sites=(_random_spectrum(rng, m), _random_spectrum(rng, n)),
+                joint=_random_spectrum(rng, m * n)))
+        elif family_id == "THREE_QUBIT_MIXED":
+            out.append(SpectraBundle(
+                sites=tuple(_random_spectrum(rng, 2) for _ in range(3)),
+                joint=_random_spectrum(rng, 8)))
+        elif family_id == "PAULI":
+            r = int(rng.integers(3, 9))
+            vals = rng.uniform(-0.1, 1.1, size=r)
+            out.append(SpectraBundle(one_body=spectrum(vals, float(vals.sum()))))
+        elif family_id == "TWO_PARTICLE_PURE":
+            r = int(rng.integers(4, 9))
+            n = int(rng.choice([2, r - 2]))
+            pairs = rng.dirichlet(np.ones(r // 2))
+            vals = list(np.repeat(pairs, 2))
+            if r % 2:
+                vals.append(0.0)
+            if n != 2:
+                vals = [1 - v for v in vals]   # the two-hole dual
+            if rng.random() < 0.5:
+                vals = [v + 1e-6 * rng.standard_normal() for v in vals]
+            if rng.random() < 0.25:
+                vals = [v * 1.05 for v in vals]
+            out.append(SpectraBundle(one_body=_raw(sorted(vals, reverse=True))))
+        elif family_id in ("BD6", "F7_BD", "F7_LIST", "F8_31", "F84_14", "F84_ABS"):
+            fam = get_family(family_id)
+            out.append(SpectraBundle(one_body=_one_body(rng, fam.meta["r"], fam.meta["n"])))
+        elif family_id == "W2H4_MIXED":
+            out.append(SpectraBundle(one_body=_one_body(rng, 4, 2),
+                                     joint=_random_spectrum(rng, 6)))
+        else:
+            out.append(SpectraBundle(one_body=_one_body(rng, 5, 2),
+                                     joint=_random_spectrum(rng, 4)))
+    return out
+
+
+@pytest.mark.parametrize("family_id", sorted(FAMILIES))
+def test_check_family_matches_record_loop(family_id):
+    from qmarginal.tensor import rng_from_seed
+
+    rng = rng_from_seed(4242, stream=sorted(FAMILIES).index(family_id))
+    bundles = _bundles(family_id, rng, 240)
+    if family_id in ("W2H5_META", "CHSH_16"):
+        for bundle in bundles[:5]:
+            with pytest.raises(CatalogError) as ref:
+                _ref_check_family(family_id, bundle)
+            with pytest.raises(CatalogError) as new:
+                check_family(family_id, bundle)
+            assert str(new.value) == str(ref.value)
+        return
+    violated = renormalized = 0
+    for bundle in bundles:
+        (sat, worst, bad, count, tol, notes), slacks = _ref_check_family(family_id, bundle)
+        rep = check_family(family_id, bundle)
+        assert abs(rep.worst_slack - worst) <= 1e-12, (bundle, rep, worst)
+        assert rep.n_inequalities == count
+        assert rep.notes == notes
+        assert rep.tolerance == tol
+        if all(abs(s + tol) >= 1e-12 for s in slacks):
+            assert rep.satisfied == sat
+            assert rep.violated == bad
+        violated += not sat
+        renormalized += any("renormalized" in note for note in notes)
+    assert violated > 0
+    fam = get_family(family_id)
+    if family_id not in ("POLYGON", "BRAVYI_2Q", "FRANZ_3QUTRIT", "BASIC",
+                         "THREE_QUBIT_MIXED", "PAULI"):
+        assert renormalized > 0, fam.family_id
+
+
+_BAD_BUNDLES = {
+    "POLYGON": [SpectraBundle(sites=(spectrum((0.6, 0.4)),)),
+                SpectraBundle(sites=(spectrum((0.6, 0.4)), spectrum((0.5, 0.3, 0.2))))],
+    "BRAVYI_2Q": [SpectraBundle(sites=(spectrum((0.6, 0.4)),) * 3, joint=spectrum((1, 0, 0, 0))),
+                  SpectraBundle(sites=(spectrum((0.6, 0.4)),) * 2, joint=spectrum((1, 0, 0)))],
+    "FRANZ_3QUTRIT": [SpectraBundle(sites=(spectrum((0.5, 0.3, 0.2)),) * 2),
+                      SpectraBundle(sites=(spectrum((0.6, 0.4)),) * 3)],
+    "BASIC": [SpectraBundle(sites=(spectrum((0.6, 0.4)),), joint=spectrum((1, 0))),
+              SpectraBundle(sites=(spectrum((0.6, 0.4)),) * 2, joint=spectrum((1, 0, 0)))],
+    "THREE_QUBIT_MIXED": [SpectraBundle(sites=(spectrum((0.6, 0.4)),) * 3,
+                                        joint=spectrum((1, 0, 0, 0)))],
+    "PAULI": [SpectraBundle(sites=(spectrum((0.6, 0.4)),))],
+    "TWO_PARTICLE_PURE": [SpectraBundle(),
+                          SpectraBundle(one_body=spectrum((1, 1, 1, 0, 0, 0, 0, 0), 3))],
+    "BD6": [SpectraBundle(one_body=spectrum((1, 1, 1, 0, 0), 3)), SpectraBundle()],
+    "F8_31": [SpectraBundle(one_body=spectrum((1, 1, 1, 0, 0, 0, 0), 3))],
+    "F84_ABS": [SpectraBundle(one_body=spectrum((1, 1, 1, 1, 0, 0, 0), 4))],
+    "W2H4_MIXED": [SpectraBundle(one_body=spectrum((1, 1, 0), 2), joint=spectrum((1, 0, 0, 0, 0, 0))),
+                   SpectraBundle(one_body=spectrum((1, 0.5, 0.5, 0), 2), joint=spectrum((1, 0)))],
+}
+
+
+@pytest.mark.parametrize("family_id", sorted(_BAD_BUNDLES))
+def test_check_family_errors_match_record_loop(family_id):
+    for bundle in _BAD_BUNDLES[family_id]:
+        with pytest.raises(CatalogError) as ref:
+            _ref_check_family(family_id, bundle)
+        with pytest.raises(CatalogError) as new:
+            check_family(family_id, bundle)
+        assert str(new.value) == str(ref.value)
+
+
+def test_check_chsh_matches_record_loop():
+    from qmarginal.catalog import CHSH_RECORDS
+    from qmarginal.tensor import rng_from_seed
+
+    rng = rng_from_seed(77)
+    for _ in range(200):
+        corr = tuple(float(c) for c in rng.uniform(-1, 1, size=4))
+        (sat, worst, bad, count, _, _), _ = _ref_eval_records(
+            CHSH_RECORDS, {"corr": corr}, 1e-10)
+        rep = check_chsh(corr)
+        assert abs(rep.worst_slack - worst) <= 1e-12
+        assert (rep.satisfied, rep.violated, rep.n_inequalities) == (sat, bad, count)
+
+
+def test_compiled_system_is_immutable_and_cached():
+    from qmarginal.catalog import _linear_system
+
+    system = _linear_system("F8_31", (("lam", 8),))
+    assert system is _linear_system("F8_31", (("lam", 8),))
+    assert system.A.shape == (31, 8)
+    with pytest.raises(ValueError):
+        system.A[0, 0] = 1.0

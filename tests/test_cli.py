@@ -295,6 +295,34 @@ def test_non_finite_output_is_an_exit_two_error():
     assert errors[-1]["record"] == "error"
 
 
+@pytest.mark.parametrize("token", ["-1e400", "nan", "inf"])
+def test_non_finite_spectrum_entry_is_named(token):
+    values = f"1,1,{token},0.5,0,0"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmarginal.cli", "check", "--family", "BD6",
+         "--spectrum", values],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    (error,) = [_strict_json(line) for line in proc.stderr.splitlines()]
+    assert error["record"] == "error"
+    assert repr(token) in error["message"]
+
+
+def test_verify_names_the_worst_trial():
+    args = ["verify", "--family", "BD6", "--system", "fermi:6:3:pure",
+            "--trials", "50", "--seed", "9"]
+    code, records, _ = run_cli(args)
+    assert code == 0
+    worst = records[-1]["worst_trial"]
+    assert isinstance(worst, int) and 0 <= worst < 50
+    code, again, _ = run_cli(args + ["--jobs", "2"])
+    assert again[-1]["worst_trial"] == worst
+    code, records, _ = run_cli(args[:-4] + ["--trials", "0", "--seed", "9"])
+    assert records[-1]["worst_trial"] is None
+
+
 @pytest.mark.parametrize("state", [
     {"format_version": 1, "kind": "pure", "system": "2x2"},
     {"format_version": 1, "system": "2x2"},

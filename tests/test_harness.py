@@ -105,3 +105,135 @@ def test_witness_amplitudes_realize_targets():
     for i in range(3):
         got = spectrum_of(pure_marginal(found, [i])).as_floats()
         assert max(abs(a - b) for a, b in zip(got, targets[i])) < 2e-3
+
+
+# ---------------------------------------------------------------------------
+# Blocks of trials: worker independence and replay of the worst trial
+
+CRITERION_5_PAIRS = [
+    ("POLYGON", "qubits:3:pure"),
+    ("POLYGON", "qubits:4:pure"),
+    ("FRANZ_3QUTRIT", "3x3x3:pure"),
+    ("BASIC", "2x2:mixed"),
+    ("BASIC", "2x2x2:mixed"),
+    ("THREE_QUBIT_MIXED", "2x2x2:mixed"),
+    ("BD6", "fermi:6:3:pure"),
+    ("F7_LIST", "fermi:7:3:pure"),
+    ("F8_31", "fermi:8:3:pure"),
+    ("F84_14", "fermi:8:4:pure"),
+    ("W2H4_MIXED", "fermi:4:2:mixed"),
+]
+
+
+def _replayed_slack(family, system, seed, trial):
+    """Worst slack of one trial, rebuilt from the public per-trial samplers
+    and reductions."""
+    from qmarginal.catalog import SpectraBundle, check_family
+    from qmarginal.fermion import fermion_basis, haar_fermion, one_rdm, one_rdm_mixed
+    from qmarginal.spectra import Spectrum
+    from qmarginal.systems import parse_system
+    from qmarginal.tensor import (
+        haar_unitary,
+        partial_trace,
+        random_density,
+        rng_from_seed,
+    )
+
+    desc = parse_system(system)
+    if desc.kind == "fermion" and desc.pure:
+        psi = haar_fermion(desc.r, desc.n, seed, stream=trial)
+        joint = Spectrum((1.0,) + (0.0,) * (psi.basis.dim - 1), 1.0)
+        bundles = [SpectraBundle(one_body=spectrum_of(one_rdm(psi)), joint=joint)]
+    elif desc.kind == "fermion":
+        basis = fermion_basis(desc.r, desc.n)
+        rng = rng_from_seed(seed, stream=trial)
+        nu = spectrum(rng.dirichlet(np.ones(basis.dim)), 1.0)
+        u = haar_unitary(basis.dim, rng)
+        rho = (u * np.array(nu.as_floats())) @ u.conj().T
+        rho = (rho + rho.conj().T) / 2
+        bundles = [SpectraBundle(one_body=spectrum_of(one_rdm_mixed(rho, basis)),
+                                 joint=nu)]
+    elif desc.pure:
+        psi = haar_pure(desc.dims, seed, stream=trial)
+        sites = tuple(spectrum_of(pure_marginal(psi, [i])) for i in range(len(desc.dims)))
+        bundles = [SpectraBundle(sites=sites)]
+    else:
+        rho = random_density(desc.dims, rng_from_seed(seed, stream=trial))
+        nf = len(desc.dims)
+        if family != "BASIC":
+            splits = [[(i,) for i in range(nf)]]
+        elif nf == 2:
+            splits = [[(0,), (1,)]]
+        else:
+            splits = [[(i,), tuple(j for j in range(nf) if j != i)] for i in range(nf)]
+        bundles = [
+            SpectraBundle(sites=tuple(spectrum_of(partial_trace(rho, list(keep)))
+                                      for keep in split),
+                          joint=spectrum_of(rho))
+            for split in splits
+        ]
+    return min(check_family(family, b).worst_slack for b in bundles)
+
+
+@pytest.mark.parametrize("family,system", CRITERION_5_PAIRS,
+                         ids=[f"{f}@{s}" for f, s in CRITERION_5_PAIRS])
+def test_blocks_do_not_depend_on_worker_count(family, system):
+    from qmarginal.catalog import BLOCK_TRIALS
+
+    trials = 2 * BLOCK_TRIALS + 5   # the three chunks end mid-block
+    a = mc_verify(family, system, trials=trials, seed=23, jobs=1)
+    b = mc_verify(family, system, trials=trials, seed=23, jobs=3)
+    assert (a.min_slack, a.violations, a.worst_trial) == (
+        b.min_slack, b.violations, b.worst_trial)
+    assert 0 <= a.worst_trial < trials
+    replayed = _replayed_slack(family, system, 23, a.worst_trial)
+    assert abs(replayed - a.min_slack) <= 1e-12
+
+
+def test_worst_trial_is_the_lowest_stream_reaching_the_minimum():
+    rep = mc_verify("POLYGON", "qubits:3:pure", trials=40, seed=5)
+    slacks = [_replayed_slack("POLYGON", "qubits:3:pure", 5, t) for t in range(40)]
+    best = min(slacks)
+    assert abs(rep.min_slack - best) <= 1e-12
+    assert rep.worst_trial == min(
+        t for t, s in enumerate(slacks) if abs(s - best) <= 1e-12)
+
+
+def test_no_trials_have_no_worst_trial():
+    rep = mc_verify("BD6", "fermi:6:3:pure", trials=0, seed=1)
+    assert rep.worst_trial is None
+    assert rep.min_slack == float("inf")
+
+
+@pytest.mark.parametrize("system", ["qubits:3:pure", "2x2:mixed", "fermi:6:3:pure",
+                                    "fermi:4:2:mixed"])
+def test_sample_bundle_is_the_block_of_one(system):
+    from qmarginal.harness import sample_bundle
+    from qmarginal.systems import parse_system
+
+    bundle = sample_bundle(parse_system(system), 17, 3)
+    family = {"qubits:3:pure": "POLYGON", "2x2:mixed": "BRAVYI_2Q",
+              "fermi:6:3:pure": "PAULI", "fermi:4:2:mixed": "W2H4_MIXED"}[system]
+    from qmarginal.catalog import check_family
+
+    got = check_family(family, bundle).worst_slack
+    assert abs(got - _replayed_slack(family, system, 17, 3)) <= 1e-12
+
+
+def test_block_checks_reject_a_non_hermitian_stack():
+    from qmarginal.tensor import StateError, spectra_of_stack
+
+    mats = np.tile(np.eye(2, dtype=complex) / 2, (3, 1, 1))
+    mats[1, 0, 1] = 0.1
+    with pytest.raises(StateError, match="not Hermitian"):
+        spectra_of_stack(mats, 1.0)
+    mats[1, 0, 1] = 0.0
+    mats[2] = np.diag([1.2, -0.2])
+    with pytest.raises(StateError, match="negative eigenvalue"):
+        spectra_of_stack(mats, 1.0)
+    mats[2] = np.diag([0.7, 0.5])
+    with pytest.raises(StateError, match="trace"):
+        spectra_of_stack(mats, 1.0)
+    mats[2, 0, 0] = np.nan
+    with pytest.raises(StateError, match="not finite"):
+        spectra_of_stack(mats, 1.0)

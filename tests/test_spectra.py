@@ -20,6 +20,14 @@ from qmarginal.spectra import (
 )
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_spectrum_rejects_non_finite_values(bad):
+    with pytest.raises(SpectrumError, match="not finite"):
+        Spectrum((1.0, bad), 1.0)
+    with pytest.raises(SpectrumError, match="not finite"):
+        Spectrum((0.5, 0.5), bad)
+
+
 def test_spectrum_validation():
     spectrum((0.5, 0.5))
     with pytest.raises(SpectrumError):

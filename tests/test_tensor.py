@@ -32,6 +32,26 @@ def test_pure_state_validation():
         PureState(np.array([1.0, 1.0]), (2,))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_states_reject_non_finite_entries(bad):
+    with pytest.raises(StateError, match="not finite"):
+        PureState(np.array([bad, 1.0]), (2,))
+    with pytest.raises(StateError, match="not finite"):
+        DensityMatrix(np.array([[bad, 0.0], [0.0, 0.5]]), (2,))
+
+
+def test_spectrum_of_reuses_the_constructor_eigenvalues(monkeypatch):
+    rho = random_density((2, 3), rng_from_seed(3))
+    calls = []
+    original = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    spec = spectrum_of(rho)
+    assert calls == []
+    assert spec == spectrum_of(rho.entries, trace_tag=1.0)
+    assert calls == [1]
+
+
 def test_partial_trace_bell():
     rho = partial_trace(BELL.density_matrix(), [0])
     assert np.allclose(rho.entries, np.eye(2) / 2, atol=1e-14)
