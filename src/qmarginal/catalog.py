@@ -956,11 +956,15 @@ def check_equivalence(family_a: str, family_b: str, samples: int, seed: int,
     from .tensor import rng_from_seed, spectra_rows
 
     fa, fb = get_family(family_a), get_family(family_b)
-    if (fa.meta or {}).get("r") != (fb.meta or {}).get("r") or (
-        (fa.meta or {}).get("n") != (fb.meta or {}).get("n")
-    ):
+    sizes = [((fam.meta or {}).get("r"), (fam.meta or {}).get("n")) for fam in (fa, fb)]
+    if None in sizes[0] + sizes[1]:
+        raise CatalogError(
+            f"{family_a} and {family_b}: equivalence sampling needs families "
+            f"with a fixed fermionic system (r, n)"
+        )
+    if sizes[0] != sizes[1]:
         raise CatalogError(f"{family_a} and {family_b} apply to different systems")
-    r, n = fa.meta["r"], fa.meta["n"]
+    r, n = sizes[0]
     rng = rng_from_seed(seed)
     disagreements = 0
     first = None

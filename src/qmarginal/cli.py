@@ -67,6 +67,22 @@ def _parse_number(text: str):
     return value
 
 
+def _count(text: str, minimum: int = 0) -> int:
+    """An integer count of at least ``minimum``; argparse names the flag on
+    a refusal."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+    return value
+
+
+def _positive_count(text: str) -> int:
+    return _count(text, minimum=1)
+
+
 def _parse_vector(text: str):
     return tuple(_parse_number(t) for t in text.split(",") if t.strip())
 
@@ -150,7 +166,7 @@ def build_parser() -> Parser:
     sp = sub.add_parser("verify", help="Monte-Carlo campaign")
     sp.add_argument("--family", required=True)
     sp.add_argument("--system", required=True)
-    sp.add_argument("--trials", type=int, required=True)
+    sp.add_argument("--trials", type=_count, required=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--nu", default=None, help="fixed state spectrum")
     sp.add_argument("--tolerance", type=float, default=1e-10)
@@ -160,20 +176,20 @@ def build_parser() -> Parser:
     sp = sub.add_parser("equiv", help="cross-family equivalence campaign")
     sp.add_argument("--family-a", required=True)
     sp.add_argument("--family-b", required=True)
-    sp.add_argument("--samples", type=int, required=True)
+    sp.add_argument("--samples", type=_count, required=True)
     sp.add_argument("--seed", type=int, required=True)
 
     sp = sub.add_parser("witness", help="search for a state with target marginals")
     sp.add_argument("--system", required=True)
     sp.add_argument("--targets", required=True,
                     help="semicolon-separated site spectra, e.g. '0.7,0.3;0.6,0.4'")
-    sp.add_argument("--restarts", type=int, default=20)
-    sp.add_argument("--iters", type=int, default=200)
+    sp.add_argument("--restarts", type=_positive_count, default=20)
+    sp.add_argument("--iters", type=_count, default=200)
     sp.add_argument("--seed", type=int, required=True)
 
     sp = sub.add_parser("isospec", help="isospectrality campaign")
     sp.add_argument("--formats", required=True, help="e.g. '2x2;2x3;3x3'")
-    sp.add_argument("--trials", type=int, required=True)
+    sp.add_argument("--trials", type=_count, required=True)
     sp.add_argument("--seed", type=int, required=True)
 
     sp = sub.add_parser("families", help="list families applicable to a system")

@@ -1,9 +1,10 @@
 """Decomposition of symmetric powers of the fermionic space.
 
-Weight multiplicities of S^m(wedge^n C^r) counted as multisets of orbital
-subsets, Kostka numbers by semistandard-tableau recursion, triangular
-inversion to irreducible multiplicities, the normalized occurring spectra,
-and the convex-hull inner approximation of the pure one-body spectra.
+Weight multiplicities of S^m(wedge^n C^r) (multisets of orbital subsets,
+counted by Newton's recurrence), Kostka numbers by semistandard-tableau
+recursion, triangular inversion to irreducible multiplicities, the
+normalized occurring spectra, and the convex-hull inner approximation of
+the pure one-body spectra.
 """
 
 from __future__ import annotations
@@ -40,27 +41,64 @@ def weight_multiplicities(r: int, n: int, m: int) -> dict:
 
     Keys are length-r occupation vectors; the counts total the dimension of
     the m-th symmetric power, C(C(r,n)+m-1, m).
+
+    The character h_j[e_n] of S^j(wedge^n C^r) obeys Newton's identity
+    j h_j[e_n] = sum_{k=1..j} p_k[e_n] h_{j-k}[e_n], where p_k[e_n] has
+    weight k times each subset indicator with coefficient 1.  A weight is
+    packed into one int in base m + 1 (no entry of a degree-j weight
+    exceeds j), so adding weights is adding ints.
     """
     _check_caps(r, n, m)
-    subsets = list(combinations(range(r), n))
-    # states: (used so far, content) -> count, subsets processed one by one
-    states = {(0, (0,) * r): 1}
-    for s in subsets:
-        content = tuple(1 if i in s else 0 for i in range(r))
-        nxt = dict(states)
-        for (used, w), cnt in states.items():
-            acc = list(w)
-            for c in range(1, m - used + 1):
-                for i in s:
-                    acc[i] += 1
-                key = (used + c, tuple(acc))
-                nxt[key] = nxt.get(key, 0) + cnt
-        states = nxt
+    base = m + 1
+    subsets = [sum(base ** i for i in s) for s in combinations(range(r), n)]
+    chars = [{0: 1}]
+    for j in range(1, m + 1):
+        acc = {}
+        for k in range(1, j + 1):
+            steps = [k * s for s in subsets]
+            for w, cnt in chars[j - k].items():
+                for step in steps:
+                    key = w + step
+                    acc[key] = acc.get(key, 0) + cnt
+        char = {}
+        for w, total in acc.items():
+            count, rem = divmod(total, j)
+            if rem:
+                raise PlethysmError(
+                    f"Newton recurrence left a remainder at degree {j}: "
+                    f"{total} is not divisible by {j}"
+                )
+            char[w] = count
+        chars.append(char)
+    return _unpack_weights(chars[m], r, base)
+
+
+def _unpack_weights(packed: dict, r: int, base: int) -> dict:
+    """Occupation-vector keys for base-``base`` packed weights.
+
+    Each weight is cut into a low and a high half whose digit tuples are
+    computed once per distinct half and concatenated.
+    """
+    low = r // 2
+    cut = base ** low
+    lows, highs = {}, {}
     out = {}
-    for (used, w), cnt in states.items():
-        if used == m:
-            out[w] = out.get(w, 0) + cnt
+    for w, cnt in packed.items():
+        high, rest = divmod(w, cut)
+        if rest not in lows:
+            lows[rest] = _digits(rest, low, base)
+        if high not in highs:
+            highs[high] = _digits(high, r - low, base)
+        out[lows[rest] + highs[high]] = cnt
     return out
+
+
+def _digits(value: int, size: int, base: int) -> tuple:
+    digits = []
+    for _ in range(size):
+        value, digit = divmod(value, base)
+        digits.append(digit)
+    return tuple(digits)
 
 
 @lru_cache(maxsize=None)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import add
 
 from .catalog import InequalityRecord
 from .rational import to_fractions
@@ -57,6 +58,31 @@ def length(w) -> int:
     """Number of inversions."""
     w = check_perm(w)
     return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
+
+
+def _perms_up_to_length(n: int, max_length: int) -> list:
+    """(w, l(w)) for every permutation of 1..n with l(w) <= max_length, in
+    lexicographic order.
+
+    Walks up the weak order from the identity: swapping an ascent
+    w(i) < w(i+1) adds exactly one inversion, so each level is generated
+    from the previous one without visiting the longer permutations.
+    """
+    level = [identity_perm(n)]
+    found = {}
+    for lw in range(max_length + 1):
+        if not level:
+            break
+        found.update((w, lw) for w in level)
+        nxt = {}
+        for w in level:
+            for i in range(n - 1):
+                if w[i] < w[i + 1]:
+                    up = list(w)
+                    up[i], up[i + 1] = up[i + 1], up[i]
+                    nxt[tuple(up)] = None
+        level = list(nxt)
+    return sorted(found.items())
 
 
 def minimal_word(w) -> tuple:
@@ -209,41 +235,54 @@ class Poly:
 
 
 def _trim(exp):
-    exp = tuple(int(e) for e in exp)
-    while exp and exp[-1] == 0:
-        exp = exp[:-1]
-    return exp
+    return _strip(tuple(int(e) for e in exp))
+
+
+def _strip(exp: tuple) -> tuple:
+    """An integer exponent tuple without its trailing zeros."""
+    end = len(exp)
+    while end and exp[end - 1] == 0:
+        end -= 1
+    return exp if end == len(exp) else exp[:end]
 
 
 def _mul_exp(e1, e2):
     if len(e1) < len(e2):
         e1, e2 = e2, e1
-    return _trim(tuple(a + (e2[i] if i < len(e2) else 0) for i, a in enumerate(e1)))
+    return _strip(tuple(map(add, e1, e2)) + e1[len(e2):])
 
 
 def divided_difference(i: int, p: Poly) -> Poly:
     """The finite-difference operator (f - s_i f) / (x_i - x_{i+1}).
 
     The quotient is always an exact polynomial; 1-based variable index.
+    Each monomial x_i^a x_{i+1}^b with a != b contributes the |a - b|
+    monomials between them, all accumulated into one term dict.
     """
     if i < 1:
         raise SchubertError(f"divided difference index must be >= 1, got {i}")
-    out = Poly()
+    out = {}
     for exp, coeff in p.terms.items():
-        a = exp[i - 1] if i - 1 < len(exp) else 0
-        b = exp[i] if i < len(exp) else 0
+        size = len(exp)
+        a = exp[i - 1] if i <= size else 0
+        b = exp[i] if i < size else 0
         if a == b:
             continue
-        width = max(len(exp), i + 1)
-        base = list(exp) + [0] * (width - len(exp))
-        sign = 1 if a > b else -1
-        lo, hi = min(a, b), max(a, b)
-        for j in range(hi - lo):
-            mono = base[:]
-            mono[i - 1] = lo + j
-            mono[i] = hi - 1 - j
-            out = out + Poly.monomial(mono, sign * coeff)
-    return out
+        if a < b:
+            a, b, coeff = b, a, -coeff
+        base = list(exp) + [0] * (i + 1 - size)
+        for e in range(b, a):
+            base[i - 1] = e
+            base[i] = a + b - 1 - e
+            key = _strip(tuple(base))
+            val = out.get(key, 0) + coeff
+            if val:
+                out[key] = val
+            else:
+                del out[key]
+    res = Poly()
+    res.terms = out
+    return res
 
 
 def apply_chain(word, p: Poly, offset: int = 0) -> Poly:
@@ -339,8 +378,14 @@ def coeff_two(u, v, w, order) -> int:
     if length(w) != length(u) + length(v):
         return 0
     sub = _substitute_pairs(schubert_poly(w), order, m)
-    res = apply_chain(minimal_word(u), sub, offset=0)
-    res = apply_chain(minimal_word(v), res, offset=m)
+    return _pair_coefficient(minimal_word(u), minimal_word(v), sub, m)
+
+
+def _pair_coefficient(word_u, word_v, sub: Poly, m: int) -> int:
+    """Apply the u chain to the A block and the v chain to the B block of a
+    substituted Schubert polynomial; the residue must be a constant."""
+    res = apply_chain(word_u, sub, offset=0)
+    res = apply_chain(word_v, res, offset=m)
     value = res.constant_term()
     if value is None:
         raise SchubertError(
@@ -440,23 +485,22 @@ def enumerate_inequalities(a, b, max_length: int = 6, coeff_filter: str = "unit"
     a, b = check_test_spectrum(a), check_test_spectrum(b)
     order = sum_order(a, b)
     m, n = len(a), len(b)
-    from itertools import permutations as _iperm
-
     us = {}
-    for u in _iperm(range(1, m + 1)):
-        us.setdefault(length(u), []).append(u)
+    for u, lu in _perms_up_to_length(m, m * (m - 1) // 2):
+        us.setdefault(lu, []).append(u)
     vs = {}
-    for v in _iperm(range(1, n + 1)):
-        vs.setdefault(length(v), []).append(v)
+    for v, lv in _perms_up_to_length(n, n * (n - 1) // 2):
+        vs.setdefault(lv, []).append(v)
+    words = {p: minimal_word(p) for group in (*us.values(), *vs.values()) for p in group}
     records = []
-    for w in _iperm(range(1, m * n + 1)):
-        lw = length(w)
-        if lw > max_length:
-            continue
+    for w, lw in _perms_up_to_length(m * n, max_length):
+        sub = None   # S_w substituted once, on the first (u, v) of its degree
         for lu, ulist in us.items():
             for v in vs.get(lw - lu, ()):
                 for u in ulist:
-                    c = coeff_two(u, v, w, order)
+                    if sub is None:
+                        sub = _substitute_pairs(schubert_poly(w), order, m)
+                    c = _pair_coefficient(words[u], words[v], sub, m)
                     if c == 0:
                         continue
                     if coeff_filter == "unit" and c != 1:

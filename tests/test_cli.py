@@ -393,3 +393,50 @@ def test_main_callable_in_process(capsys):
     assert main(["families", "--system", "2x2:mixed"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["families"] == ["BASIC", "BRAVYI_2Q"]
+
+
+@pytest.mark.parametrize("family", ["POLYGON", "PAULI"])
+def test_equiv_without_fixed_system_is_an_exit_two_error(family):
+    code, records, errors = run_cli([
+        "equiv", "--family-a", family, "--family-b", family,
+        "--samples", "10", "--seed", "1",
+    ])
+    assert code == 2
+    assert records == []
+    (error,) = errors
+    assert error["record"] == "error"
+    assert error["kind"] == "CatalogError"
+    assert family in error["message"]
+
+
+@pytest.mark.parametrize("flag,args", [
+    ("--trials", ["verify", "--family", "BD6", "--system", "fermi:6:3:pure",
+                  "--seed", "1", "--trials", "-5"]),
+    ("--trials", ["isospec", "--formats", "2x2", "--seed", "1", "--trials", "-3"]),
+    ("--samples", ["equiv", "--family-a", "F7_BD", "--family-b", "F7_LIST",
+                   "--seed", "1", "--samples", "-5"]),
+    ("--restarts", ["witness", "--system", "qubits:2", "--targets", "0.5,0.5;0.5,0.5",
+                    "--seed", "1", "--restarts", "-1"]),
+    ("--restarts", ["witness", "--system", "qubits:2", "--targets", "0.5,0.5;0.5,0.5",
+                    "--seed", "1", "--restarts", "0"]),
+    ("--iters", ["witness", "--system", "qubits:2", "--targets", "0.5,0.5;0.5,0.5",
+                 "--seed", "1", "--iters", "-1"]),
+])
+def test_negative_counts_are_usage_errors(flag, args):
+    code, records, errors = run_cli(args)
+    assert code == 2
+    assert records == []
+    (error,) = errors
+    assert error["record"] == "error" and error["kind"] == "usage"
+    assert flag in error["message"]
+
+
+@pytest.mark.parametrize("args,count_key", [
+    (["isospec", "--formats", "2x2", "--seed", "1", "--trials", "0"], "trials"),
+    (["equiv", "--family-a", "F7_BD", "--family-b", "F7_LIST",
+      "--seed", "1", "--samples", "0"], "samples"),
+])
+def test_zero_counts_stay_valid(args, count_key):
+    code, records, errors = run_cli(args)
+    assert code == 0, errors
+    assert records[-1][count_key] == 0

@@ -38,16 +38,60 @@ def test_weights_total_is_symmetric_power_dimension():
         assert sum(w.values()) == comb(comb(r, n) + m - 1, m), (r, n, m)
 
 
-def test_weights_match_exhaustive_enumeration_6_3_2():
-    subsets = list(combinations(range(6), 3))
+def _exhaustive_weights(r, n, m):
+    subsets = list(combinations(range(r), n))
     oracle = Counter()
-    for pair in combinations_with_replacement(range(len(subsets)), 2):
-        content = [0] * 6
-        for idx in pair:
+    for multiset in combinations_with_replacement(range(len(subsets)), m):
+        content = [0] * r
+        for idx in multiset:
             for i in subsets[idx]:
                 content[i] += 1
         oracle[tuple(content)] += 1
-    assert weight_multiplicities(6, 3, 2) == dict(oracle)
+    return dict(oracle)
+
+
+def test_weights_match_exhaustive_enumeration_6_3_2():
+    assert weight_multiplicities(6, 3, 2) == _exhaustive_weights(6, 3, 2)
+
+
+@pytest.mark.parametrize("r,n,m", [(6, 3, 4), (7, 3, 3)])
+def test_weights_match_exhaustive_enumeration_larger(r, n, m):
+    assert weight_multiplicities(r, n, m) == _exhaustive_weights(r, n, m)
+
+
+def _subset_dp_weights(r, n, m):
+    """The dynamic program over the C(r, n) subsets: states (used, content)
+    absorb each subset 0..m-used times."""
+    subsets = list(combinations(range(r), n))
+    states = {(0, (0,) * r): 1}
+    for s in subsets:
+        nxt = dict(states)
+        for (used, w), cnt in states.items():
+            acc = list(w)
+            for c in range(1, m - used + 1):
+                for i in s:
+                    acc[i] += 1
+                key = (used + c, tuple(acc))
+                nxt[key] = nxt.get(key, 0) + cnt
+        states = nxt
+    out = {}
+    for (used, w), cnt in states.items():
+        if used == m:
+            out[w] = out.get(w, 0) + cnt
+    return out
+
+
+SMALL_CASES = [
+    (r, n, m)
+    for r in range(2, 36) for n in range(1, r) if comb(r, n) <= 35
+    for m in range(1, 5)
+]
+
+
+def test_weights_match_subset_dp():
+    assert len(SMALL_CASES) == 316
+    for r, n, m in SMALL_CASES + [(8, 4, 3)]:
+        assert weight_multiplicities(r, n, m) == _subset_dp_weights(r, n, m), (r, n, m)
 
 
 def test_weights_cap():

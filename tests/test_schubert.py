@@ -17,7 +17,10 @@ from qmarginal.schubert import (
     Poly,
     SchubertError,
     TieError,
+    _perms_up_to_length,
+    _two_sided_record,
     apply_chain,
+    check_test_spectrum,
     coeff_fermi,
     coeff_two,
     compose_word,
@@ -101,6 +104,42 @@ def test_dd_commutes_at_distance():
         a = divided_difference(1, divided_difference(3, p))
         b = divided_difference(3, divided_difference(1, p))
         assert a == b
+
+
+def _divided_difference_reference(i, p):
+    """The monomial-by-monomial divided difference: one Poly per output
+    monomial, summed one at a time."""
+    out = Poly()
+    for exp, coeff in p.terms.items():
+        a = exp[i - 1] if i - 1 < len(exp) else 0
+        b = exp[i] if i < len(exp) else 0
+        if a == b:
+            continue
+        width = max(len(exp), i + 1)
+        base = list(exp) + [0] * (width - len(exp))
+        sign = 1 if a > b else -1
+        lo, hi = min(a, b), max(a, b)
+        for j in range(hi - lo):
+            mono = base[:]
+            mono[i - 1] = lo + j
+            mono[i] = hi - 1 - j
+            out = out + Poly.monomial(mono, sign * coeff)
+    return out
+
+
+def test_dd_matches_monomial_reference_on_random_polys():
+    rng = random.Random(2024)
+    for _ in range(300):
+        p = _random_poly(rng, nvars=rng.randint(1, 6), max_deg=9,
+                         terms=rng.randint(0, 25))
+        for i in range(1, 8):
+            assert divided_difference(i, p) == _divided_difference_reference(i, p)
+    # the two monomials of the symmetric x1^2 x2 + x1 x2^2 cancel exactly
+    p = Poly.monomial((2, 1)) + Poly.monomial((1, 2))
+    assert divided_difference(1, p).is_zero()
+    assert _divided_difference_reference(1, p).is_zero()
+    assert divided_difference(1, Poly.monomial((2, 0, 5), 3)).terms == \
+        _divided_difference_reference(1, Poly.monomial((2, 0, 5), 3)).terms
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +452,74 @@ def test_enumerate_inequalities_filters():
     assert all(rec.meta["coeff"] % 2 == 1 for rec in odd)
     with pytest.raises(SchubertError):
         enumerate_inequalities(arr_a, arr_b, coeff_filter="bogus")
+
+
+def _scan_reference(a, b, max_length):
+    """(u, v, w, c) of the full-S_{mn} scan: one coeff_two call per triple
+    with l(w) = l(u) + l(v) <= max_length, in the scan's order."""
+    a, b = check_test_spectrum(a), check_test_spectrum(b)
+    order = sum_order(a, b)
+    m, n = len(a), len(b)
+    us = {}
+    for u in iperm(range(1, m + 1)):
+        us.setdefault(length(u), []).append(u)
+    vs = {}
+    for v in iperm(range(1, n + 1)):
+        vs.setdefault(length(v), []).append(v)
+    found = []
+    for w in iperm(range(1, m * n + 1)):
+        lw = length(w)
+        if lw > max_length:
+            continue
+        for lu, ulist in us.items():
+            for v in vs.get(lw - lu, ()):
+                for u in ulist:
+                    c = coeff_two(u, v, w, order)
+                    if c:
+                        found.append((u, v, w, c))
+    return a, b, found
+
+
+def _assert_scan_matches_reference(a, b, max_length):
+    a, b, found = _scan_reference(a, b, max_length)
+    keep = {
+        "unit": lambda c: c == 1,
+        "odd": lambda c: c % 2 == 1,
+        "nonzero": lambda c: True,
+    }
+    for name, passes in keep.items():
+        want = [_two_sided_record(a, b, u, v, w, c)
+                for u, v, w, c in found if passes(c)]
+        got = enumerate_inequalities(a, b, max_length=max_length, coeff_filter=name)
+        assert got == want, (a, b, name)
+        assert [r.label for r in got] == [r.label for r in want]
+    return found
+
+
+@pytest.mark.parametrize("fmt", ["2x2", "2x3"])
+def test_enumerate_inequalities_matches_per_triple_scan_on_chambers(fmt):
+    from qmarginal.chambers import cubicle_arrangement, enumerate_chambers
+
+    arr = cubicle_arrangement(fmt)
+    chambers = enumerate_chambers(arr)
+    assert chambers
+    for chamber in chambers:
+        a, b = arr.chart.to_test_spectra(chamber.barycenter())
+        _assert_scan_matches_reference(a, b, max_length=6)
+
+
+def test_enumerate_inequalities_matches_per_triple_scan_on_2x4_cubicle():
+    found = _assert_scan_matches_reference((3, -3), (8, 1, -3, -6), max_length=3)
+    coeffs = [c for *_, c in found]
+    assert len(coeffs) == 507 and coeffs.count(1) == 218 and max(coeffs) == 8
+
+
+def test_perms_up_to_length_matches_filtered_permutations():
+    for n in range(1, 7):
+        top = n * (n - 1) // 2
+        for cap in range(-1, top + 2):
+            want = [(w, length(w)) for w in iperm(range(1, n + 1)) if length(w) <= cap]
+            assert _perms_up_to_length(n, cap) == want
 
 
 def test_basic_partial_sums_arise_from_step_test_spectra():
