@@ -12,6 +12,7 @@ Library layout:
   coefficients, inequality generation
 - ``chambers``: exact rational cubicle arrangements, extremal edges,
   convex hulls, redundancy filtering
+- ``rational``: exact linear algebra on one fraction-free echelon kernel
 - ``plethysm``: symmetric-power decompositions and the inner approximation
 - ``harness``: seeded Monte-Carlo campaigns and witness search
 - ``cli``: the ``qmarginal`` command

@@ -518,8 +518,16 @@ PAIR_TOL = 1e-8
 
 def _even_degeneracy_slots(fam, block):
     lam = _one_body(block, fam.family_id)
-    # The system is taken from the bundle: r entries, n the rounded trace.
-    ns = np.rint(block.one_body_trace)
+    # The system is taken from the bundle: r entries, n the trace, which
+    # must be an integer (so nothing is renormalized).
+    traces = block.one_body_trace
+    ns = np.rint(traces)
+    off = np.abs(traces - ns) > 1e-10
+    if off.any():
+        raise CatalogError(
+            f"{fam.family_id} needs an integer particle number, got trace "
+            f"{float(traces[np.argmax(off)])!r}"
+        )
     r, n = lam.shape[1], int(ns[0])
     if np.any(ns != n):
         raise CatalogError(f"{fam.family_id} needs one particle number per block")
@@ -528,9 +536,8 @@ def _even_degeneracy_slots(fam, block):
             f"even-degeneracy criterion applies to two particles or two "
             f"holes, not (r={r}, n={n})"
         )
-    lam, off = _renormalize(block, lam, n)
     return _Canonical({"lam": lam}, notes=(f"pairing tolerance {PAIR_TOL}",),
-                      renormalized=off, target=n)
+                      target=n)
 
 
 def _w2h4_slots(fam, block):
@@ -944,6 +951,12 @@ def _sample_valid_occupation(rng, r, n, perturbed: bool):
     raise CatalogError(f"could not sample a valid occupation spectrum for ({r}, {n})")
 
 
+def _check_count(name, value):
+    """Refuse a negative trial or sample count; zero is valid."""
+    if value < 0:
+        raise CatalogError(f"{name} must be >= 0, got {value}")
+
+
 def check_equivalence(family_a: str, family_b: str, samples: int, seed: int,
                       tolerance: float = 1e-10) -> EquivalenceReport:
     """Compare two families of the same system on random sorted, correctly
@@ -965,6 +978,7 @@ def check_equivalence(family_a: str, family_b: str, samples: int, seed: int,
     if sizes[0] != sizes[1]:
         raise CatalogError(f"{family_a} and {family_b} apply to different systems")
     r, n = sizes[0]
+    _check_count("samples", samples)
     rng = rng_from_seed(seed)
     disagreements = 0
     first = None

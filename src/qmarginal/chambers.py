@@ -12,18 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .rational import (
     canon_hyperplane,
     dot,
+    echelon,
     nullspace,
     primitive,
     rank,
-    row_space_basis,
     solve_any,
-    solve_square,
     to_fractions,
 )
 from .systems import SystemDescriptor, SystemError, parse_system
@@ -56,14 +55,6 @@ class Cone:
 
 def _idot(u, v):
     return sum(map(mul, u, v))
-
-
-def _int_vector(vec):
-    """Primitive integer vector, a positive multiple of a rational one."""
-    if all(type(x) is int for x in vec):
-        g = gcd(*vec)
-        return tuple(x // g for x in vec) if g > 1 else tuple(vec)
-    return primitive(vec)
 
 
 def _bits(mask):
@@ -163,7 +154,7 @@ def split_cone(cone: Cone, h):
     the cone's interior (the cone then lies weakly on the other side, and
     is returned unchanged as that side).
     """
-    h = _int_vector(h)
+    h = primitive(h)
     rays = cone.rays
     vals = [_idot(h, r) for r in rays]
     pos = [i for i, v in enumerate(vals) if v > 0]
@@ -191,44 +182,19 @@ def split_cone(cone: Cone, h):
 def _simplicial_start(rows, d):
     """Indices of d independent rows, and the extreme rays of their cone.
 
-    Fraction-free Gauss-Jordan on [B | I]: it leaves [D | Y] with D
-    diagonal and Y = D B^-1, so ray j is column j of B^-1 scaled positively.
+    The echelon form of [B | I] for the chosen rows B is [I | B^-1] up to
+    row scaling, so ray j is column j of B^-1 scaled positively.
     """
-    chosen, echelon = [], []          # echelon: (pivot column, reduced row)
-    for i, row in enumerate(rows):
-        red = list(row)
-        for col, piv in echelon:
-            if red[col]:
-                red = [piv[col] * a - red[col] * b for a, b in zip(red, piv)]
-        col = next((c for c, v in enumerate(red) if v), None)
-        if col is not None:
-            g = gcd(*red)
-            echelon.append((col, [x // g for x in red]))
-            chosen.append(i)
-            if len(chosen) == d:
-                break
+    chosen = echelon(rows)[2]
     if len(chosen) < d:
         raise GeometryError("cone is not pointed (normals do not span)")
-    aug = [list(rows[i]) + [int(j == k) for j in range(d)]
-           for k, i in enumerate(chosen)]
-    for col in range(d):
-        piv_row = next(r for r in range(col, d) if aug[r][col])
-        aug[col], aug[piv_row] = aug[piv_row], aug[col]
-        piv = aug[col]
-        for r in range(d):
-            f = aug[r][col]
-            if r != col and f:
-                red = [piv[col] * a - f * b for a, b in zip(aug[r], piv)]
-                g = gcd(*red)
-                aug[r] = [x // g for x in red]
-    diag = [aug[k][k] for k in range(d)]
-    lcm = 1
-    for v in diag:
-        lcm = lcm * abs(v) // gcd(lcm, v)
-    rays = []
-    for j in range(d):
-        col = [aug[k][d + j] * (lcm // diag[k]) for k in range(d)]
-        rays.append(_int_vector(col))
+    red, pivots, _ = echelon([tuple(rows[i]) + tuple(int(j == k) for j in range(d))
+                              for k, i in enumerate(chosen)])
+    by_pivot = [row for _, row in sorted(zip(pivots, red))]   # pivots 0..d-1
+    scale = lcm(*(row[p] for p, row in enumerate(by_pivot)))
+    factors = [scale // row[p] for p, row in enumerate(by_pivot)]
+    rays = [primitive([f * row[d + j] for f, row in zip(factors, by_pivot)])
+            for j in range(d)]
     return chosen, rays
 
 
@@ -239,7 +205,7 @@ def rays_from_inequalities(ineqs, d: int) -> tuple:
     double description steps.  A cone without interior yields the extreme
     rays of the face it is; the cone {0} yields ().
     """
-    rows = [_int_vector(r) for r in ineqs]
+    rows = [primitive(r) for r in ineqs]
     rows = [r for r in rows if any(r)]
     chosen, rays = _simplicial_start(rows, d)
     full = (1 << d) - 1
@@ -489,7 +455,9 @@ def convex_hull(points, dim_cap: int = DIM_CAP) -> HullResult:
     """Irredundant facet description of the convex hull of rational points.
 
     Works inside the affine span of the points (dual double description on
-    the homogenized cone).
+    the homogenized cone).  In the reduced echelon basis of the span's
+    directions, a point's coordinates are its entries in the pivot columns,
+    and a facet normal gamma lifts to gamma placed at the pivot columns.
     """
     pts = [to_fractions(p) for p in points]
     pts = list(dict.fromkeys(pts))
@@ -498,41 +466,29 @@ def convex_hull(points, dim_cap: int = DIM_CAP) -> HullResult:
     D = len(pts[0])
     p0 = pts[0]
     diffs = [tuple(a - b for a, b in zip(p, p0)) for p in pts[1:]]
-    from .rational import row_space_basis
-
-    basis, _ = row_space_basis(diffs)
-    k = len(basis)
+    pivots = echelon(diffs)[1]
+    k = len(pivots)
     if k > dim_cap:
         raise GeometryError(f"hull dimension {k} exceeds the cap {dim_cap}")
 
     equalities = []
-    for nv in nullspace(diffs if diffs else [[Fraction(0)] * D], ncols=D):
+    for nv in nullspace(diffs, ncols=D):
         nv = canon_hyperplane(nv)
         equalities.append((nv, dot(to_fractions(nv), p0)))
     if k == 0:
         return HullResult((), tuple(sorted(equalities)), 0)
 
-    gram = [[dot(b1, b2) for b2 in basis] for b1 in basis]
-    coords = []
-    for p in pts:
-        diff = tuple(a - b for a, b in zip(p, p0))
-        rhs = [dot(b, diff) for b in basis]
-        coords.append(solve_square(gram, rhs))
-
-    rows = [(Fraction(1),) + tuple(-z for z in zc) for zc in coords]
-    rays = rays_from_inequalities(rows, k + 1)
+    rows = [(1,) + tuple(p0[c] - p[c] for c in pivots) for p in pts]
     facets = []
-    for ray in rays:
-        gamma0, gamma = Fraction(ray[0]), ray[1:]
-        if all(g == 0 for g in gamma):
+    for ray in rays_from_inequalities(rows, k + 1):
+        gamma0, gamma = ray[0], ray[1:]
+        if not any(gamma):
             continue
-        # Lift the facet normal back to the original coordinates.
-        lift = solve_any([list(b) for b in basis], list(gamma))
-        if lift is None:
-            raise GeometryError("facet lift failed (inconsistent basis)")
-        rhs = gamma0 + dot(to_fractions(lift), p0)
-        normal, rhs = canon_inequality(lift, rhs)
-        facets.append((normal, rhs))
+        lift = [0] * D
+        for c, g in zip(pivots, gamma):
+            lift[c] = g
+        rhs = gamma0 + dot(gamma, [p0[c] for c in pivots])
+        facets.append(canon_inequality(lift, rhs))
     return HullResult(tuple(sorted(facets)), tuple(sorted(equalities)), k)
 
 
@@ -553,13 +509,13 @@ def _affine_chart(ambient_eqs, d):
     x0 = solve_any(normals, [r for _, r in ambient_eqs])
     if x0 is None:
         return None
-    return x0, [_int_vector(v) for v in nullspace(normals, ncols=d)]
+    return x0, [primitive(v) for v in nullspace(normals, ncols=d)]
 
 
 def _homogenize(normal, rhs, chart):
     """normal.x <= rhs on the chart, as a primitive row g with g.(t, y) >= 0."""
     x0, basis = chart
-    return _int_vector((rhs - _idot(normal, x0),)
+    return primitive((rhs - _idot(normal, x0),)
                        + tuple(-_idot(normal, b) for b in basis))
 
 
@@ -569,17 +525,17 @@ def _generators(rows, D):
     Returns (lineality basis, extreme rays of the pointed part) as integer
     vectors; the pointed part lies in the row space of ``rows``.
     """
-    rho = rank(rows) if rows else 0
+    basis, pivots, _ = echelon(rows)
+    rho = len(pivots)
     if rho == D:
         return (), rays_from_inequalities(rows, D)
-    lineality = tuple(_int_vector(v) for v in nullspace(rows, ncols=D))
+    lineality = tuple(primitive(v) for v in nullspace(rows, ncols=D))
     if rho == 0:
         return lineality, ()
-    basis = [_int_vector(b) for b in row_space_basis(rows)[0]]
     rays = rays_from_inequalities(
         [tuple(_idot(r, b) for b in basis) for r in rows], rho)
     return lineality, tuple(
-        _int_vector([_idot(c, col) for col in zip(*basis)]) for c in rays)
+        primitive([_idot(c, col) for col in zip(*basis)]) for c in rays)
 
 
 def _feasible(gens) -> bool:

@@ -170,8 +170,10 @@ def build_parser() -> Parser:
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--nu", default=None, help="fixed state spectrum")
     sp.add_argument("--tolerance", type=float, default=1e-10)
-    sp.add_argument("--jobs", type=int,
-                    default=int(os.environ.get("QMARGINAL_JOBS", "1")))
+    # argparse converts a string default with ``type``, so a bad
+    # QMARGINAL_JOBS is a usage error naming --jobs
+    sp.add_argument("--jobs", type=_positive_count,
+                    default=os.environ.get("QMARGINAL_JOBS", "1"))
 
     sp = sub.add_parser("equiv", help="cross-family equivalence campaign")
     sp.add_argument("--family-a", required=True)

@@ -29,6 +29,7 @@ from .catalog import (
     CatalogError,
     SpectraBlock,
     SpectraBundle,
+    _check_count,
     check_block,
     get_family,
 )
@@ -225,6 +226,7 @@ def mc_verify(family_id: str, system, trials: int, seed: int,
     if isinstance(system, str):
         system = parse_system(system)
     get_family(family_id)
+    _check_count("trials", trials)
     start = time.perf_counter()
     nu_vals = None if nu is None else tuple(nu.as_floats())
     if jobs > 1 and trials >= 4 * jobs:
@@ -270,6 +272,7 @@ def isospectrality_campaign(formats, trials: int, seed: int) -> IsospectralityRe
     """Max deviation between the two marginal spectra of bipartite Haar
     states, over all formats; nonzero parts compared, trailing zeros checked.
     """
+    _check_count("trials", trials)
     start = time.perf_counter()
     worst = 0.0
     for fmt_i, fmt in enumerate(formats):

@@ -1,9 +1,14 @@
 """Exact rational linear algebra and a small dense simplex solver.
 
-Everything here is exact: ``fractions.Fraction``, or Python ints where
-``rank`` eliminates fraction-free; no floating point.  The simplex uses
-Bland's rule, so it terminates on degenerate problems.  The library no
-longer calls it; the tests keep it as the oracle of
+Everything here is exact: Python ints or ``fractions.Fraction``, no
+floating point.  All elimination goes through one kernel, ``echelon``: it
+scales each row to primitive integers and reduces it fraction-free against
+the rows kept so far, so the kept rows are always a scaled reduced row
+echelon form.  ``rank``, ``row_space_basis``, ``solve_square``,
+``solve_any`` and ``nullspace`` read their answers off that form.
+
+The simplex uses Bland's rule, so it terminates on degenerate problems.
+The library no longer calls it; the tests keep it as the oracle of
 ``chambers.redundancy_filter``.
 """
 
@@ -23,14 +28,15 @@ def dot(u, v) -> Fraction:
 
 def primitive(vec):
     """Scale a rational vector by a positive factor to coprime integers."""
+    if all(type(x) is int for x in vec):
+        g = gcd(*vec)
+        return tuple(x // g for x in vec) if g > 1 else tuple(vec)
     fracs = [Fraction(v) for v in vec]
     denom = 1
     for f in fracs:
         denom = denom * f.denominator // gcd(denom, f.denominator)
     ints = [int(f * denom) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     return tuple(ints)
@@ -47,138 +53,111 @@ def canon_hyperplane(vec):
     return tuple(ints)
 
 
-def rank(rows) -> int:
-    """Rank of a list of rational vectors.
+def echelon(rows):
+    """Fraction-free reduced row echelon form of rational rows.
 
-    Each row is scaled to integers, then eliminated fraction-free (Bareiss):
-    every division is exact, so entries stay integers of bounded size.
+    Rows are taken in order.  Each is scaled to primitive integers and
+    reduced against the rows kept so far; a row that does not vanish is
+    divided by its content, signed so its pivot (first nonzero entry) is
+    positive, and the kept rows are reduced in its pivot column.  Every
+    step multiplies by a pivot entry instead of dividing by it, so all
+    entries stay integers.  Stops once the rank equals the column count.
+
+    Returns ``(rows, pivots, sources)``: the kept primitive integer rows,
+    each zero in every other row's pivot column; the pivot column of each;
+    and the index of the input row each came from.  Dividing each row by
+    its pivot entry gives the (unique) reduced row echelon form.
     """
-    mat = [list(r) if all(type(x) is int for x in r) else list(primitive(r))
-           for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rk = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = next((i for i in range(rk, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
+    kept, pivots, sources = [], [], []
+    for index, row in enumerate(rows):
+        red = primitive(row)
+        for piv, col in zip(kept, pivots):
+            f = red[col]
+            if f:
+                p = piv[col]
+                red = [p * a - f * b for a, b in zip(red, piv)]
+        col = next((c for c, x in enumerate(red) if x), None)
+        if col is None:
             continue
-        mat[rk], mat[pivot] = mat[pivot], mat[rk]
-        prow = mat[rk]
-        pv = prow[col]
-        for i in range(rk + 1, len(mat)):
-            row = mat[i]
-            f = row[col]
-            mat[i] = [(pv * a - f * b) // prev for a, b in zip(row, prow)]
-        prev = pv
-        rk += 1
-        if rk == len(mat):
+        g = gcd(*red)
+        if red[col] < 0:
+            g = -g
+        red = [x // g for x in red]
+        p = red[col]
+        for k, piv in enumerate(kept):
+            f = piv[col]
+            if f:
+                new = [p * a - f * b for a, b in zip(piv, red)]
+                g = gcd(*new)
+                kept[k] = [x // g for x in new]
+        kept.append(red)
+        pivots.append(col)
+        sources.append(index)
+        if len(kept) == len(red):
             break
-    return rk
+    return [tuple(r) for r in kept], pivots, sources
+
+
+def rank(rows) -> int:
+    """Rank of a list of rational vectors."""
+    return len(echelon(rows)[1])
 
 
 def row_space_basis(rows):
-    """Independent subset-spanning basis (echelon rows) of the row space."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    basis = []
-    pivots = []
-    for row in mat:
-        row = row[:]
-        for b, p in zip(basis, pivots):
-            if row[p] != 0:
-                factor = row[p] / b[p]
-                row = [a - factor * c for a, c in zip(row, b)]
-        pivot = next((j for j, v in enumerate(row) if v != 0), None)
-        if pivot is not None:
-            basis.append(row)
-            pivots.append(pivot)
-    return [tuple(b) for b in basis], pivots
+    """(basis, pivots): the reduced row echelon rows of the row space, as
+    Fractions, in the order of the input rows they came from."""
+    basis, pivots, _ = echelon(rows)
+    rref = [tuple(Fraction(x, r[p]) for x in r) for r, p in zip(basis, pivots)]
+    return rref, pivots
+
+
+def _solve(rows, rhs, n):
+    """(pivots, x) for rows.x = rhs in n unknowns: x has the free unknowns
+    (the non-pivot columns) zero, and is None if the system is inconsistent."""
+    basis, pivots, _ = echelon([tuple(r) + (b,) for r, b in zip(rows, rhs)])
+    if n in pivots:
+        return pivots, None
+    x = [Fraction(0)] * n
+    for r, p in zip(basis, pivots):
+        x[p] = Fraction(r[n], r[p])
+    return pivots, tuple(x)
 
 
 def solve_square(mat, rhs):
     """Solve an invertible square rational system; returns None if singular."""
-    n = len(mat)
-    a = [list(map(Fraction, row)) + [Fraction(rhs[i])] for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                factor = a[i][col]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[col])]
-    return tuple(a[i][n] for i in range(n))
+    pivots, x = _solve(mat, rhs, len(mat))
+    return x if len(pivots) == len(mat) else None
 
 
 def solve_any(rows, rhs):
-    """One particular solution of a consistent rational system, else None."""
+    """One particular solution of a consistent rational system, else None.
+
+    The free unknowns (the non-pivot columns) are zero.
+    """
     if not rows:
         return None
-    m, n = len(rows), len(rows[0])
-    a = [list(map(Fraction, rows[i])) + [Fraction(rhs[i])] for i in range(m)]
-    pivots = []
-    rk = 0
-    for col in range(n):
-        pivot = next((i for i in range(rk, m) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[rk], a[pivot] = a[pivot], a[rk]
-        pv = a[rk][col]
-        a[rk] = [x / pv for x in a[rk]]
-        for i in range(m):
-            if i != rk and a[i][col] != 0:
-                factor = a[i][col]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[rk])]
-        pivots.append(col)
-        rk += 1
-        if rk == m:
-            break
-    for i in range(rk, m):
-        if a[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        x[col] = a[i][n]
-    return tuple(x)
+    return _solve(rows, rhs, len(rows[0]))[1]
 
 
 def nullspace(rows, ncols=None):
-    """Basis of the right null space of a rational matrix."""
+    """Basis of the right null space of a rational matrix: one vector per
+    free column, 1 there and 0 in the other free columns."""
     if not rows:
         return [tuple()] if ncols is None else [
             tuple(Fraction(int(i == j)) for j in range(ncols)) for i in range(ncols)
         ]
     n = len(rows[0])
-    a = [list(map(Fraction, r)) for r in rows]
-    m = len(a)
-    pivots = []
-    rk = 0
-    for col in range(n):
-        pivot = next((i for i in range(rk, m) if a[i][col] != 0), None)
-        if pivot is None:
+    basis, pivots, _ = echelon(rows)
+    out = []
+    for fc in range(n):
+        if fc in pivots:
             continue
-        a[rk], a[pivot] = a[pivot], a[rk]
-        pv = a[rk][col]
-        a[rk] = [x / pv for x in a[rk]]
-        for i in range(m):
-            if i != rk and a[i][col] != 0:
-                factor = a[i][col]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[rk])]
-        pivots.append(col)
-        rk += 1
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
         vec = [Fraction(0)] * n
         vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -a[i][fc]
-        basis.append(tuple(vec))
-    return basis
+        for r, p in zip(basis, pivots):
+            vec[p] = Fraction(-r[fc], r[p])
+        out.append(tuple(vec))
+    return out
 
 
 class LPResult:

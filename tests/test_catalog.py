@@ -126,6 +126,17 @@ def test_two_particle_pure_family():
     assert not check_family("TWO_PARTICLE_PURE", bad).satisfied
 
 
+def test_two_particle_pure_needs_an_integer_trace():
+    """n is read from the trace: 2.4 is no particle number, and a trace
+    within 1e-10 of 2 is taken as 2."""
+    with pytest.raises(CatalogError, match="integer particle number"):
+        check_family("TWO_PARTICLE_PURE",
+                     SpectraBundle(one_body=spectrum((0.8, 0.8, 0.4, 0.4))))
+    near = SpectraBundle(one_body=spectrum((0.7, 0.7, 0.3, 0.3), 2 + 5e-11))
+    rep = check_family("TWO_PARTICLE_PURE", near)
+    assert rep.satisfied and not any("renormalized" in n for n in rep.notes)
+
+
 def test_w2h5_is_metadata_only():
     fam = get_family("W2H5_META")
     assert fam.declared_count == 460
@@ -285,6 +296,13 @@ def test_equivalence_requires_same_system():
         check_equivalence("F7_BD", "F84_14", 10, seed=0)
 
 
+def test_equivalence_refuses_a_negative_sample_count():
+    with pytest.raises(CatalogError, match="samples"):
+        check_equivalence("F7_BD", "F7_LIST", -5, 1)
+    rep = check_equivalence("F7_BD", "F7_LIST", 0, 1)
+    assert rep.samples == 0 and rep.disagreements == 0
+
+
 def test_planted_violation_is_flagged():
     bad = SpectraBundle(one_body=spectrum((1, 1, 1, 0, 0, 0.0001), 3.0001))
     rep = check_family("BD6", bad, tolerance=1e-10)
@@ -404,6 +422,10 @@ def _ref_pauli(fam, bundle, tol):
 
 
 def _ref_even_degeneracy(fam, bundle, tol):
+    trace = float(bundle.one_body.trace_tag)
+    if abs(trace - round(trace)) > 1e-10:
+        raise CatalogError(
+            f"{fam.family_id} needs an integer particle number, got trace {trace!r}")
     r, n = fam.meta["r"], fam.meta["n"]
     if n not in (2, r - 2):
         raise CatalogError(
@@ -575,7 +597,10 @@ def _bundles(family_id, rng, count):
             if n != 2:
                 vals = [1 - v for v in vals]   # the two-hole dual
             if rng.random() < 0.5:
-                vals = [v + 1e-6 * rng.standard_normal() for v in vals]
+                noise = 1e-6 * rng.standard_normal(len(vals))
+                if rng.random() < 0.5:
+                    noise -= noise.mean()   # the trace stays an integer
+                vals = [v + e for v, e in zip(vals, noise)]
             if rng.random() < 0.25:
                 vals = [v * 1.05 for v in vals]
             out.append(SpectraBundle(one_body=_raw(sorted(vals, reverse=True))))
@@ -605,9 +630,16 @@ def test_check_family_matches_record_loop(family_id):
                 check_family(family_id, bundle)
             assert str(new.value) == str(ref.value)
         return
-    violated = renormalized = 0
+    violated = renormalized = refused = 0
     for bundle in bundles:
-        (sat, worst, bad, count, tol, notes), slacks = _ref_check_family(family_id, bundle)
+        try:
+            (sat, worst, bad, count, tol, notes), slacks = _ref_check_family(family_id, bundle)
+        except CatalogError as ref:
+            with pytest.raises(CatalogError) as new:
+                check_family(family_id, bundle)
+            assert str(new.value) == str(ref)
+            refused += 1
+            continue
         rep = check_family(family_id, bundle)
         assert abs(rep.worst_slack - worst) <= 1e-12, (bundle, rep, worst)
         assert rep.n_inequalities == count
@@ -620,8 +652,14 @@ def test_check_family_matches_record_loop(family_id):
         renormalized += any("renormalized" in note for note in notes)
     assert violated > 0
     fam = get_family(family_id)
+    if family_id == "TWO_PARTICLE_PURE":
+        # n is the bundle's trace, so a trace off an integer is refused
+        # instead of renormalized
+        assert refused > 0 and renormalized == 0
+    else:
+        assert refused == 0
     if family_id not in ("POLYGON", "BRAVYI_2Q", "FRANZ_3QUTRIT", "BASIC",
-                         "THREE_QUBIT_MIXED", "PAULI"):
+                         "THREE_QUBIT_MIXED", "PAULI", "TWO_PARTICLE_PURE"):
         assert renormalized > 0, fam.family_id
 
 
@@ -638,7 +676,8 @@ _BAD_BUNDLES = {
                                         joint=spectrum((1, 0, 0, 0)))],
     "PAULI": [SpectraBundle(sites=(spectrum((0.6, 0.4)),))],
     "TWO_PARTICLE_PURE": [SpectraBundle(),
-                          SpectraBundle(one_body=spectrum((1, 1, 1, 0, 0, 0, 0, 0), 3))],
+                          SpectraBundle(one_body=spectrum((1, 1, 1, 0, 0, 0, 0, 0), 3)),
+                          SpectraBundle(one_body=spectrum((0.8, 0.8, 0.4, 0.4)))],
     "BD6": [SpectraBundle(one_body=spectrum((1, 1, 1, 0, 0), 3)), SpectraBundle()],
     "F8_31": [SpectraBundle(one_body=spectrum((1, 1, 1, 0, 0, 0, 0), 3))],
     "F84_ABS": [SpectraBundle(one_body=spectrum((1, 1, 1, 1, 0, 0, 0), 4))],

@@ -459,6 +459,137 @@ def test_random_arrangement_chambers_are_full_dimensional():
 
 
 # ---------------------------------------------------------------------------
+# Simplicial start and hulls against the Fraction paths they replaced
+
+def _gauss_jordan_simplicial_start(rows, d):
+    """Independent rows by forward elimination, then the columns of B^-1
+    by a fraction-free Gauss-Jordan sweep over [B | I]."""
+    from math import gcd
+
+    from qmarginal.rational import primitive
+
+    chosen, echelon = [], []
+    for i, row in enumerate(rows):
+        red = list(row)
+        for col, piv in echelon:
+            if red[col]:
+                red = [piv[col] * a - red[col] * b for a, b in zip(red, piv)]
+        col = next((c for c, v in enumerate(red) if v), None)
+        if col is not None:
+            g = gcd(*red)
+            echelon.append((col, [x // g for x in red]))
+            chosen.append(i)
+            if len(chosen) == d:
+                break
+    if len(chosen) < d:
+        raise GeometryError("cone is not pointed (normals do not span)")
+    aug = [list(rows[i]) + [int(j == k) for j in range(d)]
+           for k, i in enumerate(chosen)]
+    for col in range(d):
+        piv_row = next(r for r in range(col, d) if aug[r][col])
+        aug[col], aug[piv_row] = aug[piv_row], aug[col]
+        piv = aug[col]
+        for r in range(d):
+            f = aug[r][col]
+            if r != col and f:
+                red = [piv[col] * a - f * b for a, b in zip(aug[r], piv)]
+                g = gcd(*red)
+                aug[r] = [x // g for x in red]
+    diag = [aug[k][k] for k in range(d)]
+    lcm = 1
+    for v in diag:
+        lcm = lcm * abs(v) // gcd(lcm, v)
+    rays = [primitive([aug[k][d + j] * (lcm // diag[k]) for k in range(d)])
+            for j in range(d)]
+    return chosen, rays
+
+
+def test_simplicial_start_matches_gauss_jordan():
+    import random
+
+    from qmarginal.chambers import _simplicial_start
+    from qmarginal.rational import primitive
+
+    rng = random.Random(31)
+    for trial in range(400):
+        d = 2 + trial % 5
+        rows = [primitive(r) for r in _random_pointed_normals(rng, d)]
+        rng.shuffle(rows)
+        rows = [r for r in rows if any(r)]
+        assert _simplicial_start(rows, d) == _gauss_jordan_simplicial_start(rows, d)
+        short = rows[:d - 1] + [rows[0]] * 2
+        for start in (_simplicial_start, _gauss_jordan_simplicial_start):
+            with pytest.raises(GeometryError):
+                start(short, d)
+
+
+def _gram_convex_hull(points):
+    """The hull by coordinates from the Gram system of an echelon basis and
+    facet normals lifted by a particular solution."""
+    from qmarginal.chambers import HullResult, canon_inequality, rays_from_inequalities
+    from qmarginal.rational import canon_hyperplane
+    from tests.test_rational import (
+        _fraction_nullspace,
+        _fraction_row_space_basis,
+        _fraction_solve_any,
+        _fraction_solve_square,
+    )
+
+    pts = list(dict.fromkeys(to_fractions(p) for p in points))
+    D = len(pts[0])
+    p0 = pts[0]
+    diffs = [tuple(a - b for a, b in zip(p, p0)) for p in pts[1:]]
+    basis, _ = _fraction_row_space_basis(diffs)
+    k = len(basis)
+    equalities = []
+    for nv in _fraction_nullspace(diffs if diffs else [[F(0)] * D], ncols=D):
+        nv = canon_hyperplane(nv)
+        equalities.append((nv, dot(to_fractions(nv), p0)))
+    if k == 0:
+        return HullResult((), tuple(sorted(equalities)), 0)
+    gram = [[dot(b1, b2) for b2 in basis] for b1 in basis]
+    coords = []
+    for p in pts:
+        diff = tuple(a - b for a, b in zip(p, p0))
+        coords.append(_fraction_solve_square(gram, [dot(b, diff) for b in basis]))
+    rows = [(F(1),) + tuple(-z for z in zc) for zc in coords]
+    facets = []
+    for ray in rays_from_inequalities(rows, k + 1):
+        gamma0, gamma = F(ray[0]), ray[1:]
+        if all(g == 0 for g in gamma):
+            continue
+        lift = _fraction_solve_any([list(b) for b in basis], list(gamma))
+        facets.append(canon_inequality(lift, gamma0 + dot(to_fractions(lift), p0)))
+    return HullResult(tuple(sorted(facets)), tuple(sorted(equalities)), k)
+
+
+def test_convex_hull_matches_gram_path():
+    """Seeded point sets in D = 1..5 whose affine span has every dimension
+    from 0 to min(D, 4), with duplicate points."""
+    import random
+
+    rng = random.Random(1968)
+    dims = set()
+    for trial in range(150):
+        D = 1 + trial % 5
+        k = rng.randint(0, min(D, 4))
+        p0 = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(D)]
+        dirs = [[F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(D)]
+                for _ in range(k)]
+        coefs = [[rng.randint(-2, 2) for _ in dirs]
+                 for _ in range(rng.randint(1, 3 + 2 * k))]
+        pts = [tuple(x + sum(c * v[j] for c, v in zip(cs, dirs))
+                     for j, x in enumerate(p0))
+               for cs in coefs]
+        pts += pts[:2]
+        got = convex_hull(pts)
+        assert got == _gram_convex_hull(pts), pts
+        dims.add((D, got.dim))
+    assert {dim for _, dim in dims} == {0, 1, 2, 3, 4}
+    assert any(dim < D for D, dim in dims)
+
+
+# ---------------------------------------------------------------------------
 # Redundancy filter against the sequential LP loop
 
 def _lp_redundancy_filter(inequalities, ambient_ineqs=(), ambient_eqs=()):

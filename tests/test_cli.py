@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -13,10 +14,11 @@ import pytest
 from qmarginal.cli import main
 
 
-def run_cli(args, stdin_text=None, tmp_path=None):
+def run_cli(args, stdin_text=None, tmp_path=None, env=None):
     proc = subprocess.run(
         [sys.executable, "-m", "qmarginal.cli", *args],
         capture_output=True, text=True, input=stdin_text,
+        env=None if env is None else {**os.environ, **env},
     )
     records = [json.loads(line) for line in proc.stdout.splitlines() if line.strip()]
     errors = [json.loads(line) for line in proc.stderr.splitlines() if line.strip()]
@@ -409,6 +411,10 @@ def test_equiv_without_fixed_system_is_an_exit_two_error(family):
     assert family in error["message"]
 
 
+VERIFY_BD6 = ["verify", "--family", "BD6", "--system", "fermi:6:3:pure",
+              "--trials", "10", "--seed", "1"]
+
+
 @pytest.mark.parametrize("flag,args", [
     ("--trials", ["verify", "--family", "BD6", "--system", "fermi:6:3:pure",
                   "--seed", "1", "--trials", "-5"]),
@@ -421,9 +427,13 @@ def test_equiv_without_fixed_system_is_an_exit_two_error(family):
                     "--seed", "1", "--restarts", "0"]),
     ("--iters", ["witness", "--system", "qubits:2", "--targets", "0.5,0.5;0.5,0.5",
                  "--seed", "1", "--iters", "-1"]),
+    ("--jobs", VERIFY_BD6 + ["--jobs", "0"]),
+    ("--jobs", VERIFY_BD6 + ["--jobs", "-3"]),
+    ("--jobs", (VERIFY_BD6, {"QMARGINAL_JOBS": "x"})),
 ])
 def test_negative_counts_are_usage_errors(flag, args):
-    code, records, errors = run_cli(args)
+    args, env = args if isinstance(args, tuple) else (args, None)
+    code, records, errors = run_cli(args, env=env)
     assert code == 2
     assert records == []
     (error,) = errors
@@ -440,3 +450,19 @@ def test_zero_counts_stay_valid(args, count_key):
     code, records, errors = run_cli(args)
     assert code == 0, errors
     assert records[-1][count_key] == 0
+
+
+def test_jobs_from_environment():
+    code, records, errors = run_cli(VERIFY_BD6, env={"QMARGINAL_JOBS": "2"})
+    assert code == 0, errors
+    assert records[-1]["trials"] == 10
+
+
+def test_two_particle_pure_non_integer_trace_is_an_error():
+    code, records, errors = run_cli(
+        ["check", "--family", "TWO_PARTICLE_PURE", "--spectrum", "0.8,0.8,0.4,0.4"])
+    assert code == 2
+    assert records == []
+    (error,) = errors
+    assert error["record"] == "error" and error["kind"] == "CatalogError"
+    assert "integer particle number" in error["message"]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qmarginal.catalog import CatalogError
 from qmarginal.harness import (
     isospectrality_campaign,
     mc_verify,
@@ -16,6 +17,20 @@ def test_mc_verify_bd6_small():
     rep = mc_verify("BD6", "fermi:6:3:pure", trials=200, seed=7)
     assert rep.violations == 0
     assert rep.min_slack >= -1e-10
+
+
+def test_mc_verify_refuses_a_negative_trial_count():
+    with pytest.raises(CatalogError, match="trials"):
+        mc_verify("BD6", "fermi:6:3:pure", -4, 1)
+    rep = mc_verify("BD6", "fermi:6:3:pure", 0, 1)
+    assert rep.trials == 0 and rep.violations == 0 and rep.worst_trial is None
+
+
+def test_isospectrality_campaign_refuses_a_negative_trial_count():
+    with pytest.raises(CatalogError, match="trials"):
+        isospectrality_campaign(["2x2"], -1, 1)
+    rep = isospectrality_campaign(["2x2"], 0, 1)
+    assert rep.trials == 0 and rep.max_discrepancy == 0.0
 
 
 def test_mc_verify_deterministic():
