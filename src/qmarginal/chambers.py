@@ -16,13 +16,13 @@ from math import gcd, lcm
 from operator import mul
 
 from .rational import (
+    affine_solutions,
     canon_hyperplane,
     dot,
     echelon,
-    nullspace,
+    null_vectors,
     primitive,
     rank,
-    solve_any,
     to_fractions,
 )
 from .systems import SystemDescriptor, SystemError, parse_system
@@ -466,13 +466,13 @@ def convex_hull(points, dim_cap: int = DIM_CAP) -> HullResult:
     D = len(pts[0])
     p0 = pts[0]
     diffs = [tuple(a - b for a, b in zip(p, p0)) for p in pts[1:]]
-    pivots = echelon(diffs)[1]
+    basis, pivots, _ = echelon(diffs)
     k = len(pivots)
     if k > dim_cap:
         raise GeometryError(f"hull dimension {k} exceeds the cap {dim_cap}")
 
     equalities = []
-    for nv in nullspace(diffs, ncols=D):
+    for nv in null_vectors(basis, pivots, D):
         nv = canon_hyperplane(nv)
         equalities.append((nv, dot(to_fractions(nv), p0)))
     if k == 0:
@@ -505,11 +505,10 @@ def _affine_chart(ambient_eqs, d):
     """
     if not ambient_eqs:
         return (0,) * d, [tuple(int(i == j) for j in range(d)) for i in range(d)]
-    normals = [n for n, _ in ambient_eqs]
-    x0 = solve_any(normals, [r for _, r in ambient_eqs])
-    if x0 is None:
+    sol = affine_solutions([n for n, _ in ambient_eqs], [r for _, r in ambient_eqs], d)
+    if sol is None:
         return None
-    return x0, [primitive(v) for v in nullspace(normals, ncols=d)]
+    return sol[0], [primitive(v) for v in sol[1]]
 
 
 def _homogenize(normal, rhs, chart):
@@ -529,7 +528,7 @@ def _generators(rows, D):
     rho = len(pivots)
     if rho == D:
         return (), rays_from_inequalities(rows, D)
-    lineality = tuple(primitive(v) for v in nullspace(rows, ncols=D))
+    lineality = tuple(primitive(v) for v in null_vectors(basis, pivots, D))
     if rho == 0:
         return lineality, ()
     rays = rays_from_inequalities(

@@ -232,61 +232,40 @@ def state_to_objects(state: dict):
 
     kind = _check_state_schema(state)
     system = parse_system(state["system"])
-    if system.kind == "fermion":
-        basis = fermion_basis(system.r, system.n)
-        if kind == "pure":
-            amps = _complex_array(state["amplitudes"])
-            return system, FermionState(basis, amps)
-        mat = np.array(
-            [[complex(re, im) for re, im in row] for row in state["matrix"]]
-        )
-        return system, mat
-    dims = system.dims
     if kind == "pure":
         amps = _complex_array(state["amplitudes"])
-        return system, PureState(amps, dims)
-    mat = np.array([[complex(re, im) for re, im in row] for row in state["matrix"]])
-    return system, DensityMatrix(mat, dims, trace=1.0)
+    else:
+        mat = np.array([[complex(re, im) for re, im in row] for row in state["matrix"]])
+    if system.kind == "fermion":
+        basis = fermion_basis(system.r, system.n)
+        return system, FermionState(basis, amps) if kind == "pure" else mat
+    if kind == "pure":
+        return system, PureState(amps, system.dims)
+    return system, DensityMatrix(mat, system.dims, trace=1.0)
 
 
 def cmd_reduce(args) -> int:
-    from .fermion import FermionState, one_rdm, one_rdm_mixed
-    from .tensor import DensityMatrix, PureState, partial_trace, pure_marginal, spectrum_of
+    from .fermion import FermionState, fermion_basis, one_rdm, one_rdm_mixed
+    from .tensor import PureState, partial_trace, pure_marginal, spectrum_of
 
     system, obj = state_to_objects(load_state(args.state))
-    records = []
-    if isinstance(obj, FermionState):
-        lam = spectrum_of(one_rdm(obj))
-        records.append(("one_body", lam))
-        basis = obj.basis
-        joint = [1.0] + [0.0] * (basis.dim - 1)
-        records.append(("joint", _sorted_spectrum(joint, 1.0)))
-    elif system.kind == "fermion":
-        from .fermion import fermion_basis
-
+    pure = isinstance(obj, (FermionState, PureState))
+    if system.kind == "fermion":
         basis = fermion_basis(system.r, system.n)
-        lam = spectrum_of(one_rdm_mixed(obj, basis))
-        records.append(("one_body", lam))
-        records.append(("joint", spectrum_of(obj)))
-    elif isinstance(obj, PureState):
-        if args.keep:
-            keep = [int(k) for k in args.keep.split(",")]
-            records.append((f"keep{keep}", spectrum_of(pure_marginal(obj, keep))))
-        else:
-            for i in range(len(obj.dims)):
-                records.append((f"site{i}", spectrum_of(pure_marginal(obj, [i]))))
-            size = math.prod(obj.dims)
-            records.append(
-                ("joint", _sorted_spectrum([1.0] + [0.0] * (size - 1), 1.0))
-            )
+        gamma = one_rdm(obj) if pure else one_rdm_mixed(obj, basis)
+        records, size = [("one_body", spectrum_of(gamma))], basis.dim
     else:
+        marginal = pure_marginal if pure else partial_trace
         if args.keep:
             keep = [int(k) for k in args.keep.split(",")]
-            records.append((f"keep{keep}", spectrum_of(partial_trace(obj, keep))))
+            slots = [(f"keep{keep}", keep)]
         else:
-            for i in range(len(obj.dims)):
-                records.append((f"site{i}", spectrum_of(partial_trace(obj, [i]))))
-            records.append(("joint", spectrum_of(obj)))
+            slots = [(f"site{i}", [i]) for i in range(len(obj.dims))]
+        records = [(slot, spectrum_of(marginal(obj, keep))) for slot, keep in slots]
+        size = math.prod(obj.dims)
+    if system.kind == "fermion" or not args.keep:
+        records.append(("joint", _sorted_spectrum([1.0] + [0.0] * (size - 1), 1.0)
+                        if pure else spectrum_of(obj)))
     for slot, spec in records:
         emit({
             "record": "spectrum",

@@ -8,6 +8,9 @@ Basis order is lexicographic on sorted orbital subsets of {1..r}.  The
 one-particle RDM uses the chemists' normalization Tr = n.  The two-particle
 RDM is normalized to trace n(n-1); the binomial factor of the energy
 formula is applied inside ``energy_from_two_rdm``.
+
+The RDMs are numpy index arithmetic over cached term arrays of the basis;
+``one_rdm_block`` is the one 1-RDM reduction, for one state or a block.
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
-from .tensor import DensityMatrix, rng_from_seed
+from .tensor import DensityMatrix, haar_vectors
 
 
 class FermionError(ValueError):
@@ -29,6 +32,18 @@ class FermionError(ValueError):
 @lru_cache(maxsize=None)
 def fermion_basis(r: int, n: int) -> "FermionBasis":
     return FermionBasis(r, n)
+
+
+class OneBodyTerms(NamedTuple):
+    """Index arrays of the one-particle RDM, sorted by output cell then src:
+    gamma.flat[cells[k]] sums sign * conj(rho[dst, src]) over the terms
+    starts[k]:starts[k + 1].  Cells without terms are absent."""
+
+    dst: np.ndarray
+    src: np.ndarray
+    sign: np.ndarray
+    cells: np.ndarray
+    starts: np.ndarray
 
 
 class FermionBasis:
@@ -48,14 +63,12 @@ class FermionBasis:
     def __repr__(self):
         return f"FermionBasis(r={self.r}, n={self.n}, dim={self.dim})"
 
-    def one_rdm_map(self) -> sparse.csr_matrix:
-        """Sparse map from vec(conj rho) on the Fock sector to the flattened
-        one-particle RDM: gamma[i, j] = <a_j^dag a_i>.
-        """
+    def one_rdm_map(self) -> OneBodyTerms:
+        """Read-only index arrays of gamma[i, j] = <a_j^dag a_i>; cached."""
         if self._one_map is not None:
             return self._one_map
-        r, dim = self.r, self.dim
-        rows, cols, vals = [], [], []
+        r = self.r
+        terms = []
         for src, s in enumerate(self.subsets):
             for pos_i, i in enumerate(s):
                 rest = s[:pos_i] + s[pos_i + 1:]
@@ -66,18 +79,18 @@ class FermionBasis:
                     pos_j = sum(1 for x in rest if x < j)
                     sign = sign_i * (-1 if pos_j % 2 else 1)
                     dst = self.index[tuple(sorted(rest + (j,)))]
-                    rows.append((i - 1) * r + (j - 1))
-                    cols.append(dst * dim + src)
-                    vals.append(sign)
-        self._one_map = sparse.csr_matrix(
-            (vals, (rows, cols)), shape=(r * r, dim * dim)
-        )
+                    terms.append(((i - 1) * r + (j - 1), src, dst, sign))
+        cell, src, dst, sign = np.array(sorted(terms), dtype=np.intp).reshape(-1, 4).T
+        self._one_map = OneBodyTerms(dst, src, sign, *np.unique(cell, return_index=True))
+        for arr in self._one_map:
+            arr.setflags(write=False)
         return self._one_map
 
-    def pair_annihilation_map(self) -> sparse.csr_matrix:
-        """Sparse map psi -> W.flat where column p of W is a_{p2} a_{p1} psi
-        for the p-th orbital pair (p1 < p2), rows indexed by the (n-2)-sector.
-        """
+    def pair_annihilation_map(self) -> tuple:
+        """Read-only index arrays (rows, src, sign) of psi -> W.flat, where
+        column p of W is a_{p2} a_{p1} psi for the p-th orbital pair
+        (p1 < p2), rows indexed by the (n-2)-sector: W.flat[rows] =
+        sign * psi[src], and W is zero elsewhere.  Cached."""
         if self._pair_map is not None:
             return self._pair_map
         if self.n < 2:
@@ -99,9 +112,9 @@ class FermionBasis:
                 rows.append(dst * len(pairs) + p_idx)
                 cols.append(src)
                 vals.append(sign)
-        self._pair_map = sparse.csr_matrix(
-            (vals, (rows, cols)), shape=(sub.dim * len(pairs), self.dim)
-        )
+        self._pair_map = tuple(np.array(v, dtype=np.intp) for v in (rows, cols, vals))
+        for arr in self._pair_map:
+            arr.setflags(write=False)
         return self._pair_map
 
 
@@ -139,13 +152,38 @@ def slater(r: int, n: int, subset) -> FermionState:
     return FermionState(basis, amps)
 
 
+def one_rdm_block(basis: FermionBasis, entries: np.ndarray) -> np.ndarray:
+    """(T, r, r) Hermitian one-particle RDMs from the (T, K) values
+    conj(rho[dst, src]) of T states at the K terms of
+    ``basis.one_rdm_map()``.
+
+    Each cell is one ``np.add.reduceat`` segment, so a state's RDM is summed
+    in the same order whatever T is.
+    """
+    terms = basis.one_rdm_map()
+    r = basis.r
+    gamma = np.zeros((len(entries), r * r), dtype=complex)
+    if len(terms.sign):
+        gamma[:, terms.cells] = np.add.reduceat(entries * terms.sign, terms.starts, axis=1)
+    gamma = gamma.reshape(-1, r, r)
+    return (gamma + gamma.conj().swapaxes(-1, -2)) / 2
+
+
+def pure_one_rdm_entries(basis: FermionBasis, amps: np.ndarray) -> np.ndarray:
+    """The ``one_rdm_block`` entries of a (T, dim) stack of amplitude
+    vectors, formed per term, never as (T, dim, dim) outer products."""
+    terms = basis.one_rdm_map()
+    entries = amps[:, terms.dst].conj()
+    entries *= amps[:, terms.src]
+    return entries
+
+
 def one_rdm(psi: FermionState) -> DensityMatrix:
     """One-particle RDM gamma[i, j] = <psi| a_j^dag a_i |psi>, trace n."""
     basis = psi.basis
-    vec = np.outer(psi.amplitudes.conj(), psi.amplitudes).ravel()
-    gamma = (basis.one_rdm_map() @ vec).reshape(basis.r, basis.r)
-    gamma = (gamma + gamma.conj().T) / 2
-    return DensityMatrix(gamma, (basis.r,), trace=float(basis.n))
+    entries = pure_one_rdm_entries(basis, psi.amplitudes[None])
+    return DensityMatrix(one_rdm_block(basis, entries)[0], (basis.r,),
+                         trace=float(basis.n))
 
 
 def one_rdm_mixed(rho: np.ndarray, basis: FermionBasis) -> DensityMatrix:
@@ -153,8 +191,8 @@ def one_rdm_mixed(rho: np.ndarray, basis: FermionBasis) -> DensityMatrix:
     mat = np.asarray(rho, dtype=complex)
     if mat.shape != (basis.dim, basis.dim):
         raise FermionError(f"expected {basis.dim}x{basis.dim} matrix")
-    gamma = (basis.one_rdm_map() @ mat.conj().ravel()).reshape(basis.r, basis.r)
-    gamma = (gamma + gamma.conj().T) / 2
+    terms = basis.one_rdm_map()
+    gamma = one_rdm_block(basis, mat[None, terms.dst, terms.src].conj())[0]
     tr = float(np.trace(mat).real)
     return DensityMatrix(gamma, (basis.r,), trace=basis.n * tr)
 
@@ -178,7 +216,9 @@ def two_rdm(psi: FermionState) -> TwoRDM:
     if basis.n < 2:
         raise FermionError("two-particle RDM needs n >= 2")
     pairs = tuple(combinations(range(1, basis.r + 1), 2))
-    w = (basis.pair_annihilation_map() @ psi.amplitudes).reshape(-1, len(pairs))
+    rows, src, sign = basis.pair_annihilation_map()
+    w = np.zeros((fermion_basis(basis.r, basis.n - 2).dim, len(pairs)), dtype=complex)
+    w.flat[rows] = sign * psi.amplitudes[src]
     g = (w.conj().T @ w).conj()
     g = (g + g.conj().T) / 2
     return TwoRDM(2.0 * g, pairs)
@@ -253,7 +293,4 @@ def haar_fermion(r: int, n: int, seed: int, stream: int = 0) -> FermionState:
     if not 0 < n < r:
         raise FermionError(f"need 0 < n < r, got r={r}, n={n}")
     basis = fermion_basis(r, n)
-    rng = rng_from_seed(seed, stream)
-    vec = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
-    vec /= np.linalg.norm(vec)
-    return FermionState(basis, vec)
+    return FermionState(basis, haar_vectors(basis.dim, seed, [stream])[0])

@@ -5,7 +5,8 @@ floating point.  All elimination goes through one kernel, ``echelon``: it
 scales each row to primitive integers and reduces it fraction-free against
 the rows kept so far, so the kept rows are always a scaled reduced row
 echelon form.  ``rank``, ``row_space_basis``, ``solve_square``,
-``solve_any`` and ``nullspace`` read their answers off that form.
+``solve_any`` and ``nullspace`` read their answers off that form, as
+callers holding one do through ``null_vectors`` and ``affine_solutions``.
 
 The simplex uses Bland's rule, so it terminates on degenerate problems.
 The library no longer calls it; the tests keep it as the oracle of
@@ -111,43 +112,10 @@ def row_space_basis(rows):
     return rref, pivots
 
 
-def _solve(rows, rhs, n):
-    """(pivots, x) for rows.x = rhs in n unknowns: x has the free unknowns
-    (the non-pivot columns) zero, and is None if the system is inconsistent."""
-    basis, pivots, _ = echelon([tuple(r) + (b,) for r, b in zip(rows, rhs)])
-    if n in pivots:
-        return pivots, None
-    x = [Fraction(0)] * n
-    for r, p in zip(basis, pivots):
-        x[p] = Fraction(r[n], r[p])
-    return pivots, tuple(x)
-
-
-def solve_square(mat, rhs):
-    """Solve an invertible square rational system; returns None if singular."""
-    pivots, x = _solve(mat, rhs, len(mat))
-    return x if len(pivots) == len(mat) else None
-
-
-def solve_any(rows, rhs):
-    """One particular solution of a consistent rational system, else None.
-
-    The free unknowns (the non-pivot columns) are zero.
-    """
-    if not rows:
-        return None
-    return _solve(rows, rhs, len(rows[0]))[1]
-
-
-def nullspace(rows, ncols=None):
-    """Basis of the right null space of a rational matrix: one vector per
-    free column, 1 there and 0 in the other free columns."""
-    if not rows:
-        return [tuple()] if ncols is None else [
-            tuple(Fraction(int(i == j)) for j in range(ncols)) for i in range(ncols)
-        ]
-    n = len(rows[0])
-    basis, pivots, _ = echelon(rows)
+def null_vectors(basis, pivots, n):
+    """Basis of the null space of the first n columns of an echelon form
+    (rows and pivots as ``echelon`` returns them, every pivot below n): one
+    vector per free column, 1 there and 0 in the other free columns."""
     out = []
     for fc in range(n):
         if fc in pivots:
@@ -158,6 +126,46 @@ def nullspace(rows, ncols=None):
             vec[p] = Fraction(-r[fc], r[p])
         out.append(tuple(vec))
     return out
+
+
+def affine_solutions(rows, rhs, n):
+    """(x, null) for rows.x = rhs in n unknowns, from one echelon form of
+    [rows | rhs]: x has the free unknowns (the non-pivot columns) zero, and
+    null is ``nullspace(rows, ncols=n)``.  None if the system is
+    inconsistent."""
+    basis, pivots, _ = echelon([tuple(r) + (b,) for r, b in zip(rows, rhs)])
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for r, p in zip(basis, pivots):
+        x[p] = Fraction(r[n], r[p])
+    return tuple(x), null_vectors(basis, pivots, n)
+
+
+def solve_square(mat, rhs):
+    """Solve an invertible square rational system; returns None if singular."""
+    sol = affine_solutions(mat, rhs, len(mat))
+    return sol[0] if sol is not None and not sol[1] else None
+
+
+def solve_any(rows, rhs):
+    """One particular solution of a consistent rational system, else None.
+
+    The free unknowns (the non-pivot columns) are zero.
+    """
+    if not rows:
+        return None
+    sol = affine_solutions(rows, rhs, len(rows[0]))
+    return None if sol is None else sol[0]
+
+
+def nullspace(rows, ncols=None):
+    """Basis of the right null space of a rational matrix: one vector per
+    free column, 1 there and 0 in the other free columns."""
+    if not rows:
+        return [tuple()] if ncols is None else null_vectors([], [], ncols)
+    basis, pivots, _ = echelon(rows)
+    return null_vectors(basis, pivots, len(rows[0]))
 
 
 class LPResult:

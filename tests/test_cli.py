@@ -385,6 +385,64 @@ def test_isospec_command():
     assert records[-1]["max_discrepancy"] < 1e-10
 
 
+@pytest.mark.parametrize("fmt", ["2x2x2", "fermi:6:3"])
+def test_isospec_refuses_formats_without_two_factors(fmt):
+    code, records, errors = run_cli([
+        "isospec", "--formats", f"2x2;{fmt}", "--trials", "2", "--seed", "1",
+    ])
+    assert code == 2
+    assert records == []
+    (error,) = errors
+    assert error["record"] == "error" and error["kind"] == "ValueError"
+    assert fmt in error["message"]
+
+
+def _reduce_slots(tmp_path, state, *extra):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state))
+    code, records, errors = run_cli(["reduce", "--state", str(path), *extra])
+    assert code == 0, errors
+    return {r["slot"]: r["values"] for r in records}
+
+
+def test_reduce_mixed_tensor_state_with_and_without_keep(tmp_path):
+    from qmarginal.tensor import partial_trace, random_density, rng_from_seed, spectrum_of
+
+    rho = random_density((2, 2, 2), rng_from_seed(17))
+    state = {
+        "format_version": 1,
+        "kind": "mixed",
+        "system": "2x2x2",
+        "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in rho.entries],
+    }
+    slots = _reduce_slots(tmp_path, state)
+    assert sorted(slots) == ["joint", "site0", "site1", "site2"]
+    for i in range(3):
+        expect = spectrum_of(partial_trace(rho, [i])).as_floats()
+        assert slots[f"site{i}"] == pytest.approx(expect, abs=1e-15)
+    assert slots["joint"] == pytest.approx(spectrum_of(rho).as_floats(), abs=1e-15)
+    slots = _reduce_slots(tmp_path, state, "--keep", "0,1")
+    assert list(slots) == ["keep[0, 1]"]
+    expect = spectrum_of(partial_trace(rho, [0, 1])).as_floats()
+    assert slots["keep[0, 1]"] == pytest.approx(expect, abs=1e-15)
+
+
+def test_reduce_pure_tensor_state_with_keep(tmp_path):
+    from qmarginal.tensor import haar_pure, pure_marginal, spectrum_of
+
+    psi = haar_pure((2, 3, 2), 23)
+    state = {
+        "format_version": 1,
+        "kind": "pure",
+        "system": "2x3x2",
+        "amplitudes": [[float(a.real), float(a.imag)] for a in psi.amplitudes],
+    }
+    slots = _reduce_slots(tmp_path, state, "--keep", "0,2")
+    assert list(slots) == ["keep[0, 2]"]
+    expect = spectrum_of(pure_marginal(psi, [0, 2])).as_floats()
+    assert slots["keep[0, 2]"] == pytest.approx(expect, abs=1e-15)
+
+
 def test_families_command():
     code, records, _ = run_cli(["families", "--system", "fermi:6:3:pure"])
     assert code == 0

@@ -1,11 +1,15 @@
 """Fermionic layer: sign bookkeeping, RDMs, energy reduction, sampling.
 
-The oracles here are deliberately independent of the library's sparse-table
-path: explicit operator application by loops, and embedding into the full
-tensor power followed by a partial trace.
+The oracles here are deliberately independent of the library's index-array
+reduction: explicit operator application by loops, embedding into the full
+tensor power followed by a partial trace, and scipy CSR maps built from the
+same loops and applied as sparse matrix products.
 """
 
+import json
 import math
+import subprocess
+import sys
 from itertools import combinations, permutations
 
 import numpy as np
@@ -23,7 +27,17 @@ from qmarginal.fermion import (
     slater,
     two_rdm,
 )
-from qmarginal.tensor import PureState, pure_marginal, spectrum_of
+from qmarginal.harness import sample_bundle
+from qmarginal.systems import parse_system
+from qmarginal.tensor import (
+    PureState,
+    complex_gaussian,
+    fixed_spectrum_stack,
+    pure_marginal,
+    rng_from_seed,
+    spectrum_of,
+    unitaries_from_gaussian,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +116,54 @@ def _full_hamiltonian(basis, h1, h12, pairs):
     return mat
 
 
+def _csr_one_rdm_map(basis):
+    """Sparse map vec(conj rho) -> gamma.flat, gamma[i, j] = <a_j^dag a_i>."""
+    from scipy import sparse
+
+    r, dim = basis.r, basis.dim
+    rows, cols, vals = [], [], []
+    for src, subset in enumerate(basis.subsets):
+        for i in subset:
+            t, s1 = _ann(subset, i)
+            for j in range(1, r + 1):
+                u, s2 = _cre(t, j)
+                if u is not None:
+                    rows.append((i - 1) * r + (j - 1))
+                    cols.append(basis.index[u] * dim + src)
+                    vals.append(s1 * s2)
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(r * r, dim * dim))
+
+
+def _csr_one_rdm(basis, rho_conj_flat):
+    gamma = (_csr_one_rdm_map(basis) @ rho_conj_flat).reshape(basis.r, basis.r)
+    return (gamma + gamma.conj().T) / 2
+
+
+def _csr_two_rdm(psi):
+    """2-RDM through a sparse map psi -> W.flat, column p of W being
+    a_{p2} a_{p1} psi for the p-th orbital pair."""
+    from scipy import sparse
+
+    basis = psi.basis
+    pairs = list(combinations(range(1, basis.r + 1), 2))
+    sub = fermion_basis(basis.r, basis.n - 2)
+    rows, cols, vals = [], [], []
+    for src, subset in enumerate(basis.subsets):
+        for p_idx, (pa, pb) in enumerate(pairs):
+            t, s1 = _ann(subset, pa)
+            if t is None:
+                continue
+            u, s2 = _ann(t, pb)
+            if u is not None:
+                rows.append(sub.index[u] * len(pairs) + p_idx)
+                cols.append(src)
+                vals.append(s1 * s2)
+    pmap = sparse.csr_matrix((vals, (rows, cols)), shape=(sub.dim * len(pairs), basis.dim))
+    w = (pmap @ psi.amplitudes).reshape(-1, len(pairs))
+    g = (w.conj().T @ w).conj()
+    return 2.0 * (g + g.conj().T) / 2
+
+
 # ---------------------------------------------------------------------------
 # Basis and Slater determinants
 
@@ -163,6 +225,110 @@ def test_one_rdm_mixed_consistency():
     gamma_pure = one_rdm(psi).entries
     gamma_mixed = one_rdm_mixed(rho, basis).entries
     assert np.max(np.abs(gamma_pure - gamma_mixed)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The index-array reductions against scipy CSR products
+
+CSR_CASES = [(4, 2), (6, 3), (8, 4)]
+# (4, 4) leaves every off-diagonal cell of gamma without a term; (3, 0) has
+# no terms at all.
+EMPTY_SEGMENT_CASES = [(4, 4), (3, 0)]
+
+
+def _states(r, n):
+    basis = fermion_basis(r, n)
+    if basis.dim == 1:
+        return [FermionState(basis, np.ones(1))]
+    return [haar_fermion(r, n, 31, stream=t) for t in range(4)] + [
+        slater(r, n, basis.subsets[-1])]
+
+
+def _random_mixed(basis, seed, stream):
+    """The mixed state the fermionic campaigns draw from (seed, stream)."""
+    rng = rng_from_seed(seed, stream)
+    vals = np.sort(rng.dirichlet(np.ones(basis.dim)))[::-1]
+    u = unitaries_from_gaussian(complex_gaussian((basis.dim, basis.dim), rng)[None])
+    return fixed_spectrum_stack(u, vals)[0]
+
+
+@pytest.mark.parametrize("r,n", CSR_CASES + EMPTY_SEGMENT_CASES)
+def test_one_rdm_matches_csr_product(r, n):
+    for psi in _states(r, n):
+        vec = np.outer(psi.amplitudes.conj(), psi.amplitudes).ravel()
+        gamma = one_rdm(psi).entries
+        assert np.max(np.abs(gamma - _csr_one_rdm(psi.basis, vec))) <= 1e-14
+
+
+@pytest.mark.parametrize("r,n", CSR_CASES + EMPTY_SEGMENT_CASES)
+def test_one_rdm_mixed_matches_csr_product(r, n):
+    basis = fermion_basis(r, n)
+    for stream in range(3):
+        rho = _random_mixed(basis, 41, stream)
+        gamma = one_rdm_mixed(rho, basis).entries
+        assert np.max(np.abs(gamma - _csr_one_rdm(basis, rho.conj().ravel()))) <= 1e-14
+
+
+@pytest.mark.parametrize("r,n", CSR_CASES + [(4, 4)])
+def test_two_rdm_matches_csr_product(r, n):
+    for psi in _states(r, n):
+        assert np.max(np.abs(two_rdm(psi).matrix - _csr_two_rdm(psi))) <= 1e-14
+
+
+def _csr_spectrum(gamma):
+    return np.sort(np.linalg.eigvalsh(gamma))[::-1]
+
+
+@pytest.mark.parametrize("r,n", CSR_CASES)
+def test_sample_bundle_matches_csr_product(r, n):
+    """sample_bundle's block reduction against the CSR product of the same
+    samples, redrawn from their (seed, stream) pairs."""
+    basis = fermion_basis(r, n)
+    seed = 19
+    for trial in range(3):
+        pure = sample_bundle(parse_system(f"fermi:{r}:{n}:pure"), seed, trial).one_body
+        amps = haar_fermion(r, n, seed, stream=trial).amplitudes
+        vec = np.outer(amps.conj(), amps).ravel()
+        oracle = _csr_spectrum(_csr_one_rdm(basis, vec))
+        assert np.max(np.abs(np.array(pure.as_floats()) - oracle)) <= 1e-14
+
+        mixed = sample_bundle(parse_system(f"fermi:{r}:{n}:mixed"), seed, trial).one_body
+        rho = _random_mixed(basis, seed, trial)
+        oracle = _csr_spectrum(_csr_one_rdm(basis, rho.conj().ravel()))
+        assert np.max(np.abs(np.array(mixed.as_floats()) - oracle)) <= 1e-14
+
+
+def test_fermion_commands_never_import_scipy(tmp_path):
+    """check, reduce on a fermion state, verify and isospec run without
+    scipy; only the witness search needs it."""
+    state = {
+        "format_version": 1,
+        "kind": "pure",
+        "system": "fermi:6:3",
+        "amplitudes": [[float(a.real), float(a.imag)]
+                       for a in haar_fermion(6, 3, 3).amplitudes],
+    }
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state))
+    argvs = [
+        ["check", "--family", "BD6", "--spectrum", "0.9,0.8,0.7,0.3,0.2,0.1"],
+        ["reduce", "--state", str(path)],
+        ["verify", "--family", "BD6", "--system", "fermi:6:3:pure",
+         "--trials", "40", "--seed", "1"],
+        ["isospec", "--formats", "2x2;2x3", "--trials", "5", "--seed", "1"],
+    ]
+    script = (
+        "import contextlib, io, sys\n"
+        "import qmarginal\n"
+        "from qmarginal.cli import main\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_borland_dennis_structure():
