@@ -15,52 +15,36 @@ Library layout:
 - ``rational``: exact linear algebra on one fraction-free echelon kernel
 - ``plethysm``: symmetric-power decompositions and the inner approximation
 - ``harness``: seeded Monte-Carlo campaigns and witness search
+- ``records``: ``InequalityRecord``, the exact constraint record (no numpy)
 - ``cli``: the ``qmarginal`` command
+
+The names in ``__all__`` load on first access: ``import qmarginal`` imports
+no submodule, and ``qmarginal.spectrum_of`` imports ``tensor`` (and with it
+numpy) only when it is first read.
 """
 
-from .catalog import (
-    CheckReport,
-    InequalityRecord,
-    SpectraBundle,
-    applicable_families,
-    check_chsh,
-    check_equivalence,
-    check_family,
-    family_ids,
-)
-from .fermion import (
-    FermionState,
-    energy_from_two_rdm,
-    fermion_basis,
-    haar_fermion,
-    one_rdm,
-    one_rdm_mixed,
-    slater,
-    two_rdm,
-)
-from .spectra import (
-    Spectrum,
-    YoungDiagram,
-    gale_ryser,
-    majorizes,
-    particle_hole,
-    renormalize,
-    spectrum,
-    transpose,
-)
-from .systems import SystemDescriptor, parse_system
-from .tensor import (
-    DensityMatrix,
-    PureState,
-    gram_of_slices,
-    haar_pure,
-    partial_trace,
-    pure_marginal,
-    purify,
-    random_mixed_with_spectrum,
-    schmidt,
-    spectrum_of,
-)
+import importlib
+
+# Each public name and the submodule that defines it.  A name is imported on
+# first access (PEP 562), so ``import qmarginal`` imports no submodule and
+# the exact commands never pull in numpy through the package namespace.
+_SOURCE_OF = {
+    **dict.fromkeys(("CheckReport", "SpectraBundle", "applicable_families",
+                     "check_chsh", "check_equivalence", "check_family",
+                     "family_ids"), "catalog"),
+    **dict.fromkeys(("FermionState", "energy_from_two_rdm", "fermion_basis",
+                     "haar_fermion", "one_rdm", "one_rdm_mixed", "slater",
+                     "two_rdm"), "fermion"),
+    "InequalityRecord": "records",
+    **dict.fromkeys(("Spectrum", "YoungDiagram", "gale_ryser", "majorizes",
+                     "particle_hole", "renormalize", "spectrum", "transpose"),
+                    "spectra"),
+    **dict.fromkeys(("SystemDescriptor", "parse_system"), "systems"),
+    **dict.fromkeys(("DensityMatrix", "PureState", "gram_of_slices", "haar_pure",
+                     "partial_trace", "pure_marginal", "purify",
+                     "random_mixed_with_spectrum", "schmidt", "spectrum_of"),
+                    "tensor"),
+}
 
 __version__ = "0.1.0"
 
@@ -102,3 +86,16 @@ __all__ = [
     "transpose",
     "two_rdm",
 ]
+
+
+def __getattr__(name):
+    module = _SOURCE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

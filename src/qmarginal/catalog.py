@@ -12,49 +12,15 @@ contract.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
+# InequalityRecord and CatalogError live in the numpy-free records module;
+# catalog re-exports them, so catalog.InequalityRecord is the same class.
+from .records import CatalogError, InequalityRecord, _rec  # noqa: F401
 from .spectra import Spectrum, SpectrumError
 from .systems import SystemDescriptor, parse_system
-
-
-class CatalogError(ValueError):
-    """Raised for unknown families, rank mismatches or unavailable lists."""
-
-
-@dataclass(frozen=True)
-class InequalityRecord:
-    """One linear constraint over named spectrum slots.
-
-    ``terms`` maps slot names to coefficient tuples; the constraint is
-    sum(coeffs . values) <= bound (or == for equalities).
-    """
-
-    terms: tuple
-    relation: str = "<="
-    bound: object = 0
-    label: str = field(default="", compare=False)
-    meta: object = field(default=None, compare=False, hash=False)
-
-    def lhs(self, values: dict) -> float:
-        total = 0.0
-        for slot, coeffs in self.terms:
-            vec = values[slot]
-            if len(vec) != len(coeffs):
-                raise CatalogError(
-                    f"slot {slot!r} expects {len(coeffs)} entries, got {len(vec)}"
-                )
-            total += sum(float(c) * float(v) for c, v in zip(coeffs, vec))
-        return total
-
-    def slack(self, values: dict) -> float:
-        lhs = self.lhs(values)
-        if self.relation == "<=":
-            return float(self.bound) - lhs
-        return -abs(lhs - float(self.bound))
 
 
 @dataclass(frozen=True)
@@ -83,11 +49,6 @@ class CheckReport:
 
 # ---------------------------------------------------------------------------
 # Static family data
-
-def _rec(slot_coeffs, bound, relation="<=", label=""):
-    terms = tuple((slot, tuple(Fraction(c) for c in coeffs)) for slot, coeffs in slot_coeffs)
-    return InequalityRecord(terms, relation, Fraction(bound), label)
-
 
 # Borland-Dennis system (three particles, six orbitals), chemist trace 3.
 BD6_RECORDS = (

@@ -15,8 +15,6 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 SCHEMA = "qmarginal/1"
 
 
@@ -36,10 +34,14 @@ def emit(record: dict, stream=None):
 def _json_default(value):
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
     if isinstance(value, complex):
         return [value.real, value.imag]
+    # numpy is imported only here, once a value of another type shows up:
+    # the exact commands emit ints, strings and Fractions and never get here
+    import numpy as np
+
+    if isinstance(value, (np.floating, np.integer)):
+        return value.item()
     raise TypeError(f"cannot serialize {type(value)}")
 
 
@@ -211,6 +213,8 @@ def load_state(path: str) -> dict:
 
 
 def _complex_array(entries):
+    import numpy as np
+
     return np.array([complex(re, im) for re, im in entries])
 
 
@@ -226,6 +230,8 @@ def _check_state_schema(state) -> str:
 
 
 def state_to_objects(state: dict):
+    import numpy as np
+
     from .fermion import FermionState, fermion_basis
     from .systems import parse_system
     from .tensor import DensityMatrix, PureState
@@ -251,6 +257,8 @@ def cmd_reduce(args) -> int:
     system, obj = state_to_objects(load_state(args.state))
     pure = isinstance(obj, (FermionState, PureState))
     if system.kind == "fermion":
+        if args.keep:
+            raise UsageError("--keep names tensor factors; a fermionic state has none")
         basis = fermion_basis(system.r, system.n)
         gamma = one_rdm(obj) if pure else one_rdm_mixed(obj, basis)
         records, size = [("one_body", spectrum_of(gamma))], basis.dim

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations
 from operator import add
 
-from .catalog import InequalityRecord
+from .records import InequalityRecord
 from .rational import to_fractions
 
 

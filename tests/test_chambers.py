@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from qmarginal.catalog import F8_31_GROUPS, F84_14_GROUPS
 from qmarginal.chambers import (
     GeometryError,
     convex_hull,
@@ -15,7 +16,7 @@ from qmarginal.chambers import (
     split_cone,
     sorted_nonneg_cone,
 )
-from qmarginal.rational import dot, to_fractions
+from qmarginal.rational import dot, rank, to_fractions
 from qmarginal.schubert import TieError, sum_order
 
 
@@ -58,6 +59,24 @@ def test_three_qubit_edges_are_the_printed_ones():
     arr = cubicle_arrangement("qubits:3")
     edges = extremal_edges(enumerate_chambers(arr))
     assert set(edges) == {(0, 0, 1), (0, 1, 1), (1, 1, 1), (1, 1, 2)}
+
+
+@pytest.mark.parametrize("system, groups", [
+    ("fermi:8:3", F8_31_GROUPS), ("fermi:8:4", F84_14_GROUPS),
+])
+def test_printed_fermion_edge_groups_lie_on_one_dimensional_flats(system, groups):
+    """Each printed group of an (8, 3) or (8, 4) family comes from one edge:
+    its rows permute one test spectrum, whose successive differences lie in
+    the arrangement's cone on a flat of dimension one (the tie hyperplanes
+    and cone walls tight on it have rank d - 1).  No chamber is enumerated."""
+    arr = cubicle_arrangement(system)
+    for _, rows in groups:
+        vec = sorted(rows[0], reverse=True)
+        assert all(sorted(row, reverse=True) == vec for row in rows), rows
+        diffs = [a - b for a, b in zip(vec, vec[1:])]
+        assert all(dot(h, diffs) >= 0 for h in arr.cone.ineqs), vec
+        tight = [h for h in arr.cone.ineqs + arr.hyperplanes if dot(h, diffs) == 0]
+        assert rank(tight) == arr.dim - 1 == 6, vec
 
 
 def test_tensor_2x2_arrangement():

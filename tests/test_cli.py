@@ -443,6 +443,26 @@ def test_reduce_pure_tensor_state_with_keep(tmp_path):
     assert slots["keep[0, 2]"] == pytest.approx(expect, abs=1e-15)
 
 
+def test_reduce_refuses_keep_on_fermion_state(tmp_path):
+    from qmarginal.fermion import slater
+
+    state = {
+        "format_version": 1,
+        "kind": "pure",
+        "system": "fermi:4:2",
+        "amplitudes": [[float(a.real), float(a.imag)]
+                       for a in slater(4, 2, (1, 2)).amplitudes],
+    }
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state))
+    code, records, errors = run_cli(["reduce", "--state", str(path), "--keep", "7"])
+    assert code == 2
+    assert records == []
+    (error,) = errors
+    assert error["record"] == "error" and error["kind"] == "usage"
+    assert "--keep" in error["message"]
+
+
 def test_families_command():
     code, records, _ = run_cli(["families", "--system", "fermi:6:3:pure"])
     assert code == 0

@@ -1,0 +1,65 @@
+"""The package namespace and the import boundary of the exact side.
+
+``qmarginal`` resolves its public names lazily, and the exact commands
+(``edges``, ``generate``, ``coeff``, ``plethysm``) run without numpy.
+"""
+
+import subprocess
+import sys
+
+import pytest
+
+import qmarginal
+from qmarginal import catalog, records
+
+
+def test_every_public_name_resolves():
+    for name in qmarginal.__all__:
+        assert getattr(qmarginal, name) is not None, name
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from qmarginal import *", namespace)
+    assert set(qmarginal.__all__) <= set(namespace)
+
+
+def test_dir_lists_every_public_name():
+    assert set(qmarginal.__all__) <= set(dir(qmarginal))
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qmarginal.no_such_name
+
+
+def test_catalog_reexports_the_record_types():
+    assert catalog.InequalityRecord is records.InequalityRecord
+    assert catalog.CatalogError is records.CatalogError
+    assert qmarginal.InequalityRecord is records.InequalityRecord
+
+
+def test_exact_commands_never_import_numpy():
+    """The exact modules and commands use integers and Fractions only, so
+    none of them may load numpy, directly or through the package."""
+    argvs = [
+        ["edges", "--system", "qubits:3"],
+        ["generate", "--system", "qubits:3", "--edge", "1,1,2"],
+        ["coeff", "--u", "1,2", "--v", "1,2", "--w", "1,2,3,4",
+         "--a", "1,-1", "--b", "2,-2"],
+        ["plethysm", "-r", "4", "-n", "2", "-m", "2"],
+    ]
+    script = (
+        "import contextlib, io, sys\n"
+        "import qmarginal\n"
+        "import qmarginal.rational, qmarginal.systems, qmarginal.chambers\n"
+        "import qmarginal.schubert, qmarginal.plethysm, qmarginal.records\n"
+        "from qmarginal.cli import main\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
