@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import gcd, lcm
-from operator import mul
+from operator import mul, sub
 
 from .rational import (
     affine_solutions,
@@ -270,37 +270,57 @@ def _cuts_interior(h, cone: Cone) -> bool:
 
 
 class QubitChart:
-    """Coordinates are per-site test values 0 <= a_1 <= ... <= a_n."""
+    """Coordinates are per-site test values 0 <= a_1 <= ... <= a_n.
+
+    Site i's test spectrum is (a_i, -a_i); the concatenated test spectra
+    are (a_1, -a_1, ..., a_n, -a_n).
+    """
 
     def __init__(self, n):
         self.n = n
+        self.size = 2 * n
 
     def to_test_spectra(self, vec):
         return tuple((Fraction(v), -Fraction(v)) for v in vec)
 
-
-class TensorChart:
-    """Coordinates are successive differences of the two test spectra."""
-
-    def __init__(self, m, n):
-        self.m = m
-        self.n = n
-
-    def to_test_spectra(self, vec):
-        m, n = self.m, self.n
-        t = [Fraction(v) for v in vec[: m - 1]]
-        s = [Fraction(v) for v in vec[m - 1:]]
-        return _diffs_to_spectrum(t, m), _diffs_to_spectrum(s, n)
+    def pullback(self, diff):
+        """Chart normal of the functional x -> diff . (concatenated spectra)."""
+        return tuple(diff[2 * i] - diff[2 * i + 1] for i in range(self.n))
 
 
-class FermiChart:
-    """Coordinates are successive differences of the single test spectrum."""
+class DifferenceChart:
+    """Coordinates are the successive differences of each test spectrum.
 
-    def __init__(self, r):
-        self.r = r
+    ``sizes`` are the lengths of the spectra: (m, n) for an m x n tensor
+    format, (r,) for r fermionic orbitals.  Each spectrum is nonincreasing
+    with zero sum.
+    """
+
+    def __init__(self, sizes):
+        self.sizes = tuple(sizes)
+        self.size = sum(self.sizes)
+        self.dim = self.size - len(self.sizes)
 
     def to_test_spectra(self, vec):
-        return (_diffs_to_spectrum([Fraction(v) for v in vec], self.r),)
+        out, start = [], 0
+        for size in self.sizes:
+            diffs = [Fraction(v) for v in vec[start:start + size - 1]]
+            out.append(_diffs_to_spectrum(diffs, size))
+            start += size - 1
+        return tuple(out)
+
+    def pullback(self, diff):
+        """Chart normal of the functional x -> diff . (concatenated spectra).
+
+        Valid when ``diff`` sums to zero on each spectrum's block: the shift
+        that centres the spectrum then drops out, and the coefficient of the
+        p-th difference is the block's prefix sum diff_1 + ... + diff_p.
+        """
+        row, start = [], 0
+        for size in self.sizes:
+            row.extend(accumulate(diff[start:start + size - 1]))
+            start += size
+        return tuple(row)
 
 
 def _diffs_to_spectrum(diffs, size):
@@ -312,101 +332,62 @@ def _diffs_to_spectrum(diffs, size):
     return tuple(v - shift for v in tail)
 
 
-def _qubit_hyperplanes(n, cone):
-    seen = {}
-    for eps in product((-1, 0, 1), repeat=n):
-        if all(e == 0 for e in eps):
-            continue
-        h = canon_hyperplane(eps)
-        if h not in seen and _cuts_interior(h, cone):
-            seen[h] = True
-    return tuple(sorted(seen))
+def _tie_hyperplanes(chart, subsets, cone):
+    """Walls where two subset sums of the concatenated test spectra tie.
 
-
-def _tensor_hyperplanes(m, n, cone):
-    pairs = [(i, j) for i in range(m) for j in range(n)]
-    d = (m - 1) + (n - 1)
-    seen = {}
-    for (i, j), (k, l) in combinations(pairs, 2):
-        row = [0] * d
-        lo, hi = min(i, k), max(i, k)
-        sgn = 1 if i < k else -1
-        for p in range(lo, hi):
-            row[p] += sgn
-        lo, hi = min(j, l), max(j, l)
-        sgn = 1 if j < l else -1
-        for p in range(lo, hi):
-            row[m - 1 + p] += sgn
-        if all(x == 0 for x in row):
-            continue
-        h = canon_hyperplane(row)
-        if h not in seen and _cuts_interior(h, cone):
-            seen[h] = True
-    return tuple(sorted(seen))
-
-
-def _fermi_hyperplanes(r, n, cone):
-    subsets = list(combinations(range(r), n))
-    seen = {}
-    for s, t in combinations(subsets, 2):
-        d = [0] * r
-        for i in s:
-            d[i] += 1
-        for i in t:
-            d[i] -= 1
-        if all(x == 0 for x in d):
-            continue
-        # Coefficient of the p-th difference is the prefix sum of d.
-        row = []
-        acc = 0
-        for p in range(r - 1):
-            acc += d[p]
-            row.append(acc)
-        if all(x == 0 for x in row):
-            continue
-        h = canon_hyperplane(row)
-        if h not in seen and _cuts_interior(h, cone):
-            seen[h] = True
-    return tuple(sorted(seen))
+    ``subsets`` are 0-based index tuples into the concatenated spectra.  The
+    wall of subsets s and t is the difference of their indicator vectors
+    pulled back to chart coordinates; the pullback is linear, so that is
+    the difference of the two images.  Returns the canonical normals of
+    the walls that cut the cone's interior, sorted.
+    """
+    images = [chart.pullback([int(i in s) for i in range(chart.size)]) for s in subsets]
+    rows = {tuple(map(sub, p, q)) for p, q in combinations(images, 2)}
+    walls = {canon_hyperplane(row) for row in rows if any(row)}
+    return tuple(sorted(h for h in walls if _cuts_interior(h, cone)))
 
 
 def cubicle_arrangement(system) -> Arrangement:
     """Ambient test-spectrum cone and the tie hyperplanes that cut it.
 
-    Qubit arrays use the per-site values a_i >= 0 sorted increasing; tensor
-    and fermionic systems use the dominance cone of nonincreasing zero-sum
-    spectra in successive-difference coordinates.
+    Every system kind is treated as sums over subsets of its concatenated
+    test spectra: an array of qubits takes one entry of (a_i, -a_i) per
+    site, an m x n format the pairs {a_i, b_j}, a fermionic system the
+    n-subsets of a.  Qubit arrays use the per-site values a_i >= 0 sorted
+    increasing; tensor and fermionic systems use the dominance cone of
+    nonincreasing zero-sum spectra in successive-difference coordinates.
     """
     if isinstance(system, str):
         system = parse_system(system)
     if system.kind == "qubits":
         n = len(system.dims)
-        cone = sorted_nonneg_cone(n)
-        return Arrangement(system, cone, _qubit_hyperplanes(n, cone), QubitChart(n))
-    if system.kind == "tensor":
+        chart, cone = QubitChart(n), sorted_nonneg_cone(n)
+        subsets = product(*((2 * i, 2 * i + 1) for i in range(n)))
+    elif system.kind == "tensor":
         if len(system.dims) != 2:
             raise SystemError(
                 "cubicle arrangements support two-sided tensor formats; "
                 "use qubits:<n> for arrays"
             )
         m, n = system.dims
-        cone = positive_orthant((m - 1) + (n - 1))
-        return Arrangement(
-            system, cone, _tensor_hyperplanes(m, n, cone), TensorChart(m, n)
-        )
-    if system.kind == "fermion":
-        cone = positive_orthant(system.r - 1)
-        return Arrangement(
-            system,
-            cone,
-            _fermi_hyperplanes(system.r, system.n, cone),
-            FermiChart(system.r),
-        )
-    raise SystemError(f"unknown system kind {system.kind!r}")
+        chart = DifferenceChart((m, n))
+        cone = positive_orthant(chart.dim)
+        subsets = [(i, m + j) for i in range(m) for j in range(n)]
+    elif system.kind == "fermion":
+        chart = DifferenceChart((system.r,))
+        cone = positive_orthant(chart.dim)
+        subsets = combinations(range(system.r), system.n)
+    else:
+        raise SystemError(f"unknown system kind {system.kind!r}")
+    return Arrangement(system, cone, _tie_hyperplanes(chart, subsets, cone), chart)
 
 
 def enumerate_chambers(arrangement: Arrangement, dim_cap: int = DIM_CAP):
-    """All full-dimensional sign chambers meeting the cone's interior."""
+    """All full-dimensional sign chambers meeting the cone's interior.
+
+    The root cone is full-dimensional and ``split_cone`` keeps a side only
+    when the hyperplane cuts the interior, so every leaf has rank d.
+    """
     d = arrangement.dim
     if d > dim_cap:
         raise GeometryError(
@@ -422,11 +403,7 @@ def enumerate_chambers(arrangement: Arrangement, dim_cap: int = DIM_CAP):
             if minus is not None:
                 nxt.append((signs + ("-",), minus))
         chambers = nxt
-    out = []
-    for signs, cone in chambers:
-        if rank(cone.rays) == d:
-            out.append(Chamber(signs, cone))
-    return out
+    return [Chamber(signs, cone) for signs, cone in chambers]
 
 
 def extremal_edges(chambers) -> tuple:

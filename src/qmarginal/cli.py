@@ -85,6 +85,19 @@ def _positive_count(text: str) -> int:
     return _count(text, minimum=1)
 
 
+def _factor_indices(text: str) -> list:
+    """Distinct integer factor indices, comma-separated; argparse names the
+    flag on a refusal."""
+    try:
+        keep = [int(t) for t in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}") from None
+    if len(set(keep)) != len(keep):
+        raise argparse.ArgumentTypeError(f"repeated factor index in {text!r}")
+    return keep
+
+
 def _parse_vector(text: str):
     return tuple(_parse_number(t) for t in text.split(",") if t.strip())
 
@@ -117,7 +130,7 @@ def build_parser() -> Parser:
 
     sp = sub.add_parser("reduce", help="state file -> marginal spectra")
     sp.add_argument("--state", required=True, help="JSON state file, or - for stdin")
-    sp.add_argument("--keep", default=None,
+    sp.add_argument("--keep", type=_factor_indices, default=None,
                     help="comma-separated factor indices for one marginal")
 
     sp = sub.add_parser("check", help="spectra + family -> report")
@@ -265,8 +278,7 @@ def cmd_reduce(args) -> int:
     else:
         marginal = pure_marginal if pure else partial_trace
         if args.keep:
-            keep = [int(k) for k in args.keep.split(",")]
-            slots = [(f"keep{keep}", keep)]
+            slots = [(f"keep{args.keep}", args.keep)]
         else:
             slots = [(f"site{i}", [i]) for i in range(len(obj.dims))]
         records = [(slot, spectrum_of(marginal(obj, keep))) for slot, keep in slots]

@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from operator import add
+from itertools import combinations, product
+from math import comb
+from operator import add, itemgetter
 
 from .records import InequalityRecord
 from .rational import to_fractions
@@ -326,6 +327,37 @@ def check_test_spectrum(a) -> tuple:
     return vals
 
 
+def _ordered_sums(blocks, picks, ties: bool = False) -> list:
+    """(sum, pick) for every pick, by decreasing sum; exact comparison.
+
+    A pick holds one 1-based index into each block, and its sum is the sum
+    of the picked entries.  This is every combined sum: a_i + b_j is the
+    pick (i, j) from the blocks (a, b), an n-subset sum of a is an
+    increasing pick from n copies of a, and a qubit sign sum picks one of
+    (a_i, -a_i) per site.  Two equal sums mean the test spectra lie on a
+    cubicle wall and raise TieError, unless ``ties`` allows them.
+    """
+    sums = [(sum((blk[i - 1] for blk, i in zip(blocks, pick)), Fraction(0)), pick)
+            for pick in picks]
+    sums.sort(key=itemgetter(0), reverse=True)
+    if not ties:
+        for (v1, p1), (v2, p2) in zip(sums, sums[1:]):
+            if v1 == v2:
+                raise TieError(f"combined sums tie at {v1} for {p1}, {p2}")
+    return sums
+
+
+def _pair_sums(a, b, ties: bool = False) -> list:
+    """The sums a_i + b_j with their pairs (i, j), by decreasing sum."""
+    return _ordered_sums((a, b), product(range(1, len(a) + 1), range(1, len(b) + 1)),
+                         ties)
+
+
+def _subset_sums(a, n: int, ties: bool = False) -> list:
+    """The n-subset sums of a with their subsets, by decreasing sum."""
+    return _ordered_sums((a,) * n, combinations(range(1, len(a) + 1), n), ties)
+
+
 def sum_order(a, b) -> tuple:
     """Pairs (i, j), 1-based, listing a_i + b_j in decreasing order.
 
@@ -333,33 +365,38 @@ def sum_order(a, b) -> tuple:
     point lies on a cubicle wall and raises TieError; callers should use an
     interior point of a chamber.
     """
-    a = check_test_spectrum(a)
-    b = check_test_spectrum(b)
-    sums = [(a[i] + b[j], (i + 1, j + 1)) for i in range(len(a)) for j in range(len(b))]
-    sums.sort(key=lambda t: t[0], reverse=True)
-    for (v1, p1), (v2, p2) in zip(sums, sums[1:]):
-        if v1 == v2:
-            raise TieError(f"combined sums tie at {v1} for pairs {p1}, {p2}")
-    return tuple(p for _, p in sums)
+    return tuple(p for _, p in _pair_sums(check_test_spectrum(a), check_test_spectrum(b)))
 
 
 def fermi_sum_order(a, n: int) -> tuple:
     """n-subsets of {1..r} listed by decreasing sum of a-entries, exact."""
-    a = check_test_spectrum(a)
-    r = len(a)
-    sums = [
-        (sum((a[i - 1] for i in s), Fraction(0)), s)
-        for s in combinations(range(1, r + 1), n)
-    ]
-    sums.sort(key=lambda t: t[0], reverse=True)
-    for (v1, s1), (v2, s2) in zip(sums, sums[1:]):
-        if v1 == v2:
-            raise TieError(f"subset sums tie at {v1} for {s1}, {s2}")
-    return tuple(s for _, s in sums)
+    return tuple(s for _, s in _subset_sums(check_test_spectrum(a), n))
 
 
 # ---------------------------------------------------------------------------
 # Structure coefficients
+
+def _substitute_sums(poly: Poly, order, offsets) -> Poly:
+    """poly with z_k replaced by the sum of x_{offset + i} over the k-th
+    pick of ``order``, each index i shifted by its block's offset."""
+    return _substitute(poly, [sum((Poly.variable(o + i) for o, i in zip(offsets, pick)),
+                                  Poly()) for pick in order])
+
+
+def _chain_coefficient(sub: Poly, chains) -> int:
+    """Apply each (reduced word, variable offset) divided-difference chain
+    to a substituted Schubert polynomial; the residue must be a constant,
+    and that integer is returned."""
+    for word, offset in chains:
+        sub = apply_chain(word, sub, offset=offset)
+    value = sub.constant_term()
+    if value is None:
+        raise SchubertError(
+            "divided-difference chains left a non-constant residue; "
+            "this indicates an implementation bug"
+        )
+    return value
+
 
 def coeff_two(u, v, w, order) -> int:
     """Coefficient activating the two-sided inequality for (u, v, w).
@@ -377,29 +414,8 @@ def coeff_two(u, v, w, order) -> int:
         )
     if length(w) != length(u) + length(v):
         return 0
-    sub = _substitute_pairs(schubert_poly(w), order, m)
-    return _pair_coefficient(minimal_word(u), minimal_word(v), sub, m)
-
-
-def _pair_coefficient(word_u, word_v, sub: Poly, m: int) -> int:
-    """Apply the u chain to the A block and the v chain to the B block of a
-    substituted Schubert polynomial; the residue must be a constant."""
-    res = apply_chain(word_u, sub, offset=0)
-    res = apply_chain(word_v, res, offset=m)
-    value = res.constant_term()
-    if value is None:
-        raise SchubertError(
-            "divided-difference chains left a non-constant residue; "
-            "this indicates an implementation bug"
-        )
-    return value
-
-
-def _substitute_pairs(poly: Poly, order, m: int) -> Poly:
-    lins = []
-    for (i, j) in order:
-        lins.append(Poly.variable(i) + Poly.variable(m + j))
-    return _substitute(poly, lins)
+    sub = _substitute_sums(schubert_poly(w), order, (0, m))
+    return _chain_coefficient(sub, ((minimal_word(u), 0), (minimal_word(v), m)))
 
 
 def coeff_fermi(v, w, order) -> int:
@@ -411,21 +427,9 @@ def coeff_fermi(v, w, order) -> int:
         raise SchubertError(f"need order of size {len(w)}, got {len(order)}")
     if length(w) != length(v):
         return 0
-    lins = []
-    for subset in order:
-        acc = Poly()
-        for i in subset:
-            acc = acc + Poly.variable(i)
-        lins.append(acc)
-    sub = _substitute(schubert_poly(w), lins)
-    res = apply_chain(minimal_word(v), sub)
-    value = res.constant_term()
-    if value is None:
-        raise SchubertError(
-            "divided-difference chain left a non-constant residue; "
-            "this indicates an implementation bug"
-        )
-    return value
+    # every subset indexes the one block x_1..x_r (an n-subset has n < r entries)
+    sub = _substitute_sums(schubert_poly(w), order, (0,) * len(v))
+    return _chain_coefficient(sub, ((minimal_word(v), 0),))
 
 
 def _substitute(poly: Poly, images) -> Poly:
@@ -446,11 +450,6 @@ def _substitute(poly: Poly, images) -> Poly:
 # ---------------------------------------------------------------------------
 # Inequality generation
 
-def _sorted_pair_sums(a, b):
-    sums = [a[i] + b[j] for i in range(len(a)) for j in range(len(b))]
-    return tuple(sorted(sums, reverse=True))
-
-
 def generate_inequality(a, b, u, v, w) -> InequalityRecord:
     """Two-sided marginal inequality for test spectra (a, b) and the
     permutation triple (u, v, w); rejected when the coefficient vanishes.
@@ -463,13 +462,12 @@ def generate_inequality(a, b, u, v, w) -> InequalityRecord:
     trivial = (
         u == identity_perm(m) and v == identity_perm(n) and w == identity_perm(m * n)
     )
-    if trivial:
-        coeff = 1
-    else:
-        coeff = coeff_two(u, v, w, sum_order(a, b))
-        if coeff == 0:
-            raise SchubertError(f"vanishing coefficient for {(u, v, w)}")
-    return _two_sided_record(a, b, u, v, w, coeff)
+    # the identity triple has c = 1 on walls too: its record needs no order
+    sums = _pair_sums(a, b, ties=trivial)
+    coeff = 1 if trivial else coeff_two(u, v, w, [p for _, p in sums])
+    if coeff == 0:
+        raise SchubertError(f"vanishing coefficient for {(u, v, w)}")
+    return _two_sided_record(a, b, u, v, w, coeff, [x for x, _ in sums])
 
 
 def enumerate_inequalities(a, b, max_length: int = 6, coeff_filter: str = "unit"):
@@ -483,7 +481,8 @@ def enumerate_inequalities(a, b, max_length: int = 6, coeff_filter: str = "unit"
     if coeff_filter not in ("unit", "odd", "nonzero"):
         raise SchubertError(f"unknown coefficient filter {coeff_filter!r}")
     a, b = check_test_spectrum(a), check_test_spectrum(b)
-    order = sum_order(a, b)
+    sums = _pair_sums(a, b)
+    order, values = [p for _, p in sums], [x for x, _ in sums]
     m, n = len(a), len(b)
     us = {}
     for u, lu in _perms_up_to_length(m, m * (m - 1) // 2):
@@ -499,37 +498,54 @@ def enumerate_inequalities(a, b, max_length: int = 6, coeff_filter: str = "unit"
             for v in vs.get(lw - lu, ()):
                 for u in ulist:
                     if sub is None:
-                        sub = _substitute_pairs(schubert_poly(w), order, m)
-                    c = _pair_coefficient(words[u], words[v], sub, m)
+                        sub = _substitute_sums(schubert_poly(w), order, (0, m))
+                    c = _chain_coefficient(sub, ((words[u], 0), (words[v], m)))
                     if c == 0:
                         continue
                     if coeff_filter == "unit" and c != 1:
                         continue
                     if coeff_filter == "odd" and c % 2 == 0:
                         continue
-                    records.append(_two_sided_record(a, b, u, v, w, c))
+                    records.append(_two_sided_record(a, b, u, v, w, c, values))
     return records
 
 
-def _two_sided_record(a, b, u, v, w, coeff) -> InequalityRecord:
-    m, n = len(a), len(b)
-    coef_a = [Fraction(0)] * m
-    for i in range(m):
-        coef_a[u[i] - 1] = a[i]
-    coef_b = [Fraction(0)] * n
-    for j in range(n):
-        coef_b[v[j] - 1] = b[j]
-    sums = _sorted_pair_sums(a, b)
-    coef_ab = [Fraction(0)] * (m * n)
-    for k in range(m * n):
-        coef_ab[w[k] - 1] -= sums[k]
+def _edge_record(prefix, slots, spectra, perms, w, sums, coeff) -> InequalityRecord:
+    """The record sum_s <a_s placed by perm_s, lambda_s> <= <sums placed by w, nu>.
+
+    ``slots`` names the one-body slots and then the joint slot; ``spectra``
+    and ``perms`` map the meta keys of the test spectra and of their
+    permutations, in slot order; ``sums`` are the decreasing combined sums
+    of the test spectra.  Placing x by p puts x_i at position p(i).
+    """
+    terms = []
+    for slot, a, perm in zip(slots, spectra.values(), perms.values()):
+        coef = [Fraction(0)] * len(a)
+        for i, x in enumerate(a):
+            coef[perm[i] - 1] = x
+        terms.append((slot, tuple(coef)))
+    joint = [Fraction(0)] * len(w)
+    for k, x in enumerate(sums):
+        joint[w[k] - 1] -= x
+    terms.append((slots[-1], tuple(joint)))
+    words = [f"{key}={_fmt(a)}" for key, a in spectra.items()]
+    words += [f"{key}={p}" for key, p in perms.items()]
     return InequalityRecord(
-        terms=(("A", tuple(coef_a)), ("B", tuple(coef_b)), ("AB", tuple(coef_ab))),
+        terms=tuple(terms),
         relation="<=",
         bound=Fraction(0),
-        label=f"edge a={_fmt(a)} b={_fmt(b)} u={u} v={v} w={w} c={coeff}",
-        meta={"a": a, "b": b, "u": u, "v": v, "w": w, "coeff": coeff},
+        label=" ".join([prefix, *words, f"w={w}", f"c={coeff}"]),
+        meta={**spectra, **perms, "w": w, "coeff": coeff},
     )
+
+
+def _two_sided_record(a, b, u, v, w, coeff, sums=None) -> InequalityRecord:
+    """Record of the triple (u, v, w); ``sums`` are the decreasing pair sums
+    of (a, b), computed when not given."""
+    if sums is None:
+        sums = [x for x, _ in _pair_sums(a, b, ties=True)]
+    return _edge_record("edge", ("A", "B", "AB"), {"a": a, "b": b}, {"u": u, "v": v},
+                        w, sums, coeff)
 
 
 def _fmt(vals):
@@ -539,45 +555,21 @@ def _fmt(vals):
 def generate_fermi_inequality(a, v, w) -> InequalityRecord:
     """Fermionic mixed-state inequality for the test spectrum a and the
     permutation pair (v, w); lambda is the one-particle spectrum and nu the
-    state spectrum.
+    state spectrum.  The subset size n is the least with C(r, n) = |w|.
     """
     a = check_test_spectrum(a)
     v, w = check_perm(v), check_perm(w)
     r = len(a)
-    n = _infer_subset_size(r, len(w))
+    n = next((k for k in range(1, r) if comb(r, k) == len(w)), None)
+    if n is None:
+        raise SchubertError(f"no subset size n gives C({r}, n) = {len(w)}")
     trivial = v == identity_perm(r) and w == identity_perm(len(w))
-    if trivial:
-        coeff = 1
-    else:
-        coeff = coeff_fermi(v, w, fermi_sum_order(a, n))
-        if coeff == 0:
-            raise SchubertError(f"vanishing coefficient for {(v, w)}")
-    coef_lam = [Fraction(0)] * r
-    for i in range(r):
-        coef_lam[v[i] - 1] = a[i]
-    sums = sorted(
-        (sum((a[i - 1] for i in s), Fraction(0)) for s in combinations(range(1, r + 1), n)),
-        reverse=True,
-    )
-    coef_nu = [Fraction(0)] * len(w)
-    for k in range(len(w)):
-        coef_nu[w[k] - 1] -= sums[k]
-    return InequalityRecord(
-        terms=(("lam", tuple(coef_lam)), ("nu", tuple(coef_nu))),
-        relation="<=",
-        bound=Fraction(0),
-        label=f"fermi edge a={_fmt(a)} v={v} w={w} c={coeff}",
-        meta={"a": a, "v": v, "w": w, "coeff": coeff},
-    )
-
-
-def _infer_subset_size(r: int, dim: int) -> int:
-    from math import comb
-
-    for n in range(1, r):
-        if comb(r, n) == dim:
-            return n
-    raise SchubertError(f"no subset size n gives C({r}, n) = {dim}")
+    sums = _subset_sums(a, n, ties=trivial)
+    coeff = 1 if trivial else coeff_fermi(v, w, [s for _, s in sums])
+    if coeff == 0:
+        raise SchubertError(f"vanishing coefficient for {(v, w)}")
+    return _edge_record("fermi edge", ("lam", "nu"), {"a": a}, {"v": v},
+                        w, [x for x, _ in sums], coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -589,15 +581,6 @@ class QubitArrayGroup:
 
     edge: tuple
     records: tuple
-
-
-def _sign_sums(a):
-    from itertools import product
-
-    sums = []
-    for eps in product((1, -1), repeat=len(a)):
-        sums.append(sum((e * x for e, x in zip(eps, a)), Fraction(0)))
-    return tuple(sorted(sums, reverse=True))
 
 
 def _qubit_record(delta_coeffs, rhs_coeffs, edge) -> InequalityRecord:
@@ -629,7 +612,8 @@ def generate_qubit_array(a, with_modifications: bool = True, irredundant: bool =
     if any(x < 0 for x in a):
         raise SchubertError(f"per-site test values must be nonnegative: {a}")
     n = len(a)
-    rhs = _sign_sums(a)
+    rhs = tuple(x for x, _ in _ordered_sums([(x, -x) for x in a],
+                                            product((1, 2), repeat=n), ties=True))
     records = [_qubit_record(a, rhs, a)]
     if with_modifications:
         for site in range(n):

@@ -163,6 +163,127 @@ def test_fermi_arrangement_matches_bruteforce_ties():
     assert set(arr.hyperplanes) == seen
 
 
+# ---------------------------------------------------------------------------
+# Tie hyperplanes against the per-kind generators they replaced
+
+def _cuts(h, cone):
+    vals = [dot(h, r) for r in cone.rays]
+    return any(v > 0 for v in vals) and any(v < 0 for v in vals)
+
+
+def _qubit_hyperplanes(n, cone):
+    from itertools import product
+
+    from qmarginal.rational import canon_hyperplane
+
+    seen = set()
+    for eps in product((-1, 0, 1), repeat=n):
+        if any(eps):
+            h = canon_hyperplane(eps)
+            if _cuts(h, cone):
+                seen.add(h)
+    return tuple(sorted(seen))
+
+
+def _tensor_hyperplanes(m, n, cone):
+    from qmarginal.rational import canon_hyperplane
+
+    pairs = [(i, j) for i in range(m) for j in range(n)]
+    seen = set()
+    for (i, j), (k, l) in combinations(pairs, 2):
+        row = [0] * ((m - 1) + (n - 1))
+        for lo, hi, base in ((i, k, 0), (j, l, m - 1)):
+            sgn = 1 if lo < hi else -1
+            for p in range(min(lo, hi), max(lo, hi)):
+                row[base + p] += sgn
+        if any(row):
+            h = canon_hyperplane(row)
+            if _cuts(h, cone):
+                seen.add(h)
+    return tuple(sorted(seen))
+
+
+def _fermi_hyperplanes(r, n, cone):
+    from qmarginal.rational import canon_hyperplane
+
+    seen = set()
+    for s, t in combinations(list(combinations(range(r), n)), 2):
+        d = [int(i in s) - int(i in t) for i in range(r)]
+        row = [sum(d[:p + 1]) for p in range(r - 1)]
+        if any(row):
+            h = canon_hyperplane(row)
+            if _cuts(h, cone):
+                seen.add(h)
+    return tuple(sorted(seen))
+
+
+TIE_SYSTEMS = ([f"qubits:{n}" for n in range(2, 7)]
+               + [f"{m}x{n}" for m in range(2, 5) for n in range(m, 5)]
+               + [f"fermi:{r}:{n}" for r in range(3, 9) for n in range(1, r)])
+
+
+@pytest.mark.parametrize("system", TIE_SYSTEMS)
+def test_tie_hyperplanes_match_per_kind_generators(system):
+    arr = cubicle_arrangement(system)
+    desc = arr.system
+    if desc.kind == "qubits":
+        want = _qubit_hyperplanes(len(desc.dims), arr.cone)
+    elif desc.kind == "tensor":
+        want = _tensor_hyperplanes(*desc.dims, arr.cone)
+    else:
+        want = _fermi_hyperplanes(desc.r, desc.n, arr.cone)
+    assert arr.hyperplanes == want
+
+
+@pytest.mark.parametrize("system", ["2x2", "2x3", "3x3", "3x4", "fermi:5:2",
+                                    "fermi:6:3", "fermi:7:2"])
+def test_chart_pullback_evaluates_tie_functionals(system):
+    """For two subsets of the concatenated test spectra, the pulled-back
+    indicator difference evaluated at a chart point equals the difference
+    of the two subset sums of the point's test spectra."""
+    import random
+
+    arr = cubicle_arrangement(system)
+    chart = arr.chart
+    rng = random.Random(11)
+    for _ in range(20):
+        point = [rng.randint(0, 9) for _ in range(arr.dim)]
+        flat = [x for spec in chart.to_test_spectra(point) for x in spec]
+        for _ in range(5):
+            diff = [0] * chart.size
+            start = 0
+            for size in chart.sizes:   # one unit moved inside each block
+                i, j = rng.sample(range(start, start + size), 2)
+                diff[i] += 1
+                diff[j] -= 1
+                start += size
+            assert dot(chart.pullback(diff), point) == dot(diff, flat)
+
+
+def test_qubit_chart_pullback_evaluates_sign_sums():
+    from itertools import product
+
+    arr = cubicle_arrangement("qubits:4")
+    point = (1, 2, 4, 7)
+    flat = [x for spec in arr.chart.to_test_spectra(point) for x in spec]
+    picks = list(product(*((2 * i, 2 * i + 1) for i in range(4))))
+    for s, t in combinations(picks, 2):
+        diff = [int(i in s) - int(i in t) for i in range(8)]
+        assert dot(arr.chart.pullback(diff), point) == dot(diff, flat)
+
+
+@pytest.mark.parametrize("system", ["qubits:3", "qubits:4", "qubits:5", "2x2",
+                                    "2x3", "3x3", "3x4", "fermi:4:2", "fermi:5:2",
+                                    "fermi:6:2", "fermi:6:3"])
+def test_every_chamber_is_full_dimensional(system):
+    """enumerate_chambers keeps every leaf: a split keeps only sides cut
+    through the interior of a full-dimensional cone, so each has rank d."""
+    arr = cubicle_arrangement(system)
+    chambers = enumerate_chambers(arr)
+    assert chambers
+    assert all(rank(ch.cone.rays) == arr.dim for ch in chambers)
+
+
 def test_chamber_enumeration_against_random_point_oracle():
     """Independent check of the double-description path: random interior
     points of the 4-qubit cone must land in an enumerated chamber with the

@@ -463,6 +463,24 @@ def test_reduce_refuses_keep_on_fermion_state(tmp_path):
     assert "--keep" in error["message"]
 
 
+@pytest.mark.parametrize("keep", ["0,0", "1,0,1", "x", "0,,1", "", "0.5"])
+def test_reduce_keep_must_be_distinct_integers(tmp_path, capsys, keep):
+    from qmarginal.tensor import haar_pure
+
+    psi = haar_pure((2, 3), 5)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({
+        "format_version": 1, "kind": "pure", "system": "2x3",
+        "amplitudes": [[float(a.real), float(a.imag)] for a in psi.amplitudes],
+    }))
+    assert main(["reduce", "--state", str(path), "--keep", keep]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    (error,) = [json.loads(line) for line in err.splitlines()]
+    assert error["record"] == "error" and error["kind"] == "usage"
+    assert "--keep" in error["message"]
+
+
 def test_families_command():
     code, records, _ = run_cli(["families", "--system", "fermi:6:3:pure"])
     assert code == 0

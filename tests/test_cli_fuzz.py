@@ -1,0 +1,194 @@
+"""CLI fuzz: random argument lists never end in a traceback.
+
+Each example calls ``cli.main`` in-process with a drawn argument list that
+mixes valid and malformed tokens.  The contract: no exception escapes, the
+exit code is 0, 1 or 2, stdout holds JSON lines only, an exit 2 comes with
+exactly one ``error`` record on stderr, and an exit 1 comes with a report.
+The examples are derandomized, so the test is a pure function of the code.
+"""
+
+import contextlib
+import io
+import json
+from fractions import Fraction
+from math import comb
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qmarginal.cli import main
+
+NONNEG = ["0", "1", "2", "1/2", "1/3", "0.5", "0.25"]
+CORRELATIONS = ["0", "1", "-1", "1/2", "-1/2", "0.5", "0.9", "-0.9"]
+BAD = ["3/0", "1e400", "nan", "inf", "-inf", "x", "", " ", "1,,5", "-x"]
+SYSTEMS = ["qubits:2", "qubits:3", "qubits:4", "2x2", "2x3", "3x3", "2x2:mixed",
+           "fermi:4:2", "fermi:5:2", "fermi:6:3:pure", "2x2x2", "qubits:0",
+           "fermi:3:3", "fermi:x:1", "bogus"]
+# family -> (one-body spectrum sizes, site count, joint spectrum sizes)
+FAMILIES = {
+    "POLYGON": ((), 3, ()), "BRAVYI_2Q": ((), 2, (4,)), "BASIC": ((), 2, (4, 6)),
+    "THREE_QUBIT_MIXED": ((), 3, (8,)), "PAULI": ((4, 5), 0, ()),
+    "TWO_PARTICLE_PURE": ((4, 6), 0, ()), "BD6": ((6,), 0, ()),
+    "F7_BD": ((7,), 0, ()), "W2H4_MIXED": ((4,), 0, (6,)), "NOPE": ((3,), 1, (2,)),
+}
+
+
+def _vector(tokens, sizes):
+    return st.sampled_from(sizes).flatmap(
+        lambda k: st.lists(st.sampled_from(tokens), min_size=k, max_size=k)
+    ).map(",".join)
+
+
+def _ints(lo, hi, size):
+    return st.lists(st.integers(lo, hi).map(str), min_size=size,
+                    max_size=size).map(",".join)
+
+
+@st.composite
+def _test_spectrum(draw, size):
+    """A nonincreasing zero-sum rational vector, sometimes left unsorted."""
+    xs = [draw(st.integers(-3, 3)) for _ in range(size)]
+    if draw(st.booleans()):
+        xs.sort(reverse=True)
+    mean = Fraction(sum(xs), size)
+    return ",".join(str(x - mean) for x in xs)
+
+
+def _perm(size):
+    """A permutation of 1..size, often the identity."""
+    return st.one_of(st.just(tuple(range(1, size + 1))),
+                     st.permutations(range(1, size + 1))).map(
+        lambda word: ",".join(map(str, word)))
+
+
+@st.composite
+def _coeff(draw):
+    if draw(st.booleans()):
+        m, n = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+        return {"--u": draw(_perm(m)), "--v": draw(_perm(n)),
+                "--w": draw(_perm(m * n)), "--a": draw(_test_spectrum(m)),
+                "--b": draw(_test_spectrum(n))}
+    r = draw(st.integers(2, 4))
+    k = draw(st.integers(1, r - 1))
+    return {"--v": draw(_perm(r)), "--w": draw(_perm(comb(r, k))),
+            "--a": draw(_test_spectrum(r)), "--fermi-n": str(draw(st.integers(0, r)))}
+
+
+@st.composite
+def _check(draw):
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    one_body, sites, joint = FAMILIES[family]
+    flags = {"--family": family}
+    if one_body:
+        flags["--spectrum"] = draw(_vector(NONNEG, one_body))
+    if joint:
+        flags["--joint"] = draw(_vector(NONNEG, joint))
+    sites = draw(st.lists(_vector(NONNEG, [2]), min_size=sites, max_size=sites))
+    return flags, [("--site", site) for site in sites]
+
+
+# system -> edge length for generate
+EDGES = {"qubits:2": 2, "qubits:3": 3, "2x2": 2, "2x3": 3, "3x3": 4, "2x2:mixed": 2,
+         "fermi:4:2": 3, "2x2x2": 3, "qubits:0": 0, "bogus": 1}
+
+
+@st.composite
+def _generate(draw):
+    system = draw(st.sampled_from(sorted(EDGES)))
+    flags = {"--system": system, "--edge": draw(_ints(0, 3, EDGES[system]))}
+    return flags, [("--raw", None)] if draw(st.booleans()) else []
+
+
+@st.composite
+def _rnm(draw, last, top):
+    """-r, -n and the power flag of plethysm or hull, mostly in range."""
+    r = draw(st.integers(2, 5))
+    return {"-r": str(r), "-n": str(draw(st.integers(1, min(r - 1, 2)))),
+            last: str(draw(st.integers(1, top)))}
+
+
+FLAGS = {
+    "check": _check(),
+    "chsh": _vector(CORRELATIONS, [4, 4, 3]).map(lambda c: {"--correlations": c}),
+    "coeff": _coeff(),
+    "generate": _generate(),
+    "families": st.sampled_from(SYSTEMS).map(lambda s: {"--system": s}),
+    "plethysm": _rnm("-m", 3),
+    "hull": _rnm("-M", 2),
+    "edges": st.tuples(st.sampled_from(SYSTEMS), st.sampled_from(["7", "2"])).map(
+        lambda t: {"--system": t[0], "--dim-cap": t[1]}),
+    "reduce": st.integers(1, 3).flatmap(lambda k: _ints(-1, 3, k)).map(
+        lambda keep: {"--state": "STATE", "--keep": keep}),
+}
+
+
+@st.composite
+def _argv(draw, command):
+    """``command`` with its drawn flags as --flag=value tokens; half the time
+    one value is replaced by a malformed token or one flag is left out."""
+    flags = draw(FLAGS[command])
+    flags, extra = flags if isinstance(flags, tuple) else (flags, [])
+    flags = dict(flags)
+    action = draw(st.sampled_from(["keep", "keep", "keep", "corrupt", "drop"]))
+    if action != "keep" and flags:
+        flag = draw(st.sampled_from(sorted(flags)))
+        if action == "corrupt":
+            flags[flag] = draw(st.sampled_from(BAD))
+        else:
+            del flags[flag]
+    pairs = list(flags.items()) + extra
+    return [command] + [f if v is None else f"{f}={v}" for f, v in pairs]
+
+
+@pytest.fixture(scope="module")
+def state_path(tmp_path_factory):
+    from qmarginal.tensor import haar_pure
+
+    psi = haar_pure((2, 3, 2), 3)
+    path = tmp_path_factory.mktemp("fuzz") / "state.json"
+    path.write_text(json.dumps({
+        "format_version": 1, "kind": "pure", "system": "2x3x2",
+        "amplitudes": [[float(a.real), float(a.imag)] for a in psi.amplitudes],
+    }))
+    return str(path)
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    records = [json.loads(line) for line in out.getvalue().splitlines()]
+    errors = [json.loads(line) for line in err.getvalue().splitlines()]
+    return code, records, errors
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+@settings(max_examples=100, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_never_raises(command, state_path, data):
+    argv = data.draw(_argv(command), label="argv")
+    argv = [tok.replace("STATE", state_path) for tok in argv]
+    code, records, errors = _run(argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert len(errors) == 1, (argv, errors)
+        assert errors[0]["record"] == "error", argv
+    else:
+        assert errors == [], argv
+        assert records and all(r["schema"] == "qmarginal/1" for r in records)
+    if code == 1:
+        assert records[-1]["record"] == "check_report", argv
+        assert records[-1]["satisfied"] is False
+
+
+def test_fuzz_reaches_every_exit_code(state_path):
+    """The fixed corpus below exercises each outcome the fuzz asserts on."""
+    cases = {
+        0: ["families", "--system", "2x2"],
+        1: ["check", "--family", "BD6", "--spectrum", "1,1,0.5,0.5,0,0"],
+        2: ["reduce", "--state", state_path, "--keep", "1,1"],
+    }
+    for want, argv in cases.items():
+        assert _run(argv)[0] == want, argv

@@ -63,3 +63,44 @@ def test_exact_commands_never_import_numpy():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+EXACT_MODULES = ("chambers", "schubert", "rational", "plethysm", "systems")
+
+
+def _float_uses(tree):
+    """(line, what) for each float literal, float() call or numpy import."""
+    import ast
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((node.lineno, f"literal {node.value!r}"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"):
+            found.append((node.lineno, "float() call"))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, f"import {a.name}") for a in node.names
+                      if a.name.split(".")[0] == "numpy"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            found.append((node.lineno, f"from {node.module} import"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", EXACT_MODULES)
+def test_exact_modules_stay_exact(module):
+    """The exact modules compute with integers and Fractions only: no float
+    literal, no float() call and no numpy import anywhere in their source."""
+    import ast
+    from pathlib import Path
+
+    path = Path(qmarginal.__file__).with_name(f"{module}.py")
+    assert _float_uses(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_float_scan_flags_each_kind_of_float_use():
+    import ast
+
+    source = ("x = 0.5\ny = float(x)\nimport numpy as np\n"
+              "from numpy.linalg import eigvalsh\nz = 2j\nok = 1 / 3\n")
+    assert [line for line, _ in _float_uses(ast.parse(source))] == [1, 2, 3, 4, 5]

@@ -9,6 +9,7 @@ and cross-checks every coefficient the engine reports.
 import random
 from fractions import Fraction as F
 from itertools import permutations as iperm
+from math import comb
 
 import pytest
 
@@ -575,6 +576,246 @@ def test_generate_fermi_identity():
     terms = dict(rec.terms)
     assert terms["lam"] == (5, 1, -2, -4)
     assert terms["nu"][0] == -6  # largest pair sum 5+1
+
+
+# ---------------------------------------------------------------------------
+# The one combined-sum path against the per-kind code it replaced
+
+def _old_sum_order(a, b):
+    a, b = check_test_spectrum(a), check_test_spectrum(b)
+    sums = [(a[i] + b[j], (i + 1, j + 1)) for i in range(len(a)) for j in range(len(b))]
+    sums.sort(key=lambda t: t[0], reverse=True)
+    for (v1, _), (v2, _) in zip(sums, sums[1:]):
+        if v1 == v2:
+            raise TieError(v1)
+    return tuple(p for _, p in sums)
+
+
+def _old_fermi_sum_order(a, n):
+    from itertools import combinations
+
+    a = check_test_spectrum(a)
+    sums = [(sum((a[i - 1] for i in s), F(0)), s)
+            for s in combinations(range(1, len(a) + 1), n)]
+    sums.sort(key=lambda t: t[0], reverse=True)
+    for (v1, _), (v2, _) in zip(sums, sums[1:]):
+        if v1 == v2:
+            raise TieError(v1)
+    return tuple(s for _, s in sums)
+
+
+def _residue(res):
+    value = res.constant_term()
+    assert value is not None, "non-constant residue"
+    return value
+
+
+def _old_coeff_two(u, v, w, order):
+    from qmarginal.schubert import _substitute
+
+    m = len(u)
+    if length(w) != length(u) + length(v):
+        return 0
+    lins = [Poly.variable(i) + Poly.variable(m + j) for (i, j) in order]
+    res = apply_chain(minimal_word(u), _substitute(schubert_poly(w), lins), offset=0)
+    return _residue(apply_chain(minimal_word(v), res, offset=m))
+
+
+def _old_coeff_fermi(v, w, order):
+    from qmarginal.schubert import _substitute
+
+    if length(w) != length(v):
+        return 0
+    lins = []
+    for subset in order:
+        acc = Poly()
+        for i in subset:
+            acc = acc + Poly.variable(i)
+        lins.append(acc)
+    return _residue(apply_chain(minimal_word(v), _substitute(schubert_poly(w), lins)))
+
+
+def _fmt_vec(vals):
+    return "(" + ",".join(str(x) for x in vals) + ")"
+
+
+def _old_two_sided_record(a, b, u, v, w, coeff):
+    m, n = len(a), len(b)
+    coef_a, coef_b = [F(0)] * m, [F(0)] * n
+    for i in range(m):
+        coef_a[u[i] - 1] = a[i]
+    for j in range(n):
+        coef_b[v[j] - 1] = b[j]
+    sums = sorted((x + y for x in a for y in b), reverse=True)
+    coef_ab = [F(0)] * (m * n)
+    for k in range(m * n):
+        coef_ab[w[k] - 1] -= sums[k]
+    label = (f"edge a={_fmt_vec(a)} b={_fmt_vec(b)} u={u} v={v} w={w} c={coeff}")
+    meta = {"a": a, "b": b, "u": u, "v": v, "w": w, "coeff": coeff}
+    return (("A", tuple(coef_a)), ("B", tuple(coef_b)), ("AB", tuple(coef_ab))), label, meta
+
+
+def _old_fermi_record(a, v, w, n, coeff):
+    from itertools import combinations
+
+    r = len(a)
+    coef_lam = [F(0)] * r
+    for i in range(r):
+        coef_lam[v[i] - 1] = a[i]
+    sums = sorted((sum((a[i - 1] for i in s), F(0))
+                   for s in combinations(range(1, r + 1), n)), reverse=True)
+    coef_nu = [F(0)] * len(w)
+    for k in range(len(w)):
+        coef_nu[w[k] - 1] -= sums[k]
+    label = f"fermi edge a={_fmt_vec(a)} v={v} w={w} c={coeff}"
+    return (("lam", tuple(coef_lam)), ("nu", tuple(coef_nu))), label, \
+        {"a": a, "v": v, "w": w, "coeff": coeff}
+
+
+def _parts(rec):
+    return rec.terms, rec.label, rec.meta
+
+
+def _random_test_spectrum(rng, size, spread=4):
+    """A nonincreasing zero-sum integer vector, often with repeated sums."""
+    vals = sorted((rng.randint(-spread, spread) for _ in range(size)), reverse=True)
+    vals = [size * x for x in vals]
+    shift = sum(vals) // size
+    return tuple(F(x - shift) for x in vals)
+
+
+def _order_or_tie(fn, *args):
+    try:
+        return fn(*args)
+    except TieError:
+        return TieError
+
+
+def test_sum_orders_match_per_kind_routines():
+    rng = random.Random(31)
+    ties = 0
+    for _ in range(300):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        a, b = _random_test_spectrum(rng, m), _random_test_spectrum(rng, n)
+        want = _order_or_tie(_old_sum_order, a, b)
+        assert _order_or_tie(sum_order, a, b) == want, (a, b)
+        ties += want is TieError
+        r = rng.randint(2, 7)
+        a = _random_test_spectrum(rng, r)
+        k = rng.randint(0, r)
+        want = _order_or_tie(_old_fermi_sum_order, a, k)
+        assert _order_or_tie(fermi_sum_order, a, k) == want, (a, k)
+    assert 30 < ties < 270
+
+
+def _chamber_orders(system, order_fn):
+    from qmarginal.chambers import cubicle_arrangement, enumerate_chambers
+
+    arr = cubicle_arrangement(system)
+    return [order_fn(*arr.chart.to_test_spectra(ch.barycenter()))
+            for ch in enumerate_chambers(arr)]
+
+
+def _perms_by_length(size, top):
+    by_length = {}
+    for w, lw in _perms_up_to_length(size, top):
+        by_length.setdefault(lw, []).append(w)
+    return by_length
+
+
+def test_coeff_two_matches_per_kind_kernel():
+    rng = random.Random(5)
+    for m, n in ((2, 2), (2, 3), (3, 3)):
+        us = list(iperm(range(1, m + 1)))
+        vs = list(iperm(range(1, n + 1)))
+        ws = _perms_by_length(m * n, 6)
+        for order in _chamber_orders(f"{m}x{n}", sum_order):
+            for _ in range(25):
+                u, v = rng.choice(us), rng.choice(vs)
+                if rng.random() < 0.8 and length(u) + length(v) <= 6:
+                    w = rng.choice(ws[length(u) + length(v)])   # matching length
+                else:
+                    w = tuple(rng.sample(range(1, m * n + 1), m * n))
+                assert coeff_two(u, v, w, order) == _old_coeff_two(u, v, w, order)
+
+
+def test_coeff_fermi_matches_per_kind_kernel():
+    rng = random.Random(6)
+    found = 0
+    for system, n in (("fermi:4:2", 2), ("fermi:5:2", 2)):
+        r = int(system.split(":")[1])
+        for order in _chamber_orders(system, lambda a: fermi_sum_order(a, n)):
+            ws = _perms_by_length(len(order), 2)
+            for v in iperm(range(1, r + 1)):
+                if length(v) > 2:
+                    continue
+                for _ in range(3):
+                    w = rng.choice(ws[length(v)])
+                    got = coeff_fermi(v, w, order)
+                    assert got == _old_coeff_fermi(v, w, order)
+                    found += got != 0
+    assert found > 10
+
+
+def test_records_match_per_kind_builders():
+    rng = random.Random(8)
+    for m, n in ((2, 2), (2, 3), (3, 2)):
+        for _ in range(20):
+            a, b = _random_test_spectrum(rng, m), _random_test_spectrum(rng, n)
+            u = tuple(rng.sample(range(1, m + 1), m))
+            v = tuple(rng.sample(range(1, n + 1), n))
+            w = tuple(rng.sample(range(1, m * n + 1), m * n))
+            c = rng.randint(1, 5)
+            rec = _two_sided_record(a, b, u, v, w, c)
+            assert _parts(rec) == _old_two_sided_record(a, b, u, v, w, c)
+
+
+def test_identity_records_on_walls_match_per_kind_builders():
+    """The identity shortcut skips the tie check: a point on a wall (the
+    2x2 edge (1, 1) and a tied fermionic spectrum) still gets its record."""
+    from qmarginal.chambers import cubicle_arrangement
+
+    a, b = cubicle_arrangement("2x2").chart.to_test_spectra((1, 1))
+    with pytest.raises(TieError):
+        sum_order(a, b)
+    rec = generate_inequality(a, b, (1, 2), (1, 2), identity_perm(4))
+    assert _parts(rec) == _old_two_sided_record(a, b, (1, 2), (1, 2), identity_perm(4), 1)
+    for a, n in (((1, 1, -1, -1), 2), ((3, 1, -1, -3), 2), ((2, 0, -2), 1),
+                 ((4, 1, 0, -5), 1)):
+        a = tuple(F(x) for x in a)
+        w = identity_perm(comb(len(a), n))
+        rec = generate_fermi_inequality(a, identity_perm(len(a)), w)
+        assert _parts(rec) == _old_fermi_record(a, identity_perm(len(a)), w, n, 1)
+
+
+def test_nonidentity_records_match_per_kind_builders():
+    rng = random.Random(9)
+    a, b = (F(3), F(-3)), (F(8), F(1), F(-3), F(-6))
+    order = sum_order(a, b)
+    checked = 0
+    while checked < 20:
+        u = tuple(rng.sample((1, 2), 2))
+        v = tuple(rng.sample((1, 2, 3, 4), 4))
+        w = tuple(rng.sample(range(1, 9), 8))
+        c = _old_coeff_two(u, v, w, order)
+        if c == 0:
+            continue
+        rec = generate_inequality(a, b, u, v, w)
+        assert _parts(rec) == _old_two_sided_record(a, b, u, v, w, c)
+        checked += 1
+    a = (F(5), F(1), F(-2), F(-4))
+    order = fermi_sum_order(a, 2)
+    for v in iperm((1, 2, 3, 4)):
+        for w in iperm(range(1, 7)):
+            if length(w) != length(v) or length(v) > 1:
+                continue
+            c = _old_coeff_fermi(v, w, order)
+            if c:
+                rec = generate_fermi_inequality(a, v, w)
+                assert _parts(rec) == _old_fermi_record(a, v, w, 2, c)
+            else:
+                with pytest.raises(SchubertError):
+                    generate_fermi_inequality(a, v, w)
 
 
 # ---------------------------------------------------------------------------
