@@ -1,7 +1,7 @@
 """Exact rational polyhedral geometry.
 
 Cubicle hyperplane arrangements for test spectra, chamber enumeration by
-incremental double description, extremal-edge extraction, convex hulls of
+depth-first double description, extremal-edge extraction, convex hulls of
 rational point sets, and redundancy filtering.  The double-description
 engine works on primitive integer vectors and keeps one incidence bitmask
 per ray.  No floating point enters this module.
@@ -67,13 +67,15 @@ def _bits(mask):
     return out
 
 
+def _tight_mask(row, vectors) -> int:
+    """Bit i is set when ``row`` is orthogonal to ``vectors[i]``."""
+    return sum(1 << i for i, v in enumerate(vectors) if _idot(row, v) == 0)
+
+
 def _incidence(cone: Cone) -> tuple:
     if cone.incidence is not None:
         return cone.incidence
-    return tuple(
-        sum(1 << j for j, h in enumerate(cone.ineqs) if _idot(h, r) == 0)
-        for r in cone.rays
-    )
+    return tuple(_tight_mask(r, cone.ineqs) for r in cone.rays)
 
 
 def positive_orthant(d: int) -> Cone:
@@ -92,31 +94,6 @@ def sorted_nonneg_cone(d: int) -> Cone:
         ineqs.append(tuple(row))
     rays = tuple(tuple(int(j >= d - k) for j in range(d)) for k in range(1, d + 1))
     return Cone(tuple(ineqs), rays)
-
-
-def _crossing_rays(rays, masks, vals, pos, neg, d, bit):
-    """Rays on h.x = 0 between adjacent rays p in pos and q in neg.
-
-    p and q are adjacent when no third ray is tight on every inequality the
-    two share; a shared tight set below d - 2 rules adjacency out at once.
-    Returns the new primitive rays and their masks (with ``bit`` set).
-    """
-    new_rays, new_masks = [], []
-    for p in pos:
-        mp, vp, rp = masks[p], vals[p], rays[p]
-        for q in neg:
-            common = mp & masks[q]
-            if common.bit_count() < d - 2:
-                continue
-            # p and q themselves always contain the shared set
-            if sum(m & common == common for m in masks) > 2:
-                continue
-            vq = vals[q]
-            new = [vp * b - vq * a for a, b in zip(rp, rays[q])]
-            g = gcd(*new)
-            new_rays.append(tuple(x // g for x in new) if g > 1 else tuple(new))
-            new_masks.append(common | bit)
-    return new_rays, new_masks
 
 
 def _prune(ineqs, rays, masks):
@@ -147,6 +124,52 @@ def _prune(ineqs, rays, masks):
     return Cone(tuple(ineqs), tuple(rays), tuple(masks))
 
 
+def _cut(cone: Cone, h, both: bool):
+    """One double-description step: the parts (plus, minus) of ``cone``
+    with h.x >= 0 and h.x <= 0, ``minus`` built only when ``both``.
+
+    A part the hyperplane leaves whole is the cone itself; when ``both``,
+    the other part (a face) is then None.  A built part keeps its side's
+    rays, the rays on h.x = 0 and the crossing rays, and is pruned.  A
+    crossing ray lies on h.x = 0 between adjacent rays p and q of opposite
+    sides; they are adjacent when no third ray is tight on every
+    inequality the two share, and a shared tight set below d - 2 rules
+    adjacency out at once.
+    """
+    rays = cone.rays
+    vals = [_idot(h, r) for r in rays]
+    pos = [i for i, v in enumerate(vals) if v > 0]
+    neg = [i for i, v in enumerate(vals) if v < 0]
+    if not neg:
+        return cone, None
+    if both and not pos:
+        return None, cone
+    masks = _incidence(cone)
+    bit, d = 1 << len(cone.ineqs), cone.dim
+    zer = [i for i, v in enumerate(vals) if v == 0]
+    on_rays = [rays[i] for i in zer]
+    on_masks = [masks[i] | bit for i in zer]
+    for p in pos:
+        mp, vp, rp = masks[p], vals[p], rays[p]
+        for q in neg:
+            common = mp & masks[q]
+            if common.bit_count() < d - 2:
+                continue
+            # p and q themselves always contain the shared set
+            if sum(m & common == common for m in masks) > 2:
+                continue
+            new = [vp * b - vals[q] * a for a, b in zip(rp, rays[q])]
+            g = gcd(*new)
+            on_rays.append(tuple(x // g for x in new) if g > 1 else tuple(new))
+            on_masks.append(common | bit)
+    sides = ((pos, h), (neg, tuple(-x for x in h))) if both else ((pos, h),)
+    parts = [_prune(cone.ineqs + (normal,),
+                    [rays[i] for i in side] + on_rays,
+                    [masks[i] for i in side] + on_masks)
+             for side, normal in sides]
+    return parts[0], parts[1] if both else None
+
+
 def split_cone(cone: Cone, h):
     """Split a cone by the hyperplane h.x = 0.
 
@@ -154,29 +177,7 @@ def split_cone(cone: Cone, h):
     the cone's interior (the cone then lies weakly on the other side, and
     is returned unchanged as that side).
     """
-    h = primitive(h)
-    rays = cone.rays
-    vals = [_idot(h, r) for r in rays]
-    pos = [i for i, v in enumerate(vals) if v > 0]
-    neg = [i for i, v in enumerate(vals) if v < 0]
-    if not neg:
-        return cone, None
-    if not pos:
-        return None, cone
-    zer = [i for i, v in enumerate(vals) if v == 0]
-    masks = _incidence(cone)
-    bit = 1 << len(cone.ineqs)
-    new_rays, new_masks = _crossing_rays(rays, masks, vals, pos, neg, cone.dim, bit)
-    zer_rays = [rays[i] for i in zer]
-    zer_masks = [masks[i] | bit for i in zer]
-    sides = []
-    for side, normal in ((pos, h), (neg, tuple(-x for x in h))):
-        sides.append(_prune(
-            cone.ineqs + (normal,),
-            [rays[i] for i in side] + zer_rays + new_rays,
-            [masks[i] for i in side] + zer_masks + new_masks,
-        ))
-    return sides[0], sides[1]
+    return _cut(cone, primitive(h), both=True)
 
 
 def _simplicial_start(rows, d):
@@ -213,24 +214,8 @@ def rays_from_inequalities(ineqs, d: int) -> tuple:
                 tuple(full ^ (1 << j) for j in range(d)))
     skip = set(chosen)
     for i, h in enumerate(rows):
-        if i in skip:
-            continue
-        rays, masks = cone.rays, cone.incidence
-        vals = [_idot(h, r) for r in rays]
-        pos = [k for k, v in enumerate(vals) if v > 0]
-        neg = [k for k, v in enumerate(vals) if v < 0]
-        if not neg:
-            continue
-        zer = [k for k, v in enumerate(vals) if v == 0]
-        if not pos and not zer:
-            return tuple()
-        bit = 1 << len(cone.ineqs)
-        new_rays, new_masks = _crossing_rays(rays, masks, vals, pos, neg, d, bit)
-        cone = _prune(
-            cone.ineqs + (h,),
-            [rays[k] for k in pos + zer] + new_rays,
-            [masks[k] for k in pos] + [masks[k] | bit for k in zer] + new_masks,
-        )
+        if i not in skip:
+            cone = _cut(cone, h, both=False)[0]
     return cone.rays
 
 
@@ -383,35 +368,41 @@ def cubicle_arrangement(system) -> Arrangement:
 
 
 def enumerate_chambers(arrangement: Arrangement, dim_cap: int = DIM_CAP):
-    """All full-dimensional sign chambers meeting the cone's interior.
+    """Full-dimensional sign chambers meeting the cone's interior.
 
-    The root cone is full-dimensional and ``split_cone`` keeps a side only
-    when the hyperplane cuts the interior, so every leaf has rank d.
+    The dimension cap is checked at the call.  The chambers are then
+    yielded lazily by a depth-first walk, in lexicographic order of their
+    signs ('+' first).  The root cone is full-dimensional and ``split_cone``
+    keeps a side only when the hyperplane cuts the interior, so every leaf
+    has rank d.
     """
     d = arrangement.dim
     if d > dim_cap:
         raise GeometryError(
             f"chamber enumeration in dimension {d} exceeds the cap {dim_cap}"
         )
-    chambers = [((), arrangement.cone)]
-    for h in arrangement.hyperplanes:
-        nxt = []
-        for signs, cone in chambers:
-            plus, minus = split_cone(cone, h)
-            if plus is not None:
-                nxt.append((signs + ("+",), plus))
-            if minus is not None:
-                nxt.append((signs + ("-",), minus))
-        chambers = nxt
-    return [Chamber(signs, cone) for signs, cone in chambers]
+    return _walk(arrangement.cone, arrangement.hyperplanes)
+
+
+def _walk(root: Cone, hyperplanes):
+    stack = [((), root)]
+    while stack:
+        signs, cone = stack.pop()
+        if len(signs) == len(hyperplanes):
+            yield Chamber(signs, cone)
+            continue
+        plus, minus = split_cone(cone, hyperplanes[len(signs)])
+        # '-' is pushed first, so the '+' subtree is walked first
+        stack += [(signs + (s,), c) for s, c in (("-", minus), ("+", plus))
+                  if c is not None]
 
 
 def extremal_edges(chambers) -> tuple:
-    """Union of all chambers' extreme rays (primitive), deduplicated."""
-    seen = dict()
+    """Sorted union of the chambers' extreme rays (primitive), read from
+    any iterable of chambers, one chamber at a time."""
+    seen = set()
     for ch in chambers:
-        for r in ch.cone.rays:
-            seen[r] = True
+        seen.update(ch.cone.rays)
     return tuple(sorted(seen))
 
 
@@ -523,10 +514,6 @@ def _implies(row, gens) -> bool:
     lineality, rays = gens
     return (all(_idot(row, r) >= 0 for r in rays)
             and all(_idot(row, v) == 0 for v in lineality))
-
-
-def _tight_mask(row, rays) -> int:
-    return sum(1 << i for i, r in enumerate(rays) if _idot(row, r) == 0)
 
 
 def _dimension(gens) -> int:

@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from itertools import count
 
 SCHEMA = "qmarginal/1"
 
@@ -85,6 +86,14 @@ def _positive_count(text: str) -> int:
     return _count(text, minimum=1)
 
 
+def _finite_float(text: str) -> float:
+    """A finite number as a float; argparse names the flag on a refusal."""
+    try:
+        return float(_parse_number(text))
+    except UsageError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _factor_indices(text: str) -> list:
     """Distinct integer factor indices, comma-separated; argparse names the
     flag on a refusal."""
@@ -143,7 +152,7 @@ def build_parser() -> Parser:
     sp.add_argument("--joint", default=None, help="joint/state spectrum")
     sp.add_argument("--bundle", default=None,
                     help="read reduce-format records from file, or - for stdin")
-    sp.add_argument("--tolerance", type=float, default=1e-10)
+    sp.add_argument("--tolerance", type=_finite_float, default=1e-10)
 
     sp = sub.add_parser("chsh", help="check correlation data")
     sp.add_argument("--correlations", required=True,
@@ -184,7 +193,7 @@ def build_parser() -> Parser:
     sp.add_argument("--trials", type=_count, required=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--nu", default=None, help="fixed state spectrum")
-    sp.add_argument("--tolerance", type=float, default=1e-10)
+    sp.add_argument("--tolerance", type=_finite_float, default=1e-10)
     # argparse converts a string default with ``type``, so a bad
     # QMARGINAL_JOBS is a usage error naming --jobs
     sp.add_argument("--jobs", type=_positive_count,
@@ -387,7 +396,9 @@ def cmd_edges(args) -> int:
 
     arrangement = cubicle_arrangement(args.system)
     chambers = enumerate_chambers(arrangement, dim_cap=args.dim_cap)
-    edges = extremal_edges(chambers)
+    # chambers stream into the edge union; zip draws one tally per chamber
+    tally = count()
+    edges = extremal_edges(ch for ch, _ in zip(chambers, tally))
     for ray in edges:
         spectra = arrangement.chart.to_test_spectra(ray)
         emit({
@@ -399,7 +410,7 @@ def cmd_edges(args) -> int:
         "record": "edge_summary",
         "system": args.system,
         "hyperplanes": len(arrangement.hyperplanes),
-        "chambers": len(chambers),
+        "chambers": next(tally),
         "count": len(edges),
     })
     return 0

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -251,12 +251,12 @@ def isospectrality_campaign(formats, trials: int, seed: int) -> IsospectralityRe
         system = parse_system(fmt) if isinstance(fmt, str) else fmt
         if len(system.dims) != 2:
             raise ValueError(f"isospectrality needs a two-factor format, got {fmt}")
+        system = replace(system, pure=True)
         k, base = min(system.dims), fmt_i * trials
         for lo in range(0, trials, BLOCK_TRIALS):
             streams = range(base + lo, base + min(lo + BLOCK_TRIALS, trials))
-            amps = haar_vectors(math.prod(system.dims), seed, streams)
-            sa, sb = (spectra_of_stack(pure_marginal_stack(amps, system.dims, [i]), 1.0)
-                      for i in (0, 1))
+            (block,) = _sample_blocks(system, seed, streams)
+            sa, sb = block.sites
             worst = max(worst, np.abs(sa[:, :k] - sb[:, :k]).max(initial=0.0),
                         np.abs(sa[:, k:]).max(initial=0.0),
                         np.abs(sb[:, k:]).max(initial=0.0))

@@ -552,17 +552,17 @@ def _fmt(vals):
     return "(" + ",".join(str(v) for v in vals) + ")"
 
 
-def generate_fermi_inequality(a, v, w) -> InequalityRecord:
-    """Fermionic mixed-state inequality for the test spectrum a and the
-    permutation pair (v, w); lambda is the one-particle spectrum and nu the
-    state spectrum.  The subset size n is the least with C(r, n) = |w|.
+def generate_fermi_inequality(a, n: int, v, w) -> InequalityRecord:
+    """Fermionic mixed-state inequality of n particles for the test spectrum
+    a and the permutation pair (v, w); lambda is the one-particle spectrum
+    and nu the state spectrum, so w permutes the C(r, n) subset sums.
     """
     a = check_test_spectrum(a)
     v, w = check_perm(v), check_perm(w)
     r = len(a)
-    n = next((k for k in range(1, r) if comb(r, k) == len(w)), None)
-    if n is None:
-        raise SchubertError(f"no subset size n gives C({r}, n) = {len(w)}")
+    if not 0 < n < r or comb(r, n) != len(w):
+        raise SchubertError(f"need 0 < n < r and C(r, n) = |w|; "
+                            f"got r={r}, n={n}, |w|={len(w)}")
     trivial = v == identity_perm(r) and w == identity_perm(len(w))
     sums = _subset_sums(a, n, ties=trivial)
     coeff = 1 if trivial else coeff_fermi(v, w, [s for _, s in sums])

@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -23,7 +24,7 @@ from qmarginal.schubert import TieError, sum_order
 def test_two_qubit_arrangement():
     arr = cubicle_arrangement("qubits:2")
     assert len(arr.hyperplanes) == 0
-    chambers = enumerate_chambers(arr)
+    chambers = list(enumerate_chambers(arr))
     assert len(chambers) == 1
     assert len(extremal_edges(chambers)) == 2
 
@@ -43,7 +44,7 @@ def test_split_single_hyperplane():
 
 def test_empty_arrangement_returns_cone():
     arr = cubicle_arrangement("qubits:2")
-    chambers = enumerate_chambers(arr)
+    chambers = list(enumerate_chambers(arr))
     assert chambers[0].cone.rays == arr.cone.rays
 
 
@@ -82,7 +83,7 @@ def test_printed_fermion_edge_groups_lie_on_one_dimensional_flats(system, groups
 def test_tensor_2x2_arrangement():
     arr = cubicle_arrangement("2x2")
     assert len(arr.hyperplanes) == 1
-    chambers = enumerate_chambers(arr)
+    chambers = list(enumerate_chambers(arr))
     assert len(chambers) == 2
     a, b = arr.chart.to_test_spectra((1, 1))
     assert sum(a) == 0 and sum(b) == 0
@@ -128,7 +129,7 @@ def test_fermi_chamber_barycenters_are_tie_free():
     from qmarginal.schubert import fermi_sum_order
 
     arr = cubicle_arrangement("fermi:4:2")
-    chambers = enumerate_chambers(arr)
+    chambers = list(enumerate_chambers(arr))
     assert len(chambers) == 2  # single cutting tie for two particles in four
     for chamber in chambers:
         (a,) = arr.chart.to_test_spectra(chamber.barycenter())
@@ -279,7 +280,7 @@ def test_every_chamber_is_full_dimensional(system):
     """enumerate_chambers keeps every leaf: a split keeps only sides cut
     through the interior of a full-dimensional cone, so each has rank d."""
     arr = cubicle_arrangement(system)
-    chambers = enumerate_chambers(arr)
+    chambers = list(enumerate_chambers(arr))
     assert chambers
     assert all(rank(ch.cone.rays) == arr.dim for ch in chambers)
 
@@ -292,7 +293,7 @@ def test_chamber_enumeration_against_random_point_oracle():
     import random
 
     arr = cubicle_arrangement("qubits:4")
-    chambers = enumerate_chambers(arr)
+    chambers = list(enumerate_chambers(arr))
     by_signs = {ch.signs: ch for ch in chambers}
     assert len(by_signs) == len(chambers)
 
@@ -573,22 +574,27 @@ def test_split_of_degenerate_cone_matches_bruteforce_oracle():
     assert set(minus.rays) == _bruteforce_rays(normals + [tuple(-x for x in h)], 6)
 
 
-def test_random_arrangement_chambers_are_full_dimensional():
+def _random_arrangements():
+    """24 seeded arrangements of up to 5 hyperplanes in orthants of d = 2..4."""
     import random
 
     from qmarginal.chambers import Arrangement, positive_orthant
-    from qmarginal.rational import canon_hyperplane, rank
+    from qmarginal.rational import canon_hyperplane
 
     rng = random.Random(7)
     for trial in range(24):
         d = 2 + trial % 3
-        cone = positive_orthant(d)
         hyperplanes = sorted({
             canon_hyperplane(tuple(rng.randint(-2, 2) for _ in range(d)))
             for _ in range(rng.randint(1, 5))
         } - {(0,) * d})
-        arr = Arrangement(None, cone, tuple(hyperplanes), None)
-        chambers = enumerate_chambers(arr)
+        yield Arrangement(None, positive_orthant(d), tuple(hyperplanes), None)
+
+
+def test_random_arrangement_chambers_are_full_dimensional():
+    for arr in _random_arrangements():
+        d, cone, hyperplanes = arr.dim, arr.cone, arr.hyperplanes
+        chambers = list(enumerate_chambers(arr))
         assert chambers
         for ch in chambers:
             assert rank(ch.cone.rays) == d
@@ -596,6 +602,131 @@ def test_random_arrangement_chambers_are_full_dimensional():
                       for h, s in zip(hyperplanes, ch.signs)]
             assert set(ch.cone.rays) == _bruteforce_rays(
                 list(cone.ineqs) + signed, d)
+
+
+# ---------------------------------------------------------------------------
+# The depth-first walk against the list-based walk it replaced
+
+def _crossing_rays(rays, masks, vals, pos, neg, d, bit):
+    """Rays on h.x = 0 between adjacent rays p in pos and q in neg, with
+    their masks."""
+    new_rays, new_masks = [], []
+    for p in pos:
+        mp, vp, rp = masks[p], vals[p], rays[p]
+        for q in neg:
+            common = mp & masks[q]
+            if common.bit_count() < d - 2:
+                continue
+            if sum(m & common == common for m in masks) > 2:
+                continue
+            vq = vals[q]
+            new = [vp * b - vq * a for a, b in zip(rp, rays[q])]
+            g = gcd(*new)
+            new_rays.append(tuple(x // g for x in new) if g > 1 else tuple(new))
+            new_masks.append(common | bit)
+    return new_rays, new_masks
+
+
+def _two_sided_split_cone(cone, h):
+    """Both halves of a cut, built by their own copy of the step."""
+    from qmarginal.chambers import _idot, _incidence, _prune
+    from qmarginal.rational import primitive
+
+    h = primitive(h)
+    rays = cone.rays
+    vals = [_idot(h, r) for r in rays]
+    pos = [i for i, v in enumerate(vals) if v > 0]
+    neg = [i for i, v in enumerate(vals) if v < 0]
+    if not neg:
+        return cone, None
+    if not pos:
+        return None, cone
+    zer = [i for i, v in enumerate(vals) if v == 0]
+    masks = _incidence(cone)
+    bit = 1 << len(cone.ineqs)
+    new_rays, new_masks = _crossing_rays(rays, masks, vals, pos, neg, cone.dim, bit)
+    zer_rays = [rays[i] for i in zer]
+    zer_masks = [masks[i] | bit for i in zer]
+    sides = []
+    for side, normal in ((pos, h), (neg, tuple(-x for x in h))):
+        sides.append(_prune(
+            cone.ineqs + (normal,),
+            [rays[i] for i in side] + zer_rays + new_rays,
+            [masks[i] for i in side] + zer_masks + new_masks,
+        ))
+    return sides[0], sides[1]
+
+
+def _list_enumerate_chambers(arrangement):
+    """Every chamber of each prefix of the arrangement, held as one list."""
+    from qmarginal.chambers import Chamber
+
+    chambers = [((), arrangement.cone)]
+    for h in arrangement.hyperplanes:
+        nxt = []
+        for signs, cone in chambers:
+            plus, minus = _two_sided_split_cone(cone, h)
+            if plus is not None:
+                nxt.append((signs + ("+",), plus))
+            if minus is not None:
+                nxt.append((signs + ("-",), minus))
+        chambers = nxt
+    return [Chamber(signs, cone) for signs, cone in chambers]
+
+
+def _cone_parts(cone):
+    return None if cone is None else (cone.ineqs, cone.rays, cone.incidence)
+
+
+def _chamber_parts(chambers):
+    return [(ch.signs, _cone_parts(ch.cone)) for ch in chambers]
+
+
+# fermi:7:3 (52956 chambers) is left out, and with it fermi:7:4: its
+# arrangement has the same hyperplanes, as n and r - n subsets tie alike
+WALK_SYSTEMS = ([f"qubits:{n}" for n in range(2, 6)]
+                + [f"{m}x{n}" for m in range(2, 5) for n in range(m, 5)]
+                + [f"fermi:{r}:{n}" for r in range(2, 8) for n in range(1, r)
+                   if (r, n) not in ((7, 3), (7, 4))])
+
+
+@pytest.mark.parametrize("system", WALK_SYSTEMS)
+def test_depth_first_walk_matches_list_walk(system):
+    arr = cubicle_arrangement(system)
+    assert (_chamber_parts(enumerate_chambers(arr))
+            == _chamber_parts(_list_enumerate_chambers(arr)))
+
+
+def test_depth_first_walk_matches_list_walk_on_random_arrangements():
+    for arr in _random_arrangements():
+        assert (_chamber_parts(enumerate_chambers(arr))
+                == _chamber_parts(_list_enumerate_chambers(arr)))
+
+
+def test_split_cone_matches_two_sided_copy_on_random_cuts():
+    import random
+
+    from qmarginal.chambers import Cone, rays_from_inequalities
+
+    rng = random.Random(404)
+    for trial in range(200):
+        d = 2 + trial % 4
+        normals = _random_pointed_normals(rng, d)
+        rays = rays_from_inequalities(normals, d)
+        if len(rays) < d:
+            continue
+        cone = Cone(tuple(normals), rays)
+        h = tuple(rng.randint(-2, 2) for _ in range(d))
+        if not any(h):
+            continue
+        assert (list(map(_cone_parts, split_cone(cone, h)))
+                == list(map(_cone_parts, _two_sided_split_cone(cone, h)))), (normals, h)
+
+
+def test_dimension_cap_is_checked_at_the_call():
+    arr = cubicle_arrangement("fermi:8:4")
+    with pytest.raises(GeometryError):
+        enumerate_chambers(arr, dim_cap=3)   # raises before any next()
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,14 @@ def test_edges_three_qubits():
     assert all(r["schema"] == "qmarginal/1" for r in records)
 
 
+def test_edges_over_the_dimension_cap_is_an_error_record():
+    code, records, errors = run_cli(["edges", "--system", "fermi:8:4", "--dim-cap", "3"])
+    assert code == 2
+    assert records == []
+    (error,) = errors
+    assert error["kind"] == "GeometryError" and "cap 3" in error["message"]
+
+
 def test_check_violated_exits_one():
     code, records, _ = run_cli(
         ["check", "--family", "BD6", "--spectrum", "1,1,0.5,0.5,0,0"]
@@ -535,6 +543,24 @@ def test_negative_counts_are_usage_errors(flag, args):
     (error,) = errors
     assert error["record"] == "error" and error["kind"] == "usage"
     assert flag in error["message"]
+
+
+CHECK_BD6 = ["check", "--family", "BD6", "--spectrum", "1,1,1,0,0,0"]
+
+
+@pytest.mark.parametrize("args", [
+    CHECK_BD6 + ["--tolerance", "nan"],
+    CHECK_BD6 + ["--tolerance", "-inf"],
+    CHECK_BD6 + ["--tolerance", "x"],
+    VERIFY_BD6 + ["--tolerance", "inf"],
+])
+def test_non_finite_tolerance_is_a_usage_error(args):
+    code, records, errors = run_cli(args)
+    assert code == 2
+    assert records == []
+    (error,) = errors
+    assert error["record"] == "error" and error["kind"] == "usage"
+    assert "--tolerance" in error["message"]
 
 
 @pytest.mark.parametrize("args,count_key", [

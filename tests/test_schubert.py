@@ -240,7 +240,7 @@ def test_identity_coefficient_is_one_over_all_small_chambers():
 
     for fmt, (m, n) in (("2x2", (2, 2)), ("2x3", (2, 3))):
         arr = cubicle_arrangement(fmt)
-        chambers = enumerate_chambers(arr)
+        chambers = list(enumerate_chambers(arr))
         assert chambers
         for chamber in chambers:
             order = _order_for_chamber(arr, chamber)
@@ -320,7 +320,7 @@ def test_coeff_two_agrees_with_expansion_oracle():
     from qmarginal.chambers import cubicle_arrangement, enumerate_chambers
 
     arr = cubicle_arrangement("2x2")
-    chambers = enumerate_chambers(arr)
+    chambers = list(enumerate_chambers(arr))
     s2 = [(1, 2), (2, 1)]
     s4_all = list(iperm((1, 2, 3, 4)))
     checked = 0
@@ -502,7 +502,7 @@ def test_enumerate_inequalities_matches_per_triple_scan_on_chambers(fmt):
     from qmarginal.chambers import cubicle_arrangement, enumerate_chambers
 
     arr = cubicle_arrangement(fmt)
-    chambers = enumerate_chambers(arr)
+    chambers = list(enumerate_chambers(arr))
     assert chambers
     for chamber in chambers:
         a, b = arr.chart.to_test_spectra(chamber.barycenter())
@@ -555,8 +555,8 @@ def test_generated_fermi_identity_records_hold_on_mixed_states():
     from qmarginal.tensor import haar_unitary, rng_from_seed, spectrum_of
 
     recs = [
-        generate_fermi_inequality((5, 1, -2, -4), identity_perm(4), identity_perm(6)),
-        generate_fermi_inequality((1, 1, -1, -1), identity_perm(4), identity_perm(6)),
+        generate_fermi_inequality((5, 1, -2, -4), 2, identity_perm(4), identity_perm(6)),
+        generate_fermi_inequality((1, 1, -1, -1), 2, identity_perm(4), identity_perm(6)),
     ]
     basis = fermion_basis(4, 2)
     rng = rng_from_seed(909)
@@ -571,11 +571,22 @@ def test_generated_fermi_identity_records_hold_on_mixed_states():
 
 
 def test_generate_fermi_identity():
-    rec = generate_fermi_inequality((5, 1, -2, -4), identity_perm(4),
+    rec = generate_fermi_inequality((5, 1, -2, -4), 2, identity_perm(4),
                                     identity_perm(6))
     terms = dict(rec.terms)
     assert terms["lam"] == (5, 1, -2, -4)
     assert terms["nu"][0] == -6  # largest pair sum 5+1
+
+
+def test_generate_fermi_takes_the_particle_number():
+    """C(4, 1) = C(4, 3) = 4, so |w| = 4 alone does not fix n: n = 3 gives
+    the 3-subset sums (4, 2, -1, -5), not the 1-subset sums."""
+    a, v, w = (5, 1, -2, -4), identity_perm(4), identity_perm(4)
+    assert dict(generate_fermi_inequality(a, 3, v, w).terms)["nu"] == (-4, -2, 1, 5)
+    assert dict(generate_fermi_inequality(a, 1, v, w).terms)["nu"] == (-5, -1, 2, 4)
+    for n in (0, 2, 4):
+        with pytest.raises(SchubertError):
+            generate_fermi_inequality(a, n, v, w)
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +795,7 @@ def test_identity_records_on_walls_match_per_kind_builders():
                  ((4, 1, 0, -5), 1)):
         a = tuple(F(x) for x in a)
         w = identity_perm(comb(len(a), n))
-        rec = generate_fermi_inequality(a, identity_perm(len(a)), w)
+        rec = generate_fermi_inequality(a, n, identity_perm(len(a)), w)
         assert _parts(rec) == _old_fermi_record(a, identity_perm(len(a)), w, n, 1)
 
 
@@ -811,11 +822,11 @@ def test_nonidentity_records_match_per_kind_builders():
                 continue
             c = _old_coeff_fermi(v, w, order)
             if c:
-                rec = generate_fermi_inequality(a, v, w)
+                rec = generate_fermi_inequality(a, 2, v, w)
                 assert _parts(rec) == _old_fermi_record(a, v, w, 2, c)
             else:
                 with pytest.raises(SchubertError):
-                    generate_fermi_inequality(a, v, w)
+                    generate_fermi_inequality(a, 2, v, w)
 
 
 # ---------------------------------------------------------------------------
