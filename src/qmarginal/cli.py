@@ -385,6 +385,10 @@ def cmd_coeff(args) -> int:
     else:
         if args.fermi_n is None:
             raise UsageError("fermionic coefficient needs --fermi-n")
+        if not 0 < args.fermi_n < len(a):
+            raise UsageError(
+                f"--fermi-n needs 0 < n < r = {len(a)} (the length of --a), "
+                f"got {args.fermi_n}")
         order = fermi_sum_order(a, args.fermi_n)
         value = coeff_fermi(v, w, order)
     emit({"record": "coefficient", "value": value})

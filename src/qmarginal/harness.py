@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -242,16 +242,19 @@ class IsospectralityReport:
 def isospectrality_campaign(formats, trials: int, seed: int) -> IsospectralityReport:
     """Max deviation between the two marginal spectra of bipartite Haar
     states, over all formats; nonzero parts compared, trailing zeros checked.
-    Trial t of the i-th format draws from stream i * trials + t.
+    Trial t of the i-th format draws from stream i * trials + t.  Every
+    format must have two factors and must not be mixed.
     """
     _check_count("trials", trials)
     start = time.perf_counter()
-    worst = 0.0
-    for fmt_i, fmt in enumerate(formats):
-        system = parse_system(fmt) if isinstance(fmt, str) else fmt
+    systems = [parse_system(fmt) if isinstance(fmt, str) else fmt for fmt in formats]
+    for fmt, system in zip(formats, systems):
         if len(system.dims) != 2:
             raise ValueError(f"isospectrality needs a two-factor format, got {fmt}")
-        system = replace(system, pure=True)
+        if not system.pure:
+            raise ValueError(f"isospectrality draws pure states, got the mixed format {fmt}")
+    worst = 0.0
+    for fmt_i, system in enumerate(systems):
         k, base = min(system.dims), fmt_i * trials
         for lo in range(0, trials, BLOCK_TRIALS):
             streams = range(base + lo, base + min(lo + BLOCK_TRIALS, trials))

@@ -1,19 +1,20 @@
 """Decomposition of symmetric powers of the fermionic space.
 
 Weight multiplicities of S^m(wedge^n C^r) (multisets of orbital subsets,
-counted by Newton's recurrence), Kostka numbers by semistandard-tableau
-recursion, triangular inversion to irreducible multiplicities, the
-normalized occurring spectra, and the convex-hull inner approximation of
-the pure one-body spectra.
+counted by Newton's recurrence on dominant weights), Kostka numbers by
+semistandard-tableau recursion, triangular inversion to irreducible
+multiplicities, the normalized occurring spectra, and the convex-hull inner
+approximation of the pure one-body spectra.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 
 from .chambers import HullResult, canon_inequality, convex_hull
 from .rational import dot, nullspace, to_fractions
@@ -36,69 +37,121 @@ def _check_caps(r, n, m):
         )
 
 
-def weight_multiplicities(r: int, n: int, m: int) -> dict:
-    """Counts of size-m multisets of n-subsets of {1..r} by total content.
+def _partitions(total: int, parts: int, largest: int):
+    """Non-increasing ``parts``-tuples of entries <= ``largest`` summing to
+    ``total`` (partitions padded with zeros)."""
+    if total == 0:
+        yield (0,) * parts
+        return
+    if parts == 0:
+        return
+    for first in range(min(total, largest), -(-total // parts) - 1, -1):
+        for rest in _partitions(total - first, parts - 1, first):
+            yield (first,) + rest
 
-    Keys are length-r occupation vectors; the counts total the dimension of
-    the m-th symmetric power, C(C(r,n)+m-1, m).
 
-    The character h_j[e_n] of S^j(wedge^n C^r) obeys Newton's identity
-    j h_j[e_n] = sum_{k=1..j} p_k[e_n] h_{j-k}[e_n], where p_k[e_n] has
-    weight k times each subset indicator with coefficient 1.  A weight is
-    packed into one int in base m + 1 (no entry of a degree-j weight
-    exceeds j), so adding weights is adding ints.
+def _orbit_size(lam: tuple) -> int:
+    """Number of distinct rearrangements of ``lam``: r! / prod(b_i!)."""
+    size = factorial(len(lam))
+    for block in Counter(lam).values():
+        size //= factorial(block)
+    return size
+
+
+def _dominant_characters(r: int, n: int, m: int) -> list:
+    """The chain [c_0, ..., c_m] of the characters h_j[e_n] of
+    S^j(wedge^n C^r) on dominant weights only.
+
+    c_j maps each partition lam of j*n (r parts, entries <= j) with a
+    nonzero count to the multiplicity of the weight lam.  The character is
+    S_r-symmetric, so Newton's identity j h_j = sum_{k=1..j} p_k[e_n]
+    h_{j-k} reads j c_j(lam) = sum_k sum_{|S|=n} c_{j-k}(sort(lam - k 1_S));
+    a term with a negative entry is zero.  Since lam is non-increasing, the
+    entries >= k form a prefix and S ranges over its n-subsets.
     """
-    _check_caps(r, n, m)
-    base = m + 1
-    subsets = [sum(base ** i for i in s) for s in combinations(range(r), n)]
-    chars = [{0: 1}]
+    chars = [{(0,) * r: 1}]
     for j in range(1, m + 1):
-        acc = {}
-        for k in range(1, j + 1):
-            steps = [k * s for s in subsets]
-            for w, cnt in chars[j - k].items():
-                for step in steps:
-                    key = w + step
-                    acc[key] = acc.get(key, 0) + cnt
         char = {}
-        for w, total in acc.items():
+        for lam in _partitions(j * n, r, j):
+            total = 0
+            for k in range(1, j + 1):
+                prev = chars[j - k]
+                prefix = sum(1 for x in lam if x >= k)
+                for subset in combinations(range(prefix), n):
+                    mu = list(lam)
+                    for i in subset:
+                        mu[i] -= k
+                    mu.sort(reverse=True)
+                    total += prev.get(tuple(mu), 0)
             count, rem = divmod(total, j)
             if rem:
                 raise PlethysmError(
                     f"Newton recurrence left a remainder at degree {j}: "
                     f"{total} is not divisible by {j}"
                 )
-            char[w] = count
+            if count:
+                char[lam] = count
+        orbits = sum(_orbit_size(lam) * c for lam, c in char.items())
+        expected = comb(comb(r, n) + j - 1, j)
+        if orbits != expected:
+            raise PlethysmError(
+                f"orbit count failed at degree {j}: {orbits} != {expected}"
+            )
         chars.append(char)
-    return _unpack_weights(chars[m], r, base)
+    return chars
 
 
-def _unpack_weights(packed: dict, r: int, base: int) -> dict:
-    """Occupation-vector keys for base-``base`` packed weights.
+def weight_multiplicities(r: int, n: int, m: int) -> dict:
+    """Counts of size-m multisets of n-subsets of {1..r} by total content.
 
-    Each weight is cut into a low and a high half whose digit tuples are
-    computed once per distinct half and concatenated.
+    Keys are length-r occupation vectors; the counts total the dimension of
+    the m-th symmetric power, C(C(r,n)+m-1, m).  Each dominant weight of
+    ``_dominant_characters`` is expanded over its S_r-orbit.
     """
-    low = r // 2
-    cut = base ** low
-    lows, highs = {}, {}
+    _check_caps(r, n, m)
+    memo = {}
     out = {}
-    for w, cnt in packed.items():
-        high, rest = divmod(w, cut)
-        if rest not in lows:
-            lows[rest] = _digits(rest, low, base)
-        if high not in highs:
-            highs[high] = _digits(high, r - low, base)
-        out[lows[rest] + highs[high]] = cnt
+    for lam, count in _dominant_characters(r, n, m)[m].items():
+        out.update(dict.fromkeys(_arrangements(lam, memo), count))
     return out
 
 
-def _digits(value: int, size: int, base: int) -> tuple:
-    digits = []
-    for _ in range(size):
-        value, digit = divmod(value, base)
-        digits.append(digit)
-    return tuple(digits)
+def _arrangements(values: tuple, memo: dict) -> list:
+    """Distinct rearrangements of the non-increasing tuple ``values``.
+
+    Meet in the middle: every rearrangement is a rearrangement of a
+    sub-multiset of half the length followed by one of its complement, and
+    the halves are memoized in ``memo`` by their sorted values.
+    """
+    got = memo.get(values)
+    if got is not None:
+        return got
+    if values[0] == values[-1]:
+        out = [values]
+    else:
+        counts = Counter(values)
+        distinct = sorted(counts, reverse=True)
+        out = []
+        for picks in _sub_multisets([counts[v] for v in distinct], len(values) // 2):
+            low = tuple(v for v, t in zip(distinct, picks) for _ in range(t))
+            high = tuple(v for v, t in zip(distinct, picks)
+                         for _ in range(counts[v] - t))
+            highs = _arrangements(high, memo)
+            out += [a + b for a in _arrangements(low, memo) for b in highs]
+    memo[values] = out
+    return out
+
+
+def _sub_multisets(blocks: list, size: int):
+    """Count vectors t with 0 <= t_i <= blocks[i] and sum t = size."""
+    if len(blocks) == 1:
+        if size <= blocks[0]:
+            yield (size,)
+        return
+    rest = sum(blocks[1:])
+    for t in range(min(blocks[0], size), max(0, size - rest) - 1, -1):
+        for tail in _sub_multisets(blocks[1:], size - t):
+            yield (t,) + tail
 
 
 @lru_cache(maxsize=None)
@@ -178,10 +231,13 @@ class PlethysmDecomposition:
 
 def decompose(r: int, n: int, m: int) -> PlethysmDecomposition:
     """Irreducible decomposition by dominance-triangular Kostka elimination."""
-    weights = weight_multiplicities(r, n, m)
-    dominant = {
-        w: c for w, c in weights.items() if all(a >= b for a, b in zip(w, w[1:]))
-    }
+    _check_caps(r, n, m)
+    return _decompose(r, n, m, _dominant_characters(r, n, m)[m])
+
+
+def _decompose(r: int, n: int, m: int, dominant: dict) -> PlethysmDecomposition:
+    """Kostka elimination of the dominant weight multiplicities of
+    S^m(wedge^n C^r), largest weight first."""
     mults = {}
     for lam in sorted(dominant, reverse=True):
         value = dominant[lam]
@@ -224,11 +280,14 @@ def selfdual_check(r: int, n: int, m: int) -> bool:
 def occurring_spectra(r: int, n: int, max_power: int) -> tuple:
     """Normalized highest weights lam/m over all components with m <= M.
 
-    Exact rationals, trace n, deduplicated and sorted.
+    Exact rationals, trace n, deduplicated and sorted.  One character
+    chain h_1..h_M serves every m.
     """
+    _check_caps(r, n, max_power)
+    chars = _dominant_characters(r, n, max_power)
     out = {}
     for m in range(1, max_power + 1):
-        for w, _ in decompose(r, n, m).multiplicities:
+        for w, _ in _decompose(r, n, m, chars[m]).multiplicities:
             out[tuple(Fraction(x, m) for x in w)] = True
     return tuple(sorted(out, reverse=True))
 
@@ -249,10 +308,7 @@ def inner_approximation(r: int, n: int, max_power: int, dim_cap: int = 7) -> Inn
     """
     points = occurring_spectra(r, n, max_power)
     hull = convex_hull(points, dim_cap=dim_cap)
-    matches = tuple(
-        tuple(_matching_catalog_labels(r, n, normal, rhs, hull, points))
-        for normal, rhs in hull.facets
-    )
+    matches = _facet_matches(r, n, hull, points)
     return InnerApproximation(r, n, max_power, points, hull, matches)
 
 
@@ -262,29 +318,38 @@ def _restricted_form(normal, rhs, directions, base_point):
     return canon_inequality(vec, offset)
 
 
-def _matching_catalog_labels(r, n, normal, rhs, hull, points):
+def _facet_matches(r, n, hull, points) -> tuple:
+    """Per facet, the labels of the catalogued fermionic constraints whose
+    form restricted to the affine hull equals the facet's.
+
+    The hull's directions, its base point and the restricted forms of the
+    catalog records are computed once for all facets.
+    """
+    if not hull.facets:
+        return ()
     from .catalog import FAMILIES
     from .systems import SystemDescriptor
 
-    if not points:
-        return []
     base_point = to_fractions(points[0])
     eq_rows = [to_fractions(nrm) for nrm, _ in hull.equalities]
     directions = nullspace(eq_rows, ncols=r) if eq_rows else [
         tuple(Fraction(int(i == j)) for j in range(r)) for i in range(r)
     ]
-    target = _restricted_form(normal, rhs, directions, base_point)
     system = SystemDescriptor("fermion", r=r, n=n, pure=True)
-    labels = []
+    catalog = []
     for fid in sorted(FAMILIES):
         fam = FAMILIES[fid]
-        if not fam.matcher(system) or not fam.records:
+        if not fam.matcher(system):
             continue
         for rec in fam.records:
             terms = dict(rec.terms)
             if set(terms) != {"lam"} or rec.relation != "<=":
                 continue
-            cand = _restricted_form(terms["lam"], rec.bound, directions, base_point)
-            if cand == target:
-                labels.append(f"{fid}:{rec.label}")
-    return labels
+            form = _restricted_form(terms["lam"], rec.bound, directions, base_point)
+            catalog.append((form, f"{fid}:{rec.label}"))
+    targets = [_restricted_form(normal, rhs, directions, base_point)
+               for normal, rhs in hull.facets]
+    return tuple(
+        tuple(label for form, label in catalog if form == target)
+        for target in targets
+    )

@@ -495,6 +495,63 @@ def test_families_command():
     assert records[-1]["families"] == ["BD6", "PAULI"]
 
 
+def _main_records(capsys, args):
+    """Exit code, stdout records and stderr records of an in-process run."""
+    code = main(args)
+    out, err = capsys.readouterr()
+    return (code, [json.loads(line) for line in out.splitlines()],
+            [json.loads(line) for line in err.splitlines()])
+
+
+@pytest.mark.parametrize("fermi_n", ["-1", "0", "4", "7"])
+def test_coeff_fermi_n_outside_zero_and_r_is_a_usage_error(capsys, fermi_n):
+    code, records, errors = _main_records(capsys, [
+        "coeff", "--v", "1,2,3,4", "--w", "1,2,3,4,5,6", "--a", "5,1,-2,-4",
+        "--fermi-n", fermi_n,
+    ])
+    assert code == 2
+    assert records == []
+    (error,) = errors
+    assert error["record"] == "error" and error["kind"] == "usage"
+    assert "--fermi-n" in error["message"] and "0 < n < r" in error["message"]
+
+
+def test_coeff_fermi_n_inside_the_range_still_runs(capsys):
+    code, records, _ = _main_records(capsys, [
+        "coeff", "--v", "1,2,3,4", "--w", "1,2,3,4,5,6", "--a", "5,1,-2,-4",
+        "--fermi-n", "2",
+    ])
+    assert code == 0
+    assert records[-1]["record"] == "coefficient"
+
+
+@pytest.mark.parametrize("formats,bad", [
+    ("2x2:mixed", "2x2:mixed"),
+    ("2x2;3x3:MIXED", "3x3:MIXED"),
+])
+def test_isospec_refuses_mixed_formats(capsys, formats, bad):
+    code, records, errors = _main_records(capsys, [
+        "isospec", "--formats", formats, "--trials", "3", "--seed", "1",
+    ])
+    assert code == 2
+    assert records == []
+    (error,) = errors
+    assert error["record"] == "error" and error["kind"] == "ValueError"
+    assert bad in error["message"]
+
+
+PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+
+
+@pytest.mark.parametrize("r,n,M", [(7, 3, 4), (8, 4, 4)])
+def test_hull_records_match_the_pinned_benchmark_output(capsys, r, n, M):
+    pinned = json.loads(PINNED.read_text())["outputs"][f"hull {r},{n},{M}"]
+    code, records, errors = _main_records(
+        capsys, ["hull", "-r", str(r), "-n", str(n), "-M", str(M)])
+    assert code == 0 and errors == []
+    assert sorted(json.dumps(rec, sort_keys=True) for rec in records) == pinned
+
+
 def test_main_callable_in_process(capsys):
     assert main(["families", "--system", "2x2:mixed"]) == 0
     out = capsys.readouterr().out

@@ -33,6 +33,14 @@ def test_isospectrality_campaign_refuses_a_negative_trial_count():
     assert rep.trials == 0 and rep.max_discrepancy == 0.0
 
 
+def test_isospectrality_campaign_refuses_mixed_formats():
+    bare = isospectrality_campaign(["2x2", "2x3"], 40, 9)
+    pure = isospectrality_campaign(["2x2:pure", "2x3:pure"], 40, 9)
+    assert bare.max_discrepancy == pure.max_discrepancy
+    with pytest.raises(ValueError, match="2x3:mixed"):
+        isospectrality_campaign(["2x2", "2x3:mixed"], 40, 9)
+
+
 def test_mc_verify_deterministic():
     a = mc_verify("POLYGON", "qubits:3:pure", trials=100, seed=5)
     b = mc_verify("POLYGON", "qubits:3:pure", trials=100, seed=5)

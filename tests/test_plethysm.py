@@ -10,6 +10,8 @@ import pytest
 from qmarginal.catalog import SpectraBundle, check_family
 from qmarginal.plethysm import (
     PlethysmError,
+    _dominant_characters,
+    _restricted_form,
     complement_weight,
     decompose,
     inner_approximation,
@@ -92,6 +94,116 @@ def test_weights_match_subset_dp():
     assert len(SMALL_CASES) == 316
     for r, n, m in SMALL_CASES + [(8, 4, 3)]:
         assert weight_multiplicities(r, n, m) == _subset_dp_weights(r, n, m), (r, n, m)
+
+
+def _packed_chain(r, n, m):
+    """The reference: Newton's recurrence j h_j = sum_k p_k[e_n] h_{j-k}
+    over every weight, each packed into one int in base m + 1; returns the
+    occupation-vector dicts of h_0..h_m."""
+    base = m + 1
+    subsets = [sum(base ** i for i in s) for s in combinations(range(r), n)]
+    chars = [{0: 1}]
+    for j in range(1, m + 1):
+        acc = {}
+        for k in range(1, j + 1):
+            steps = [k * s for s in subsets]
+            for w, cnt in chars[j - k].items():
+                for step in steps:
+                    acc[w + step] = acc.get(w + step, 0) + cnt
+        assert all(total % j == 0 for total in acc.values())
+        chars.append({w: total // j for w, total in acc.items()})
+    return [_unpack(char, r, base) for char in chars]
+
+
+def _unpack(packed, r, base):
+    """Occupation vectors of packed weights; each weight is cut into a low
+    and a high half whose digit tuples are computed once per distinct half."""
+    low = r // 2
+    cut = base ** low
+    lows, highs = {}, {}
+    out = {}
+    for w, cnt in packed.items():
+        high, rest = divmod(w, cut)
+        if rest not in lows:
+            lows[rest] = _digits(rest, low, base)
+        if high not in highs:
+            highs[high] = _digits(high, r - low, base)
+        out[lows[rest] + highs[high]] = cnt
+    return out
+
+
+def _digits(value, size, base):
+    digits = []
+    for _ in range(size):
+        value, digit = divmod(value, base)
+        digits.append(digit)
+    return tuple(digits)
+
+
+def _dominant(weights):
+    return {w: c for w, c in weights.items()
+            if all(a >= b for a, b in zip(w, w[1:]))}
+
+
+def _reference_dominant(r, n, m):
+    """Dominant part of the packed reference, shrunk by two identities so
+    that every capped (r, n) stays cheap:
+
+    - duality: h_m[e_{r-n}](x) = (x_1...x_r)^m h_m[e_n](1/x), so the
+      weight lam of (r, r - n) has the count of m - reversed(lam) of (r, n);
+    - restriction: a dominant weight of degree m*n has at most m*n nonzero
+      parts, and setting the other variables to 0 leaves its coefficient,
+      so ell = min(r, m*n) variables suffice.
+    """
+    if 2 * n > r:
+        dual = _reference_dominant(r, r - n, m)
+        return {tuple(m - x for x in reversed(w)): c for w, c in dual.items()}
+    ell = min(r, m * n)
+    return {w + (0,) * (r - ell): c
+            for w, c in _dominant(_packed_chain(ell, n, m)[m]).items()}
+
+
+def test_dominant_characters_match_packed_recurrence():
+    for r, n in sorted({(r, n) for r, n, _ in SMALL_CASES} | {(8, 4)}):
+        chain = _dominant_characters(r, n, 4)
+        reference = _packed_chain(r, n, 4)
+        for m in range(1, 5):
+            assert chain[m] == _dominant(reference[m]), (r, n, m)
+            if 2 * n > r or m * n < r:   # the shrunken reference differs
+                assert chain[m] == _reference_dominant(r, n, m), (r, n, m)
+
+
+def test_dominant_characters_refuse_a_broken_orbit_count(monkeypatch):
+    import qmarginal.plethysm as plethysm
+
+    monkeypatch.setattr(plethysm, "_orbit_size", lambda lam: 1)
+    with pytest.raises(PlethysmError, match="orbit count"):
+        plethysm._dominant_characters(6, 3, 2)
+
+
+def _reference_decompose(r, n, m):
+    """Kostka elimination over the reference's dominant weights."""
+    dominant = _reference_dominant(r, n, m)
+    mults = {}
+    for lam in sorted(dominant, reverse=True):
+        value = dominant[lam] - sum(
+            c * kostka(mu, lam) for mu, c in mults.items() if mu > lam)
+        assert value >= 0
+        if value:
+            mults[lam] = value
+    return tuple(sorted(mults.items(), reverse=True))
+
+
+CAPPED_BASES = [(r, n) for r in range(2, 71) for n in range(1, r)
+                if comb(r, n) <= 70]
+
+
+def test_decompose_matches_reference_on_every_capped_case():
+    assert len(CAPPED_BASES) == 160
+    for r, n in CAPPED_BASES:
+        for m in range(1, 5):
+            dec = decompose(r, n, m)
+            assert dec.multiplicities == _reference_decompose(r, n, m), (r, n, m)
 
 
 def test_weights_cap():
@@ -233,6 +345,12 @@ def test_occurring_spectra_pass_catalog_families():
                 assert rep.satisfied, (r, n, M, fid, point)
 
 
+@pytest.mark.parametrize("max_power", [0, -3, 5])
+def test_occurring_spectra_refuse_a_power_outside_the_cap(max_power):
+    with pytest.raises(PlethysmError, match="1 <= m <= 4"):
+        occurring_spectra(6, 3, max_power)
+
+
 def test_inner_approximation_single_point():
     inner = inner_approximation(6, 3, 1)
     assert inner.hull.dim == 0
@@ -269,3 +387,45 @@ def test_inner_approximation_larger_systems_match_modulo_hull():
     inner = inner_approximation(8, 4, 2)
     assert inner.hull.dim == 2
     assert sum(1 for m in inner.facet_matches if m) == 1
+
+
+def _per_facet_catalog_labels(r, n, normal, rhs, hull, points):
+    """The reference: one facet at a time, with the hull's directions, base
+    point and every catalog form recomputed for each facet."""
+    from qmarginal.catalog import FAMILIES
+    from qmarginal.rational import nullspace, to_fractions
+    from qmarginal.systems import SystemDescriptor
+
+    if not points:
+        return []
+    base_point = to_fractions(points[0])
+    eq_rows = [to_fractions(nrm) for nrm, _ in hull.equalities]
+    directions = nullspace(eq_rows, ncols=r) if eq_rows else [
+        tuple(F(int(i == j)) for j in range(r)) for i in range(r)
+    ]
+    target = _restricted_form(normal, rhs, directions, base_point)
+    system = SystemDescriptor("fermion", r=r, n=n, pure=True)
+    labels = []
+    for fid in sorted(FAMILIES):
+        fam = FAMILIES[fid]
+        if not fam.matcher(system) or not fam.records:
+            continue
+        for rec in fam.records:
+            terms = dict(rec.terms)
+            if set(terms) != {"lam"} or rec.relation != "<=":
+                continue
+            cand = _restricted_form(terms["lam"], rec.bound, directions, base_point)
+            if cand == target:
+                labels.append(f"{fid}:{rec.label}")
+    return labels
+
+
+@pytest.mark.parametrize("r,n,M", [(6, 3, 1), (6, 3, 2), (6, 3, 3), (6, 3, 4),
+                                   (7, 3, 4), (8, 4, 4)])
+def test_facet_matches_equal_the_per_facet_reference(r, n, M):
+    inner = inner_approximation(r, n, M)
+    reference = tuple(
+        tuple(_per_facet_catalog_labels(r, n, normal, rhs, inner.hull, inner.points))
+        for normal, rhs in inner.hull.facets
+    )
+    assert inner.facet_matches == reference
