@@ -71,8 +71,8 @@ def _parse_number(text: str):
 
 
 def _count(text: str, minimum: int = 0) -> int:
-    """An integer count of at least ``minimum``; argparse names the flag on
-    a refusal."""
+    """An integer of at least ``minimum`` (a count or a seed); argparse
+    names the flag on a refusal."""
     try:
         value = int(text)
     except ValueError:
@@ -191,7 +191,7 @@ def build_parser() -> Parser:
     sp.add_argument("--family", required=True)
     sp.add_argument("--system", required=True)
     sp.add_argument("--trials", type=_count, required=True)
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--seed", type=_count, required=True)
     sp.add_argument("--nu", default=None, help="fixed state spectrum")
     sp.add_argument("--tolerance", type=_finite_float, default=1e-10)
     # argparse converts a string default with ``type``, so a bad
@@ -203,7 +203,7 @@ def build_parser() -> Parser:
     sp.add_argument("--family-a", required=True)
     sp.add_argument("--family-b", required=True)
     sp.add_argument("--samples", type=_count, required=True)
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--seed", type=_count, required=True)
 
     sp = sub.add_parser("witness", help="search for a state with target marginals")
     sp.add_argument("--system", required=True)
@@ -211,12 +211,12 @@ def build_parser() -> Parser:
                     help="semicolon-separated site spectra, e.g. '0.7,0.3;0.6,0.4'")
     sp.add_argument("--restarts", type=_positive_count, default=20)
     sp.add_argument("--iters", type=_count, default=200)
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--seed", type=_count, required=True)
 
     sp = sub.add_parser("isospec", help="isospectrality campaign")
     sp.add_argument("--formats", required=True, help="e.g. '2x2;2x3;3x3'")
     sp.add_argument("--trials", type=_count, required=True)
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--seed", type=_count, required=True)
 
     sp = sub.add_parser("families", help="list families applicable to a system")
     sp.add_argument("--system", required=True)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor import DensityMatrix, haar_vectors
+from .tensor import DensityMatrix, haar_vectors, rng_from_seed
 
 
 class FermionError(ValueError):
@@ -293,4 +293,4 @@ def haar_fermion(r: int, n: int, seed: int, stream: int = 0) -> FermionState:
     if not 0 < n < r:
         raise FermionError(f"need 0 < n < r, got r={r}, n={n}")
     basis = fermion_basis(r, n)
-    return FermionState(basis, haar_vectors(basis.dim, seed, [stream])[0])
+    return FermionState(basis, haar_vectors(basis.dim, [rng_from_seed(seed, stream)])[0])

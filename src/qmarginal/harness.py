@@ -7,10 +7,13 @@ from the campaign seed by counter offset, so reports are independent of
 worker count and bit-reproducible.
 
 Trials run in blocks of ``BLOCK_TRIALS``.  Each trial still draws from its
-own ``rng_from_seed(seed, stream=trial)`` generator, with the calls the
-per-trial samplers make; the block is then reduced, eigensolved and checked
-at once.  Every operation on a block acts on each trial's rows alone, so a
-trial's slack is bitwise the same whatever block it falls in.
+own Philox stream ``(seed, trial)``, with the calls the per-trial samplers
+make; the block is then reduced, eigensolved and checked at once.  The keys
+of a whole campaign chunk are derived in one pass (``tensor.PhiloxStreams``)
+and one generator is re-keyed per trial, which draws exactly what
+``rng_from_seed(seed, trial)`` draws.  Every operation on a block acts on
+each trial's rows alone, so a trial's slack is bitwise the same whatever
+block it falls in.
 """
 
 from __future__ import annotations
@@ -35,7 +38,9 @@ from .fermion import fermion_basis, one_rdm_block, pure_one_rdm_entries
 from .spectra import Spectrum, spectrum
 from .systems import SystemDescriptor, parse_system
 from .tensor import (
+    PhiloxStreams,
     complex_gaussian,
+    complex_gaussian_stack,
     fixed_spectrum_stack,
     fixed_spectrum_values,
     haar_vectors,
@@ -70,7 +75,7 @@ def _pure_joint(count: int, size: int) -> np.ndarray:
     return joint
 
 
-def _fermion_block(system: SystemDescriptor, seed, trials, nu) -> SpectraBlock:
+def _fermion_block(system: SystemDescriptor, streams, nu) -> SpectraBlock:
     """One-body spectra of fermionic states: Haar pure states drawn as
     ``haar_fermion`` draws them, or mixed states with a Dirichlet spectrum
     (or ``nu``) in a Haar basis."""
@@ -78,24 +83,24 @@ def _fermion_block(system: SystemDescriptor, seed, trials, nu) -> SpectraBlock:
     basis = fermion_basis(r, n)
     dim = basis.dim
     if system.pure:
-        amps = haar_vectors(dim, seed, trials)
+        amps = haar_vectors(dim, streams)
         gamma = one_rdm_block(basis, pure_one_rdm_entries(basis, amps))
         lam = spectra_of_stack(gamma, float(n))
         return SpectraBlock(one_body=lam, one_body_trace=np.full(len(lam), float(n)),
                             joint=_pure_joint(len(lam), dim))
     if nu is not None and len(nu) != dim:
         raise CatalogError(f"state spectrum needs {dim} entries for (r={r}, n={n})")
-    draws, gaussians = [], []
-    for trial in trials:
-        rng = rng_from_seed(seed, trial)
+    draws = np.empty((len(streams), dim))
+    gaussians = np.empty((len(streams), dim, dim), dtype=complex)
+    for i, rng in enumerate(streams):
         if nu is None:
-            draws.append(rng.dirichlet(np.ones(dim)))
-        gaussians.append(complex_gaussian((dim, dim), rng))
+            draws[i] = rng.dirichlet(np.ones(dim))
+        gaussians[i] = complex_gaussian((dim, dim), rng)
     if nu is None:
-        vals = spectra_rows(np.array(draws), 1.0)
+        vals = spectra_rows(draws, 1.0)
     else:
-        vals = np.tile(nu.as_floats(), (len(trials), 1))
-    rho = fixed_spectrum_stack(unitaries_from_gaussian(np.array(gaussians)), vals)
+        vals = np.tile(nu.as_floats(), (len(streams), 1))
+    rho = fixed_spectrum_stack(unitaries_from_gaussian(gaussians), vals)
     trace = n * np.trace(rho, axis1=1, axis2=2).real
     terms = basis.one_rdm_map()
     gamma = one_rdm_block(basis, rho[:, terms.dst, terms.src].conj())
@@ -112,13 +117,12 @@ def _bipartitions(dims):
     ]
 
 
-def _mixed_blocks(system: SystemDescriptor, seed, trials, nu, basic) -> list:
+def _mixed_blocks(system: SystemDescriptor, streams, nu, basic) -> list:
     """Random density matrices of a tensor system, reduced per site or, for
     BASIC, per single-site-versus-rest split of the same state."""
     dims = system.dims
     size = math.prod(dims)
-    gaussians = np.array([complex_gaussian((size, size), rng_from_seed(seed, trial))
-                          for trial in trials])
+    gaussians = complex_gaussian_stack((size, size), streams)
     if nu is None:
         rho = hilbert_schmidt_stack(gaussians)
     else:
@@ -136,24 +140,25 @@ def _mixed_blocks(system: SystemDescriptor, seed, trials, nu, basic) -> list:
     ]
 
 
-def _sample_blocks(system: SystemDescriptor, seed, trials, nu=None,
+def _sample_blocks(system: SystemDescriptor, streams: PhiloxStreams, nu=None,
                    basic=False) -> list:
-    """Draw the states of ``trials`` and reduce them to spectra blocks."""
+    """Draw one state per stream of ``streams`` and reduce them to spectra
+    blocks."""
     if system.kind == "fermion":
-        return [_fermion_block(system, seed, trials, nu)]
+        return [_fermion_block(system, streams, nu)]
     if basic or not system.pure:
-        return _mixed_blocks(system, seed, trials, nu, basic)
+        return _mixed_blocks(system, streams, nu, basic)
     size = math.prod(system.dims)
-    amps = haar_vectors(size, seed, trials)
+    amps = haar_vectors(size, streams)
     sites = tuple(spectra_of_stack(pure_marginal_stack(amps, system.dims, [i]), 1.0)
                   for i in range(len(system.dims)))
-    return [SpectraBlock(sites=sites, joint=_pure_joint(len(trials), size))]
+    return [SpectraBlock(sites=sites, joint=_pure_joint(len(streams), size))]
 
 
 def sample_bundle(system: SystemDescriptor, seed: int, trial: int,
                   nu: Spectrum = None) -> SpectraBundle:
     """Draw one state of the system and reduce it: a block of one trial."""
-    block = _sample_blocks(system, seed, range(trial, trial + 1), nu)[0]
+    block = _sample_blocks(system, PhiloxStreams(seed, [trial]), nu)[0]
 
     def row(values, trace=1.0):
         return None if values is None else Spectrum(tuple(map(float, values[0])), trace)
@@ -172,12 +177,13 @@ def _campaign_chunk(args):
     system = parse_system(system_str)
     nu = spectrum(nu_vals, 1.0) if nu_vals is not None else None
     basic = family_id == "BASIC" and system.kind in ("tensor", "qubits")
+    streams = PhiloxStreams(seed, range(lo, hi))
     worst, worst_trial, violations = math.inf, None, 0
     for start in range(lo, hi, BLOCK_TRIALS):
         trials = range(start, min(start + BLOCK_TRIALS, hi))
+        blocks = _sample_blocks(system, streams[start - lo:trials.stop - lo], nu, basic)
         slack = np.min([check_block(family_id, block, tolerance).worst()
-                        for block in _sample_blocks(system, seed, trials, nu, basic)],
-                       axis=0)
+                        for block in blocks], axis=0)
         violations += int(np.count_nonzero(slack < -tolerance))
         i = int(np.argmin(slack))
         if slack[i] < worst:
@@ -253,12 +259,13 @@ def isospectrality_campaign(formats, trials: int, seed: int) -> IsospectralityRe
             raise ValueError(f"isospectrality needs a two-factor format, got {fmt}")
         if not system.pure:
             raise ValueError(f"isospectrality draws pure states, got the mixed format {fmt}")
+    streams = PhiloxStreams(seed, range(len(systems) * trials))
     worst = 0.0
     for fmt_i, system in enumerate(systems):
         k, base = min(system.dims), fmt_i * trials
-        for lo in range(0, trials, BLOCK_TRIALS):
-            streams = range(base + lo, base + min(lo + BLOCK_TRIALS, trials))
-            (block,) = _sample_blocks(system, seed, streams)
+        for lo in range(base, base + trials, BLOCK_TRIALS):
+            hi = min(lo + BLOCK_TRIALS, base + trials)
+            (block,) = _sample_blocks(system, streams[lo:hi])
             sa, sb = block.sites
             worst = max(worst, np.abs(sa[:, :k] - sb[:, :k]).max(initial=0.0),
                         np.abs(sa[:, k:]).max(initial=0.0),

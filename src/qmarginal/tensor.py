@@ -7,7 +7,9 @@ throughout: the first factor is the slowest index.
 
 from __future__ import annotations
 
+import copy
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -303,37 +305,171 @@ def gram_of_slices(array, axis: int) -> np.ndarray:
     return flat @ flat.conj().T
 
 
+# numpy's SeedSequence pool hash (NEP 19 keeps it stable): pool size, the
+# hashmix and generate_state constants, and the mix multipliers.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(value: int, what: str) -> list:
+    """Little-endian 32-bit words of a non-negative integer, as SeedSequence
+    splits its entropy; 0 is one word."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {value}")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_steps(init: int, mult: int):
+    """The (xor, multiplier) pairs of successive hash steps: the constant c
+    and c * mult mod 2^32, which is the next step's constant."""
+    const = init
+    while True:
+        nxt = const * mult & _MASK32
+        yield const, nxt
+        const = nxt
+
+
+def _step_columns(steps, count: int):
+    """The next ``count`` pairs of ``steps`` as two (count, 1) uint32 columns."""
+    pairs = np.array([next(steps) for _ in range(count)], dtype=np.uint32)
+    return pairs[:, :1], pairs[:, 1:]
+
+
+def _hash(values, xor, mult):
+    """SeedSequence's hashmix and output step, mod 2^32: v ^ xor, times mult,
+    xor its high half.  Works on Python ints and on uint32 arrays."""
+    values = (values ^ xor) * mult & _MASK32
+    return values ^ values >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a pool word with a hashed word, mod 2^32."""
+    values = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return values ^ values >> 16
+
+
+def philox_keys(seed: int, streams) -> np.ndarray:
+    """(T, 2) uint64 Philox keys of the streams of one seed.
+
+    Row i is the key that ``np.random.Philox`` takes from
+    ``np.random.SeedSequence(entropy=seed, spawn_key=(streams[i],))``: the
+    seed's 32-bit words, zero-padded to the pool size, then the stream's
+    words are hashed into a 4-word pool, which ``generate_state(2, uint64)``
+    expands.  The seed-only part is hashed once; each stream word position
+    is mixed in for all streams at once.  Seeds and streams of any size are
+    accepted; a negative one is a ``ValueError``.
+    """
+    entropy = _uint32_words(seed, "seed")
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    rest = np.array(streams, dtype=object).reshape(-1)
+    if (rest < 0).any():
+        raise ValueError(f"stream must be a non-negative integer, got {rest[rest < 0][0]}")
+    # The hash constant advances once per hashed word, whatever its value.
+    steps = _hash_steps(_INIT_A, _MULT_A)
+    pool = [_hash(word, *next(steps)) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(steps)))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hash(word, *next(steps)))
+    # One step of the (4, T) pool per stream word position; a stream whose
+    # words have run out keeps its pool.
+    pool = np.array(pool, dtype=np.uint32)[:, None].repeat(len(rest), axis=1)
+    live = np.ones(len(rest), dtype=bool)
+    while live.any():
+        word = (rest & _MASK32).astype(np.uint32)
+        pool = np.where(live, _mix(pool, _hash(word, *_step_columns(steps, _POOL_SIZE))),
+                        pool)
+        rest = rest >> 32
+        live = rest != 0
+    words = _hash(pool, *_step_columns(_hash_steps(_INIT_B, _MULT_B), _POOL_SIZE))
+    words = words.astype(np.uint64)
+    return np.ascontiguousarray((words[0::2] | words[1::2] << 32).T)
+
+
 def rng_from_seed(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator (Philox) keyed by a 64-bit seed.
+    """Counter-based generator (Philox) keyed by a seed of any size.
 
     ``stream`` selects an independent substream; identical (seed, stream)
-    pairs reproduce identical output on any platform.
+    pairs reproduce identical output on any platform.  The key is the one
+    ``SeedSequence(entropy=seed, spawn_key=(stream,))`` gives
+    (``philox_keys``).
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(key=philox_keys(seed, [stream])[0]))
 
 
-def complex_gaussian(shape, rng: np.random.Generator) -> np.ndarray:
-    """I.i.d. standard complex Gaussians: the real parts are drawn first,
-    then the imaginary parts.  Every Haar sampler here draws through it."""
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+class PhiloxStreams:
+    """Generators of the streams of one seed, keyed in one pass.
+
+    The keys of all ``streams`` are derived at once (``philox_keys``).  One
+    Philox bit generator is then set to the start of each stream in turn,
+    so it draws exactly what ``rng_from_seed(seed, stream)`` draws.
+    Iterating yields that one Generator once per stream: make a stream's
+    draws before taking the next.  A slice is the streams of a sub-range,
+    sharing the generator.
+    """
+
+    def __init__(self, seed: int, streams):
+        self.keys = philox_keys(seed, streams)
+        bitgen = np.random.Philox(key=0)
+        # The state at the start of a stream; only the key is replaced.
+        self._start = bitgen.state
+        self._rng = np.random.Generator(bitgen)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, index: slice) -> "PhiloxStreams":
+        part = copy.copy(self)
+        part.keys = self.keys[index]
+        return part
+
+    def __iter__(self):
+        bitgen = self._rng.bit_generator
+        for key in self.keys:
+            self._start["state"]["key"] = key
+            bitgen.state = self._start
+            yield self._rng
 
 
-def haar_vectors(size: int, seed: int, streams) -> np.ndarray:
-    """(T, size) Haar-random unit vectors, row i drawn from stream
-    ``streams[i]``: normalized i.i.d. standard complex Gaussians."""
-    out = np.empty((len(streams), size), dtype=complex)
-    for i, stream in enumerate(streams):
-        vec = complex_gaussian(size, rng_from_seed(seed, stream))
+def complex_gaussian_stack(shape: tuple, rngs) -> np.ndarray:
+    """(T, *shape) i.i.d. standard complex Gaussians, row i drawn from the
+    i-th generator of ``rngs`` by one ``standard_normal`` call: the real
+    parts first, then the imaginary parts.  Every Haar sampler here draws
+    through it."""
+    pairs = np.empty((len(rngs), 2, *shape))
+    for pair, rng in zip(pairs, rngs):
+        rng.standard_normal(out=pair)
+    return pairs[:, 0] + 1j * pairs[:, 1]
+
+
+def complex_gaussian(shape: tuple, rng: np.random.Generator) -> np.ndarray:
+    """I.i.d. standard complex Gaussians from one generator."""
+    return complex_gaussian_stack(shape, [rng])[0]
+
+
+def haar_vectors(size: int, rngs) -> np.ndarray:
+    """(T, size) Haar-random unit vectors, row i drawn from the i-th
+    generator of ``rngs``: normalized i.i.d. standard complex Gaussians."""
+    out = complex_gaussian_stack((size,), rngs)
+    for vec in out:
         vec /= np.linalg.norm(vec)
-        out[i] = vec
     return out
 
 
 def haar_pure(dims, seed: int, stream: int = 0) -> PureState:
     """Haar-random pure state: normalized i.i.d. standard complex Gaussians."""
     dims = tuple(int(d) for d in dims)
-    return PureState(haar_vectors(math.prod(dims), seed, [stream])[0], dims)
+    return PureState(haar_vectors(math.prod(dims), [rng_from_seed(seed, stream)])[0], dims)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -620,6 +620,37 @@ def test_non_finite_tolerance_is_a_usage_error(args):
     assert "--tolerance" in error["message"]
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "--family", "BD6", "--system", "fermi:6:3:pure", "--trials", "2"],
+    ["equiv", "--family-a", "F7_BD", "--family-b", "F7_LIST", "--samples", "2"],
+    ["isospec", "--formats", "2x2", "--trials", "2"],
+    ["witness", "--system", "qubits:2", "--targets", "0.5,0.5;0.5,0.5"],
+])
+@pytest.mark.parametrize("seed", ["-1", "-18446744073709551616", "1.5", "x"])
+def test_seed_must_be_a_non_negative_integer(capsys, args, seed):
+    code, records, errors = _main_records(capsys, args + ["--seed", seed])
+    assert code == 2
+    assert records == []
+    (error,) = errors
+    assert error["record"] == "error" and error["kind"] == "usage"
+    assert "--seed" in error["message"]
+
+
+def test_seed_above_64_bits_keys_its_streams(capsys):
+    """A seed of any size is valid, and its streams are keyed as
+    SeedSequence keys them."""
+    from qmarginal.tensor import rng_from_seed
+
+    seed = 2 ** 64
+    code, records, _ = _main_records(capsys, [
+        "verify", "--family", "BD6", "--system", "fermi:6:3:pure", "--trials", "2",
+        "--seed", str(seed)])
+    assert code == 0 and records[-1]["seed"] == seed
+    oracle = np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
+    assert np.array_equal(rng_from_seed(seed, 1).bit_generator.state["state"]["key"],
+                          oracle.state["state"]["key"])
+
+
 @pytest.mark.parametrize("args,count_key", [
     (["isospec", "--formats", "2x2", "--seed", "1", "--trials", "0"], "trials"),
     (["equiv", "--family-a", "F7_BD", "--family-b", "F7_LIST",

@@ -3,8 +3,10 @@
 Each example calls ``cli.main`` in-process with a drawn argument list that
 mixes valid and malformed tokens.  The contract: no exception escapes, the
 exit code is 0, 1 or 2, stdout holds JSON lines only, an exit 2 comes with
-exactly one ``error`` record on stderr, and an exit 1 comes with a report.
-The examples are derandomized, so the test is a pure function of the code.
+exactly one ``error`` record on stderr, and an exit 1 comes with a report of
+a failed check.  The sampling commands draw at most 4 trials or samples and
+run fewer examples.  The examples are derandomized, so the test is a pure
+function of the code.
 """
 
 import contextlib
@@ -127,7 +129,7 @@ FLAGS = {
 def _argv(draw, command):
     """``command`` with its drawn flags as --flag=value tokens; half the time
     one value is replaced by a malformed token or one flag is left out."""
-    flags = draw(FLAGS[command])
+    flags = draw({**FLAGS, **SAMPLING_FLAGS}[command])
     flags, extra = flags if isinstance(flags, tuple) else (flags, [])
     flags = dict(flags)
     action = draw(st.sampled_from(["keep", "keep", "keep", "corrupt", "drop"]))
@@ -153,6 +155,44 @@ def state_path(tmp_path_factory):
     }))
     return str(path)
 
+TRIALS = st.integers(0, 4).map(str)
+SEEDS = st.integers(-1, 2**70).map(str)
+EQUIV_FAMILIES = ["F7_BD", "F7_LIST", "F84_14", "F84_ABS", "BD6", "PAULI",
+                  "W2H4_MIXED", "POLYGON", "NOPE"]
+FORMATS = ["2x2", "2x3", "3x3", "2x2:mixed", "2x2x2", "qubits:2", "fermi:4:2", "bogus"]
+
+
+@st.composite
+def _verify(draw):
+    flags = {"--family": draw(st.sampled_from(sorted(FAMILIES))),
+             "--system": draw(st.sampled_from(SYSTEMS)),
+             "--trials": draw(TRIALS), "--seed": draw(SEEDS)}
+    if draw(st.booleans()):
+        flags["--nu"] = draw(_vector(NONNEG, [2, 4, 6]))
+    if draw(st.booleans()):
+        # fewer than 4 trials per worker never start a process pool
+        flags["--jobs"] = draw(st.sampled_from(["1", "2"]))
+    return flags
+
+
+SAMPLING_FLAGS = {
+    "verify": _verify(),
+    "equiv": st.fixed_dictionaries({
+        "--family-a": st.sampled_from(EQUIV_FAMILIES),
+        "--family-b": st.sampled_from(EQUIV_FAMILIES),
+        "--samples": TRIALS, "--seed": SEEDS}),
+    "isospec": st.fixed_dictionaries({
+        "--formats": st.lists(st.sampled_from(FORMATS), min_size=1, max_size=3).map(";".join),
+        "--trials": TRIALS, "--seed": SEEDS}),
+}
+# What an exit 1 reports, by record kind.
+FAILED = {
+    "check_report": lambda r: r["satisfied"] is False,
+    "campaign": lambda r: r["violations"] > 0,
+    "equivalence": lambda r: r["disagreements"] > 0,
+    "isospectrality": lambda r: r["max_discrepancy"] >= 1e-10,
+}
+
 
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -163,13 +203,7 @@ def _run(argv):
     return code, records, errors
 
 
-@pytest.mark.parametrize("command", sorted(FLAGS))
-@settings(max_examples=100, derandomize=True, database=None, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_cli_never_raises(command, state_path, data):
-    argv = data.draw(_argv(command), label="argv")
-    argv = [tok.replace("STATE", state_path) for tok in argv]
+def _holds_the_contract(argv):
     code, records, errors = _run(argv)
     assert code in (0, 1, 2), argv
     if code == 2:
@@ -179,8 +213,24 @@ def test_cli_never_raises(command, state_path, data):
         assert errors == [], argv
         assert records and all(r["schema"] == "qmarginal/1" for r in records)
     if code == 1:
-        assert records[-1]["record"] == "check_report", argv
-        assert records[-1]["satisfied"] is False
+        assert FAILED[records[-1]["record"]](records[-1]), argv
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+@settings(max_examples=100, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_never_raises(command, state_path, data):
+    argv = data.draw(_argv(command), label="argv")
+    _holds_the_contract([tok.replace("STATE", state_path) for tok in argv])
+
+
+@pytest.mark.parametrize("command", sorted(SAMPLING_FLAGS))
+@settings(max_examples=40, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_sampling_cli_never_raises(command, data):
+    _holds_the_contract(data.draw(_argv(command), label="argv"))
 
 
 def test_fuzz_reaches_every_exit_code(state_path):

@@ -260,3 +260,140 @@ def test_block_checks_reject_a_non_hermitian_stack():
     mats[2, 0, 0] = np.nan
     with pytest.raises(StateError, match="not finite"):
         spectra_of_stack(mats, 1.0)
+
+
+def _seed_sequence_rng(seed, stream):
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=seed, spawn_key=(stream,))))
+
+
+def _reference_blocks(system, seed, trials, nu=None, basic=False):
+    """The per-trial sampler the block sampler replaced: a SeedSequence-keyed
+    generator per trial, the real parts drawn before the imaginary parts by
+    two calls, and the block stacked from per-trial arrays."""
+    import math
+
+    from qmarginal.catalog import SpectraBlock
+    from qmarginal.fermion import fermion_basis, one_rdm_block, pure_one_rdm_entries
+    from qmarginal.harness import _bipartitions, _pure_joint
+    from qmarginal.tensor import (
+        fixed_spectrum_stack,
+        fixed_spectrum_values,
+        hilbert_schmidt_stack,
+        partial_trace_stack,
+        pure_marginal_stack,
+        spectra_of_stack,
+        spectra_rows,
+        unitaries_from_gaussian,
+    )
+
+    def gaussian(shape, rng):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def haar_vectors(size):
+        out = np.empty((len(trials), size), dtype=complex)
+        for i, trial in enumerate(trials):
+            vec = gaussian(size, _seed_sequence_rng(seed, trial))
+            vec /= np.linalg.norm(vec)
+            out[i] = vec
+        return out
+
+    if system.kind == "fermion":
+        basis = fermion_basis(system.r, system.n)
+        dim, n = basis.dim, system.n
+        if system.pure:
+            lam = spectra_of_stack(
+                one_rdm_block(basis, pure_one_rdm_entries(basis, haar_vectors(dim))),
+                float(n))
+            return [SpectraBlock(one_body=lam, one_body_trace=np.full(len(lam), float(n)),
+                                 joint=_pure_joint(len(lam), dim))]
+        draws, gaussians = [], []
+        for trial in trials:
+            rng = _seed_sequence_rng(seed, trial)
+            if nu is None:
+                draws.append(rng.dirichlet(np.ones(dim)))
+            gaussians.append(gaussian((dim, dim), rng))
+        vals = (spectra_rows(np.array(draws), 1.0) if nu is None
+                else np.tile(nu.as_floats(), (len(trials), 1)))
+        rho = fixed_spectrum_stack(unitaries_from_gaussian(np.array(gaussians)), vals)
+        trace = n * np.trace(rho, axis1=1, axis2=2).real
+        terms = basis.one_rdm_map()
+        gamma = one_rdm_block(basis, rho[:, terms.dst, terms.src].conj())
+        return [SpectraBlock(one_body=spectra_of_stack(gamma, trace),
+                             one_body_trace=trace, joint=vals)]
+    dims = system.dims
+    size = math.prod(dims)
+    if basic or not system.pure:
+        gaussians = np.array([gaussian((size, size), _seed_sequence_rng(seed, trial))
+                              for trial in trials])
+        if nu is None:
+            rho = hilbert_schmidt_stack(gaussians)
+        else:
+            rho = fixed_spectrum_stack(unitaries_from_gaussian(gaussians),
+                                       fixed_spectrum_values(nu, size, dims))
+        joint = spectra_of_stack(rho, 1.0)
+        splits = _bipartitions(dims) if basic else [tuple((i,) for i in range(len(dims)))]
+        return [SpectraBlock(sites=tuple(spectra_of_stack(partial_trace_stack(rho, dims, k),
+                                                          1.0) for k in split),
+                             joint=joint) for split in splits]
+    amps = haar_vectors(size)
+    sites = tuple(spectra_of_stack(pure_marginal_stack(amps, dims, [i]), 1.0)
+                  for i in range(len(dims)))
+    return [SpectraBlock(sites=sites, joint=_pure_joint(len(trials), size))]
+
+
+NU4 = (0.4, 0.3, 0.2, 0.1)
+NU6 = (0.3, 0.25, 0.2, 0.15, 0.1, 0.0)
+BLOCK_CASES = [
+    ("qubits:3:pure", None, False),
+    ("3x3x3:pure", None, False),
+    ("2x2:mixed", None, False),
+    ("2x2x2:mixed", None, False),
+    ("2x2:mixed", NU4, False),
+    ("2x2:mixed", None, True),
+    ("2x2x2:mixed", None, True),
+    ("2x3:mixed", None, True),
+    ("fermi:6:3:pure", None, False),
+    ("fermi:4:2:mixed", None, False),
+    ("fermi:4:2:mixed", NU6, False),
+]
+
+
+@pytest.mark.parametrize("first", [0, 37])
+@pytest.mark.parametrize("system,nu,basic", BLOCK_CASES,
+                         ids=[f"{s}{'+nu' if nu else ''}{'+basic' if b else ''}"
+                              for s, nu, b in BLOCK_CASES])
+def test_sample_blocks_equal_the_per_trial_reference_bitwise(system, nu, basic, first):
+    from qmarginal.catalog import BLOCK_TRIALS
+    from qmarginal.harness import _sample_blocks
+    from qmarginal.systems import parse_system
+    from qmarginal.tensor import PhiloxStreams
+
+    desc = parse_system(system)
+    nu = None if nu is None else spectrum(nu, 1.0)
+    seed, trials = 20260809, range(first, first + BLOCK_TRIALS)
+    streams = PhiloxStreams(seed, range(first + 2 * BLOCK_TRIALS))[first:first + BLOCK_TRIALS]
+    got = _sample_blocks(desc, streams, nu, basic)
+    want = _reference_blocks(desc, seed, trials, nu, basic)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for field in ("joint", "one_body", "one_body_trace"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert (x is None) == (y is None), field
+            assert x is None or np.array_equal(x, y), field
+        assert len(a.sites) == len(b.sites)
+        assert all(np.array_equal(x, y) for x, y in zip(a.sites, b.sites))
+
+
+def test_a_campaign_builds_one_philox_per_chunk(monkeypatch):
+    """Trials are re-keyed on one bit generator, not given one each."""
+    real, built = np.random.Philox, []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    rep = mc_verify("BD6", "fermi:6:3:pure", trials=96, seed=3)
+    assert rep.trials == 96 and rep.worst_trial is not None
+    assert len(built) <= 1

@@ -7,11 +7,14 @@ import pytest
 
 from qmarginal.tensor import (
     DensityMatrix,
+    PhiloxStreams,
     PureState,
     StateError,
+    complex_gaussian,
     gram_of_slices,
     haar_pure,
     partial_trace,
+    philox_keys,
     pure_marginal,
     purify,
     random_density,
@@ -273,3 +276,70 @@ def test_haar_moment_oracle():
     # entry variance of a Haar projector is O(1/d^2) per trial
     stderr = 3.0 / math.sqrt(trials)
     assert np.max(np.abs(acc - np.eye(d) / d)) < stderr
+
+
+# The seeds and streams of the key oracle: word boundaries on both sides.
+KEY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 20260809]
+KEY_STREAMS = list(range(1000)) + [2**32 - 1, 2**32, 2**40]
+
+
+def _seed_sequence_rng(seed, stream):
+    """The reference generator of (seed, stream): Philox from SeedSequence."""
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=seed, spawn_key=(stream,))))
+
+
+def _seed_sequence_key(seed, stream):
+    return _seed_sequence_rng(seed, stream).bit_generator.state["state"]["key"]
+
+
+@pytest.mark.parametrize("seed", KEY_SEEDS)
+def test_philox_keys_match_seed_sequence(seed):
+    keys = philox_keys(seed, KEY_STREAMS)
+    assert keys.dtype == np.uint64 and keys.shape == (len(KEY_STREAMS), 2)
+    assert np.array_equal(keys, [_seed_sequence_key(seed, s) for s in KEY_STREAMS])
+
+
+def test_philox_keys_of_unsorted_mixed_width_streams():
+    """Streams of one, two and three words in one call, and no streams."""
+    seed, streams = 2**100 + 7, [2**40, 0, 2**70 + 1, 5, 2**32]
+    assert np.array_equal(philox_keys(seed, streams),
+                          [_seed_sequence_key(seed, s) for s in streams])
+    assert philox_keys(seed, []).shape == (0, 2)
+
+
+@pytest.mark.parametrize("seed,streams", [(-1, [0]), (-2**64, [0]), (3, [-1]),
+                                          (3, [0, 2**40, -2**40])])
+def test_philox_keys_refuse_negative_inputs(seed, streams):
+    with pytest.raises(ValueError, match="non-negative"):
+        philox_keys(seed, streams)
+
+
+def test_rng_from_seed_draws_what_seed_sequence_draws():
+    for seed, stream in [(0, 0), (7, 3), (2**64, 2**32), (20260809, 999)]:
+        got, want = rng_from_seed(seed, stream), _seed_sequence_rng(seed, stream)
+        assert np.array_equal(got.standard_normal(9), want.standard_normal(9))
+        assert np.array_equal(got.dirichlet(np.ones(5)), want.dirichlet(np.ones(5)))
+    with pytest.raises(ValueError, match="non-negative"):
+        rng_from_seed(-1)
+
+
+def test_philox_streams_start_every_stream_afresh():
+    """A slice of PhiloxStreams draws each stream from its start, whatever the
+    previous stream left behind: a part-used Philox block and a buffered
+    32-bit half word."""
+    streams = PhiloxStreams(11, range(5, 45))
+    assert len(streams) == 40
+    part = streams[3:20]
+    for _ in range(2):
+        for i, rng in enumerate(part):
+            want = _seed_sequence_rng(11, 8 + i)
+            assert np.array_equal(rng.standard_normal(i), want.standard_normal(i))
+            assert np.array_equal(rng.integers(0, 7, size=3, dtype=np.int32),
+                                  want.integers(0, 7, size=3, dtype=np.int32))
+
+
+def test_complex_gaussian_draws_real_then_imaginary_parts():
+    want = _seed_sequence_rng(5, 2)
+    re, im = want.standard_normal((3, 4)), want.standard_normal((3, 4))
+    assert np.array_equal(complex_gaussian((3, 4), rng_from_seed(5, 2)), re + 1j * im)
