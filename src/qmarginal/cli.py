@@ -107,6 +107,14 @@ def _factor_indices(text: str) -> list:
     return keep
 
 
+def _finite_number(value) -> bool:
+    """A JSON number, not a boolean, of finite float value."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _parse_vector(text: str):
     return tuple(_parse_number(t) for t in text.split(",") if t.strip())
 
@@ -226,81 +234,67 @@ def build_parser() -> Parser:
 # ---------------------------------------------------------------------------
 # State files
 
-def load_state(path: str) -> dict:
-    data = sys.stdin.read() if path == "-" else open(path).read()
-    state = json.loads(data)
-    if not isinstance(state, dict) or state.get("format_version") != 1:
-        raise UsageError("unsupported state file format_version")
-    return state
+def _complex_array(entries, shape: tuple, what: str):
+    """Nested lists of ``shape`` whose last axis holds [re, im] pairs of
+    finite numbers, as nested lists of complex numbers."""
+    if not isinstance(entries, list) or len(entries) != shape[0]:
+        raise UsageError(f"{what}: expected a list of length {shape[0]}, got {entries!r:.60}")
+    if len(shape) > 1:
+        return [_complex_array(entry, shape[1:], what) for entry in entries]
+    if not all(map(_finite_number, entries)):
+        raise UsageError(f"{what}: {entries!r} is not a pair of finite numbers")
+    return complex(*entries)
 
 
-def _complex_array(entries):
-    import numpy as np
-
-    return np.array([complex(re, im) for re, im in entries])
-
-
-def _check_state_schema(state) -> str:
-    """The state's kind, after checking that the keys it needs are there."""
-    if not isinstance(state.get("system"), str):
-        raise UsageError("state file lacks a 'system' string")
-    kind = state.get("kind", "pure")
-    key = "amplitudes" if kind == "pure" else "matrix"
-    if not isinstance(state.get(key), list):
-        raise UsageError(f"{kind} state file lacks the {key!r} list")
-    return kind
-
-
-def state_to_objects(state: dict):
+def load_state(path: str):
+    """(system, states): a state file as a stack of one, a (1, D) unit vector
+    checked by ``PureState`` or ``FermionState``, or a (1, D, D) matrix that
+    the reduction checks as a density matrix when it solves it."""
     import numpy as np
 
     from .fermion import FermionState, fermion_basis
     from .systems import parse_system
-    from .tensor import DensityMatrix, PureState
+    from .tensor import PureState
 
-    kind = _check_state_schema(state)
+    data = sys.stdin.read() if path == "-" else open(path).read()
+    state = json.loads(data)
+    if not isinstance(state, dict) or state.get("format_version") != 1:
+        raise UsageError("unsupported state file format_version")
+    if not isinstance(state.get("system"), str):
+        raise UsageError("state file lacks a 'system' string")
+    kind = state.get("kind", "pure")
+    if kind not in ("pure", "mixed"):
+        raise UsageError(f"state kind must be 'pure' or 'mixed', got {kind!r}")
     system = parse_system(state["system"])
-    if kind == "pure":
-        amps = _complex_array(state["amplitudes"])
-    else:
-        mat = np.array([[complex(re, im) for re, im in row] for row in state["matrix"]])
-    if system.kind == "fermion":
-        basis = fermion_basis(system.r, system.n)
-        return system, FermionState(basis, amps) if kind == "pure" else mat
-    if kind == "pure":
-        return system, PureState(amps, system.dims)
-    return system, DensityMatrix(mat, system.dims, trace=1.0)
+    key = "amplitudes" if kind == "pure" else "matrix"
+    shape = (system.dim, 2) if kind == "pure" else (system.dim, system.dim, 2)
+    states = np.array(_complex_array(state.get(key), shape, key))
+    if kind == "pure" and system.kind == "fermion":
+        states = FermionState(fermion_basis(system.r, system.n), states).amplitudes
+    elif kind == "pure":
+        states = PureState(states, system.dims).amplitudes
+    return system, states[None]
 
 
 def cmd_reduce(args) -> int:
-    from .fermion import FermionState, fermion_basis, one_rdm, one_rdm_mixed
-    from .tensor import PureState, partial_trace, pure_marginal, spectrum_of
+    from .harness import reduce_states
 
-    system, obj = state_to_objects(load_state(args.state))
-    pure = isinstance(obj, (FermionState, PureState))
-    if system.kind == "fermion":
-        if args.keep:
-            raise UsageError("--keep names tensor factors; a fermionic state has none")
-        basis = fermion_basis(system.r, system.n)
-        gamma = one_rdm(obj) if pure else one_rdm_mixed(obj, basis)
-        records, size = [("one_body", spectrum_of(gamma))], basis.dim
-    else:
-        marginal = pure_marginal if pure else partial_trace
-        if args.keep:
-            slots = [(f"keep{args.keep}", args.keep)]
-        else:
-            slots = [(f"site{i}", [i]) for i in range(len(obj.dims))]
-        records = [(slot, spectrum_of(marginal(obj, keep))) for slot, keep in slots]
-        size = math.prod(obj.dims)
-    if system.kind == "fermion" or not args.keep:
-        records.append(("joint", _sorted_spectrum([1.0] + [0.0] * (size - 1), 1.0)
-                        if pure else spectrum_of(obj)))
-    for slot, spec in records:
+    system, states = load_state(args.state)
+    if system.kind == "fermion" and args.keep:
+        raise UsageError("--keep names tensor factors; a fermionic state has none")
+    block = reduce_states(system, states, [args.keep] if args.keep else None)
+    slots = [(f"keep{args.keep}" if args.keep else f"site{i}", rows, 1.0)
+             for i, rows in enumerate(block.sites)]
+    if block.one_body is not None:
+        slots.append(("one_body", block.one_body, block.one_body_trace[0]))
+    if not args.keep:
+        slots.append(("joint", block.joint, 1.0))
+    for slot, rows, trace in slots:
         emit({
             "record": "spectrum",
             "slot": slot,
-            "values": [_fmt_real(v) for v in spec.as_floats()],
-            "trace": _fmt_real(spec.trace_tag),
+            "values": [_fmt_real(v) for v in rows[0]],
+            "trace": _fmt_real(trace),
         })
     return 0
 
@@ -316,19 +310,28 @@ def _bundle_from_args(args):
     one_body = None
     if args.bundle:
         text = sys.stdin.read() if args.bundle == "-" else open(args.bundle).read()
-        for line in text.splitlines():
+        for number, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line:
                 continue
             rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise UsageError(f"bundle line {number} is not a JSON object")
             if rec.get("record") != "spectrum":
                 continue
-            spec = _sorted_spectrum(rec["values"], rec.get("trace"), rec["slot"])
-            if rec["slot"].startswith("site"):
+            slot, values, trace = rec.get("slot"), rec.get("values"), rec.get("trace")
+            if not (isinstance(slot, str) and isinstance(values, list)
+                    and all(map(_finite_number, values))
+                    and (trace is None or _finite_number(trace))):
+                raise UsageError(f"bundle line {number}: a spectrum record needs a 'slot' "
+                                 "string, a list of finite 'values' and, if any, a finite "
+                                 "'trace'")
+            spec = _sorted_spectrum(values, trace, slot)
+            if slot.startswith("site"):
                 sites.append(spec)
-            elif rec["slot"] == "joint":
+            elif slot == "joint":
                 joint = spec
-            elif rec["slot"] == "one_body":
+            elif slot == "one_body":
                 one_body = spec
     if args.spectrum:
         vals = _parse_vector(args.spectrum)

@@ -8,9 +8,10 @@ worker count and bit-reproducible.
 
 Trials run in blocks of ``BLOCK_TRIALS``.  Each trial still draws from its
 own Philox stream ``(seed, trial)``, with the calls the per-trial samplers
-make; the block is then reduced, eigensolved and checked at once.  The keys
-of a whole campaign chunk are derived in one pass (``tensor.PhiloxStreams``)
-and one generator is re-keyed per trial, which draws exactly what
+make; the block is then reduced and eigensolved by ``reduce_states``, as
+``qmarginal reduce`` reduces a state file, and checked at once.  The keys
+of a chunk are derived in one pass (``tensor.PhiloxStreams``) and one
+generator is re-keyed per trial, which draws exactly what
 ``rng_from_seed(seed, trial)`` draws.  Every operation on a block acts on
 each trial's rows alone, so a trial's slack is bitwise the same whatever
 block it falls in.
@@ -27,7 +28,6 @@ import numpy as np
 
 from .catalog import (
     BLOCK_TRIALS,
-    CatalogError,
     SpectraBlock,
     SpectraBundle,
     _check_count,
@@ -75,39 +75,6 @@ def _pure_joint(count: int, size: int) -> np.ndarray:
     return joint
 
 
-def _fermion_block(system: SystemDescriptor, streams, nu) -> SpectraBlock:
-    """One-body spectra of fermionic states: Haar pure states drawn as
-    ``haar_fermion`` draws them, or mixed states with a Dirichlet spectrum
-    (or ``nu``) in a Haar basis."""
-    r, n = system.r, system.n
-    basis = fermion_basis(r, n)
-    dim = basis.dim
-    if system.pure:
-        amps = haar_vectors(dim, streams)
-        gamma = one_rdm_block(basis, pure_one_rdm_entries(basis, amps))
-        lam = spectra_of_stack(gamma, float(n))
-        return SpectraBlock(one_body=lam, one_body_trace=np.full(len(lam), float(n)),
-                            joint=_pure_joint(len(lam), dim))
-    if nu is not None and len(nu) != dim:
-        raise CatalogError(f"state spectrum needs {dim} entries for (r={r}, n={n})")
-    draws = np.empty((len(streams), dim))
-    gaussians = np.empty((len(streams), dim, dim), dtype=complex)
-    for i, rng in enumerate(streams):
-        if nu is None:
-            draws[i] = rng.dirichlet(np.ones(dim))
-        gaussians[i] = complex_gaussian((dim, dim), rng)
-    if nu is None:
-        vals = spectra_rows(draws, 1.0)
-    else:
-        vals = np.tile(nu.as_floats(), (len(streams), 1))
-    rho = fixed_spectrum_stack(unitaries_from_gaussian(gaussians), vals)
-    trace = n * np.trace(rho, axis1=1, axis2=2).real
-    terms = basis.one_rdm_map()
-    gamma = one_rdm_block(basis, rho[:, terms.dst, terms.src].conj())
-    return SpectraBlock(one_body=spectra_of_stack(gamma, trace),
-                        one_body_trace=trace, joint=vals)
-
-
 def _bipartitions(dims):
     if len(dims) == 2:
         return [((0,), (1,))]
@@ -117,42 +84,66 @@ def _bipartitions(dims):
     ]
 
 
-def _mixed_blocks(system: SystemDescriptor, streams, nu, basic) -> list:
-    """Random density matrices of a tensor system, reduced per site or, for
-    BASIC, per single-site-versus-rest split of the same state."""
-    dims = system.dims
-    size = math.prod(dims)
-    gaussians = complex_gaussian_stack((size, size), streams)
-    if nu is None:
-        rho = hilbert_schmidt_stack(gaussians)
-    else:
-        vals = fixed_spectrum_values(nu, size, dims)
-        rho = fixed_spectrum_stack(unitaries_from_gaussian(gaussians), vals)
-    joint = spectra_of_stack(rho, 1.0)
-    if not basic:
-        splits = [tuple((i,) for i in range(len(dims)))]
-    else:
-        splits = _bipartitions(dims)
-    return [
-        SpectraBlock(sites=tuple(spectra_of_stack(partial_trace_stack(rho, dims, keep), 1.0)
-                                 for keep in split), joint=joint)
-        for split in splits
-    ]
+def reduce_states(system: SystemDescriptor, states: np.ndarray, keeps=None,
+                  joint=None) -> SpectraBlock:
+    """Spectra of a (T, D) stack of unit vectors or a (T, D, D) stack of
+    density matrices of ``system``: one marginal spectrum per factor list of
+    ``keeps`` (by default, per factor) of a tensor system, or the one-body
+    spectrum and trace (n times the state's) of a fermionic one.  The joint
+    spectrum is ``joint`` if given, else that of a pure state or the one
+    ``spectra_of_stack`` solves, checking each matrix as ``DensityMatrix`` does.
+    """
+    pure = states.ndim == 2
+    if joint is None:
+        joint = (_pure_joint(len(states), states.shape[1]) if pure
+                 else spectra_of_stack(states, 1.0))
+    if system.kind == "fermion":
+        basis = fermion_basis(system.r, system.n)
+        if pure:
+            entries = pure_one_rdm_entries(basis, states)
+            trace = np.full(len(states), float(system.n))
+        else:
+            terms = basis.one_rdm_map()
+            entries = states[:, terms.dst, terms.src].conj()
+            trace = system.n * np.trace(states, axis1=1, axis2=2).real
+        return SpectraBlock(one_body=spectra_of_stack(one_rdm_block(basis, entries), trace),
+                            one_body_trace=trace, joint=joint)
+    marginal = pure_marginal_stack if pure else partial_trace_stack
+    if keeps is None:
+        keeps = [(i,) for i in range(len(system.dims))]
+    return SpectraBlock(sites=tuple(spectra_of_stack(marginal(states, system.dims, keep), 1.0)
+                                    for keep in keeps), joint=joint)
 
 
 def _sample_blocks(system: SystemDescriptor, streams: PhiloxStreams, nu=None,
                    basic=False) -> list:
     """Draw one state per stream of ``streams`` and reduce them to spectra
-    blocks."""
+    blocks; ``basic`` (tensor systems) draws mixed states and makes one
+    block per single-site-versus-rest split."""
+    size = system.dim
+    if system.pure and not basic:
+        return [reduce_states(system, haar_vectors(size, streams))]
+    vals = None if nu is None else fixed_spectrum_values(nu, size, system.dims or (size,))
     if system.kind == "fermion":
-        return [_fermion_block(system, streams, nu)]
-    if basic or not system.pure:
-        return _mixed_blocks(system, streams, nu, basic)
-    size = math.prod(system.dims)
-    amps = haar_vectors(size, streams)
-    sites = tuple(spectra_of_stack(pure_marginal_stack(amps, system.dims, [i]), 1.0)
-                  for i in range(len(system.dims)))
-    return [SpectraBlock(sites=sites, joint=_pure_joint(len(streams), size))]
+        draws = np.empty((len(streams), size))
+        gaussians = np.empty((len(streams), size, size), dtype=complex)
+        for i, rng in enumerate(streams):
+            if vals is None:
+                draws[i] = rng.dirichlet(np.ones(size))
+            gaussians[i] = complex_gaussian((size, size), rng)
+        # the drawn spectrum is the joint one; rho is not solved again
+        joint = spectra_rows(draws, 1.0) if vals is None else np.tile(vals, (len(streams), 1))
+        rho = fixed_spectrum_stack(unitaries_from_gaussian(gaussians), joint)
+        return [reduce_states(system, rho, joint=joint)]
+    gaussians = complex_gaussian_stack((size, size), streams)
+    if vals is None:
+        rho = hilbert_schmidt_stack(gaussians)
+    else:
+        rho = fixed_spectrum_stack(unitaries_from_gaussian(gaussians), vals)
+    # the splits of BASIC share their state, whose spectrum is solved once
+    joint = spectra_of_stack(rho, 1.0)
+    return [reduce_states(system, rho, keeps, joint)
+            for keeps in (_bipartitions(system.dims) if basic else [None])]
 
 
 def sample_bundle(system: SystemDescriptor, seed: int, trial: int,

@@ -596,7 +596,7 @@ def _qubit_record(delta_coeffs, rhs_coeffs, edge) -> InequalityRecord:
     )
 
 
-def generate_qubit_array(a, with_modifications: bool = True, irredundant: bool = True) -> QubitArrayGroup:
+def generate_qubit_array(a, irredundant: bool = True) -> QubitArrayGroup:
     """Inequality group of one qubit-array extremal edge.
 
     The basic record bounds sum_i a_i (site gap i) by the sign-sum spectrum
@@ -615,18 +615,17 @@ def generate_qubit_array(a, with_modifications: bool = True, irredundant: bool =
     rhs = tuple(x for x, _ in _ordered_sums([(x, -x) for x in a],
                                             product((1, 2), repeat=n), ties=True))
     records = [_qubit_record(a, rhs, a)]
-    if with_modifications:
-        for site in range(n):
-            if a[site] == 0:
+    for site in range(n):
+        if a[site] == 0:
+            continue
+        flipped = list(a)
+        flipped[site] = -flipped[site]
+        for k in range(1, 2 ** n, 2):
+            if rhs[k - 1] == rhs[k]:
                 continue
-            flipped = list(a)
-            flipped[site] = -flipped[site]
-            for k in range(1, 2 ** n, 2):
-                if rhs[k - 1] == rhs[k]:
-                    continue
-                swapped = list(rhs)
-                swapped[k - 1], swapped[k] = swapped[k], swapped[k - 1]
-                records.append(_qubit_record(flipped, swapped, a))
+            swapped = list(rhs)
+            swapped[k - 1], swapped[k] = swapped[k], swapped[k - 1]
+            records.append(_qubit_record(flipped, swapped, a))
     records = list(dict.fromkeys(records))
     if irredundant and len(records) > 1:
         records = _filter_qubit_group(records, n)

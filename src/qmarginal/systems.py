@@ -7,6 +7,7 @@ orbitals), optionally suffixed with ":pure" or ":mixed".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -21,6 +22,11 @@ class SystemDescriptor:
     r: int = 0         # fermionic orbital count
     n: int = 0         # fermionic particle count
     pure: bool = True
+
+    @property
+    def dim(self) -> int:
+        """Dimension of the state space: C(r, n) or the product of dims."""
+        return math.comb(self.r, self.n) if self.kind == "fermion" else math.prod(self.dims)
 
     def __str__(self):
         purity = "pure" if self.pure else "mixed"

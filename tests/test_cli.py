@@ -339,6 +339,25 @@ def test_verify_names_the_worst_trial():
     {"format_version": 1, "kind": "mixed", "system": "2x2"},
     {"format_version": 1, "kind": "pure", "amplitudes": [[1.0, 0.0]] * 4},
     [1, 2],
+    {"format_version": 1, "kind": "pure", "system": "2x2", "amplitudes": [1, 0, 0, 0]},
+    {"format_version": 1, "kind": "pure", "system": "2x2", "amplitudes": [["a", "b"]] * 4},
+    {"format_version": 1, "kind": "pure", "system": "2x2",
+     "amplitudes": [[1.0, 0.0], None, [0.0, 0.0], [0.0, 0.0]]},
+    {"format_version": 1, "kind": "pure", "system": "2x2",
+     "amplitudes": [[1.0, 0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
+    {"format_version": 1, "kind": "pure", "system": "2x2",
+     "amplitudes": [[True, False], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
+    {"format_version": 1, "kind": "pure", "system": "2x2", "amplitudes": [[1.0, 0.0]]},
+    {"format_version": 1, "kind": "pure", "system": "fermi:4:2",
+     "amplitudes": [[10 ** 400, 0]] + [[0, 0]] * 5},
+    {"format_version": 1, "kind": "weird", "system": "2x2",
+     "matrix": [[[0.25 * (i == j), 0.0] for j in range(4)] for i in range(4)]},
+    {"format_version": 1, "kind": "mixed", "system": "2x2",
+     "matrix": [[[0.25, 0.0]] * 4] * 3},
+    {"format_version": 1, "kind": "mixed", "system": "fermi:4:2",
+     "matrix": [[[0.25, 0.0]] * 4] * 4},
+    {"format_version": 1, "kind": "mixed", "system": "2x2",
+     "matrix": [[[0.25, 0.0]] * 4] * 3 + [[[0.25, 0.0]] * 3]},
 ])
 def test_reduce_malformed_state_exits_two(tmp_path, state):
     path = tmp_path / "state.json"
@@ -347,6 +366,43 @@ def test_reduce_malformed_state_exits_two(tmp_path, state):
     assert code == 2
     assert records == []
     assert errors[-1]["record"] == "error"
+
+
+def _diagonal_state(system, diagonal, entry=None):
+    """A mixed state file with a diagonal matrix, but for ``entry``, an
+    ((i, j), [re, im]) pair that overwrites one entry."""
+    size = len(diagonal)
+    matrix = [[[float(diagonal[i]) if i == j else 0.0, 0.0] for j in range(size)]
+              for i in range(size)]
+    if entry is not None:
+        (i, j), value = entry
+        matrix[i][j] = value
+    return {"format_version": 1, "kind": "mixed", "system": system, "matrix": matrix}
+
+
+@pytest.mark.parametrize("state,message", [
+    # eigenvalue -0.5 with every occupation in [0, 1.5]: the one-body
+    # spectrum alone does not show it
+    (_diagonal_state("fermi:4:2", [1.0, 0.5, 0.0, -0.5, 0.0, 0.0]), "negative eigenvalue"),
+    (_diagonal_state("fermi:4:2", [1.0, 1.0, 0.0, 0.0, 0.0, 0.0]), "trace 2.0"),
+    (_diagonal_state("fermi:4:2", [0.5, 0.5, 0.0, 0.0, 0.0, 0.0], ((0, 1), [0.1, 0.0])),
+     "not Hermitian"),
+    (_diagonal_state("fermi:4:2", [0.5, 0.5, 0.0, 0.0, 0.0, 0.0], ((0, 0), [float("nan"), 0.0])),
+     "finite"),
+    (_diagonal_state("2x2", [1.0, 0.5, 0.0, -0.5]), "negative eigenvalue"),
+    (_diagonal_state("2x2", [1.0, 1.0, 0.0, 0.0]), "trace 2.0"),
+])
+def test_reduce_refuses_mixed_states_that_are_not_density_matrices(tmp_path, capsys,
+                                                                   state, message):
+    """Fermionic and tensor mixed state files get the same density-matrix
+    checks: Hermitian, PSD, finite, trace 1."""
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state))
+    assert main(["reduce", "--state", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    (error,) = [json.loads(line) for line in err.splitlines()]
+    assert error["record"] == "error" and message in error["message"]
 
 
 def test_verify_requires_seed():
@@ -676,3 +732,33 @@ def test_two_particle_pure_non_integer_trace_is_an_error():
     (error,) = errors
     assert error["record"] == "error" and error["kind"] == "CatalogError"
     assert "integer particle number" in error["message"]
+
+
+SITE = {"record": "spectrum", "slot": "site0", "values": [0.5, 0.5], "trace": 1.0}
+
+
+@pytest.mark.parametrize("bad", [
+    [1, 2],
+    "site0",
+    {"record": "spectrum", "values": [0.5, 0.5]},
+    {"record": "spectrum", "slot": "site1"},
+    {"record": "spectrum", "slot": 1, "values": [0.5, 0.5]},
+    {"record": "spectrum", "slot": "site1", "values": [0.5, None]},
+    {"record": "spectrum", "slot": "site1", "values": ["0.5", 0.5]},
+    {"record": "spectrum", "slot": "site1", "values": [0.5, [0.5]]},
+    {"record": "spectrum", "slot": "site1", "values": [0.5, True]},
+    {"record": "spectrum", "slot": "site1", "values": [1.0, float("nan")]},
+    {"record": "spectrum", "slot": "site1", "values": [0.5, 10 ** 400]},
+    {"record": "spectrum", "slot": "site1", "values": 0.5},
+    {"record": "spectrum", "slot": "site1", "values": [0.5, 0.5], "trace": [1]},
+    {"record": "spectrum", "slot": "site1", "values": [0.5, 0.5], "trace": "1"},
+])
+def test_check_bundle_refuses_malformed_records_by_line(tmp_path, capsys, bad):
+    path = tmp_path / "bundle.jsonl"
+    path.write_text("\n".join([json.dumps(SITE), "", json.dumps(bad)]))
+    code, records, errors = _main_records(capsys, ["check", "--family", "POLYGON",
+                                                    "--bundle", str(path)])
+    assert code == 2
+    assert records == []
+    (error,) = errors
+    assert error["record"] == "error" and "bundle line 3" in error["message"]

@@ -5,7 +5,9 @@ mixes valid and malformed tokens.  The contract: no exception escapes, the
 exit code is 0, 1 or 2, stdout holds JSON lines only, an exit 2 comes with
 exactly one ``error`` record on stderr, and an exit 1 comes with a report of
 a failed check.  The sampling commands draw at most 4 trials or samples and
-run fewer examples.  The examples are derandomized, so the test is a pure
+run fewer examples.  State files for ``reduce`` and bundles for ``check``
+are drawn as JSON too: valid ones, and ones with a malformed kind, system,
+shape or entry.  The examples are derandomized, so the test is a pure
 function of the code.
 """
 
@@ -13,7 +15,7 @@ import contextlib
 import io
 import json
 from fractions import Fraction
-from math import comb
+from math import comb, sqrt
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -214,6 +216,7 @@ def _holds_the_contract(argv):
         assert records and all(r["schema"] == "qmarginal/1" for r in records)
     if code == 1:
         assert FAILED[records[-1]["record"]](records[-1]), argv
+    return code, records
 
 
 @pytest.mark.parametrize("command", sorted(FLAGS))
@@ -231,6 +234,132 @@ def test_cli_never_raises(command, state_path, data):
 @given(data=st.data())
 def test_sampling_cli_never_raises(command, data):
     _holds_the_contract(data.draw(_argv(command), label="argv"))
+
+
+# JSON values that are not a finite number or not a [re, im] pair
+MALFORMED = [None, "0.5", "x", True, [], [0.5], [0.5, 0.0, 0.0], [[0.5, 0.0]], {},
+             float("nan"), float("inf"), -float("inf"), 10 ** 400]
+# system -> the size of its amplitude vector
+STATE_SYSTEMS = {"2x2": 4, "qubits:2": 4, "2x3": 6, "2x2x2": 8, "fermi:4:2": 6,
+                 "fermi:5:2": 10, "fermi:3:3": 1, "bogus": 4, 7: 4}
+SPECTRA = [[0.5, 0.5], [0.75, 0.25], [1.0, 0.0], [0.25] * 4, [0.4, 0.3, 0.2, 0.1],
+           [1, 1, 1, 0, 0, 0], [0.5, 1, 0.5, 1, 0, 1]]
+
+
+def _corrupted(draw, node):
+    """``node`` (nested lists) with one element at a drawn depth replaced by
+    a malformed value or shortened by one."""
+    if isinstance(node, list) and node and draw(st.booleans()):
+        i = draw(st.integers(0, len(node) - 1))
+        return node[:i] + [_corrupted(draw, node[i])] + node[i + 1:]
+    bad = draw(st.sampled_from(MALFORMED + ["shorten"]))
+    if bad != "shorten":
+        return bad
+    return node[:-1] if isinstance(node, list) else []
+
+
+@st.composite
+def _state_file(draw):
+    """A state file of a drawn system, size, kind and diagonal weights:
+    valid when they fit, else malformed in one place or another."""
+    system = draw(st.sampled_from(list(STATE_SYSTEMS)))
+    size = STATE_SYSTEMS[system] + draw(st.sampled_from([0, 0, 0, 1, -1]))
+    weights = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, -0.5]),
+                            min_size=size, max_size=size))
+    kind = draw(st.sampled_from(["pure", "mixed", "mixed", "weird", None]))
+    if kind in ("pure", None):
+        norm = sqrt(sum(w * w for w in weights)) or 1.0
+        key, entries = "amplitudes", [[w / norm, 0.0] for w in weights]
+    else:
+        total = sum(weights) or 1.0
+        key, entries = "matrix", [[[w / total if i == j else 0.0, 0.0] for j in range(size)]
+                                  for i, w in enumerate(weights)]
+        if size > 1 and draw(st.booleans()):
+            # a Hermitian pair, or half of one
+            entries[0][1] = [0.25, 0.125]
+            if draw(st.booleans()):
+                entries[1][0] = [0.25, -0.125]
+    if draw(st.booleans()):
+        entries = _corrupted(draw, entries)
+    state = {"format_version": draw(st.sampled_from([1] * 5 + [2])), "system": system,
+             key: entries}
+    if kind is not None:
+        state["kind"] = kind
+    return state
+
+
+@st.composite
+def _bundle_line(draw):
+    """One bundle line: a spectrum record with at most one fault, another
+    record, a JSON value that is no object, or no JSON at all."""
+    shape = draw(st.sampled_from(["spectrum"] * 8 + ["other", "value", "text"]))
+    if shape == "other":
+        return json.dumps({"record": "warning", "slot": "site0"})
+    if shape == "value":
+        return json.dumps(draw(st.sampled_from(MALFORMED[:-1] + [[1, 2], 3])))
+    if shape == "text":
+        return draw(st.sampled_from(["{", "x", "[1,"]))
+    values = list(draw(st.sampled_from(SPECTRA)))
+    rec = {"record": "spectrum", "values": values, "slot": draw(st.sampled_from(
+        ["site0", "site1", "site2", "joint", "one_body", "keep[0]"]))}
+    fault = draw(st.sampled_from([None] * 8 + ["value", "values", "slot", "trace",
+                                               "no slot", "no values"]))
+    if fault == "value":
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(MALFORMED))
+    elif fault in ("values", "slot", "trace"):
+        rec[fault] = draw(st.sampled_from(MALFORMED + [1.0, 2.0]))
+    elif fault is not None:
+        del rec[fault[3:]]
+    return json.dumps(rec)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("files")
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(state=_state_file(), keep=st.sampled_from([None, "0", "1", "0,1"]))
+def test_state_files_never_raise(fuzz_dir, state, keep):
+    """``reduce`` on drawn state files holds the contract, and what it
+    prints is a bundle that ``check`` reads."""
+    path = fuzz_dir / "state.json"
+    path.write_text(json.dumps(state))
+    argv = ["reduce", "--state", str(path)] + ([] if keep is None else ["--keep", keep])
+    code, records = _holds_the_contract(argv)
+    if code == 0:
+        bundle = fuzz_dir / "reduced.jsonl"
+        bundle.write_text("\n".join(json.dumps(r) for r in records))
+        for family in ("POLYGON", "BD6", "W2H4_MIXED"):
+            _holds_the_contract(["check", "--family", family, "--bundle", str(bundle)])
+
+
+def _spectrum_line(slot, values, trace=1.0):
+    return json.dumps({"record": "spectrum", "slot": slot, "values": values, "trace": trace})
+
+
+# family -> a bundle it accepts
+BUNDLES = {
+    "POLYGON": [_spectrum_line(f"site{i}", [0.5, 0.5]) for i in range(3)],
+    "BRAVYI_2Q": [_spectrum_line("site0", [0.5, 0.5]), _spectrum_line("site1", [0.5, 0.5]),
+                  _spectrum_line("joint", [1.0, 0.0, 0.0, 0.0])],
+    "BD6": [_spectrum_line("one_body", [1, 1, 1, 0, 0, 0], 3.0)],
+    "W2H4_MIXED": [_spectrum_line("one_body", [0.5, 0.5, 0.5, 0.5], 2.0),
+                   _spectrum_line("joint", [0.25, 0.25, 0.25, 0.25, 0.0, 0.0])],
+}
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(family=st.sampled_from(sorted(BUNDLES)),
+       lines=st.lists(_bundle_line(), max_size=3), at=st.integers(0, 3))
+def test_bundles_never_raise(fuzz_dir, family, lines, at):
+    """``check`` on a family's valid bundle with drawn lines put in."""
+    path = fuzz_dir / "bundle.jsonl"
+    base = BUNDLES[family]
+    path.write_text("\n".join(base[:at] + lines + base[at:]))
+    _holds_the_contract(["check", "--family", family, "--bundle", str(path)])
 
 
 def test_fuzz_reaches_every_exit_code(state_path):

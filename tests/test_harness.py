@@ -63,6 +63,22 @@ def test_mc_verify_fixed_spectrum():
     assert rep.violations == 0
 
 
+@pytest.mark.parametrize("system,nu", [
+    ("2x2:mixed", (1.5, -0.5, 0.0, 0.0)),
+    ("fermi:4:2:mixed", (1.5, -0.5, 0.0, 0.0, 0.0, 0.0)),
+    ("2x2:mixed", (0.5, 0.5)),
+    ("fermi:4:2:mixed", (0.5, 0.5)),
+])
+def test_mc_verify_refuses_a_state_spectrum_that_is_not_one(system, nu):
+    """Tensor and fermionic campaigns check ``nu`` alike: its length, and
+    nonnegative entries (a negative one is not clipped away)."""
+    from qmarginal.tensor import StateError
+
+    with pytest.raises(StateError):
+        mc_verify("W2H4_MIXED" if system.startswith("fermi") else "BRAVYI_2Q", system,
+                  trials=1, seed=0, nu=spectrum(nu, 1.0))
+
+
 def test_mc_verify_rejects_unknown_family():
     from qmarginal.catalog import CatalogError
 
