@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count
 
 SCHEMA = "qmarginal/1"
@@ -141,7 +142,10 @@ class Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> Parser:
+    """The parser of every subcommand, built once: parsing leaves it
+    unchanged, so every ``main`` call shares it."""
     p = Parser(prog="qmarginal", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -202,10 +206,8 @@ def build_parser() -> Parser:
     sp.add_argument("--seed", type=_count, required=True)
     sp.add_argument("--nu", default=None, help="fixed state spectrum")
     sp.add_argument("--tolerance", type=_finite_float, default=1e-10)
-    # argparse converts a string default with ``type``, so a bad
-    # QMARGINAL_JOBS is a usage error naming --jobs
-    sp.add_argument("--jobs", type=_positive_count,
-                    default=os.environ.get("QMARGINAL_JOBS", "1"))
+    # default: QMARGINAL_JOBS, read on each call (see ``_jobs``)
+    sp.add_argument("--jobs", type=_positive_count, default=None)
 
     sp = sub.add_parser("equiv", help="cross-family equivalence campaign")
     sp.add_argument("--family-a", required=True)
@@ -314,7 +316,11 @@ def _bundle_from_args(args):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise UsageError(f"bundle line {number} is not JSON: {exc.msg} "
+                                 f"at column {exc.colno}") from None
             if not isinstance(rec, dict):
                 raise UsageError(f"bundle line {number} is not a JSON object")
             if rec.get("record") != "spectrum":
@@ -515,15 +521,26 @@ def cmd_hull(args) -> int:
     return 0
 
 
+def _jobs(args) -> int:
+    """--jobs, or else QMARGINAL_JOBS (default 1), as a positive count."""
+    if args.jobs is not None:
+        return args.jobs
+    try:
+        return _positive_count(os.environ.get("QMARGINAL_JOBS", "1"))
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"argument --jobs (from QMARGINAL_JOBS): {exc}") from None
+
+
 def cmd_verify(args) -> int:
     from .harness import mc_verify
 
+    jobs = _jobs(args)
     nu = None
     if args.nu:
         nu = _sorted_spectrum([float(x) for x in _parse_vector(args.nu)], 1.0, "nu")
     report = mc_verify(
         args.family, args.system, args.trials, args.seed,
-        tolerance=args.tolerance, nu=nu, jobs=args.jobs,
+        tolerance=args.tolerance, nu=nu, jobs=jobs,
     )
     emit({
         "record": "campaign",

@@ -131,6 +131,9 @@ class FermionState:
             raise FermionError(
                 f"amplitude count {amps.size} does not match basis dim {self.basis.dim}"
             )
+        finite = np.isfinite(amps)
+        if not finite.all():
+            raise FermionError(f"amplitude {amps[~finite][0]} is not finite")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > 1e-12:
             raise FermionError(f"state norm {norm}, expected 1")

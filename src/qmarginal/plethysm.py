@@ -13,8 +13,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, factorial
+from operator import ge
 
 from .chambers import HullResult, canon_inequality, convex_hull
 from .rational import dot, nullspace, to_fractions
@@ -167,12 +168,20 @@ def kostka(lam: tuple, mu: tuple) -> int:
         raise PlethysmError(f"|lam| = {sum(lam)} differs from |mu| = {sum(mu)}")
     if not mu:
         return 1
+    if not _dominates(lam, mu):
+        return 0
     last = mu[-1]
     rest = mu[:-1]
     total = 0
     for nu in _strip_predecessors(lam, last):
         total += kostka(nu, rest)
     return total
+
+
+def _dominates(lam, mu) -> bool:
+    """lam dominates mu: every partial sum of lam reaches mu's (both
+    non-increasing, of one total).  K(lam, mu) is nonzero exactly then."""
+    return all(map(ge, accumulate(lam), accumulate(mu)))
 
 
 def _strip_predecessors(lam, size):
@@ -237,12 +246,16 @@ def decompose(r: int, n: int, m: int) -> PlethysmDecomposition:
 
 def _decompose(r: int, n: int, m: int, dominant: dict) -> PlethysmDecomposition:
     """Kostka elimination of the dominant weight multiplicities of
-    S^m(wedge^n C^r), largest weight first."""
+    S^m(wedge^n C^r), largest weight first.
+
+    K(mu, lam) is nonzero exactly when mu dominates lam, so only the
+    components whose partial sums all reach lam's are subtracted.
+    """
     mults = {}
     for lam in sorted(dominant, reverse=True):
         value = dominant[lam]
         for mu, c in mults.items():
-            if c and mu > lam:
+            if _dominates(mu, lam):
                 value -= c * kostka(mu, lam)
         if value < 0:
             raise PlethysmError(

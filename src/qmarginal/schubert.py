@@ -375,27 +375,89 @@ def fermi_sum_order(a, n: int) -> tuple:
 
 # ---------------------------------------------------------------------------
 # Structure coefficients
+#
+# Every coefficient is a divided-difference chain per variable block applied
+# to a substituted Schubert polynomial P.  The chains are linear and act on
+# separate blocks, so on a monomial they factor:
+# d_u d_v x^alpha = d_u(x^alpha_A) * d_v(x^alpha_B).  Each chain lowers the
+# degree in its block by its length, so only the monomials whose block
+# degrees equal the chain lengths leave a constant, and the coefficient is
+# sum_alpha P[alpha] * prod_b d_{word_b}(x^alpha_b) over those monomials.
 
-def _substitute_sums(poly: Poly, order, offsets) -> Poly:
-    """poly with z_k replaced by the sum of x_{offset + i} over the k-th
-    pick of ``order``, each index i shifted by its block's offset."""
-    return _substitute(poly, [sum((Poly.variable(o + i) for o, i in zip(offsets, pick)),
-                                  Poly()) for pick in order])
+
+class _Substitution:
+    """z_k -> the sum of x_i over the k-th pick of a combined-sum order.
+
+    The x variables form blocks of ``sizes``; x monomials are exponent
+    tuples of fixed length sum(sizes), and a pick's 1-based indices are
+    shifted by their block's offset.  A chain on a block of k variables has
+    length at most k(k-1)/2, so monomials of higher degree in a block never
+    contribute and are dropped as the images are built.  The image of each
+    z monomial beta is built once, from the image of beta - e_k for its last
+    variable k, and kept: one table serves every polynomial substituted
+    with this order (every w of a scan).
+    """
+
+    def __init__(self, order, offsets, sizes):
+        self.picks = [tuple(o + i - 1 for o, i in zip(offsets, pick)) for pick in order]
+        cuts = [0]
+        for size in sizes:
+            cuts.append(cuts[-1] + size)
+        self.blocks = tuple(zip(cuts, cuts[1:]))
+        self.block_of = [b for b, size in enumerate(sizes) for _ in range(size)]
+        self.caps = tuple(k * (k - 1) // 2 for k in sizes)
+        self.images = {(): {((0,) * cuts[-1], (0,) * len(sizes)): 1}}
+
+    def image(self, beta: tuple) -> dict:
+        """{(x exponents, block degrees): coefficient} of the z monomial beta."""
+        got = self.images.get(beta)
+        if got is None:
+            k = len(beta) - 1   # a stripped exponent ends in a nonzero entry
+            got = {}
+            for (alpha, degs), c in self.image(_strip(beta[:k] + (beta[k] - 1,))).items():
+                for i in self.picks[k]:
+                    b = self.block_of[i]
+                    if degs[b] == self.caps[b]:
+                        continue
+                    key = (alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:],
+                           degs[:b] + (degs[b] + 1,) + degs[b + 1:])
+                    got[key] = got.get(key, 0) + c
+            self.images[beta] = got
+        return got
+
+    def by_block_degree(self, poly: Poly) -> dict:
+        """The substituted poly as {block degrees: [(block exponents,
+        coefficient), ...]}, without the monomials no chain can reach."""
+        sub = {}
+        for beta, c in poly.terms.items():
+            for key, d in self.image(beta).items():
+                sub[key] = sub.get(key, 0) + c * d
+        groups = {}
+        for (alpha, degs), c in sub.items():
+            if c:
+                groups.setdefault(degs, []).append(
+                    (tuple(alpha[lo:hi] for lo, hi in self.blocks), c))
+        return groups
 
 
-def _chain_coefficient(sub: Poly, chains) -> int:
-    """Apply each (reduced word, variable offset) divided-difference chain
-    to a substituted Schubert polynomial; the residue must be a constant,
-    and that integer is returned."""
-    for word, offset in chains:
-        sub = apply_chain(word, sub, offset=offset)
-    value = sub.constant_term()
-    if value is None:
-        raise SchubertError(
-            "divided-difference chains left a non-constant residue; "
-            "this indicates an implementation bug"
-        )
-    return value
+@lru_cache(maxsize=None)
+def _chain_on_monomial(word: tuple, exp: tuple) -> int:
+    """The integer d_word(x^exp) of a monomial of degree len(word)."""
+    return apply_chain(word, Poly.monomial(exp)).constant_term()
+
+
+def _chain_coefficient(groups: dict, words) -> int:
+    """sum_alpha P[alpha] * prod_b d_{words[b]}(x^alpha_b) over the monomials
+    of P (grouped by ``_Substitution.by_block_degree``) whose block degrees
+    are the word lengths; every other monomial contributes zero."""
+    total = 0
+    for blocks, c in groups.get(tuple(map(len, words)), ()):
+        for word, exp in zip(words, blocks):
+            c *= _chain_on_monomial(word, exp)
+            if not c:
+                break
+        total += c
+    return total
 
 
 def coeff_two(u, v, w, order) -> int:
@@ -414,8 +476,8 @@ def coeff_two(u, v, w, order) -> int:
         )
     if length(w) != length(u) + length(v):
         return 0
-    sub = _substitute_sums(schubert_poly(w), order, (0, m))
-    return _chain_coefficient(sub, ((minimal_word(u), 0), (minimal_word(v), m)))
+    groups = _Substitution(order, (0, m), (m, n)).by_block_degree(schubert_poly(w))
+    return _chain_coefficient(groups, (minimal_word(u), minimal_word(v)))
 
 
 def coeff_fermi(v, w, order) -> int:
@@ -428,23 +490,9 @@ def coeff_fermi(v, w, order) -> int:
     if length(w) != length(v):
         return 0
     # every subset indexes the one block x_1..x_r (an n-subset has n < r entries)
-    sub = _substitute_sums(schubert_poly(w), order, (0,) * len(v))
-    return _chain_coefficient(sub, ((minimal_word(v), 0),))
-
-
-def _substitute(poly: Poly, images) -> Poly:
-    out = Poly()
-    cache = {}
-    for exp, coeff in poly.terms.items():
-        term = Poly.constant(coeff)
-        for k, e in enumerate(exp):
-            if e:
-                key = (k, e)
-                if key not in cache:
-                    cache[key] = images[k] ** e
-                term = term * cache[key]
-        out = out + term
-    return out
+    r = len(v)
+    groups = _Substitution(order, (0,) * r, (r,)).by_block_degree(schubert_poly(w))
+    return _chain_coefficient(groups, (minimal_word(v),))
 
 
 # ---------------------------------------------------------------------------
@@ -491,15 +539,16 @@ def enumerate_inequalities(a, b, max_length: int = 6, coeff_filter: str = "unit"
     for v, lv in _perms_up_to_length(n, n * (n - 1) // 2):
         vs.setdefault(lv, []).append(v)
     words = {p: minimal_word(p) for group in (*us.values(), *vs.values()) for p in group}
+    substitution = _Substitution(order, (0, m), (m, n))
     records = []
     for w, lw in _perms_up_to_length(m * n, max_length):
-        sub = None   # S_w substituted once, on the first (u, v) of its degree
+        groups = None   # S_w substituted once, on the first (u, v) of its degree
         for lu, ulist in us.items():
             for v in vs.get(lw - lu, ()):
                 for u in ulist:
-                    if sub is None:
-                        sub = _substitute_sums(schubert_poly(w), order, (0, m))
-                    c = _chain_coefficient(sub, ((words[u], 0), (words[v], m)))
+                    if groups is None:
+                        groups = substitution.by_block_degree(schubert_poly(w))
+                    c = _chain_coefficient(groups, (words[u], words[v]))
                     if c == 0:
                         continue
                     if coeff_filter == "unit" and c != 1:

@@ -400,11 +400,13 @@ def rng_from_seed(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator (Philox) keyed by a seed of any size.
 
     ``stream`` selects an independent substream; identical (seed, stream)
-    pairs reproduce identical output on any platform.  The key is the one
-    ``SeedSequence(entropy=seed, spawn_key=(stream,))`` gives
-    (``philox_keys``).
+    pairs reproduce identical output on any platform.  One stream keys its
+    Philox from ``SeedSequence(entropy=seed, spawn_key=(stream,))`` directly:
+    numpy's C hash, the key ``philox_keys`` derives for many streams at once.
     """
-    return np.random.Generator(np.random.Philox(key=philox_keys(seed, [stream])[0]))
+    ss = np.random.SeedSequence(entropy=operator.index(seed),
+                                spawn_key=(operator.index(stream),))
+    return np.random.Generator(np.random.Philox(ss))
 
 
 class PhiloxStreams:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmarginal.cli import main
+from qmarginal.cli import build_parser, main
 
 
 def run_cli(args, stdin_text=None, tmp_path=None, env=None):
@@ -762,3 +762,42 @@ def test_check_bundle_refuses_malformed_records_by_line(tmp_path, capsys, bad):
     assert records == []
     (error,) = errors
     assert error["record"] == "error" and "bundle line 3" in error["message"]
+
+
+def test_check_bundle_names_the_line_that_is_not_json(tmp_path, capsys):
+    """The json module counts lines within the one line it parses; the error
+    names the line of the bundle instead."""
+    path = tmp_path / "bundle.jsonl"
+    path.write_text("\n".join([json.dumps(SITE)] * 3 + ["[1,"]))
+    code, records, errors = _main_records(capsys, ["check", "--family", "POLYGON",
+                                                    "--bundle", str(path)])
+    assert code == 2
+    assert records == []
+    (error,) = errors
+    assert error["kind"] == "usage" and "bundle line 4" in error["message"]
+    assert "line 1" not in error["message"]
+
+
+def test_main_calls_share_the_parser_but_no_arguments(tmp_path, capsys):
+    """main builds its parser once; no call sees another call's --site
+    appends or bundle sites."""
+    assert build_parser() is build_parser()
+    sites = ["--site", "0.5,0.5", "--site", "0.75,0.25", "--site", "0.9,0.1"]
+    path = tmp_path / "bundle.jsonl"
+    path.write_text("\n".join(json.dumps(dict(SITE, slot=f"site{i}")) for i in range(4)))
+    first = _main_records(capsys, ["check", "--family", "POLYGON", *sites])
+    bundle = _main_records(capsys, ["check", "--family", "POLYGON", "--bundle", str(path)])
+    again = _main_records(capsys, ["check", "--family", "POLYGON", *sites])
+    assert first == again
+    assert first[0] == 1 and first[1][-1]["n_inequalities"] == 3
+    assert bundle[0] == 0 and bundle[1][-1]["n_inequalities"] == 4
+
+
+def test_jobs_environment_is_read_on_every_call(monkeypatch, capsys):
+    monkeypatch.setenv("QMARGINAL_JOBS", "x")
+    code, records, errors = _main_records(capsys, VERIFY_BD6)
+    assert code == 2 and records == []
+    assert "--jobs" in errors[0]["message"] and "QMARGINAL_JOBS" in errors[0]["message"]
+    monkeypatch.setenv("QMARGINAL_JOBS", "1")
+    code, records, errors = _main_records(capsys, VERIFY_BD6)
+    assert code == 0 and errors == [] and records[-1]["trials"] == 10

@@ -189,6 +189,15 @@ def test_slater_rejects_bad_subsets():
         slater(6, 3, (1, 1, 2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+def test_fermion_state_refuses_non_finite_amplitudes(bad):
+    """A NaN norm fails no comparison, so the entries are checked first."""
+    with pytest.raises(FermionError, match="not finite"):
+        FermionState(fermion_basis(4, 2), [bad, 0, 0, 0, 0, 0])
+    with pytest.raises(FermionError, match="not finite"):
+        FermionState(fermion_basis(4, 2), [1, bad, 0, 0, 0, 0])
+
+
 def test_slater_one_rdm_is_projector():
     for subset in ((1, 2, 3), (2, 4, 6), (4, 5, 6)):
         gamma = one_rdm(slater(6, 3, subset)).entries

@@ -230,8 +230,26 @@ def test_kostka_zero_without_dominance():
     assert kostka((2, 2), (3, 1)) == 0
 
 
+def _partitions_of(k, largest=None):
+    """The partitions of k as non-increasing tuples without zeros."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(min(k, largest or k), 0, -1):
+        for rest in _partitions_of(k - first, first):
+            yield (first,) + rest
+
+
+def _dominates_by_partial_sums(mu, lam):
+    size = max(len(mu), len(lam))
+    mu, lam = mu + (0,) * (size - len(mu)), lam + (0,) * (size - len(lam))
+    return all(sum(mu[:i]) >= sum(lam[:i]) for i in range(1, size + 1))
+
+
 def test_kostka_tableau_enumeration_oracle():
-    """Direct semistandard-tableau count for small shapes."""
+    """Direct semistandard-tableau count for every pair of partitions of
+    k <= 8; the count is zero exactly when the shape does not dominate the
+    content."""
     def ssyt_count(shape, content):
         # fill cells row by row; value v appears content[v] times
         rows = len(shape)
@@ -259,10 +277,17 @@ def test_kostka_tableau_enumeration_oracle():
 
         return rec(0, {})
 
-    cases = [((2, 1), (1, 1, 1)), ((3, 1), (2, 1, 1)), ((2, 2), (2, 1, 1)),
-             ((3, 2, 1), (2, 2, 1, 1)), ((2, 2, 1), (1, 1, 1, 1, 1))]
-    for shape, content in cases:
-        assert kostka(shape, content) == ssyt_count(shape, content), (shape, content)
+    pairs = 0
+    for k in range(1, 9):
+        parts = list(_partitions_of(k))
+        for shape in parts:
+            for content in parts:
+                value = kostka(shape, content)
+                assert value == ssyt_count(shape, content), (shape, content)
+                # K(shape, content) vanishes exactly off dominance
+                assert (value == 0) == (not _dominates_by_partial_sums(shape, content))
+                pairs += 1
+    assert pairs == 918
 
 
 def test_kostka_size_mismatch():

@@ -275,6 +275,20 @@ def _codes(total, parts):
             yield (first,) + rest
 
 
+def _substitute(poly, images):
+    """poly with z_k replaced by the polynomial images[k], on whole
+    polynomials: the reference the library's memoized monomial images are
+    checked against."""
+    out = Poly()
+    for exp, coeff in poly.terms.items():
+        term = Poly.constant(coeff)
+        for k, e in enumerate(exp):
+            if e:
+                term = term * images[k] ** e
+        out = out + term
+    return out
+
+
 def _shift_poly(p, offset):
     out = Poly()
     for exp, c in p.terms.items():
@@ -289,8 +303,6 @@ def _expand_in_schubert_pairs(w, order, m, n):
     divided-difference chains of codes with a descent at the block boundary
     stay inside their own block; verifies exact reconstruction.
     """
-    from qmarginal.schubert import _substitute
-
     deg = length(w)
     wide = m + deg
     lins = [Poly.variable(i) + Poly.variable(wide + j) for (i, j) in order]
@@ -353,8 +365,6 @@ def _is_padded_identity(perm, prefix):
 
 
 def test_coeff_fermi_agrees_with_expansion_oracle():
-    from qmarginal.schubert import _substitute
-
     a = (5, 1, -2, -4)
     order = fermi_sum_order(a, 2)
     s6_len1 = [w for w in iperm((1, 2, 3, 4, 5, 6)) if length(w) == 1]
@@ -456,8 +466,9 @@ def test_enumerate_inequalities_filters():
 
 
 def _scan_reference(a, b, max_length):
-    """(u, v, w, c) of the full-S_{mn} scan: one coeff_two call per triple
-    with l(w) = l(u) + l(v) <= max_length, in the scan's order."""
+    """(u, v, w, c) of the full-S_{mn} scan: the chains of every triple with
+    l(w) = l(u) + l(v) <= max_length on the whole substituted S_w
+    (``_old_coeff_two``, substituting once per w), in the scan's order."""
     a, b = check_test_spectrum(a), check_test_spectrum(b)
     order = sum_order(a, b)
     m, n = len(a), len(b)
@@ -472,10 +483,11 @@ def _scan_reference(a, b, max_length):
         lw = length(w)
         if lw > max_length:
             continue
+        sub = _old_substituted(w, order, m)
         for lu, ulist in us.items():
             for v in vs.get(lw - lu, ()):
                 for u in ulist:
-                    c = coeff_two(u, v, w, order)
+                    c = _old_chains(sub, u, v)
                     if c:
                         found.append((u, v, w, c))
     return a, b, found
@@ -510,9 +522,11 @@ def test_enumerate_inequalities_matches_per_triple_scan_on_chambers(fmt):
 
 
 def test_enumerate_inequalities_matches_per_triple_scan_on_2x4_cubicle():
-    found = _assert_scan_matches_reference((3, -3), (8, 1, -3, -6), max_length=3)
-    coeffs = [c for *_, c in found]
-    assert len(coeffs) == 507 and coeffs.count(1) == 218 and max(coeffs) == 8
+    """Up to length 3 (the benchmark's scan) and length 4, every filter."""
+    for max_length, active, units, top in ((3, 507, 218, 8), (4, 1480, 464, 14)):
+        found = _assert_scan_matches_reference((3, -3), (8, 1, -3, -6), max_length)
+        coeffs = [c for *_, c in found]
+        assert (len(coeffs), coeffs.count(1), max(coeffs)) == (active, units, top)
 
 
 def test_perms_up_to_length_matches_filtered_permutations():
@@ -621,20 +635,26 @@ def _residue(res):
     return value
 
 
-def _old_coeff_two(u, v, w, order):
-    from qmarginal.schubert import _substitute
+def _old_substituted(w, order, m):
+    """S_w with z_k = x^A_i + x^B_j for the k-th pair (i, j) of the order."""
+    lins = [Poly.variable(i) + Poly.variable(m + j) for (i, j) in order]
+    return _substitute(schubert_poly(w), lins)
 
-    m = len(u)
+
+def _old_chains(sub, u, v):
+    """The u chain on the A block, then the v chain on the B block, of a
+    whole substituted polynomial; the residue must be a constant."""
+    res = apply_chain(minimal_word(u), sub, offset=0)
+    return _residue(apply_chain(minimal_word(v), res, offset=len(u)))
+
+
+def _old_coeff_two(u, v, w, order):
     if length(w) != length(u) + length(v):
         return 0
-    lins = [Poly.variable(i) + Poly.variable(m + j) for (i, j) in order]
-    res = apply_chain(minimal_word(u), _substitute(schubert_poly(w), lins), offset=0)
-    return _residue(apply_chain(minimal_word(v), res, offset=m))
+    return _old_chains(_old_substituted(w, order, len(u)), u, v)
 
 
 def _old_coeff_fermi(v, w, order):
-    from qmarginal.schubert import _substitute
-
     if length(w) != length(v):
         return 0
     lins = []

@@ -318,6 +318,9 @@ def test_philox_keys_refuse_negative_inputs(seed, streams):
 def test_rng_from_seed_draws_what_seed_sequence_draws():
     for seed, stream in [(0, 0), (7, 3), (2**64, 2**32), (20260809, 999)]:
         got, want = rng_from_seed(seed, stream), _seed_sequence_rng(seed, stream)
+        key = got.bit_generator.state["state"]["key"]
+        assert np.array_equal(key, philox_keys(seed, [stream])[0])
+        assert np.array_equal(key, _seed_sequence_key(seed, stream))
         assert np.array_equal(got.standard_normal(9), want.standard_normal(9))
         assert np.array_equal(got.dirichlet(np.ones(5)), want.dirichlet(np.ones(5)))
     with pytest.raises(ValueError, match="non-negative"):
