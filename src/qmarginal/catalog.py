@@ -329,10 +329,12 @@ CHSH_RECORDS = _chsh_records_full()
 # and have evaluators of their own.  Campaigns pass blocks of trials through
 # the same code; ``check_family`` passes a block of one.
 
-# Trials per block in campaigns and equivalence runs.  The largest block
-# array of the catalogued systems, the entries of fermi:8:4 that the 1-RDM
-# map reads (1190 complex numbers per trial), takes 0.6 MB.
+# Trials per block in campaigns.  The largest block array of the catalogued
+# systems, the entries of fermi:8:4 that the 1-RDM map reads (1190 complex
+# numbers per trial), takes 0.6 MB.
 BLOCK_TRIALS = 32
+# Samples per block in equivalence runs, which hold r <= 8 floats a sample.
+EQUIV_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -898,18 +900,39 @@ class EquivalenceReport:
     first_disagreement: tuple = None
 
 
-def _sample_valid_occupation(rng, r, n, perturbed: bool):
-    """Trace-n vector inside the Pauli box [0, 1]^r, by rejection."""
-    alpha = np.ones(r)
-    for _ in range(10000):
-        if perturbed:
-            vals = np.abs(n / r + 0.3 * rng.standard_normal(r))
-            vals *= n / vals.sum()
+def _valid_occupations(rng, r, n, trials) -> list:
+    """One trace-n vector inside the Pauli box [0, 1]^r per trial, by
+    rejection: Dirichlet(1, ..., 1) times n on even trials, |n/r + 0.3 z|
+    rescaled to trace n on odd ones.
+
+    A try is one draw call and scalar arithmetic, with the values and
+    generator words of ``rng.dirichlet(np.ones(r)) * n`` and of
+    ``np.abs(n / r + 0.3 * rng.standard_normal(r))`` scaled by
+    ``n / vals.sum()``.  Rounding a product by a positive scale is monotone,
+    so a try is accepted on its largest entry alone, and its row is built
+    only then.
+    """
+    from .tensor import flat_dirichlet
+
+    base = n / r
+    rows = []
+    for trial in trials:
+        for _ in range(10000):
+            if trial % 2:
+                vals = [abs(base + 0.3 * z) for z in rng.standard_normal(r).tolist()]
+                # numpy's own sum: it adds 8 or more entries pairwise
+                scale = n / float(np.add.reduce(vals))
+                if max(vals) * scale <= 1.0:
+                    rows.append([v * scale for v in vals])
+                    break
+            else:
+                xs, inv = flat_dirichlet(rng, r)
+                if max(xs) * inv * n <= 1.0:
+                    rows.append([x * inv * n for x in xs])
+                    break
         else:
-            vals = rng.dirichlet(alpha) * n
-        if vals.max() <= 1.0:
-            return vals
-    raise CatalogError(f"could not sample a valid occupation spectrum for ({r}, {n})")
+            raise CatalogError(f"could not sample a valid occupation spectrum for ({r}, {n})")
+    return rows
 
 
 def _check_count(name, value):
@@ -925,7 +948,10 @@ def check_equivalence(family_a: str, family_b: str, samples: int, seed: int,
     all inside the Pauli box).
 
     The samples are drawn one after another from one generator and checked
-    in blocks; the first disagreement is the first in sample order.
+    in blocks of ``EQUIV_BLOCK``; a sample's slacks do not depend on its
+    block, and the first disagreement is the first in sample order.  Both
+    families must apply to pure fermi:r:n states, since only the one-body
+    spectrum is sampled.
     """
     from .tensor import rng_from_seed, spectra_rows
 
@@ -939,16 +965,21 @@ def check_equivalence(family_a: str, family_b: str, samples: int, seed: int,
     if sizes[0] != sizes[1]:
         raise CatalogError(f"{family_a} and {family_b} apply to different systems")
     r, n = sizes[0]
+    pure = SystemDescriptor("fermion", r=r, n=n, pure=True)
+    for fam in (fa, fb):
+        if not fam.matcher(pure):
+            raise CatalogError(
+                f"{fam.family_id} applies to {fam.system} states, whose checks need "
+                f"more than the one-body spectrum; equivalence sampling draws only "
+                f"one-body spectra of pure fermi:{r}:{n} states"
+            )
     _check_count("samples", samples)
     rng = rng_from_seed(seed)
     disagreements = 0
     first = None
-    for lo in range(0, samples, BLOCK_TRIALS):
-        trials = range(lo, min(lo + BLOCK_TRIALS, samples))
-        lam = spectra_rows(np.array([
-            _sample_valid_occupation(rng, r, n, perturbed=trial % 2 == 1)
-            for trial in trials
-        ]), float(n))
+    for lo in range(0, samples, EQUIV_BLOCK):
+        lam = spectra_rows(np.array(_valid_occupations(
+            rng, r, n, range(lo, min(lo + EQUIV_BLOCK, samples)))), float(n))
         block = SpectraBlock(one_body=lam, one_body_trace=np.full(len(lam), float(n)))
         differ = np.flatnonzero(check_block(family_a, block, tolerance).satisfied()
                                 != check_block(family_b, block, tolerance).satisfied())

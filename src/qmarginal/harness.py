@@ -7,14 +7,14 @@ from the campaign seed by counter offset, so reports are independent of
 worker count and bit-reproducible.
 
 Trials run in blocks of ``BLOCK_TRIALS``.  Each trial still draws from its
-own Philox stream ``(seed, trial)``, with the calls the per-trial samplers
-make; the block is then reduced and eigensolved by ``reduce_states``, as
-``qmarginal reduce`` reduces a state file, and checked at once.  The keys
-of a chunk are derived in one pass (``tensor.PhiloxStreams``) and one
-generator is re-keyed per trial, which draws exactly what
-``rng_from_seed(seed, trial)`` draws.  Every operation on a block acts on
-each trial's rows alone, so a trial's slack is bitwise the same whatever
-block it falls in.
+own Philox stream ``(seed, trial)`` the values and generator words the
+per-trial samplers draw; the block is then reduced and eigensolved by
+``reduce_states``, as ``qmarginal reduce`` reduces a state file, and checked
+at once.  The keys of a chunk are derived a window of streams at a time
+(``tensor.PhiloxStreams``) and one generator is re-keyed per trial, which
+draws exactly what ``rng_from_seed(seed, trial)`` draws.  Every operation on
+a block acts on each trial's rows alone, so a trial's slack is bitwise the
+same whatever block it falls in.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .tensor import (
     complex_gaussian_stack,
     fixed_spectrum_stack,
     fixed_spectrum_values,
+    flat_dirichlet,
     haar_vectors,
     hilbert_schmidt_stack,
     partial_trace_stack,
@@ -129,7 +130,8 @@ def _sample_blocks(system: SystemDescriptor, streams: PhiloxStreams, nu=None,
         gaussians = np.empty((len(streams), size, size), dtype=complex)
         for i, rng in enumerate(streams):
             if vals is None:
-                draws[i] = rng.dirichlet(np.ones(size))
+                xs, inv = flat_dirichlet(rng, size)
+                draws[i] = [x * inv for x in xs]
             gaussians[i] = complex_gaussian((size, size), rng)
         # the drawn spectrum is the joint one; rho is not solved again
         joint = spectra_rows(draws, 1.0) if vals is None else np.tile(vals, (len(streams), 1))

@@ -355,22 +355,11 @@ def _mix(x, y):
     return values ^ values >> 16
 
 
-def philox_keys(seed: int, streams) -> np.ndarray:
-    """(T, 2) uint64 Philox keys of the streams of one seed.
-
-    Row i is the key that ``np.random.Philox`` takes from
-    ``np.random.SeedSequence(entropy=seed, spawn_key=(streams[i],))``: the
-    seed's 32-bit words, zero-padded to the pool size, then the stream's
-    words are hashed into a 4-word pool, which ``generate_state(2, uint64)``
-    expands.  The seed-only part is hashed once; each stream word position
-    is mixed in for all streams at once.  Seeds and streams of any size are
-    accepted; a negative one is a ``ValueError``.
-    """
+def _seed_pool(seed: int):
+    """The SeedSequence pool after the seed's words, and the hash constant
+    of the next word: the part of ``philox_keys`` that all streams share."""
     entropy = _uint32_words(seed, "seed")
     entropy += [0] * (_POOL_SIZE - len(entropy))
-    rest = np.array(streams, dtype=object).reshape(-1)
-    if (rest < 0).any():
-        raise ValueError(f"stream must be a non-negative integer, got {rest[rest < 0][0]}")
     # The hash constant advances once per hashed word, whatever its value.
     steps = _hash_steps(_INIT_A, _MULT_A)
     pool = [_hash(word, *next(steps)) for word in entropy[:_POOL_SIZE]]
@@ -381,6 +370,15 @@ def philox_keys(seed: int, streams) -> np.ndarray:
     for word in entropy[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], _hash(word, *next(steps)))
+    return pool, next(steps)[0]
+
+
+def _stream_keys(pool, const: int, streams) -> np.ndarray:
+    """(T, 2) uint64 keys of ``streams`` from a seed's ``_seed_pool``."""
+    rest = np.array(streams, dtype=object).reshape(-1)
+    if (rest < 0).any():
+        raise ValueError(f"stream must be a non-negative integer, got {rest[rest < 0][0]}")
+    steps = _hash_steps(const, _MULT_A)
     # One step of the (4, T) pool per stream word position; a stream whose
     # words have run out keeps its pool.
     pool = np.array(pool, dtype=np.uint32)[:, None].repeat(len(rest), axis=1)
@@ -394,6 +392,20 @@ def philox_keys(seed: int, streams) -> np.ndarray:
     words = _hash(pool, *_step_columns(_hash_steps(_INIT_B, _MULT_B), _POOL_SIZE))
     words = words.astype(np.uint64)
     return np.ascontiguousarray((words[0::2] | words[1::2] << 32).T)
+
+
+def philox_keys(seed: int, streams) -> np.ndarray:
+    """(T, 2) uint64 Philox keys of the streams of one seed.
+
+    Row i is the key that ``np.random.Philox`` takes from
+    ``np.random.SeedSequence(entropy=seed, spawn_key=(streams[i],))``: the
+    seed's 32-bit words, zero-padded to the pool size, then the stream's
+    words are hashed into a 4-word pool, which ``generate_state(2, uint64)``
+    expands.  The seed-only part is hashed once; each stream word position
+    is mixed in for all streams at once.  Seeds and streams of any size are
+    accepted; a negative one is a ``ValueError``.
+    """
+    return _stream_keys(*_seed_pool(seed), streams)
 
 
 def rng_from_seed(seed: int, stream: int = 0) -> np.random.Generator:
@@ -410,37 +422,59 @@ def rng_from_seed(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 class PhiloxStreams:
-    """Generators of the streams of one seed, keyed in one pass.
+    """Generators of the streams of one seed, keyed a window at a time.
 
-    The keys of all ``streams`` are derived at once (``philox_keys``).  One
-    Philox bit generator is then set to the start of each stream in turn,
-    so it draws exactly what ``rng_from_seed(seed, stream)`` draws.
-    Iterating yields that one Generator once per stream: make a stream's
-    draws before taking the next.  A slice is the streams of a sub-range,
-    sharing the generator.
+    The seed's part of the key hash (``philox_keys``) is done once.  The
+    keys of a window of ``KEY_WINDOW`` consecutive streams are derived in one
+    pass when the first of them is drawn, so memory stays bounded however
+    many streams there are.  One Philox bit generator is then set to the
+    start of each stream in turn, so it draws exactly what
+    ``rng_from_seed(seed, stream)`` draws.  Iterating yields that one
+    Generator once per stream: make a stream's draws before taking the next.
+    ``streams`` is a sequence (a range or a list); a negative stream is a
+    ``ValueError`` when its window is keyed.  A slice is the streams of a
+    sub-range, sharing the generator and the keyed window.
     """
 
+    # 16 KB of keys; a 750-trial campaign chunk is keyed in one pass.
+    KEY_WINDOW = 1024
+
     def __init__(self, seed: int, streams):
-        self.keys = philox_keys(seed, streams)
+        self._pool = _seed_pool(seed)
+        self._streams = streams
+        self._lo, self._hi = 0, len(streams)
+        # (first stream index, keys) of the keyed window, shared by slices.
+        self._window = [None, None]
         bitgen = np.random.Philox(key=0)
         # The state at the start of a stream; only the key is replaced.
         self._start = bitgen.state
         self._rng = np.random.Generator(bitgen)
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return self._hi - self._lo
 
     def __getitem__(self, index: slice) -> "PhiloxStreams":
+        sub = range(self._lo, self._hi)[index]
+        if sub.step != 1:
+            raise ValueError("PhiloxStreams slices must be contiguous")
         part = copy.copy(self)
-        part.keys = self.keys[index]
+        part._lo, part._hi = sub.start, sub.start + len(sub)
         return part
+
+    def _keys(self, first: int) -> np.ndarray:
+        """The keys of the window of streams that starts at index ``first``."""
+        if self._window[0] != first:
+            self._window[:] = first, _stream_keys(
+                *self._pool, self._streams[first:first + self.KEY_WINDOW])
+        return self._window[1]
 
     def __iter__(self):
         bitgen = self._rng.bit_generator
-        for key in self.keys:
-            self._start["state"]["key"] = key
-            bitgen.state = self._start
-            yield self._rng
+        for first in range(self._lo - self._lo % self.KEY_WINDOW, self._hi, self.KEY_WINDOW):
+            for key in self._keys(first)[max(self._lo - first, 0):self._hi - first]:
+                self._start["state"]["key"] = key
+                bitgen.state = self._start
+                yield self._rng
 
 
 def complex_gaussian_stack(shape: tuple, rngs) -> np.ndarray:
@@ -457,6 +491,24 @@ def complex_gaussian_stack(shape: tuple, rngs) -> np.ndarray:
 def complex_gaussian(shape: tuple, rng: np.random.Generator) -> np.ndarray:
     """I.i.d. standard complex Gaussians from one generator."""
     return complex_gaussian_stack(shape, [rng])[0]
+
+
+def flat_dirichlet(rng: np.random.Generator, k: int):
+    """A Dirichlet(1, ..., 1) draw of length k as its k exponential variates
+    and the inverse of their sum: the point ``[x * inv for x in xs]`` is bit
+    for bit ``rng.dirichlet(np.ones(k))``, from the same generator words.
+
+    numpy draws gamma(1) variates as standard exponentials, sums them left
+    to right and scales them by 1 / sum; one ``standard_exponential`` call
+    skips ``dirichlet``'s argument checks, most of its cost on short vectors.
+    The sum is a plain loop: ``sum`` compensates its rounding from Python
+    3.12 on.
+    """
+    xs = rng.standard_exponential(k).tolist()
+    acc = 0.0
+    for x in xs:
+        acc += x
+    return xs, 1.0 / acc
 
 
 def haar_vectors(size: int, rngs) -> np.ndarray:

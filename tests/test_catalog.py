@@ -303,6 +303,109 @@ def test_equivalence_refuses_a_negative_sample_count():
     assert rep.samples == 0 and rep.disagreements == 0
 
 
+@pytest.mark.parametrize("family", ["W2H4_MIXED", "W2H5_META"])
+@pytest.mark.parametrize("samples", [50, 0])
+def test_equivalence_refuses_families_that_need_more_than_one_body_spectra(
+        monkeypatch, family, samples):
+    from qmarginal import catalog
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before refusing")
+
+    monkeypatch.setattr(catalog, "_valid_occupations", no_sampling)
+    with pytest.raises(CatalogError, match=f"{family} .*one-body spectra of pure"):
+        check_equivalence(family, family, samples, seed=1)
+
+
+def _reference_sample_valid_occupation(rng, r, n, perturbed: bool):
+    """The equivalence sampler as ``rng.dirichlet`` and numpy arrays draw it:
+    the reference for ``_valid_occupations``."""
+    alpha = np.ones(r)
+    for _ in range(10000):
+        if perturbed:
+            vals = np.abs(n / r + 0.3 * rng.standard_normal(r))
+            vals *= n / vals.sum()
+        else:
+            vals = rng.dirichlet(alpha) * n
+        if vals.max() <= 1.0:
+            return vals
+    raise CatalogError(f"could not sample a valid occupation spectrum for ({r}, {n})")
+
+
+# Every fixed (r, n) of the catalog, two more, and r = 20 (numpy sums 8 or
+# more entries pairwise, fewer left to right).
+SAMPLER_SIZES = [(6, 3), (7, 3), (8, 3), (8, 4), (4, 2), (5, 2), (3, 1), (20, 3)]
+
+
+def test_sampler_sizes_cover_the_fixed_catalog_systems():
+    fixed = {(fam.meta["r"], fam.meta["n"]) for fam in FAMILIES.values()
+             if fam.meta and fam.meta.get("r") is not None}
+    assert fixed <= set(SAMPLER_SIZES)
+
+
+@pytest.mark.parametrize("r,n", SAMPLER_SIZES)
+def test_valid_occupations_draw_what_the_reference_draws(r, n):
+    """Same samples bit for bit, and the generators left in the same state."""
+    from qmarginal.catalog import _valid_occupations
+    from qmarginal.tensor import rng_from_seed
+
+    for seed in (0, 1, 20260809):
+        want_rng, got_rng = rng_from_seed(seed), rng_from_seed(seed)
+        want = np.array([_reference_sample_valid_occupation(want_rng, r, n, t % 2 == 1)
+                         for t in range(3000)])
+        got = np.array(_valid_occupations(got_rng, r, n, range(3000)))
+        assert np.array_equal(got, want), (r, n, seed)
+        assert got_rng.standard_normal() == want_rng.standard_normal()
+
+
+def test_valid_occupations_take_the_parity_of_the_trial_index():
+    from qmarginal.catalog import _valid_occupations
+    from qmarginal.tensor import rng_from_seed
+
+    want_rng, got_rng = rng_from_seed(4), rng_from_seed(4)
+    want = [_reference_sample_valid_occupation(want_rng, 8, 4, t % 2 == 1)
+            for t in range(257, 300)]
+    assert np.array_equal(_valid_occupations(got_rng, 8, 4, range(257, 300)), want)
+
+
+def _reference_equivalence(family_a, family_b, samples, seed):
+    """(disagreements, first) from one sample and one ``check_family`` at a time."""
+    from qmarginal.tensor import rng_from_seed
+
+    r, n = get_family(family_a).meta["r"], get_family(family_a).meta["n"]
+    rng = rng_from_seed(seed)
+    disagreements, first = 0, None
+    for t in range(samples):
+        lam = spectrum(_reference_sample_valid_occupation(rng, r, n, t % 2 == 1), float(n))
+        bundle = SpectraBundle(one_body=lam)
+        if (check_family(family_a, bundle).satisfied
+                != check_family(family_b, bundle).satisfied):
+            disagreements += 1
+            first = first or tuple(lam.as_floats())
+    return disagreements, first
+
+
+def test_equivalence_disagreements_do_not_depend_on_the_block(monkeypatch):
+    """A planted family, F7_BD with its bound raised, disagrees with F7_BD on
+    some samples: the count and the first disagreement match the one-by-one
+    reference for every block size."""
+    import dataclasses
+    from fractions import Fraction
+
+    from qmarginal import catalog
+
+    fam = get_family("F7_BD")
+    raised = tuple(dataclasses.replace(rec, bound=Fraction(-21, 20)) for rec in fam.records)
+    monkeypatch.setitem(FAMILIES, "F7_RAISED",
+                        dataclasses.replace(fam, family_id="F7_RAISED", records=raised))
+    want = _reference_equivalence("F7_BD", "F7_RAISED", 700, 5)
+    assert want[0] > 0
+    for block in (1, 32, 256, 1024):
+        monkeypatch.setattr(catalog, "EQUIV_BLOCK", block)
+        rep = check_equivalence("F7_BD", "F7_RAISED", 700, 5)
+        assert (rep.disagreements, rep.first_disagreement) == want, block
+
+
 def test_planted_violation_is_flagged():
     bad = SpectraBundle(one_body=spectrum((1, 1, 1, 0, 0, 0.0001), 3.0001))
     rep = check_family("BD6", bad, tolerance=1e-10)

@@ -628,6 +628,20 @@ def test_equiv_without_fixed_system_is_an_exit_two_error(family):
     assert family in error["message"]
 
 
+@pytest.mark.parametrize("samples", ["50", "0"])
+def test_equiv_on_a_mixed_family_is_an_exit_two_error(capsys, samples):
+    code, records, errors = _main_records(capsys, [
+        "equiv", "--family-a", "W2H4_MIXED", "--family-b", "W2H4_MIXED",
+        "--samples", samples, "--seed", "1",
+    ])
+    assert code == 2
+    assert records == []
+    (error,) = errors
+    assert error["record"] == "error" and error["kind"] == "CatalogError"
+    assert "W2H4_MIXED" in error["message"]
+    assert "one-body spectra of pure fermi:4:2 states" in error["message"]
+
+
 VERIFY_BD6 = ["verify", "--family", "BD6", "--system", "fermi:6:3:pure",
               "--trials", "10", "--seed", "1"]
 
