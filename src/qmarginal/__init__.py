@@ -7,7 +7,7 @@ Library layout:
   Haar sampling
 - ``spectra``: majorization, Young diagrams, Gale-Ryser, particle-hole
 - ``fermion``: occupation-number basis, 1- and 2-particle RDMs, energy
-- ``catalog``: the printed inequality families and uniform checks
+- ``catalog``: float64 checks of the printed inequality families
 - ``schubert``: divided differences, Schubert polynomials, structure
   coefficients, inequality generation
 - ``chambers``: exact rational cubicle arrangements, extremal edges,
@@ -15,7 +15,8 @@ Library layout:
 - ``rational``: exact linear algebra on one fraction-free echelon kernel
 - ``plethysm``: symmetric-power decompositions and the inner approximation
 - ``harness``: seeded Monte-Carlo campaigns and witness search
-- ``records``: ``InequalityRecord``, the exact constraint record (no numpy)
+- ``records``: ``InequalityRecord`` and the family registry: each printed
+  family's exact records and the system it applies to (no numpy)
 - ``cli``: the ``qmarginal`` command
 
 The names in ``__all__`` load on first access: ``import qmarginal`` imports
@@ -29,13 +30,13 @@ import importlib
 # first access (PEP 562), so ``import qmarginal`` imports no submodule and
 # the exact commands never pull in numpy through the package namespace.
 _SOURCE_OF = {
-    **dict.fromkeys(("CheckReport", "SpectraBundle", "applicable_families",
-                     "check_chsh", "check_equivalence", "check_family",
-                     "family_ids"), "catalog"),
+    **dict.fromkeys(("CheckReport", "SpectraBundle", "check_chsh",
+                     "check_equivalence", "check_family"), "catalog"),
     **dict.fromkeys(("FermionState", "energy_from_two_rdm", "fermion_basis",
                      "haar_fermion", "one_rdm", "one_rdm_mixed", "slater",
                      "two_rdm"), "fermion"),
-    "InequalityRecord": "records",
+    **dict.fromkeys(("InequalityRecord", "applicable_families", "family_ids"),
+                    "records"),
     **dict.fromkeys(("Spectrum", "YoungDiagram", "gale_ryser", "majorizes",
                      "particle_hole", "renormalize", "spectrum", "transpose"),
                     "spectra"),
@@ -48,44 +49,7 @@ _SOURCE_OF = {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CheckReport",
-    "DensityMatrix",
-    "FermionState",
-    "InequalityRecord",
-    "PureState",
-    "SpectraBundle",
-    "Spectrum",
-    "SystemDescriptor",
-    "YoungDiagram",
-    "applicable_families",
-    "check_chsh",
-    "check_equivalence",
-    "check_family",
-    "energy_from_two_rdm",
-    "family_ids",
-    "fermion_basis",
-    "gale_ryser",
-    "gram_of_slices",
-    "haar_fermion",
-    "haar_pure",
-    "majorizes",
-    "one_rdm",
-    "one_rdm_mixed",
-    "parse_system",
-    "partial_trace",
-    "particle_hole",
-    "pure_marginal",
-    "purify",
-    "random_mixed_with_spectrum",
-    "renormalize",
-    "schmidt",
-    "slater",
-    "spectrum",
-    "spectrum_of",
-    "transpose",
-    "two_rdm",
-]
+__all__ = sorted(_SOURCE_OF)
 
 
 def __getattr__(name):

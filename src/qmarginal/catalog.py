@@ -1,26 +1,25 @@
-"""Registry of the printed spectral-constraint families.
+"""Float64 checks of the printed spectral-constraint families.
 
-Each family carries its own ordering and normalization convention;
-``check_family`` canonicalizes the input bundle (re-sorting and
-re-normalizing as declared, recording that it did) before evaluating.
-The exact ``Fraction`` records are the source of truth; checks evaluate a
-float64 linear system compiled from them on first use, over a block of
-bundles at once.  Family ids are stable strings and part of the CLI
-contract.
+The families themselves, their exact ``Fraction`` records and where they
+apply, are registered in ``records``.  Each family carries its own ordering
+and normalization convention; ``check_family`` canonicalizes the input
+bundle (re-sorting and re-normalizing as declared, recording that it did)
+before evaluating.  Checks evaluate a float64 linear system compiled from
+the records on first use, over a block of bundles at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-# InequalityRecord and CatalogError live in the numpy-free records module;
-# catalog re-exports them, so catalog.InequalityRecord is the same class.
-from .records import CatalogError, InequalityRecord, _rec  # noqa: F401
+# The families' exact data lives in the numpy-free records module; catalog
+# re-exports InequalityRecord and CatalogError, so catalog.InequalityRecord
+# is the same class.
+from .records import F84_ABS_PATTERNS, CatalogError, InequalityRecord, get_family  # noqa: F401
 from .spectra import Spectrum, SpectrumError
-from .systems import SystemDescriptor, parse_system
 
 
 @dataclass(frozen=True)
@@ -45,278 +44,6 @@ class CheckReport:
     n_inequalities: int
     tolerance: float
     notes: tuple = ()
-
-
-# ---------------------------------------------------------------------------
-# Static family data
-
-# Borland-Dennis system (three particles, six orbitals), chemist trace 3.
-BD6_RECORDS = (
-    _rec((("lam", (1, 0, 0, 0, 0, 1)),), 1, "=", "l1+l6=1"),
-    _rec((("lam", (0, 1, 0, 0, 1, 0)),), 1, "=", "l2+l5=1"),
-    _rec((("lam", (0, 0, 1, 1, 0, 0)),), 1, "=", "l3+l4=1"),
-    _rec((("lam", (0, 0, 0, 1, -1, -1)),), 0, "<=", "l4<=l5+l6"),
-)
-
-# Seven-orbital three-particle system: conjectured-by-experiment form
-# (sums of three occupations bounded below by 1).
-F7_BD_TRIPLES = ((1, 6, 7), (2, 5, 7), (3, 4, 7), (3, 5, 6))
-F7_BD_RECORDS = tuple(
-    _rec(
-        (("lam", tuple(-1 if i + 1 in t else 0 for i in range(7))),),
-        -1,
-        "<=",
-        f"l{t[0]}+l{t[1]}+l{t[2]}>=1",
-    )
-    for t in F7_BD_TRIPLES
-)
-
-# The same system in zero-sum test-spectrum form with coefficients 3/-4.
-# The third row is printed with a sign typo in the source; the coefficient
-# of l5 must be +3 for the row to be a permuted zero-sum test spectrum.
-F7_LIST_ROWS = (
-    (-4, 3, 3, 3, 3, -4, -4),
-    (3, -4, 3, 3, -4, 3, -4),
-    (3, 3, -4, -4, 3, 3, -4),
-    (3, 3, -4, 3, -4, -4, 3),
-)
-F7_LIST_RECORDS = tuple(
-    _rec((("lam", row),), 2, "<=", f"row{i+1}") for i, row in enumerate(F7_LIST_ROWS)
-)
-
-# Eight-orbital three-particle system: 31 inequalities grouped by extremal
-# edge, group sizes 1, 4, 5, 2, 3, 2, 6, 4, 4.
-F8_31_GROUPS = (
-    (1, ((3, -1, -1, -1, -1, -1, -1, 3),)),
-    (1, (
-        (-1, 1, 1, 1, 1, -1, -1, -1),
-        (1, 1, -1, -1, 1, 1, -1, -1),
-        (1, 1, -1, 1, -1, -1, 1, -1),
-        (1, -1, 1, 1, -1, 1, -1, -1),
-    )),
-    (1, (
-        (2, 1, -2, -1, 0, -1, 0, 1),
-        (2, -1, 0, -1, 0, 1, -2, 1),
-        (0, 0, 1, 2, -2, -1, -1, 1),
-        (1, 2, -2, 0, -1, -1, 0, 1),
-        (2, -1, 0, 1, -2, -1, 0, 1),
-    )),
-    (3, (
-        (5, 5, -7, -3, -3, 1, 1, 1),
-        (5, -3, -3, 1, 1, 5, -7, 1),
-    )),
-    (3, (
-        (5, 1, -3, 1, -3, 1, -3, 1),
-        (1, 1, 1, 5, -3, -3, -3, 1),
-        (1, 5, -3, 1, 1, -3, -3, 1),
-    )),
-    (3, (
-        (9, 1, -7, -7, -7, 1, 1, 9),
-        (9, -7, -7, 1, 1, 1, -7, 9),
-    )),
-    (5, (
-        (7, -1, -1, -1, -1, 7, -9, -1),
-        (7, -1, -1, 7, -9, -1, -1, -1),
-        (7, 7, -9, -1, -1, -1, -1, -1),
-        (-1, -1, 7, 7, -1, -1, -9, -1),
-        (-1, 7, -1, 7, -1, -9, -1, -1),
-        (-1, 7, -1, -1, 7, -1, -9, -1),
-    )),
-    (7, (
-        (-3, 5, 5, 13, -11, -3, -11, 5),
-        (5, 13, -11, 5, -11, -3, -3, 5),
-        (5, -3, 5, 13, -11, -11, -3, 5),
-        (5, 13, -11, -3, 5, -11, -3, 5),
-    )),
-    (9, (
-        (19, 11, -21, -13, -5, -5, 3, 11),
-        (19, -13, -5, -5, 3, 11, -21, 11),
-        (11, 19, -21, -5, -13, -5, 3, 11),
-        (-5, 3, 11, 19, -21, -13, -5, 11),
-    )),
-)
-F8_31_RECORDS = tuple(
-    _rec((("lam", row),), bound, "<=", f"g{gi+1}r{ri+1}")
-    for gi, (bound, rows) in enumerate(F8_31_GROUPS)
-    for ri, row in enumerate(rows)
-)
-
-# Eight-orbital four-particle system: 14 inequalities, two edge groups.
-F84_14_GROUPS = (
-    (4, (
-        (5, 1, 1, -3, 1, -3, -3, 1),
-        (1, 1, 5, -3, 1, 1, -3, -3),
-        (1, 1, 1, 1, 5, -3, -3, -3),
-        (1, 5, 1, -3, 1, -3, 1, -3),
-        (5, -3, 1, 1, 1, 1, -3, -3),
-        (5, 1, 1, -3, -3, 1, 1, -3),
-        (5, 1, -3, 1, 1, -3, 1, -3),
-    )),
-    (4, (
-        (-1, 3, 3, -1, 3, -1, -1, -5),
-        (3, 3, -1, -1, 3, -5, -1, -1),
-        (3, 3, 3, -5, -1, -1, -1, -1),
-        (3, -1, 3, -1, 3, -1, -5, -1),
-        (3, 3, -1, -1, -1, -1, 3, -5),
-        (3, -1, -1, 3, 3, -1, -1, -5),
-        (3, -1, 3, -1, -1, 3, -1, -5),
-    )),
-)
-F84_14_RECORDS = tuple(
-    _rec((("lam", row),), bound, "<=", f"g{gi+1}r{ri+1}")
-    for gi, (bound, rows) in enumerate(F84_14_GROUPS)
-    for ri, row in enumerate(rows)
-)
-
-# Absolute-value form of the same system: |x_1| + ... + |x_7| <= 4 with the
-# seven printed sign patterns (rows are coefficients of lambda_1..lambda_8).
-F84_ABS_PATTERNS = (
-    (1, 1, 1, 1, -1, -1, -1, -1),
-    (1, 1, -1, -1, 1, 1, -1, -1),
-    (1, -1, 1, -1, 1, -1, 1, -1),
-    (1, -1, -1, 1, -1, 1, 1, -1),
-    (-1, 1, 1, -1, -1, 1, 1, -1),
-    (-1, 1, -1, 1, 1, -1, 1, -1),
-    (-1, -1, 1, 1, 1, 1, -1, -1),
-)
-
-# Two-particle four-orbital mixed system; both spectra normalized to the
-# same trace (canonicalized to 1 here), written in decreasing order.
-W2H4_ROWS = (
-    ((2, 0, 0, 0), (-1, -1, -1, 0, 0, 0), "2l1<=n1+n2+n3"),
-    ((0, 0, 0, -2), (0, 0, 0, 1, 1, 1), "2l4>=n4+n5+n6"),
-    ((2, 0, 0, -2), (-1, -1, 0, 0, 1, 1), "2(l1-l4)<=n1+n2-n5-n6"),
-    ((1, 1, -1, -1), (-1, 0, 0, 0, 0, 1), "l1+l2-l3-l4<=n1-n6"),
-    ((1, -1, 1, -1), (-1, 0, 0, 0, 1, 0), "alt<=n1-n5"),
-    ((1, -1, 1, -1), (0, -1, 0, 0, 0, 1), "alt<=n2-n6"),
-    ((1, -1, -1, 1), (-1, 0, 0, 1, 0, 0), "abs+<=n1-n4"),
-    ((1, -1, -1, 1), (0, -1, 0, 0, 1, 0), "abs+<=n2-n5"),
-    ((1, -1, -1, 1), (0, 0, -1, 0, 0, 1), "abs+<=n3-n6"),
-    ((-1, 1, 1, -1), (-1, 0, 0, 1, 0, 0), "abs-<=n1-n4"),
-    ((-1, 1, 1, -1), (0, -1, 0, 0, 1, 0), "abs-<=n2-n5"),
-    ((-1, 1, 1, -1), (0, 0, -1, 0, 0, 1), "abs-<=n3-n6"),
-    ((2, 0, -2, 0), (-1, 0, -1, 0, 1, 1), "2(l1-l3)<=n1+n3-n5-n6"),
-    ((2, 0, -2, 0), (-1, -1, 0, 1, 0, 1), "2(l1-l3)<=n1+n2-n4-n6"),
-    ((0, 2, 0, -2), (-1, 0, -1, 0, 1, 1), "2(l2-l4)<=n1+n3-n5-n6"),
-    ((0, 2, 0, -2), (-1, -1, 0, 1, 0, 1), "2(l2-l4)<=n1+n2-n4-n6"),
-    ((2, -2, 0, 0), (-1, 0, -1, 1, 0, 1), "2(l1-l2)<=n1+n3-n4-n6"),
-    ((2, -2, 0, 0), (0, -1, -1, 0, 1, 1), "2(l1-l2)<=n2+n3-n5-n6"),
-    ((2, -2, 0, 0), (-1, -1, 0, 1, 1, 0), "2(l1-l2)<=n1+n2-n4-n5"),
-    ((0, 0, 2, -2), (-1, 0, -1, 1, 0, 1), "2(l3-l4)<=n1+n3-n4-n6"),
-    ((0, 0, 2, -2), (0, -1, -1, 0, 1, 1), "2(l3-l4)<=n2+n3-n5-n6"),
-    ((0, 0, 2, -2), (-1, -1, 0, 1, 1, 0), "2(l3-l4)<=n1+n2-n4-n5"),
-)
-W2H4_RECORDS = tuple(
-    _rec((("lam", lam), ("nu", nu)), 0, "<=", label) for lam, nu, label in W2H4_ROWS
-)
-
-# Three-qubit mixed system: ten inequalities grouped by extremal edge; the
-# site gaps Delta_i are expected sorted increasing.
-THREE_QUBIT_ROWS = (
-    ((0, 0, 1), (1, 1, 1, 1, -1, -1, -1, -1)),
-    ((0, 1, 1), (2, 2, 0, 0, 0, 0, -2, -2)),
-    ((1, 1, 1), (3, 1, 1, 1, -1, -1, -1, -3)),
-    ((-1, 1, 1), (1, 3, 1, 1, -1, -1, -1, -3)),
-    ((-1, 1, 1), (3, 1, 1, 1, -1, -1, -3, -1)),
-    ((1, 1, 2), (4, 2, 2, 0, 0, -2, -2, -4)),
-    ((-1, 1, 2), (2, 4, 2, 0, 0, -2, -2, -4)),
-    ((-1, 1, 2), (4, 2, 0, 2, 0, -2, -2, -4)),
-    ((-1, 1, 2), (4, 2, 2, 0, -2, 0, -2, -4)),
-    ((-1, 1, 2), (4, 2, 2, 0, 0, -2, -4, -2)),
-)
-THREE_QUBIT_RECORDS = tuple(
-    _rec(
-        (("delta", d), ("joint", tuple(-c for c in rhs))),
-        0,
-        "<=",
-        f"edge{d}#{i+1}",
-    )
-    for i, (d, rhs) in enumerate(THREE_QUBIT_ROWS)
-)
-
-# Franz / Higuchi three-qutrit system: seven base rows per site permutation,
-# marginal spectra in increasing order; duplicates removed exactly.
-_FRANZ_BASE = (
-    ((1, 1, 0), (1, 1, 0), (1, 1, 0)),
-    ((1, 0, 1), (1, 1, 0), (1, 0, 1)),
-    ((0, 1, 1), (1, 1, 0), (0, 1, 1)),
-    ((1, 2, 0), (1, 2, 0), (1, 2, 0)),
-    ((2, 1, 0), (1, 2, 0), (2, 1, 0)),
-    ((0, 2, 1), (1, 2, 0), (0, 2, 1)),
-    ((0, 2, 1), (2, 1, 0), (0, 1, 2)),
-)
-
-
-def _franz_records():
-    from itertools import permutations
-
-    records = []
-    for row_i, (ca, cb, cc) in enumerate(_FRANZ_BASE):
-        for sites in permutations((0, 1, 2)):
-            coeffs = [(0, 0, 0)] * 3
-            coeffs[sites[0]] = ca
-            coeffs[sites[1]] = tuple(-x for x in cb)
-            coeffs[sites[2]] = tuple(-x for x in cc)
-            records.append(
-                _rec(
-                    (
-                        ("site0", coeffs[0]),
-                        ("site1", coeffs[1]),
-                        ("site2", coeffs[2]),
-                    ),
-                    0,
-                    "<=",
-                    f"row{row_i+1}({sites})",
-                )
-            )
-    return tuple(dict.fromkeys(records))
-
-
-FRANZ_RECORDS = _franz_records()
-
-# Bravyi two-qubit mixed system: seven inequalities on the minimal marginal
-# eigenvalues and the global spectrum.
-BRAVYI_ROWS = (
-    ((-1, 0), (0, 0, 1, 1), "lA>=l3+l4"),
-    ((0, -1), (0, 0, 1, 1), "lB>=l3+l4"),
-    ((-1, -1), (0, 1, 1, 2), "lA+lB>=l2+l3+2l4"),
-    ((1, -1), (-1, 0, 1, 0), "lA-lB<=l1-l3"),
-    ((-1, 1), (-1, 0, 1, 0), "lB-lA<=l1-l3"),
-    ((1, -1), (0, -1, 0, 1), "lA-lB<=l2-l4"),
-    ((-1, 1), (0, -1, 0, 1), "lB-lA<=l2-l4"),
-)
-BRAVYI_RECORDS = tuple(
-    _rec((("mins", m), ("joint", j)), 0, "<=", label) for m, j, label in BRAVYI_ROWS
-)
-
-
-def _chsh_records_full():
-    base = ((-1, 1), (-1, -1))
-    out = []
-    for transpose in (False, True):
-        for swap_a in (False, True):
-            for e1 in (1, -1):
-                for e2 in (1, -1):
-                    mat = [[0, 0], [0, 0]]
-                    eps = (e1, e2)
-                    for i in range(2):
-                        row = 1 - i if swap_a else i
-                        for j in range(2):
-                            mat[row][j] += eps[i] * base[i][j]
-                    if transpose:
-                        mat = [[mat[0][0], mat[1][0]], [mat[0][1], mat[1][1]]]
-                    out.append(
-                        _rec(
-                            (("corr", (mat[0][0], mat[0][1], mat[1][0], mat[1][1])),),
-                            2,
-                            "<=",
-                            f"t={int(transpose)} s={int(swap_a)} e=({e1},{e2})",
-                        )
-                    )
-    return tuple(out)
-
-
-CHSH_RECORDS = _chsh_records_full()
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +155,7 @@ def _renormalize(block, lam, n):
 
 
 def _fermi_slots(fam, block):
-    r, n = fam.meta["r"], fam.meta["n"]
+    r, n = fam.fixed.r, fam.fixed.n
     lam, off = _renormalize(block, _one_body(block, fam.family_id, r), n)
     return _Canonical({"lam": lam}, renormalized=off, target=n)
 
@@ -518,42 +245,6 @@ def _w2h5_slots(fam, block):
 
 def _chsh_slots(fam, block):
     raise CatalogError("use check_chsh for correlation data")
-
-
-# Records of the families whose inequalities depend on the system size.
-
-def _polygon_records(widths):
-    k = widths["mins"]
-    return tuple(
-        _rec((("mins", tuple(1 if j == i else -1 for j in range(k))),), 0, "<=",
-             f"site{i}")
-        for i in range(k)
-    )
-
-
-def _basic_records(widths):
-    m, n = widths["a"], widths["b"]
-
-    def first(count, size):
-        return tuple(1 if i < count else 0 for i in range(size))
-
-    rows = [(first(k, m), first(0, n), k * n, f"A{k}") for k in range(1, m + 1)]
-    rows += [(first(0, m), first(l, n), m * l, f"B{l}") for l in range(1, n + 1)]
-    return tuple(
-        _rec((("a", a), ("b", b), ("joint", tuple(-c for c in first(cut, m * n)))),
-             0, "<=", label)
-        for a, b, cut, label in rows
-    )
-
-
-def _pauli_records(widths):
-    r = widths["lam"]
-    out = []
-    for i in range(r):
-        unit = tuple(int(j == i) for j in range(r))
-        out.append(_rec((("lam", tuple(-c for c in unit)),), 0, "<=", f"l{i+1}>=0"))
-        out.append(_rec((("lam", unit),), 1, "<=", f"l{i+1}<=1"))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -693,172 +384,36 @@ class BlockCheck:
 
 
 # ---------------------------------------------------------------------------
-# Registry
+# Each family's (canonicalize, evaluate): ``canonicalize`` maps a block to
+# canonical slot arrays, ``evaluate`` maps those to slacks.
 
-@dataclass(frozen=True)
-class Family:
-    """A registered family: ``canonicalize`` maps a block to canonical slot
-    arrays, ``evaluate`` maps those to slacks (the compiled records by
-    default), and ``generate`` makes the records of a family whose
-    inequalities depend on the slot widths."""
-
-    family_id: str
-    system: str
-    conventions: str
-    declared_count: int
-    records: tuple
-    canonicalize: object = field(compare=False)
-    matcher: object = field(compare=False)
-    meta: dict = field(default=None, compare=False)
-    evaluate: object = field(default=_linear, compare=False)
-    generate: object = field(default=None, compare=False)
-
-
-def _m_polygon(d: SystemDescriptor):
-    return d.pure and d.kind in ("tensor", "qubits") and len(d.dims) >= 2 and all(
-        x == 2 for x in d.dims
-    )
-
-
-def _m_fermi(r, n, pure):
-    def match(d: SystemDescriptor):
-        return d.kind == "fermion" and d.r == r and d.n == n and d.pure == pure
-    return match
-
-
-FAMILIES = {}
-
-
-def _add(family):
-    FAMILIES[family.family_id] = family
-
-
-_add(Family(
-    "POLYGON", "qubit arrays, pure",
-    "minimal marginal eigenvalues; each bounded by the sum of the others",
-    0, (), _polygon_slots, _m_polygon, {}, generate=_polygon_records,
-))
-_add(Family(
-    "BRAVYI_2Q", "2x2 mixed",
-    "minimal marginal eigenvalues and the global spectrum sorted decreasing",
-    7, BRAVYI_RECORDS, _bravyi_slots,
-    lambda d: (not d.pure) and d.kind in ("tensor", "qubits") and d.dims == (2, 2),
-    {},
-))
-_add(Family(
-    "FRANZ_3QUTRIT", "3x3x3 pure",
-    "marginal spectra sorted increasing; all site permutations, deduplicated",
-    36, FRANZ_RECORDS, _franz_slots,
-    lambda d: d.pure and d.kind == "tensor" and d.dims == (3, 3, 3),
-    {},
-))
-_add(Family(
-    "BASIC", "bipartite m x n mixed",
-    "partial sums of marginal spectra bounded by partial sums of the joint",
-    0, (), _basic_slots,
-    lambda d: (not d.pure) and d.kind in ("tensor", "qubits") and len(d.dims) == 2,
-    {}, generate=_basic_records,
-))
-_add(Family(
-    "THREE_QUBIT_MIXED", "2x2x2 mixed",
-    "site gaps sorted increasing, joint spectrum decreasing; as printed",
-    10, THREE_QUBIT_RECORDS, _three_qubit_slots,
-    lambda d: (not d.pure) and d.kind in ("tensor", "qubits") and d.dims == (2, 2, 2),
-    {},
-))
-_add(Family(
-    "PAULI", "fermionic (r, n)",
-    "occupation numbers in [0, 1], chemist trace n",
-    0, (), _pauli_slots,
-    lambda d: d.kind == "fermion", {"r": None, "n": None}, generate=_pauli_records,
-))
-_add(Family(
-    "TWO_PARTICLE_PURE", "fermionic (r, 2) or (r, r-2) pure",
-    "even degeneracy of occupation numbers; odd leftover 0 (particles) or 1 (holes)",
-    1, (), _even_degeneracy_slots,
-    lambda d: d.kind == "fermion" and d.pure and (d.n == 2 or d.n == d.r - 2),
-    {"r": None, "n": None}, evaluate=_even_degeneracy,
-))
-_add(Family(
-    "BD6", "fermionic (6, 3) pure",
-    "three pair equalities and l4 <= l5 + l6, chemist trace 3",
-    4, BD6_RECORDS, _fermi_slots, _m_fermi(6, 3, True), {"r": 6, "n": 3},
-))
-_add(Family(
-    "F7_BD", "fermionic (7, 3) pure",
-    "four triple sums bounded below by 1, chemist trace 3",
-    4, F7_BD_RECORDS, _fermi_slots, _m_fermi(7, 3, True), {"r": 7, "n": 3},
-))
-_add(Family(
-    "F7_LIST", "fermionic (7, 3) pure",
-    "zero-sum test-spectrum form, coefficients 3 / -4, bound 2",
-    4, F7_LIST_RECORDS, _fermi_slots, _m_fermi(7, 3, True), {"r": 7, "n": 3},
-))
-_add(Family(
-    "F8_31", "fermionic (8, 3) pure",
-    "31 inequalities grouped by extremal edge, chemist trace 3",
-    31, F8_31_RECORDS, _fermi_slots, _m_fermi(8, 3, True), {"r": 8, "n": 3},
-))
-_add(Family(
-    "F84_14", "fermionic (8, 4) pure",
-    "14 inequalities in two edge groups, chemist trace 4",
-    14, F84_14_RECORDS, _fermi_slots, _m_fermi(8, 4, True), {"r": 8, "n": 4},
-))
-_add(Family(
-    "F84_ABS", "fermionic (8, 4) pure",
-    "absolute-value form sum_i |x_i| <= 4 over seven sign patterns",
-    1, (), _fermi_slots, _m_fermi(8, 4, True), {"r": 8, "n": 4},
-    evaluate=_abs_sum,
-))
-_add(Family(
-    "W2H4_MIXED", "fermionic (4, 2) mixed",
-    "both spectra normalized to equal trace (canonical 1), decreasing order",
-    22, W2H4_RECORDS, _w2h4_slots, _m_fermi(4, 2, False), {"r": 4, "n": 2},
-))
-_add(Family(
-    "W2H5_META", "fermionic (5, 2) mixed",
-    "460 independent inequalities recorded as metadata; list not reproduced",
-    460, (), _w2h5_slots, _m_fermi(5, 2, False), {"r": 5, "n": 2},
-))
-_add(Family(
-    "CHSH_16", "two-qubit correlations, two settings per site",
-    "sixteen sign/swap images of the base correlation inequality",
-    16, CHSH_RECORDS, _chsh_slots, lambda d: False, {},
-))
-
-
-def get_family(family_id: str) -> Family:
-    try:
-        return FAMILIES[family_id]
-    except KeyError:
-        raise CatalogError(f"unknown family {family_id!r}") from None
-
-
-def family_ids():
-    return tuple(sorted(FAMILIES))
-
-
-def applicable_families(system) -> tuple:
-    """All registry entries matching a system descriptor."""
-    if isinstance(system, str):
-        system = parse_system(system)
-    out = []
-    for fid in sorted(FAMILIES):
-        fam = FAMILIES[fid]
-        try:
-            if fam.matcher(system):
-                out.append(fid)
-        except AttributeError:
-            continue
-    return tuple(out)
+EVALUATORS = {
+    "POLYGON": (_polygon_slots, _linear),
+    "BRAVYI_2Q": (_bravyi_slots, _linear),
+    "FRANZ_3QUTRIT": (_franz_slots, _linear),
+    "BASIC": (_basic_slots, _linear),
+    "THREE_QUBIT_MIXED": (_three_qubit_slots, _linear),
+    "PAULI": (_pauli_slots, _linear),
+    "TWO_PARTICLE_PURE": (_even_degeneracy_slots, _even_degeneracy),
+    "BD6": (_fermi_slots, _linear),
+    "F7_BD": (_fermi_slots, _linear),
+    "F7_LIST": (_fermi_slots, _linear),
+    "F8_31": (_fermi_slots, _linear),
+    "F84_14": (_fermi_slots, _linear),
+    "F84_ABS": (_fermi_slots, _abs_sum),
+    "W2H4_MIXED": (_w2h4_slots, _linear),
+    "W2H5_META": (_w2h5_slots, _linear),
+    "CHSH_16": (_chsh_slots, _linear),
+}
 
 
 def check_block(family_id: str, block: SpectraBlock,
                 tolerance: float = 1e-10) -> BlockCheck:
     """Evaluate every inequality of a family on each bundle of a block."""
     fam = get_family(family_id)
-    canon = fam.canonicalize(fam, block)
-    slacks, labels, tolerance = fam.evaluate(fam, canon, tolerance)
+    canonicalize, evaluate = EVALUATORS[family_id]
+    canon = canonicalize(fam, block)
+    slacks, labels, tolerance = evaluate(fam, canon, tolerance)
     return BlockCheck(family_id, slacks, labels, tolerance, canon.notes,
                       canon.renormalized, canon.target)
 
@@ -956,18 +511,16 @@ def check_equivalence(family_a: str, family_b: str, samples: int, seed: int,
     from .tensor import rng_from_seed, spectra_rows
 
     fa, fb = get_family(family_a), get_family(family_b)
-    sizes = [((fam.meta or {}).get("r"), (fam.meta or {}).get("n")) for fam in (fa, fb)]
-    if None in sizes[0] + sizes[1]:
+    if any(fam.fixed is None or fam.fixed.kind != "fermion" for fam in (fa, fb)):
         raise CatalogError(
             f"{family_a} and {family_b}: equivalence sampling needs families "
             f"with a fixed fermionic system (r, n)"
         )
-    if sizes[0] != sizes[1]:
+    r, n = fa.fixed.r, fa.fixed.n
+    if (fb.fixed.r, fb.fixed.n) != (r, n):
         raise CatalogError(f"{family_a} and {family_b} apply to different systems")
-    r, n = sizes[0]
-    pure = SystemDescriptor("fermion", r=r, n=n, pure=True)
     for fam in (fa, fb):
-        if not fam.matcher(pure):
+        if not fam.fixed.pure:
             raise CatalogError(
                 f"{fam.family_id} applies to {fam.system} states, whose checks need "
                 f"more than the one-body spectrum; equivalence sampling draws only "

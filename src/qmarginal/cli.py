@@ -388,10 +388,15 @@ def cmd_coeff(args) -> int:
     if args.b is not None:
         if args.u is None:
             raise UsageError("two-sided coefficient needs --u")
+        if args.fermi_n is not None:
+            raise UsageError("--fermi-n sets the fermionic coefficient; "
+                             "the two-sided one (--b) takes no --fermi-n")
         u = _parse_perm(args.u)
         order = sum_order(a, _parse_vector(args.b))
         value = coeff_two(u, v, w, order)
     else:
+        if args.u is not None:
+            raise UsageError("--u belongs to the two-sided coefficient, which needs --b")
         if args.fermi_n is None:
             raise UsageError("fermionic coefficient needs --fermi-n")
         if not 0 < args.fermi_n < len(a):
@@ -455,6 +460,9 @@ def cmd_generate(args) -> int:
         # edge given in arrangement coordinates; emits the basic inequality
         from .chambers import cubicle_arrangement
 
+        if args.raw:
+            raise UsageError("--raw applies to qubit arrays; a two-sided tensor "
+                             "format emits one basic inequality, with no filter")
         m, n = system.dims
         arr = cubicle_arrangement(args.system)
         if len(edge) != arr.dim:
@@ -622,7 +630,7 @@ def cmd_isospec(args) -> int:
 
 
 def cmd_families(args) -> int:
-    from .catalog import applicable_families
+    from .records import applicable_families
 
     families = applicable_families(args.system)
     emit({"record": "families", "system": args.system, "families": list(families)})

@@ -19,6 +19,8 @@ from operator import ge
 
 from .chambers import HullResult, canon_inequality, convex_hull
 from .rational import dot, nullspace, to_fractions
+from .records import FAMILIES
+from .systems import SystemDescriptor
 
 CAP_BASIS = 70
 CAP_POWER = 4
@@ -340,9 +342,6 @@ def _facet_matches(r, n, hull, points) -> tuple:
     """
     if not hull.facets:
         return ()
-    from .catalog import FAMILIES
-    from .systems import SystemDescriptor
-
     base_point = to_fractions(points[0])
     eq_rows = [to_fractions(nrm) for nrm, _ in hull.equalities]
     directions = nullspace(eq_rows, ncols=r) if eq_rows else [
@@ -352,7 +351,7 @@ def _facet_matches(r, n, hull, points) -> tuple:
     catalog = []
     for fid in sorted(FAMILIES):
         fam = FAMILIES[fid]
-        if not fam.matcher(system):
+        if not fam.applies(system):
             continue
         for rec in fam.records:
             terms = dict(rec.terms)

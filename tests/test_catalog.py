@@ -6,17 +6,19 @@ import numpy as np
 import pytest
 
 from qmarginal.catalog import (
-    BRAVYI_RECORDS,
     CatalogError,
+    SpectraBundle,
+    check_chsh,
+    check_equivalence,
+    check_family,
+)
+from qmarginal.records import (
+    BRAVYI_RECORDS,
     F7_LIST_RECORDS,
     F8_31_RECORDS,
     F84_14_RECORDS,
     FAMILIES,
-    SpectraBundle,
     applicable_families,
-    check_chsh,
-    check_equivalence,
-    check_family,
     get_family,
 )
 from qmarginal.spectra import particle_hole, spectrum
@@ -31,8 +33,35 @@ def test_declared_counts_match_stored_records():
             assert len(fam.records) == fam.declared_count, fid
 
 
+def test_evaluators_cover_exactly_the_registered_families():
+    from qmarginal.catalog import EVALUATORS
+
+    assert sorted(EVALUATORS) == sorted(FAMILIES)
+
+
+def test_each_family_names_its_system_in_words():
+    assert {fid: fam.system for fid, fam in FAMILIES.items()} == {
+        "POLYGON": "qubit arrays, pure", "BRAVYI_2Q": "2x2 mixed",
+        "FRANZ_3QUTRIT": "3x3x3 pure", "BASIC": "bipartite m x n mixed",
+        "THREE_QUBIT_MIXED": "2x2x2 mixed", "PAULI": "fermionic (r, n)",
+        "TWO_PARTICLE_PURE": "fermionic (r, 2) or (r, r-2) pure",
+        "BD6": "fermionic (6, 3) pure", "F7_BD": "fermionic (7, 3) pure",
+        "F7_LIST": "fermionic (7, 3) pure", "F8_31": "fermionic (8, 3) pure",
+        "F84_14": "fermionic (8, 4) pure", "F84_ABS": "fermionic (8, 4) pure",
+        "W2H4_MIXED": "fermionic (4, 2) mixed", "W2H5_META": "fermionic (5, 2) mixed",
+        "CHSH_16": "two-qubit correlations, two settings per site",
+    }
+
+
+def test_a_qubit_array_matches_as_its_tensor_format():
+    for qubits, tensor in (("qubits:2:mixed", "2x2:mixed"), ("qubits:3", "2x2x2"),
+                           ("qubits:3:mixed", "2x2x2:mixed")):
+        assert applicable_families(qubits) == applicable_families(tensor), qubits
+    assert applicable_families("qubits:3:mixed") == ("THREE_QUBIT_MIXED",)
+
+
 def test_f8_group_sizes():
-    from qmarginal.catalog import F8_31_GROUPS
+    from qmarginal.records import F8_31_GROUPS
 
     sizes = tuple(len(rows) for _, rows in F8_31_GROUPS)
     assert sizes == (1, 4, 5, 2, 3, 2, 6, 4, 4)
@@ -338,8 +367,8 @@ SAMPLER_SIZES = [(6, 3), (7, 3), (8, 3), (8, 4), (4, 2), (5, 2), (3, 1), (20, 3)
 
 
 def test_sampler_sizes_cover_the_fixed_catalog_systems():
-    fixed = {(fam.meta["r"], fam.meta["n"]) for fam in FAMILIES.values()
-             if fam.meta and fam.meta.get("r") is not None}
+    fixed = {(fam.fixed.r, fam.fixed.n) for fam in FAMILIES.values()
+             if fam.fixed is not None and fam.fixed.kind == "fermion"}
     assert fixed <= set(SAMPLER_SIZES)
 
 
@@ -372,7 +401,7 @@ def _reference_equivalence(family_a, family_b, samples, seed):
     """(disagreements, first) from one sample and one ``check_family`` at a time."""
     from qmarginal.tensor import rng_from_seed
 
-    r, n = get_family(family_a).meta["r"], get_family(family_a).meta["n"]
+    r, n = get_family(family_a).fixed.r, get_family(family_a).fixed.n
     rng = rng_from_seed(seed)
     disagreements, first = 0, None
     for t in range(samples):
@@ -398,6 +427,7 @@ def test_equivalence_disagreements_do_not_depend_on_the_block(monkeypatch):
     raised = tuple(dataclasses.replace(rec, bound=Fraction(-21, 20)) for rec in fam.records)
     monkeypatch.setitem(FAMILIES, "F7_RAISED",
                         dataclasses.replace(fam, family_id="F7_RAISED", records=raised))
+    monkeypatch.setitem(catalog.EVALUATORS, "F7_RAISED", catalog.EVALUATORS["F7_BD"])
     want = _reference_equivalence("F7_BD", "F7_RAISED", 700, 5)
     assert want[0] > 0
     for block in (1, 32, 256, 1024):
@@ -418,7 +448,7 @@ def test_planted_violation_is_flagged():
 # The checkers below are the record-by-record evaluation that the compiled
 # float64 path replaced, kept as its reference.
 
-from qmarginal.catalog import F84_ABS_PATTERNS  # noqa: E402
+from qmarginal.records import F84_ABS_PATTERNS  # noqa: E402
 from qmarginal.spectra import Spectrum, renormalize  # noqa: E402
 
 
@@ -529,7 +559,7 @@ def _ref_even_degeneracy(fam, bundle, tol):
     if abs(trace - round(trace)) > 1e-10:
         raise CatalogError(
             f"{fam.family_id} needs an integer particle number, got trace {trace!r}")
-    r, n = fam.meta["r"], fam.meta["n"]
+    r, n = _ref_size(fam, bundle)
     if n not in (2, r - 2):
         raise CatalogError(
             f"even-degeneracy criterion applies to two particles or two "
@@ -554,7 +584,7 @@ def _ref_even_degeneracy(fam, bundle, tol):
 
 
 def _ref_fermi_records(fam, bundle, tol):
-    r, n = fam.meta["r"], fam.meta["n"]
+    r, n = _ref_size(fam, bundle)
     lam, notes = _ref_need_one_body(bundle, r, n, fam.family_id)
     return _ref_eval_records(fam.records, {"lam": lam}, tol, notes)
 
@@ -611,18 +641,19 @@ _REF_CHECKERS = {
 }
 
 
+def _ref_size(fam, bundle):
+    """(r, n): the family's fixed system, or else the bundle's own."""
+    if fam.fixed is not None:
+        return fam.fixed.r, fam.fixed.n
+    lam = bundle.one_body
+    return len(lam), int(round(float(lam.trace_tag)))
+
+
 def _ref_check_family(family_id, bundle, tol=1e-10):
     """(report fields, slacks) of the per-record loop."""
-    import dataclasses
-
-    fam = get_family(family_id)
-    if fam.meta is not None and fam.meta.get("r", 0) is None:
-        lam = bundle.one_body
-        if lam is None:
-            raise CatalogError(f"{family_id} needs a one-body spectrum")
-        meta = {"r": len(lam), "n": int(round(float(lam.trace_tag)))}
-        fam = dataclasses.replace(fam, meta=meta)
-    return _REF_CHECKERS[family_id](fam, bundle, tol)
+    if family_id in ("PAULI", "TWO_PARTICLE_PURE") and bundle.one_body is None:
+        raise CatalogError(f"{family_id} needs a one-body spectrum")
+    return _REF_CHECKERS[family_id](get_family(family_id), bundle, tol)
 
 
 def _raw(values, trace=None):
@@ -709,7 +740,7 @@ def _bundles(family_id, rng, count):
             out.append(SpectraBundle(one_body=_raw(sorted(vals, reverse=True))))
         elif family_id in ("BD6", "F7_BD", "F7_LIST", "F8_31", "F84_14", "F84_ABS"):
             fam = get_family(family_id)
-            out.append(SpectraBundle(one_body=_one_body(rng, fam.meta["r"], fam.meta["n"])))
+            out.append(SpectraBundle(one_body=_one_body(rng, fam.fixed.r, fam.fixed.n)))
         elif family_id == "W2H4_MIXED":
             out.append(SpectraBundle(one_body=_one_body(rng, 4, 2),
                                      joint=_random_spectrum(rng, 6)))
@@ -800,7 +831,7 @@ def test_check_family_errors_match_record_loop(family_id):
 
 
 def test_check_chsh_matches_record_loop():
-    from qmarginal.catalog import CHSH_RECORDS
+    from qmarginal.records import CHSH_RECORDS
     from qmarginal.tensor import rng_from_seed
 
     rng = rng_from_seed(77)

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from qmarginal.catalog import F8_31_GROUPS, F84_14_GROUPS
+from qmarginal.records import F8_31_GROUPS, F84_14_GROUPS
 from qmarginal.chambers import (
     GeometryError,
     convex_hull,

@@ -815,3 +815,47 @@ def test_jobs_environment_is_read_on_every_call(monkeypatch, capsys):
     monkeypatch.setenv("QMARGINAL_JOBS", "1")
     code, records, errors = _main_records(capsys, VERIFY_BD6)
     assert code == 0 and errors == [] and records[-1]["trials"] == 10
+
+
+@pytest.mark.parametrize("system,targets,words", [
+    ("fermi:4:2", "0.5,0.5", "tensor or qubit system"),
+    ("qubits:2", "1,1;1,1", "not a spectrum"),
+    ("qubits:2", "1.5,-0.5;0.7,0.3", "not a spectrum"),
+    ("qubits:2", "0.5,0.5;0.5,0.6", "not a spectrum"),
+])
+def test_witness_refuses_inputs_it_cannot_search(capsys, monkeypatch, system, targets,
+                                                 words):
+    """A fermionic system, or a target that is not a spectrum, is an exit-2
+    error before any minimization starts."""
+    import scipy.optimize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("minimize ran")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", refuse)
+    code, records, errors = _main_records(capsys, [
+        "witness", "--system", system, "--targets", targets, "--seed", "1"])
+    assert code == 2
+    assert records == []
+    (error,) = errors
+    assert error["record"] == "error" and words in error["message"]
+
+
+@pytest.mark.parametrize("flag,args", [
+    ("--u", ["coeff", "--u", "1,2", "--v", "1,2,3,4", "--w", "1,2,3,4,5,6",
+             "--a", "5,1,-2,-4", "--fermi-n", "2"]),
+    ("--fermi-n", ["coeff", "--u", "1,2", "--v", "1,2", "--w", "1,2,3,4",
+                   "--a", "1,-1", "--b", "2,-2", "--fermi-n", "1"]),
+    ("--raw", ["generate", "--system", "2x2", "--edge", "1,1", "--raw"]),
+])
+def test_flags_the_command_would_ignore_are_usage_errors(capsys, flag, args):
+    code, records, errors = _main_records(capsys, args)
+    assert code == 2
+    assert records == []
+    (error,) = errors
+    assert error["record"] == "error" and error["kind"] == "usage"
+    assert flag in error["message"]
+    # without the flag the same command runs
+    i = args.index(flag)
+    rest = args[:i] + args[i + (1 if flag == "--raw" else 2):]
+    assert _main_records(capsys, rest)[0] == 0

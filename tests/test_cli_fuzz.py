@@ -4,10 +4,10 @@ Each example calls ``cli.main`` in-process with a drawn argument list that
 mixes valid and malformed tokens.  The contract: no exception escapes, the
 exit code is 0, 1 or 2, stdout holds JSON lines only, an exit 2 comes with
 exactly one ``error`` record on stderr, and an exit 1 comes with a report of
-a failed check.  The sampling commands draw at most 4 trials or samples and
-run fewer examples.  State files for ``reduce`` and bundles for ``check``
-are drawn as JSON too: valid ones, and ones with a malformed kind, system,
-shape or entry.  The examples are derandomized, so the test is a pure
+a failed check.  The sampling commands draw at most 4 trials or samples
+(``witness`` at most 2 restarts of 5 iterations) and run fewer examples.
+State files for ``reduce`` and bundles for ``check`` are drawn as JSON too:
+valid ones, and ones with a malformed kind, system, shape or entry.  The examples are derandomized, so the test is a pure
 function of the code.
 """
 
@@ -177,6 +177,31 @@ def _verify(draw):
     return flags
 
 
+# witness targets by length: spectra (drawn three times as often), and
+# vectors that are not (sum 2, a negative entry, a sum below 1)
+TARGETS = {2: ["0.5,0.5", "1,0", "0.75,0.25"] * 3 + ["1,1", "1.5,-0.5", "0.6,0.3"],
+           3: ["1/3,1/3,1/3", "1,0,0", "0.5,0.25,0.25"] * 3 + ["0.5,0.6,-0.1",
+                                                              "0.2,0.2,0.2"]}
+# system -> its site dimensions
+SITES = {"qubits:2": (2, 2), "qubits:3": (2, 2, 2), "qubits:4": (2, 2, 2, 2),
+         "2x2": (2, 2), "2x3": (2, 3), "3x3": (3, 3), "2x2:mixed": (2, 2),
+         "2x2x2": (2, 2, 2)}
+
+
+@st.composite
+def _witness(draw):
+    """Targets that fit the system's sites, or a drawn list of 1 to 3 that
+    may not; at most 2 restarts of at most 5 iterations each."""
+    system = draw(st.sampled_from(SYSTEMS))
+    sites = SITES.get(system)
+    if sites is None or draw(st.booleans()):
+        sites = draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=3))
+    return {"--system": system,
+            "--targets": ";".join(draw(st.sampled_from(TARGETS[d])) for d in sites),
+            "--restarts": draw(st.integers(1, 2).map(str)),
+            "--iters": draw(st.integers(0, 5).map(str)), "--seed": draw(SEEDS)}
+
+
 SAMPLING_FLAGS = {
     "verify": _verify(),
     "equiv": st.fixed_dictionaries({
@@ -186,6 +211,7 @@ SAMPLING_FLAGS = {
     "isospec": st.fixed_dictionaries({
         "--formats": st.lists(st.sampled_from(FORMATS), min_size=1, max_size=3).map(";".join),
         "--trials": TRIALS, "--seed": SEEDS}),
+    "witness": _witness(),
 }
 # What an exit 1 reports, by record kind.
 FAILED = {
@@ -193,6 +219,7 @@ FAILED = {
     "campaign": lambda r: r["violations"] > 0,
     "equivalence": lambda r: r["disagreements"] > 0,
     "isospectrality": lambda r: r["max_discrepancy"] >= 1e-10,
+    "witness": lambda r: r["success"] is False,
 }
 
 

@@ -1,7 +1,8 @@
 """The package namespace and the import boundary of the exact side.
 
 ``qmarginal`` resolves its public names lazily, and the exact commands
-(``edges``, ``generate``, ``coeff``, ``plethysm``) run without numpy.
+(``edges``, ``generate``, ``coeff``, ``plethysm``, ``hull``, ``families``)
+run without numpy.
 """
 
 import subprocess
@@ -48,6 +49,8 @@ def test_exact_commands_never_import_numpy():
         ["coeff", "--u", "1,2", "--v", "1,2", "--w", "1,2,3,4",
          "--a", "1,-1", "--b", "2,-2"],
         ["plethysm", "-r", "4", "-n", "2", "-m", "2"],
+        ["hull", "-r", "4", "-n", "2", "-M", "2"],
+        ["families", "--system", "fermi:6:3:pure"],
     ]
     script = (
         "import contextlib, io, sys\n"
@@ -66,6 +69,56 @@ def test_exact_commands_never_import_numpy():
 
 
 EXACT_MODULES = ("chambers", "schubert", "rational", "plethysm", "systems")
+# Modules the exact side may not import, at the top or inside a function.
+FLOAT_SIDE = ("numpy", "scipy", "catalog", "tensor", "fermion", "harness")
+
+
+def _imported_modules(tree):
+    """(line, name) of each module an import statement names: the top-level
+    package, or the submodule of ``qmarginal`` (relative imports included)."""
+    import ast
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            paths = [alias.name.split(".") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module.split(".") if node.module else []
+            if node.level:
+                base = ["qmarginal"] + base
+            # from package import name: the name may be a submodule
+            paths = [base + [alias.name] for alias in node.names]
+        else:
+            continue
+        for path in paths:
+            inside = path[0] == "qmarginal" and len(path) > 1
+            found.append((node.lineno, path[1] if inside else path[0]))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", EXACT_MODULES + ("records",))
+def test_exact_modules_import_nothing_of_the_float_side(module):
+    """The registry and the exact modules load without numpy: none imports
+    numpy, scipy, ``catalog``, ``tensor``, ``fermion`` or ``harness``, at
+    the top or lazily inside a function."""
+    import ast
+    from pathlib import Path
+
+    path = Path(qmarginal.__file__).with_name(f"{module}.py")
+    tree = ast.parse(path.read_text(), str(path))
+    assert [(line, name) for line, name in _imported_modules(tree)
+            if name in FLOAT_SIDE] == []
+
+
+def test_import_scan_sees_every_form_of_import():
+    import ast
+
+    source = ("import numpy as np\nimport qmarginal.catalog\n"
+              "from .catalog import FAMILIES\nfrom . import tensor, records\n"
+              "from qmarginal.harness import mc_verify\nfrom scipy.optimize import x\n"
+              "def f():\n    from .fermion import one_rdm\n")
+    assert [name for _, name in _imported_modules(ast.parse(source))] == [
+        "numpy", "catalog", "catalog", "records", "tensor", "harness", "scipy", "fermion"]
 
 
 def _float_uses(tree):

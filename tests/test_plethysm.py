@@ -417,8 +417,8 @@ def test_inner_approximation_larger_systems_match_modulo_hull():
 def _per_facet_catalog_labels(r, n, normal, rhs, hull, points):
     """The reference: one facet at a time, with the hull's directions, base
     point and every catalog form recomputed for each facet."""
-    from qmarginal.catalog import FAMILIES
     from qmarginal.rational import nullspace, to_fractions
+    from qmarginal.records import FAMILIES
     from qmarginal.systems import SystemDescriptor
 
     if not points:
@@ -433,7 +433,7 @@ def _per_facet_catalog_labels(r, n, normal, rhs, hull, points):
     labels = []
     for fid in sorted(FAMILIES):
         fam = FAMILIES[fid]
-        if not fam.matcher(system) or not fam.records:
+        if not fam.applies(system) or not fam.records:
             continue
         for rec in fam.records:
             terms = dict(rec.terms)

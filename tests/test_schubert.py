@@ -13,7 +13,7 @@ from math import comb
 
 import pytest
 
-from qmarginal.catalog import THREE_QUBIT_RECORDS
+from qmarginal.records import THREE_QUBIT_RECORDS
 from qmarginal.schubert import (
     Poly,
     SchubertError,
