@@ -124,20 +124,47 @@ def _prune(ineqs, rays, masks):
     return Cone(tuple(ineqs), tuple(rays), tuple(masks))
 
 
-def _cut(cone: Cone, h, both: bool):
+def _facet_side(ineqs, rays, masks, strict):
+    """Side of a real cut of a cone in the form ``_prune`` leaves: its
+    implicit equalities and one inequality per facet.  The new normal is
+    the last of ``ineqs``; the first ``strict`` rays lie strictly inside
+    the side.
+
+    An old facet stays a facet iff one of its tight rays lies strictly
+    inside, an equality is tight on those rays too, and the new hyperplane
+    is a facet of both sides.  So one OR over those rays' masks gives the
+    inequalities ``_prune`` would keep, and the masks drop the other bits.
+    """
+    keep = 1 << (len(ineqs) - 1)
+    for mask in masks[:strict]:
+        keep |= mask
+    dropped = _bits(((1 << len(ineqs)) - 1) ^ keep)
+    if dropped:
+        ineqs = tuple(n for j, n in enumerate(ineqs) if keep >> j & 1)
+        for j in reversed(dropped):
+            low = (1 << j) - 1
+            masks = [m & low | m >> (j + 1) << j for m in masks]
+    return Cone(ineqs, tuple(rays), tuple(masks))
+
+
+def _cut(cone: Cone, h, both: bool, vals=None, facets=False):
     """One double-description step: the parts (plus, minus) of ``cone``
     with h.x >= 0 and h.x <= 0, ``minus`` built only when ``both``.
 
     A part the hyperplane leaves whole is the cone itself; when ``both``,
     the other part (a face) is then None.  A built part keeps its side's
-    rays, the rays on h.x = 0 and the crossing rays, and is pruned.  A
-    crossing ray lies on h.x = 0 between adjacent rays p and q of opposite
-    sides; they are adjacent when no third ray is tight on every
-    inequality the two share, and a shared tight set below d - 2 rules
-    adjacency out at once.
+    rays, the rays on h.x = 0 and the crossing rays.  A crossing ray lies
+    on h.x = 0 between adjacent rays p and q of opposite sides; they are
+    adjacent when no third ray is tight on every inequality the two share,
+    and a shared tight set below d - 2 rules adjacency out at once.
+
+    ``vals`` are the values h.r of the rays when the caller has them.  A
+    built part is pruned, or, when ``facets`` says the cone is in pruned
+    form already, built by ``_facet_side``.
     """
     rays = cone.rays
-    vals = [_idot(h, r) for r in rays]
+    if vals is None:
+        vals = [_idot(h, r) for r in rays]
     pos = [i for i, v in enumerate(vals) if v > 0]
     neg = [i for i, v in enumerate(vals) if v < 0]
     if not neg:
@@ -163,10 +190,11 @@ def _cut(cone: Cone, h, both: bool):
             on_rays.append(tuple(x // g for x in new) if g > 1 else tuple(new))
             on_masks.append(common | bit)
     sides = ((pos, h), (neg, tuple(-x for x in h))) if both else ((pos, h),)
-    parts = [_prune(cone.ineqs + (normal,),
-                    [rays[i] for i in side] + on_rays,
-                    [masks[i] for i in side] + on_masks)
-             for side, normal in sides]
+    parts = []
+    for side, normal in sides:
+        args = (cone.ineqs + (normal,), [rays[i] for i in side] + on_rays,
+                [masks[i] for i in side] + on_masks)
+        parts.append(_facet_side(*args, len(side)) if facets else _prune(*args))
     return parts[0], parts[1] if both else None
 
 
@@ -372,8 +400,8 @@ def enumerate_chambers(arrangement: Arrangement, dim_cap: int = DIM_CAP):
 
     The dimension cap is checked at the call.  The chambers are then
     yielded lazily by a depth-first walk, in lexicographic order of their
-    signs ('+' first).  The root cone is full-dimensional and ``split_cone``
-    keeps a side only when the hyperplane cuts the interior, so every leaf
+    signs ('+' first).  The root cone is full-dimensional and the walk
+    cuts a cone only by a hyperplane with rays on both sides, so every leaf
     has rank d.
     """
     d = arrangement.dim
@@ -385,16 +413,53 @@ def enumerate_chambers(arrangement: Arrangement, dim_cap: int = DIM_CAP):
 
 
 def _walk(root: Cone, hyperplanes):
-    stack = [((), root)]
+    """Depth-first walk that makes only the cuts that split a cone.
+
+    A per-walk table maps each ray to its values against every hyperplane
+    and to the masks of the hyperplanes it is positive and negative on.  At
+    depth j the next cut is the lowest hyperplane >= j with a ray on each
+    side; the ones before it leave the cone whole and take '-' when a ray
+    is negative on them, '+' otherwise, as ``split_cone`` would.  The root
+    may carry redundant inequalities, so its cut is pruned; every cone
+    below it is in pruned form, and ``_facet_side`` builds its sides.
+    """
+    normals = [primitive(h) for h in hyperplanes]
+    table = {}
+
+    def sign_row(ray):
+        row = table.get(ray)
+        if row is None:
+            vals = [_idot(h, ray) for h in normals]
+            pos = neg = 0
+            for k, v in enumerate(vals):
+                if v > 0:
+                    pos |= 1 << k
+                elif v < 0:
+                    neg |= 1 << k
+            row = table[ray] = (vals, pos, neg)
+        return row
+
+    def fill(signs, neg, start, stop):
+        return signs + tuple("-" if neg >> k & 1 else "+" for k in range(start, stop))
+
+    stack = [((), root, False)]
     while stack:
-        signs, cone = stack.pop()
-        if len(signs) == len(hyperplanes):
-            yield Chamber(signs, cone)
+        signs, cone, facets = stack.pop()
+        rows = [sign_row(r) for r in cone.rays]
+        pos = neg = 0
+        for _, p, n in rows:
+            pos |= p
+            neg |= n
+        depth = len(signs)
+        cutting = (pos & neg) >> depth
+        if not cutting:
+            yield Chamber(fill(signs, neg, depth, len(normals)), cone)
             continue
-        plus, minus = split_cone(cone, hyperplanes[len(signs)])
+        k = depth + (cutting & -cutting).bit_length() - 1
+        signs = fill(signs, neg, depth, k)
+        plus, minus = _cut(cone, normals[k], True, [v[k] for v, _, _ in rows], facets)
         # '-' is pushed first, so the '+' subtree is walked first
-        stack += [(signs + (s,), c) for s, c in (("-", minus), ("+", plus))
-                  if c is not None]
+        stack += [(signs + ("-",), minus, True), (signs + ("+",), plus, True)]
 
 
 def extremal_edges(chambers) -> tuple:

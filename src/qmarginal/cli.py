@@ -605,7 +605,7 @@ def cmd_witness(args) -> int:
         record["state"] = {
             "format_version": 1,
             "kind": "pure",
-            "system": args.system.split(":pure")[0].split(":mixed")[0],
+            "system": args.system.split(":pure")[0],
             "amplitudes": [[_fmt_real(re), _fmt_real(im)]
                            for re, im in report.amplitudes],
         }

@@ -296,23 +296,27 @@ def witness_search(targets, system, restarts: int = 20, iters: int = 200,
     Local minimization of the summed squared sorted-spectrum distance over
     the unit sphere with random restarts.  Success means every marginal
     matches within 1e-3 (in the summed-square residual); failure is a
-    report with the best residual, never a claim of infeasibility.  Each
-    target must be a spectrum, checked as a fixed state spectrum is: no
+    report with the best residual, never a claim of infeasibility.  The
+    system must be a pure tensor or qubit format.  Each target must be a
+    spectrum, checked as a fixed state spectrum is: no
     entry below -1e-12 and a unit sum within 1e-10.
     """
     from scipy.optimize import minimize
 
+    fmt = system
     if isinstance(system, str):
         system = parse_system(system)
     if system.kind == "fermion":
         raise ValueError(f"witness needs a tensor or qubit system, got {system}")
+    if not system.pure:
+        raise ValueError(f"witness searches pure states, got the mixed format {fmt}")
     dims = system.dims
     goals = [np.sort(np.array(t, dtype=float))[::-1] for t in targets]
     if len(goals) != len(dims):
         raise ValueError(f"need {len(dims)} target spectra, got {len(goals)}")
     for g, d in zip(goals, dims):
         if len(g) != d:
-            raise ValueError(f"target {tuple(g)} does not match site dimension {d}")
+            raise ValueError(f"target {tuple(g.tolist())} does not match site dimension {d}")
         if not (g.min() >= -1e-12 and abs(g.sum() - 1.0) <= 1e-10):
             raise ValueError(f"target {tuple(g.tolist())} is not a spectrum: its entries "
                              "must be nonnegative and sum to 1")

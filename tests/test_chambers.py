@@ -723,6 +723,72 @@ def test_split_cone_matches_two_sided_copy_on_random_cuts():
                 == list(map(_cone_parts, _two_sided_split_cone(cone, h)))), (normals, h)
 
 
+def _random_walk_arrangements(trials):
+    """Seeded arrangements of up to 8 hyperplanes in d = 2..6 over orthant
+    and sorted roots.  Some hyperplanes are scaled copies (not primitive),
+    some repeat an earlier one up to sign; a third of the roots carry a
+    redundant inequality and a few are a face, of codimension 1 or 2,
+    without interior."""
+    import random
+
+    from qmarginal.chambers import Arrangement, Cone, _idot, positive_orthant
+
+    rng = random.Random(1996)
+    for trial in range(trials):
+        d = 2 + trial % 5
+        root = rng.choice((positive_orthant, sorted_nonneg_cone))(d)
+        ineqs, rays = list(root.ineqs), root.rays
+        kind = trial // 5 % 6
+        if kind in (1, 3):
+            i, j = rng.sample(range(d), 2)
+            ineqs.insert(rng.randint(0, d), tuple(a + b for a, b in zip(ineqs[i], ineqs[j])))
+        elif kind == 5:
+            face = rng.sample(ineqs, rng.randint(1, 2))
+            ineqs += [tuple(-x for x in h) for h in face]
+            rays = tuple(r for r in rays if not any(_idot(h, r) for h in face))
+        hyperplanes = []
+        for _ in range(rng.randint(1, 8)):
+            if hyperplanes and rng.random() < 0.15:
+                h = rng.choice(hyperplanes)
+                h = tuple(rng.choice((-2, -1, 1, 3)) * x for x in h)
+            else:
+                h = tuple(rng.randint(-2, 2) for _ in range(d))
+                if not any(h):
+                    continue
+                h = tuple(rng.choice((1, 1, 2, 3)) * x for x in h)
+            hyperplanes.append(h)
+        yield Arrangement(None, Cone(tuple(ineqs), rays), tuple(hyperplanes), None)
+
+
+def test_walk_matches_list_walk_on_random_arrangements_up_to_dimension_six():
+    """The walk skips the hyperplanes that cut nothing and keeps facets by
+    the positive-ray rule below the root; the list walk splits by every
+    hyperplane and prunes every side.  A root with a redundant inequality
+    must still be pruned at its cut; a root without interior keeps its
+    equalities."""
+    cuts = flat_cuts = 0
+    for arr in _random_walk_arrangements(600):
+        chambers = _chamber_parts(enumerate_chambers(arr))
+        assert chambers == _chamber_parts(_list_enumerate_chambers(arr)), arr
+        cuts += len(chambers) - 1
+        if rank(arr.cone.rays) < arr.dim:
+            flat_cuts += len(chambers) - 1
+    assert cuts > 2500 and flat_cuts > 150
+
+
+def test_fermi_7_3_counts_from_one_streamed_walk():
+    """The README's fermi:7:3 figures: 70 hyperplanes, 52956 chambers and
+    4557 edges, all read from one lazy walk."""
+    from itertools import count
+
+    arr = cubicle_arrangement("fermi:7:3")
+    assert len(arr.hyperplanes) == 70
+    tally = count()
+    edges = extremal_edges(ch for ch, _ in zip(enumerate_chambers(arr), tally))
+    assert next(tally) == 52956
+    assert len(edges) == 4557
+
+
 def test_dimension_cap_is_checked_at_the_call():
     arr = cubicle_arrangement("fermi:8:4")
     with pytest.raises(GeometryError):

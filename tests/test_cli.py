@@ -822,11 +822,14 @@ def test_jobs_environment_is_read_on_every_call(monkeypatch, capsys):
     ("qubits:2", "1,1;1,1", "not a spectrum"),
     ("qubits:2", "1.5,-0.5;0.7,0.3", "not a spectrum"),
     ("qubits:2", "0.5,0.5;0.5,0.6", "not a spectrum"),
+    ("2x2:mixed", "0.5,0.5;0.5,0.5", "mixed format 2x2:mixed"),
+    ("qubits:2:MIXED", "0.5,0.5;0.5,0.5", "mixed format qubits:2:MIXED"),
 ])
 def test_witness_refuses_inputs_it_cannot_search(capsys, monkeypatch, system, targets,
                                                  words):
-    """A fermionic system, or a target that is not a spectrum, is an exit-2
-    error before any minimization starts."""
+    """A fermionic or mixed system, or a target that is not a spectrum of
+    its site's dimension, is an exit-2 error before any minimization
+    starts."""
     import scipy.optimize
 
     def refuse(*args, **kwargs):
@@ -839,6 +842,15 @@ def test_witness_refuses_inputs_it_cannot_search(capsys, monkeypatch, system, ta
     assert records == []
     (error,) = errors
     assert error["record"] == "error" and words in error["message"]
+
+
+def test_witness_length_error_prints_plain_floats(capsys):
+    code, records, errors = _main_records(capsys, [
+        "witness", "--system", "qubits:2", "--targets", "0.5,0.5;1", "--seed", "1"])
+    assert code == 2 and records == []
+    (error,) = errors
+    assert "target (1.0,) does not match site dimension 2" in error["message"]
+    assert "np.float64" not in error["message"]
 
 
 @pytest.mark.parametrize("flag,args", [

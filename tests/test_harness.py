@@ -10,6 +10,7 @@ from qmarginal.harness import (
     witness_search,
 )
 from qmarginal.spectra import spectrum
+from qmarginal.systems import parse_system
 from qmarginal.tensor import haar_pure, pure_marginal, spectrum_of
 
 
@@ -130,6 +131,13 @@ def test_witness_validates_targets():
         witness_search([(0.5, 0.5)], "qubits:3", seed=0)
     with pytest.raises(ValueError):
         witness_search([(0.5, 0.5), (1.0,), (0.5, 0.5)], "qubits:3", seed=0)
+
+
+def test_witness_refuses_mixed_systems():
+    with pytest.raises(ValueError, match="mixed format 2x2:mixed"):
+        witness_search([(0.5, 0.5), (0.5, 0.5)], "2x2:mixed", seed=0)
+    with pytest.raises(ValueError, match="mixed format"):
+        witness_search([(0.5, 0.5), (0.5, 0.5)], parse_system("2x2:mixed"), seed=0)
 
 
 def test_witness_amplitudes_realize_targets():
