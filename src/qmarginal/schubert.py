@@ -5,6 +5,11 @@ divided differences, Schubert polynomials, the structure coefficients
 attached to a pair of test spectra (two-sided and fermionic), and
 inequality generation from extremal edges.
 
+Schubert polynomials come from the Lascoux–Schützenberger transition
+recursion, memoized in a bounded cache on w without its trailing fixed
+points; divided differences remain for the coefficient chains, whose
+integer values on monomials are cached (bounded) too.
+
 All arithmetic is exact; no floating point enters coefficient computation.
 """
 
@@ -299,20 +304,68 @@ def apply_chain(word, p: Poly, offset: int = 0) -> Poly:
     return p
 
 
-@lru_cache(maxsize=None)
-def schubert_poly(w: tuple) -> Poly:
-    """Schubert polynomial of w via divided differences from the staircase
-    monomial x_1^{n-1} x_2^{n-2} ... x_{n-1}.
+def schubert_poly(w) -> Poly:
+    """Schubert polynomial of the permutation w (any sequence of 1..n).
 
-    Homogeneous of degree l(w), nonnegative integer coefficients, and
-    independent of the reduced word used for the chain.
+    Built by the transition recursion (``_transition``), at a cost that
+    follows the size of S_w rather than a chain down from the staircase
+    monomial.  Homogeneous of degree l(w), nonnegative integer
+    coefficients, and stable: appending fixed points to w leaves S_w
+    unchanged.  Each call returns a new Poly, so changing its terms never
+    reaches the memo that later S_w are built from.
     """
-    w = check_perm(w)
+    res = Poly()
+    res.terms = dict(_transition(_drop_fixed_tail(check_perm(w))))
+    return res
+
+
+def _drop_fixed_tail(w) -> tuple:
+    """w without its trailing fixed points, the memo key of S_w."""
     n = len(w)
-    w0 = tuple(range(n, 0, -1))
-    chain = perm_mul(perm_inverse(w), w0)
-    staircase = Poly.monomial(tuple(range(n - 1, 0, -1)))
-    return apply_chain(minimal_word(chain), staircase)
+    while n and w[n - 1] == n:
+        n -= 1
+    return tuple(w[:n])
+
+
+@lru_cache(maxsize=1024)
+def _transition(w: tuple) -> dict:
+    """The terms of S_w, for w without trailing fixed points; shared with
+    the memo, so never mutated.
+
+    Lascoux–Schützenberger transition: with r the last descent of w, s the
+    largest j > r with w(j) < w(r) and v = w t_{rs},
+    S_w = x_r S_v + sum S_{v t_{qr}} over the q < r with
+    l(v t_{qr}) = l(w), and S_id = 1.  Every call on the right is of length
+    l(w) - 1, or of length l(w) and lexicographically larger, so the
+    recursion ends and visits only permutations no longer than w.  No
+    coefficient cancels: every summand is nonnegative.
+    """
+    if not w:
+        return {(): 1}
+    r = len(w) - 2   # 0-based; w(n) != n, so w has a descent
+    while w[r] < w[r + 1]:
+        r -= 1
+    s = max(j for j in range(r + 1, len(w)) if w[j] < w[r])
+    v = list(w)
+    v[r], v[s] = v[s], v[r]
+    out = {}
+    for exp, c in _transition(_drop_fixed_tail(v)).items():
+        if len(exp) > r:
+            exp = exp[:r] + (exp[r] + 1,) + exp[r + 1:]
+        else:
+            exp = exp + (0,) * (r - len(exp)) + (1,)
+        out[exp] = c
+    # l(v t_{qr}) = l(v) + 1 iff v(q) < v(r) and no v(j), q < j < r, lies
+    # between them: walking q down, v(q) must beat the last one taken
+    vr, top = v[r], 0
+    for q in range(r - 1, -1, -1):
+        if top < v[q] < vr:
+            top = v[q]
+            u = list(v)
+            u[q], u[r] = u[r], u[q]
+            for exp, c in _transition(_drop_fixed_tail(u)).items():
+                out[exp] = out.get(exp, 0) + c
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +493,7 @@ class _Substitution:
         return groups
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def _chain_on_monomial(word: tuple, exp: tuple) -> int:
     """The integer d_word(x^exp) of a monomial of degree len(word)."""
     return apply_chain(word, Poly.monomial(exp)).constant_term()
@@ -524,10 +577,13 @@ def enumerate_inequalities(a, b, max_length: int = 6, coeff_filter: str = "unit"
     Triples (u, v, w) with l(w) = l(u) + l(v) <= max_length are kept when
     the structure coefficient passes the filter: "unit" keeps c == 1 (the
     array theorem), "odd" keeps odd c, "nonzero" keeps everything active.
-    The cap controls the combinatorial blow-up at desk scale.
+    The cap controls the combinatorial blow-up at desk scale; a negative
+    cap raises SchubertError.
     """
     if coeff_filter not in ("unit", "odd", "nonzero"):
         raise SchubertError(f"unknown coefficient filter {coeff_filter!r}")
+    if max_length < 0:
+        raise SchubertError(f"max_length must be >= 0, got {max_length}")
     a, b = check_test_spectrum(a), check_test_spectrum(b)
     sums = _pair_sums(a, b)
     order, values = [p for _, p in sums], [x for x, _ in sums]
@@ -573,9 +629,9 @@ def _edge_record(prefix, slots, spectra, perms, w, sums, coeff) -> InequalityRec
         for i, x in enumerate(a):
             coef[perm[i] - 1] = x
         terms.append((slot, tuple(coef)))
-    joint = [Fraction(0)] * len(w)
+    joint = [None] * len(w)   # w is a permutation: every slot is set once
     for k, x in enumerate(sums):
-        joint[w[k] - 1] -= x
+        joint[w[k] - 1] = -x
     terms.append((slots[-1], tuple(joint)))
     words = [f"{key}={_fmt(a)}" for key, a in spectra.items()]
     words += [f"{key}={p}" for key, p in perms.items()]

@@ -193,6 +193,67 @@ def test_schubert_degree_and_positivity():
         assert all(c > 0 for c in p.terms.values())
 
 
+def _chain_schubert(w):
+    """The oracle: S_w as the divided-difference chain of w^{-1} w0 on the
+    staircase monomial x_1^{n-1} x_2^{n-2} ... x_{n-1}."""
+    n = len(w)
+    chain = perm_mul(perm_inverse(w), tuple(range(n, 0, -1)))
+    return apply_chain(minimal_word(chain), Poly.monomial(tuple(range(n - 1, 0, -1))))
+
+
+def _random_perm_of_length(rng, n, lw):
+    """A permutation of 1..n with lw inversions: lw random steps up the
+    weak order from the identity, each swapping a random ascent."""
+    w = list(identity_perm(n))
+    for _ in range(lw):
+        i = rng.choice([i for i in range(n - 1) if w[i] < w[i + 1]])
+        w[i], w[i + 1] = w[i + 1], w[i]
+    return tuple(w)
+
+
+def test_schubert_poly_matches_chain_on_every_small_permutation():
+    for n in range(1, 8):
+        for w in iperm(range(1, n + 1)):
+            assert schubert_poly(w) == _chain_schubert(w), w
+
+
+def test_schubert_poly_matches_chain_on_seeded_s10_sample():
+    rng = random.Random(10)
+    for lw in (4, 7, 10):
+        for _ in range(20):
+            w = _random_perm_of_length(rng, 10, lw)
+            assert length(w) == lw
+            assert schubert_poly(w) == _chain_schubert(w), w
+
+
+def test_schubert_poly_is_stable_under_trailing_fixed_points():
+    rng = random.Random(11)
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        w = tuple(rng.sample(range(1, n + 1), n))
+        for extra in (1, 3):
+            assert schubert_poly(w + tuple(range(n + 1, n + extra + 1))) == schubert_poly(w)
+
+
+def test_schubert_poly_takes_sequences_and_validates_them():
+    assert schubert_poly([2, 1, 3]) == schubert_poly((2, 1, 3)) == Poly.variable(1)
+    assert schubert_poly(iter((1, 3, 2))) == Poly.variable(1) + Poly.variable(2)
+    for bad in ([1, 1, 2], (0, 1), (2, 3)):
+        with pytest.raises(SchubertError):
+            schubert_poly(bad)
+
+
+def test_schubert_poly_results_do_not_alias_the_memo():
+    """Mutating a returned polynomial changes neither a later S_w nor the
+    longer S_w built on it by the recursion."""
+    got = schubert_poly((1, 3, 2, 4))
+    got.terms.clear()
+    got.terms[(9,)] = 7
+    assert schubert_poly((1, 3, 2, 4)) == Poly.variable(1) + Poly.variable(2)
+    w = (3, 2, 1, 5, 4)
+    assert schubert_poly(w) == _chain_schubert(w)
+
+
 # ---------------------------------------------------------------------------
 # Orders
 
@@ -465,6 +526,12 @@ def test_enumerate_inequalities_filters():
         enumerate_inequalities(arr_a, arr_b, coeff_filter="bogus")
 
 
+def test_enumerate_inequalities_rejects_negative_max_length():
+    assert len(enumerate_inequalities((1, -1), (2, -2), max_length=0)) == 1
+    with pytest.raises(SchubertError, match="max_length"):
+        enumerate_inequalities((1, -1), (2, -2), max_length=-1)
+
+
 def _scan_reference(a, b, max_length):
     """(u, v, w, c) of the full-S_{mn} scan: the chains of every triple with
     l(w) = l(u) + l(v) <= max_length on the whole substituted S_w
@@ -527,6 +594,21 @@ def test_enumerate_inequalities_matches_per_triple_scan_on_2x4_cubicle():
         found = _assert_scan_matches_reference((3, -3), (8, 1, -3, -6), max_length)
         coeffs = [c for *_, c in found]
         assert (len(coeffs), coeffs.count(1), max(coeffs)) == (active, units, top)
+
+
+def test_scan_records_are_unchanged_with_the_chain_oracle(monkeypatch):
+    """The 2x4 scan gives the same records in the same order whether S_w
+    comes from the transition recursion or from the staircase chain."""
+    import qmarginal.schubert as schubert
+
+    a, b = (3, -3), (8, 1, -3, -6)
+    for name in ("unit", "nonzero"):
+        got = enumerate_inequalities(a, b, max_length=3, coeff_filter=name)
+        with monkeypatch.context() as patch:
+            patch.setattr(schubert, "schubert_poly", _chain_schubert)
+            want = enumerate_inequalities(a, b, max_length=3, coeff_filter=name)
+        assert got == want
+        assert [r.label for r in got] == [r.label for r in want]
 
 
 def test_perms_up_to_length_matches_filtered_permutations():
