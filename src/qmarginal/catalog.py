@@ -56,10 +56,6 @@ class CheckReport:
 # and have evaluators of their own.  Campaigns pass blocks of trials through
 # the same code; ``check_family`` passes a block of one.
 
-# Trials per block in campaigns.  The largest block array of the catalogued
-# systems, the entries of fermi:8:4 that the 1-RDM map reads (1190 complex
-# numbers per trial), takes 0.6 MB.
-BLOCK_TRIALS = 32
 # Samples per block in equivalence runs, which hold r <= 8 floats a sample.
 EQUIV_BLOCK = 256
 

@@ -604,7 +604,9 @@ def redundancy_filter(inequalities, ambient_ineqs=(), ambient_eqs=()):
     """
     ineqs = [canon_inequality(n, r) for n, r in inequalities]
     ineqs = list(dict.fromkeys(ineqs))
-    amb_ub = [(to_fractions(n), Fraction(r)) for n, r in ambient_ineqs]
+    # integer normals, as the inequalities have: homogenizing is then much
+    # cheaper, and primitive() removes the positive scale again
+    amb_ub = [canon_inequality(n, r) for n, r in ambient_ineqs]
     amb_eq = [(to_fractions(n), Fraction(r)) for n, r in ambient_eqs]
     if ineqs:
         d = len(ineqs[0][0])

@@ -617,6 +617,8 @@ def cmd_isospec(args) -> int:
     from .harness import isospectrality_campaign
 
     formats = [f for f in args.formats.split(";") if f.strip()]
+    if not formats:
+        raise UsageError(f"argument --formats: no format in {args.formats!r}")
     report = isospectrality_campaign(formats, args.trials, args.seed)
     emit({
         "record": "isospectrality",

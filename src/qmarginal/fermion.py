@@ -158,7 +158,8 @@ def slater(r: int, n: int, subset) -> FermionState:
 def one_rdm_block(basis: FermionBasis, entries: np.ndarray) -> np.ndarray:
     """(T, r, r) Hermitian one-particle RDMs from the (T, K) values
     conj(rho[dst, src]) of T states at the K terms of
-    ``basis.one_rdm_map()``.
+    ``basis.one_rdm_map()``.  ``entries`` is overwritten: it is scaled by
+    the signs in place, which is exact since each sign is +1 or -1.
 
     Each cell is one ``np.add.reduceat`` segment, so a state's RDM is summed
     in the same order whatever T is.
@@ -167,7 +168,8 @@ def one_rdm_block(basis: FermionBasis, entries: np.ndarray) -> np.ndarray:
     r = basis.r
     gamma = np.zeros((len(entries), r * r), dtype=complex)
     if len(terms.sign):
-        gamma[:, terms.cells] = np.add.reduceat(entries * terms.sign, terms.starts, axis=1)
+        entries *= terms.sign
+        gamma[:, terms.cells] = np.add.reduceat(entries, terms.starts, axis=1)
     gamma = gamma.reshape(-1, r, r)
     return (gamma + gamma.conj().swapaxes(-1, -2)) / 2
 
@@ -176,7 +178,8 @@ def pure_one_rdm_entries(basis: FermionBasis, amps: np.ndarray) -> np.ndarray:
     """The ``one_rdm_block`` entries of a (T, dim) stack of amplitude
     vectors, formed per term, never as (T, dim, dim) outer products."""
     terms = basis.one_rdm_map()
-    entries = amps[:, terms.dst].conj()
+    entries = amps[:, terms.dst]
+    np.conjugate(entries, out=entries)
     entries *= amps[:, terms.src]
     return entries
 

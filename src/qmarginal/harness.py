@@ -6,8 +6,11 @@ marginal spectra and runs the family check.  Per-trial seeds are derived
 from the campaign seed by counter offset, so reports are independent of
 worker count and bit-reproducible.
 
-Trials run in blocks of ``BLOCK_TRIALS``.  Each trial still draws from its
-own Philox stream ``(seed, trial)`` the values and generator words the
+Trials run in blocks that fill a fixed memory budget, ``BLOCK_BYTES``:
+each numpy call of a block costs the same fixed overhead whatever the
+block's size, so small systems take hundreds of trials a block and large
+fermionic ones a few dozen (``_block_trials``).  Each trial still draws from
+its own Philox stream ``(seed, trial)`` the values and generator words the
 per-trial samplers draw; the block is then reduced and eigensolved by
 ``reduce_states``, as ``qmarginal reduce`` reduces a state file, and checked
 at once.  The keys of a chunk are derived a window of streams at a time
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import (
-    BLOCK_TRIALS,
+    CatalogError,
     SpectraBlock,
     SpectraBundle,
     _check_count,
@@ -70,6 +73,26 @@ class CampaignReport:
     worst_trial: int = None
 
 
+# Bytes of the arrays one block may hold at once.  Each numpy call of a
+# block has a fixed cost, so larger blocks are faster; past about 1 MiB they
+# save little more time but raise the peak RSS of a campaign.
+BLOCK_BYTES = 1 << 20
+
+
+def _block_trials(system: SystemDescriptor, chunk: int, basic: bool = False) -> int:
+    """Trials per block of ``system``: as many as fit ``BLOCK_BYTES``, at
+    least one and at most ``chunk``.  A trial's arrays hold at most about
+    5 D complex numbers for a pure state of dimension D and 5 D^2 for a
+    mixed one (``basic`` draws mixed states), plus 2 K for a fermionic
+    system, whose one-RDM map reads K terms into one array and multiplies
+    it by a second.
+    """
+    width = 5 * system.dim if system.pure and not basic else 5 * system.dim ** 2
+    if system.kind == "fermion":
+        width += 2 * len(fermion_basis(system.r, system.n).one_rdm_map().sign)
+    return max(1, min(chunk, BLOCK_BYTES // (16 * width)))
+
+
 def _pure_joint(count: int, size: int) -> np.ndarray:
     joint = np.zeros((count, size))
     joint[:, 0] = 1.0
@@ -105,7 +128,8 @@ def reduce_states(system: SystemDescriptor, states: np.ndarray, keeps=None,
             trace = np.full(len(states), float(system.n))
         else:
             terms = basis.one_rdm_map()
-            entries = states[:, terms.dst, terms.src].conj()
+            entries = states[:, terms.dst, terms.src]
+            np.conjugate(entries, out=entries)
             trace = system.n * np.trace(states, axis1=1, axis2=2).real
         return SpectraBlock(one_body=spectra_of_stack(one_rdm_block(basis, entries), trace),
                             one_body_trace=trace, joint=joint)
@@ -164,16 +188,22 @@ def sample_bundle(system: SystemDescriptor, seed: int, trial: int,
     )
 
 
+def _draws_basic(family_id: str, system: SystemDescriptor) -> bool:
+    """Whether the campaign draws BASIC's mixed states, split site by site."""
+    return family_id == "BASIC" and system.kind in ("tensor", "qubits")
+
+
 def _campaign_chunk(args):
     """(min slack, its lowest trial index, violations) over trials lo..hi."""
     family_id, system_str, seed, lo, hi, nu_vals, tolerance = args
     system = parse_system(system_str)
     nu = spectrum(nu_vals, 1.0) if nu_vals is not None else None
-    basic = family_id == "BASIC" and system.kind in ("tensor", "qubits")
+    basic = _draws_basic(family_id, system)
     streams = PhiloxStreams(seed, range(lo, hi))
+    size = _block_trials(system, hi - lo, basic)
     worst, worst_trial, violations = math.inf, None, 0
-    for start in range(lo, hi, BLOCK_TRIALS):
-        trials = range(start, min(start + BLOCK_TRIALS, hi))
+    for start in range(lo, hi, size):
+        trials = range(start, min(start + size, hi))
         blocks = _sample_blocks(system, streams[start - lo:trials.stop - lo], nu, basic)
         slack = np.min([check_block(family_id, block, tolerance).worst()
                         for block in blocks], axis=0)
@@ -192,10 +222,19 @@ def mc_verify(family_id: str, system, trials: int, seed: int,
     Deterministic per (family, system, trials, seed) and independent of the
     worker count: the min-slack/violation-count reduction is associative,
     and the worst trial is the lowest stream index reaching the minimum.
+    Before sampling, it refuses a family of pure states of one system on a
+    mixed system, and a state spectrum ``nu`` when the campaign draws pure
+    states.
     """
     if isinstance(system, str):
         system = parse_system(system)
-    get_family(family_id)
+    fam = get_family(family_id)
+    if fam.fixed is not None and fam.fixed.pure and not system.pure:
+        raise CatalogError(f"{family_id} holds for the pure states of {fam.fixed}, "
+                           f"not for the mixed states of {system}")
+    if nu is not None and system.pure and not _draws_basic(family_id, system):
+        raise ValueError(f"--nu fixes the spectrum of mixed states, but {family_id} "
+                         f"on {system} draws pure states")
     _check_count("trials", trials)
     start = time.perf_counter()
     nu_vals = None if nu is None else tuple(nu.as_floats())
@@ -256,8 +295,9 @@ def isospectrality_campaign(formats, trials: int, seed: int) -> IsospectralityRe
     worst = 0.0
     for fmt_i, system in enumerate(systems):
         k, base = min(system.dims), fmt_i * trials
-        for lo in range(base, base + trials, BLOCK_TRIALS):
-            hi = min(lo + BLOCK_TRIALS, base + trials)
+        size = _block_trials(system, trials)
+        for lo in range(base, base + trials, size):
+            hi = min(lo + size, base + trials)
             (block,) = _sample_blocks(system, streams[lo:hi])
             sa, sb = block.sites
             worst = max(worst, np.abs(sa[:, :k] - sb[:, :k]).max(initial=0.0),

@@ -568,7 +568,7 @@ def generate_inequality(a, b, u, v, w) -> InequalityRecord:
     coeff = 1 if trivial else coeff_two(u, v, w, [p for _, p in sums])
     if coeff == 0:
         raise SchubertError(f"vanishing coefficient for {(u, v, w)}")
-    return _two_sided_record(a, b, u, v, w, coeff, [x for x, _ in sums])
+    return _two_sided_record(a, b, u, v, w, coeff, [-x for x, _ in sums])
 
 
 def enumerate_inequalities(a, b, max_length: int = 6, coeff_filter: str = "unit"):
@@ -586,7 +586,8 @@ def enumerate_inequalities(a, b, max_length: int = 6, coeff_filter: str = "unit"
         raise SchubertError(f"max_length must be >= 0, got {max_length}")
     a, b = check_test_spectrum(a), check_test_spectrum(b)
     sums = _pair_sums(a, b)
-    order, values = [p for _, p in sums], [x for x, _ in sums]
+    # the joint coefficients of every record: the pair sums, negated once
+    order, neg_sums = [p for _, p in sums], [-x for x, _ in sums]
     m, n = len(a), len(b)
     us = {}
     for u, lu in _perms_up_to_length(m, m * (m - 1) // 2):
@@ -611,17 +612,18 @@ def enumerate_inequalities(a, b, max_length: int = 6, coeff_filter: str = "unit"
                         continue
                     if coeff_filter == "odd" and c % 2 == 0:
                         continue
-                    records.append(_two_sided_record(a, b, u, v, w, c, values))
+                    records.append(_two_sided_record(a, b, u, v, w, c, neg_sums))
     return records
 
 
-def _edge_record(prefix, slots, spectra, perms, w, sums, coeff) -> InequalityRecord:
+def _edge_record(prefix, slots, spectra, perms, w, neg_sums, coeff) -> InequalityRecord:
     """The record sum_s <a_s placed by perm_s, lambda_s> <= <sums placed by w, nu>.
 
     ``slots`` names the one-body slots and then the joint slot; ``spectra``
     and ``perms`` map the meta keys of the test spectra and of their
-    permutations, in slot order; ``sums`` are the decreasing combined sums
-    of the test spectra.  Placing x by p puts x_i at position p(i).
+    permutations, in slot order; ``neg_sums`` are the decreasing combined
+    sums of the test spectra, negated.  Placing x by p puts x_i at position
+    p(i).
     """
     terms = []
     for slot, a, perm in zip(slots, spectra.values(), perms.values()):
@@ -630,8 +632,8 @@ def _edge_record(prefix, slots, spectra, perms, w, sums, coeff) -> InequalityRec
             coef[perm[i] - 1] = x
         terms.append((slot, tuple(coef)))
     joint = [None] * len(w)   # w is a permutation: every slot is set once
-    for k, x in enumerate(sums):
-        joint[w[k] - 1] = -x
+    for k, x in enumerate(neg_sums):
+        joint[w[k] - 1] = x
     terms.append((slots[-1], tuple(joint)))
     words = [f"{key}={_fmt(a)}" for key, a in spectra.items()]
     words += [f"{key}={p}" for key, p in perms.items()]
@@ -644,13 +646,13 @@ def _edge_record(prefix, slots, spectra, perms, w, sums, coeff) -> InequalityRec
     )
 
 
-def _two_sided_record(a, b, u, v, w, coeff, sums=None) -> InequalityRecord:
-    """Record of the triple (u, v, w); ``sums`` are the decreasing pair sums
-    of (a, b), computed when not given."""
-    if sums is None:
-        sums = [x for x, _ in _pair_sums(a, b, ties=True)]
+def _two_sided_record(a, b, u, v, w, coeff, neg_sums=None) -> InequalityRecord:
+    """Record of the triple (u, v, w); ``neg_sums`` are the decreasing pair
+    sums of (a, b), negated, computed when not given."""
+    if neg_sums is None:
+        neg_sums = [-x for x, _ in _pair_sums(a, b, ties=True)]
     return _edge_record("edge", ("A", "B", "AB"), {"a": a, "b": b}, {"u": u, "v": v},
-                        w, sums, coeff)
+                        w, neg_sums, coeff)
 
 
 def _fmt(vals):
@@ -674,7 +676,7 @@ def generate_fermi_inequality(a, n: int, v, w) -> InequalityRecord:
     if coeff == 0:
         raise SchubertError(f"vanishing coefficient for {(v, w)}")
     return _edge_record("fermi edge", ("lam", "nu"), {"a": a}, {"v": v},
-                        w, [x for x, _ in sums], coeff)
+                        w, [-x for x, _ in sums], coeff)
 
 
 # ---------------------------------------------------------------------------

@@ -596,6 +596,46 @@ def test_isospec_refuses_mixed_formats(capsys, formats, bad):
     assert bad in error["message"]
 
 
+@pytest.mark.parametrize("formats", ["", ";", " ; ;", "   "])
+def test_isospec_refuses_an_empty_format_list(capsys, formats):
+    code, records, errors = _main_records(capsys, [
+        "isospec", "--formats", formats, "--trials", "3", "--seed", "1",
+    ])
+    assert code == 2
+    assert records == []
+    (error,) = errors
+    assert error["record"] == "error" and error["kind"] == "usage"
+    assert "--formats" in error["message"]
+
+
+def test_verify_refuses_a_pure_family_on_a_mixed_system(capsys):
+    code, records, errors = _main_records(capsys, [
+        "verify", "--family", "BD6", "--system", "fermi:6:3:mixed",
+        "--trials", "3", "--seed", "1",
+    ])
+    assert code == 2
+    assert records == []
+    (error,) = errors
+    assert error["record"] == "error" and error["kind"] == "CatalogError"
+    assert "fermi:6:3:pure" in error["message"] and "fermi:6:3:mixed" in error["message"]
+
+
+@pytest.mark.parametrize("family,system,nu", [
+    ("POLYGON", "qubits:2", "0.4,0.3,0.2,0.1"),
+    ("BD6", "fermi:6:3:pure", ",".join(["0.05"] * 20)),
+])
+def test_verify_refuses_nu_on_pure_draws(capsys, family, system, nu):
+    code, records, errors = _main_records(capsys, [
+        "verify", "--family", family, "--system", system, "--nu", nu,
+        "--trials", "3", "--seed", "1",
+    ])
+    assert code == 2
+    assert records == []
+    (error,) = errors
+    assert error["record"] == "error" and error["kind"] == "ValueError"
+    assert "--nu" in error["message"]
+
+
 PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 

@@ -80,6 +80,44 @@ def test_mc_verify_refuses_a_state_spectrum_that_is_not_one(system, nu):
                   trials=1, seed=0, nu=spectrum(nu, 1.0))
 
 
+@pytest.mark.parametrize("family,system,fixed", [
+    ("BD6", "fermi:6:3:mixed", "fermi:6:3:pure"),
+    ("F84_14", "fermi:8:4:mixed", "fermi:8:4:pure"),
+    ("FRANZ_3QUTRIT", "3x3x3:mixed", "3x3x3:pure"),
+])
+def test_mc_verify_refuses_a_pure_family_on_mixed_states(monkeypatch, family, system, fixed):
+    from qmarginal import harness
+    from qmarginal.records import get_family
+
+    assert not get_family(family).applies(parse_system(system))
+    monkeypatch.setattr(harness, "_campaign_chunk", None)   # nothing is sampled
+    with pytest.raises(CatalogError) as err:
+        mc_verify(family, system, trials=3, seed=1)
+    assert fixed in str(err.value) and system in str(err.value)
+
+
+@pytest.mark.parametrize("family,system", [
+    ("POLYGON", "qubits:3:pure"),
+    ("BD6", "fermi:6:3:pure"),
+    ("W2H4_MIXED", "fermi:4:2:pure"),
+    ("BASIC", "fermi:4:2:pure"),
+])
+def test_mc_verify_refuses_a_state_spectrum_for_pure_draws(monkeypatch, family, system):
+    from qmarginal import harness
+
+    nu = spectrum((1.0,) + (0.0,) * (parse_system(system).dim - 1), 1.0)
+    monkeypatch.setattr(harness, "_campaign_chunk", None)
+    with pytest.raises(ValueError, match="--nu"):
+        mc_verify(family, system, trials=3, seed=1, nu=nu)
+
+
+def test_basic_draws_mixed_states_with_nu_on_a_pure_format():
+    nu = spectrum((0.4, 0.3, 0.2, 0.1), 1.0)
+    pure = mc_verify("BASIC", "2x2:pure", trials=40, seed=3, nu=nu)
+    mixed = mc_verify("BASIC", "2x2:mixed", trials=40, seed=3, nu=nu)
+    assert (pure.min_slack, pure.worst_trial) == (mixed.min_slack, mixed.worst_trial)
+
+
 def test_mc_verify_rejects_unknown_family():
     from qmarginal.catalog import CatalogError
 
@@ -172,6 +210,14 @@ CRITERION_5_PAIRS = [
 ]
 
 
+def _budgeted_block(family, system):
+    """Trials per block of the campaign of ``family`` on ``system``."""
+    from qmarginal.harness import _block_trials, _draws_basic
+
+    desc = parse_system(system)
+    return _block_trials(desc, 10 ** 9, _draws_basic(family, desc))
+
+
 def _replayed_slack(family, system, seed, trial):
     """Worst slack of one trial, rebuilt from the public per-trial samplers
     and reductions."""
@@ -225,9 +271,8 @@ def _replayed_slack(family, system, seed, trial):
 @pytest.mark.parametrize("family,system", CRITERION_5_PAIRS,
                          ids=[f"{f}@{s}" for f, s in CRITERION_5_PAIRS])
 def test_blocks_do_not_depend_on_worker_count(family, system):
-    from qmarginal.catalog import BLOCK_TRIALS
-
-    trials = 2 * BLOCK_TRIALS + 5   # the three chunks end mid-block
+    # three chunks of one budgeted block and 5 trials: each ends mid-block
+    trials = 3 * (_budgeted_block(family, system) + 5)
     a = mc_verify(family, system, trials=trials, seed=23, jobs=1)
     b = mc_verify(family, system, trials=trials, seed=23, jobs=3)
     assert (a.min_slack, a.violations, a.worst_trial) == (
@@ -235,6 +280,53 @@ def test_blocks_do_not_depend_on_worker_count(family, system):
     assert 0 <= a.worst_trial < trials
     replayed = _replayed_slack(family, system, 23, a.worst_trial)
     assert abs(replayed - a.min_slack) <= 1e-12
+
+
+def _with_block_sizes(monkeypatch, run):
+    """``run()`` with blocks of 1 and 32 trials and of the budgeted size."""
+    from qmarginal import harness
+
+    budgeted, results = harness._block_trials, []
+    for size in (1, 32, None):
+        monkeypatch.setattr(harness, "_block_trials", budgeted if size is None else
+                            lambda system, chunk, basic=False, size=size: min(chunk, size))
+        results.append(run())
+    return results
+
+
+@pytest.mark.parametrize("family,system", CRITERION_5_PAIRS,
+                         ids=[f"{f}@{s}" for f, s in CRITERION_5_PAIRS])
+def test_campaign_reports_do_not_depend_on_the_block_size(monkeypatch, family, system):
+    reports = _with_block_sizes(monkeypatch, lambda: mc_verify(family, system, 70, 29))
+    assert len({(r.min_slack, r.worst_trial, r.violations) for r in reports}) == 1
+    assert reports[0].worst_trial is not None
+
+
+def test_isospectrality_does_not_depend_on_the_block_size(monkeypatch):
+    reports = _with_block_sizes(monkeypatch, lambda: isospectrality_campaign(
+        ["2x2", "2x3", "3x3", "3x4"], 70, 29))
+    assert len({r.max_discrepancy for r in reports}) == 1
+    assert reports[0].max_discrepancy > 0.0
+
+
+@pytest.mark.parametrize("family,system", CRITERION_5_PAIRS,
+                         ids=[f"{f}@{s}" for f, s in CRITERION_5_PAIRS])
+def test_a_budgeted_block_peaks_below_the_budget(family, system):
+    """One block holds what fits BLOCK_BYTES: its traced peak lies below the
+    budget, and above half of it."""
+    import tracemalloc
+
+    from qmarginal.harness import BLOCK_BYTES, _campaign_chunk
+
+    args = (family, system, 3, 0, _budgeted_block(family, system), None, 1e-10)
+    _campaign_chunk(args)   # compiles the family and the basis maps first
+    tracemalloc.start()
+    try:
+        _campaign_chunk(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert BLOCK_BYTES // 2 < peak < BLOCK_BYTES
 
 
 def test_worst_trial_is_the_lowest_stream_reaching_the_minimum():
@@ -388,15 +480,15 @@ BLOCK_CASES = [
                          ids=[f"{s}{'+nu' if nu else ''}{'+basic' if b else ''}"
                               for s, nu, b in BLOCK_CASES])
 def test_sample_blocks_equal_the_per_trial_reference_bitwise(system, nu, basic, first):
-    from qmarginal.catalog import BLOCK_TRIALS
     from qmarginal.harness import _sample_blocks
     from qmarginal.systems import parse_system
     from qmarginal.tensor import PhiloxStreams
 
     desc = parse_system(system)
     nu = None if nu is None else spectrum(nu, 1.0)
-    seed, trials = 20260809, range(first, first + BLOCK_TRIALS)
-    streams = PhiloxStreams(seed, range(first + 2 * BLOCK_TRIALS))[first:first + BLOCK_TRIALS]
+    size = 32
+    seed, trials = 20260809, range(first, first + size)
+    streams = PhiloxStreams(seed, range(first + 2 * size))[first:first + size]
     got = _sample_blocks(desc, streams, nu, basic)
     want = _reference_blocks(desc, seed, trials, nu, basic)
     assert len(got) == len(want)
