@@ -9,8 +9,10 @@ one-particle RDM uses the chemists' normalization Tr = n.  The two-particle
 RDM is normalized to trace n(n-1); the binomial factor of the energy
 formula is applied inside ``energy_from_two_rdm``.
 
-The RDMs are numpy index arithmetic over cached term arrays of the basis;
-``one_rdm_block`` is the one 1-RDM reduction, for one state or a block.
+The RDMs are products of annihilated states, gathered through cached
+index maps of the basis: gamma[i, j] = <a_j psi | a_i psi>.
+``one_rdm_stack`` is the one 1-RDM reduction, for pure or mixed states,
+one or a block.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,18 +35,6 @@ def fermion_basis(r: int, n: int) -> "FermionBasis":
     return FermionBasis(r, n)
 
 
-class OneBodyTerms(NamedTuple):
-    """Index arrays of the one-particle RDM, sorted by output cell then src:
-    gamma.flat[cells[k]] sums sign * conj(rho[dst, src]) over the terms
-    starts[k]:starts[k + 1].  Cells without terms are absent."""
-
-    dst: np.ndarray
-    src: np.ndarray
-    sign: np.ndarray
-    cells: np.ndarray
-    starts: np.ndarray
-
-
 class FermionBasis:
     """Bijection between basis indices and sorted n-subsets of {1..r}."""
 
@@ -57,34 +46,33 @@ class FermionBasis:
         self.subsets = tuple(combinations(range(1, r + 1), n))
         self.index = {s: i for i, s in enumerate(self.subsets)}
         self.dim = len(self.subsets)
-        self._one_map = None
+        self._ann_map = None
         self._pair_map = None
 
     def __repr__(self):
         return f"FermionBasis(r={self.r}, n={self.n}, dim={self.dim})"
 
-    def one_rdm_map(self) -> OneBodyTerms:
-        """Read-only index arrays of gamma[i, j] = <a_j^dag a_i>; cached."""
-        if self._one_map is not None:
-            return self._one_map
-        r = self.r
-        terms = []
-        for src, s in enumerate(self.subsets):
-            for pos_i, i in enumerate(s):
-                rest = s[:pos_i] + s[pos_i + 1:]
-                sign_i = -1 if pos_i % 2 else 1
-                for j in range(1, r + 1):
-                    if j in rest:
-                        continue
-                    pos_j = sum(1 for x in rest if x < j)
-                    sign = sign_i * (-1 if pos_j % 2 else 1)
-                    dst = self.index[tuple(sorted(rest + (j,)))]
-                    terms.append(((i - 1) * r + (j - 1), src, dst, sign))
-        cell, src, dst, sign = np.array(sorted(terms), dtype=np.intp).reshape(-1, 4).T
-        self._one_map = OneBodyTerms(dst, src, sign, *np.unique(cell, return_index=True))
-        for arr in self._one_map:
-            arr.setflags(write=False)
-        return self._one_map
+    def annihilation_map(self) -> tuple:
+        """Read-only arrays (idx, sign), each of shape (r, dim of the
+        (n-1)-sector): (a_i psi)[k] = sign[i-1, k] * psi_pad[idx[i-1, k]],
+        where psi_pad is psi with one zero appended, and idx = dim points at
+        it where orbital i is already in the k-th (n-1)-subset (sign 0).
+        Cached."""
+        if self._ann_map is not None:
+            return self._ann_map
+        subsets = fermion_basis(self.r, self.n - 1).subsets if self.n else ()
+        idx = np.full((self.r, len(subsets)), self.dim, dtype=np.intp)
+        sign = np.zeros(idx.shape)
+        for k, t in enumerate(subsets):
+            for i in range(1, self.r + 1):
+                if i not in t:
+                    pos = sum(1 for x in t if x < i)
+                    idx[i - 1, k] = self.index[tuple(sorted(t + (i,)))]
+                    sign[i - 1, k] = -1.0 if pos % 2 else 1.0
+        idx.setflags(write=False)
+        sign.setflags(write=False)
+        self._ann_map = (idx, sign)
+        return self._ann_map
 
     def pair_annihilation_map(self) -> tuple:
         """Read-only index arrays (rows, src, sign) of psi -> W.flat, where
@@ -155,40 +143,37 @@ def slater(r: int, n: int, subset) -> FermionState:
     return FermionState(basis, amps)
 
 
-def one_rdm_block(basis: FermionBasis, entries: np.ndarray) -> np.ndarray:
-    """(T, r, r) Hermitian one-particle RDMs from the (T, K) values
-    conj(rho[dst, src]) of T states at the K terms of
-    ``basis.one_rdm_map()``.  ``entries`` is overwritten: it is scaled by
-    the signs in place, which is exact since each sign is +1 or -1.
+def one_rdm_stack(basis: FermionBasis, states: np.ndarray) -> np.ndarray:
+    """(T, r, r) Hermitian one-particle RDMs of a (T, dim) stack of
+    amplitude vectors or a (T, dim, dim) stack of density matrices.
 
-    Each cell is one ``np.add.reduceat`` segment, so a state's RDM is summed
-    in the same order whatever T is.
+    With Phi[t, i] = a_i psi_t, gamma_t = Phi_t Phi_t^H for a pure state;
+    a mixed one sums sign[i, k] sign[j, k] rho[idx[i, k], idx[j, k]] over
+    the (n-1)-sector index k.  Each trial is reduced alone, so its RDM is
+    bitwise the same whatever T is.
     """
-    terms = basis.one_rdm_map()
-    r = basis.r
-    gamma = np.zeros((len(entries), r * r), dtype=complex)
-    if len(terms.sign):
-        entries *= terms.sign
-        gamma[:, terms.cells] = np.add.reduceat(entries, terms.starts, axis=1)
-    gamma = gamma.reshape(-1, r, r)
+    idx, sign = basis.annihilation_map()
+    pad = np.zeros((len(states),) + (basis.dim + 1,) * (states.ndim - 1), dtype=complex)
+    if states.ndim == 2:
+        pad[:, :-1] = states
+        phi = pad[:, idx]
+        phi *= sign
+        gamma = phi @ phi.conj().swapaxes(-1, -2)
+    else:
+        pad[:, :-1, :-1] = states
+        idx, sign = idx.T, sign.T
+        terms = pad[:, idx[:, :, None], idx[:, None, :]]
+        terms *= sign[:, :, None] * sign[:, None, :]
+        # added one k at a time: a reduction over an axis may change its
+        # order with T, an elementwise add does not
+        gamma = sum(terms.swapaxes(0, 1), np.zeros((len(states), basis.r, basis.r), complex))
     return (gamma + gamma.conj().swapaxes(-1, -2)) / 2
-
-
-def pure_one_rdm_entries(basis: FermionBasis, amps: np.ndarray) -> np.ndarray:
-    """The ``one_rdm_block`` entries of a (T, dim) stack of amplitude
-    vectors, formed per term, never as (T, dim, dim) outer products."""
-    terms = basis.one_rdm_map()
-    entries = amps[:, terms.dst]
-    np.conjugate(entries, out=entries)
-    entries *= amps[:, terms.src]
-    return entries
 
 
 def one_rdm(psi: FermionState) -> DensityMatrix:
     """One-particle RDM gamma[i, j] = <psi| a_j^dag a_i |psi>, trace n."""
     basis = psi.basis
-    entries = pure_one_rdm_entries(basis, psi.amplitudes[None])
-    return DensityMatrix(one_rdm_block(basis, entries)[0], (basis.r,),
+    return DensityMatrix(one_rdm_stack(basis, psi.amplitudes[None])[0], (basis.r,),
                          trace=float(basis.n))
 
 
@@ -197,10 +182,9 @@ def one_rdm_mixed(rho: np.ndarray, basis: FermionBasis) -> DensityMatrix:
     mat = np.asarray(rho, dtype=complex)
     if mat.shape != (basis.dim, basis.dim):
         raise FermionError(f"expected {basis.dim}x{basis.dim} matrix")
-    terms = basis.one_rdm_map()
-    gamma = one_rdm_block(basis, mat[None, terms.dst, terms.src].conj())[0]
     tr = float(np.trace(mat).real)
-    return DensityMatrix(gamma, (basis.r,), trace=basis.n * tr)
+    return DensityMatrix(one_rdm_stack(basis, mat[None])[0], (basis.r,),
+                         trace=basis.n * tr)
 
 
 @dataclass(frozen=True)

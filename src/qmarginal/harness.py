@@ -36,7 +36,7 @@ from .catalog import (
     _check_count,
     check_block,
 )
-from .fermion import fermion_basis, one_rdm_block, pure_one_rdm_entries
+from .fermion import fermion_basis, one_rdm_stack
 from .records import get_family
 from .spectra import Spectrum, spectrum
 from .systems import SystemDescriptor, parse_system
@@ -83,13 +83,18 @@ def _block_trials(system: SystemDescriptor, chunk: int, basic: bool = False) -> 
     """Trials per block of ``system``: as many as fit ``BLOCK_BYTES``, at
     least one and at most ``chunk``.  A trial's arrays hold at most about
     5 D complex numbers for a pure state of dimension D and 5 D^2 for a
-    mixed one (``basic`` draws mixed states), plus 2 K for a fermionic
-    system, whose one-RDM map reads K terms into one array and multiplies
-    it by a second.
+    mixed one (``basic`` draws mixed states).  A fermionic one-RDM adds
+    what ``one_rdm_stack`` holds at once: the zero-padded state (D or D^2),
+    the r x r RDM and, D' being the dimension of the (n-1)-sector, the
+    annihilated states Phi (r x D') and their conjugate for a pure state,
+    or the r x r x D' gathered terms for a mixed one.
     """
-    width = 5 * system.dim if system.pure and not basic else 5 * system.dim ** 2
+    pure = system.pure and not basic
+    width = 5 * system.dim if pure else 5 * system.dim ** 2
     if system.kind == "fermion":
-        width += 2 * len(fermion_basis(system.r, system.n).one_rdm_map().sign)
+        r, sub = system.r, math.comb(system.r, system.n - 1)
+        width += r * r + (system.dim + 2 * r * sub if pure
+                          else system.dim ** 2 + r * r * sub)
     return max(1, min(chunk, BLOCK_BYTES // (16 * width)))
 
 
@@ -122,16 +127,10 @@ def reduce_states(system: SystemDescriptor, states: np.ndarray, keeps=None,
         joint = (_pure_joint(len(states), states.shape[1]) if pure
                  else spectra_of_stack(states, 1.0))
     if system.kind == "fermion":
-        basis = fermion_basis(system.r, system.n)
-        if pure:
-            entries = pure_one_rdm_entries(basis, states)
-            trace = np.full(len(states), float(system.n))
-        else:
-            terms = basis.one_rdm_map()
-            entries = states[:, terms.dst, terms.src]
-            np.conjugate(entries, out=entries)
-            trace = system.n * np.trace(states, axis1=1, axis2=2).real
-        return SpectraBlock(one_body=spectra_of_stack(one_rdm_block(basis, entries), trace),
+        gamma = one_rdm_stack(fermion_basis(system.r, system.n), states)
+        trace = (np.full(len(states), float(system.n)) if pure
+                 else system.n * np.trace(states, axis1=1, axis2=2).real)
+        return SpectraBlock(one_body=spectra_of_stack(gamma, trace),
                             one_body_trace=trace, joint=joint)
     marginal = pure_marginal_stack if pure else partial_trace_stack
     if keeps is None:
@@ -172,9 +171,19 @@ def _sample_blocks(system: SystemDescriptor, streams: PhiloxStreams, nu=None,
             for keeps in (_bipartitions(system.dims) if basic else [None])]
 
 
+def _refuse_nu_for_pure_draws(nu: Spectrum, what: str) -> None:
+    if nu is not None:
+        raise ValueError(f"--nu fixes the spectrum of mixed states, but {what} "
+                         "draws pure states")
+
+
 def sample_bundle(system: SystemDescriptor, seed: int, trial: int,
                   nu: Spectrum = None) -> SpectraBundle:
-    """Draw one state of the system and reduce it: a block of one trial."""
+    """Draw one state of the system and reduce it: a block of one trial.
+    A state spectrum ``nu`` fixes the draw of a mixed system and is refused
+    for a pure one."""
+    if system.pure:
+        _refuse_nu_for_pure_draws(nu, str(system))
     block = _sample_blocks(system, PhiloxStreams(seed, [trial]), nu)[0]
 
     def row(values, trace=1.0):
@@ -232,9 +241,8 @@ def mc_verify(family_id: str, system, trials: int, seed: int,
     if fam.fixed is not None and fam.fixed.pure and not system.pure:
         raise CatalogError(f"{family_id} holds for the pure states of {fam.fixed}, "
                            f"not for the mixed states of {system}")
-    if nu is not None and system.pure and not _draws_basic(family_id, system):
-        raise ValueError(f"--nu fixes the spectrum of mixed states, but {family_id} "
-                         f"on {system} draws pure states")
+    if system.pure and not _draws_basic(family_id, system):
+        _refuse_nu_for_pure_draws(nu, f"{family_id} on {system}")
     _check_count("trials", trials)
     start = time.perf_counter()
     nu_vals = None if nu is None else tuple(nu.as_floats())

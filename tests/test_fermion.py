@@ -1,6 +1,6 @@
 """Fermionic layer: sign bookkeeping, RDMs, energy reduction, sampling.
 
-The oracles here are deliberately independent of the library's index-array
+The oracles here are deliberately independent of the library's annihilation-map
 reduction: explicit operator application by loops, embedding into the full
 tensor power followed by a partial trace, and scipy CSR maps built from the
 same loops and applied as sparse matrix products.
@@ -24,6 +24,7 @@ from qmarginal.fermion import (
     haar_fermion,
     one_rdm,
     one_rdm_mixed,
+    one_rdm_stack,
     slater,
     two_rdm,
 )
@@ -305,6 +306,52 @@ def test_sample_bundle_matches_csr_product(r, n):
         rho = _random_mixed(basis, seed, trial)
         oracle = _csr_spectrum(_csr_one_rdm(basis, rho.conj().ravel()))
         assert np.max(np.abs(np.array(mixed.as_floats()) - oracle)) <= 1e-14
+
+
+STACK_CASES = [(4, 2), (6, 3), (7, 3), (8, 3), (8, 4)]
+
+
+@pytest.mark.parametrize("r,n", STACK_CASES)
+def test_one_rdm_stack_matches_csr_product(r, n):
+    """The block reduction of pure and mixed stacks, row by row against the
+    CSR product."""
+    basis = fermion_basis(r, n)
+    amps = np.array([psi.amplitudes for psi in _states(r, n)])
+    for a, gamma in zip(amps, one_rdm_stack(basis, amps)):
+        vec = np.outer(a.conj(), a).ravel()
+        assert np.max(np.abs(gamma - _csr_one_rdm(basis, vec))) <= 1e-14
+    rho = np.array([_random_mixed(basis, 43, stream) for stream in range(3)])
+    for m, gamma in zip(rho, one_rdm_stack(basis, rho)):
+        assert np.max(np.abs(gamma - _csr_one_rdm(basis, m.conj().ravel()))) <= 1e-14
+
+
+@pytest.mark.parametrize("system", [f"fermi:{r}:{n}:pure" for r, n in STACK_CASES]
+                         + ["fermi:4:2:mixed", "fermi:6:3:mixed"])
+def test_one_rdm_rows_do_not_depend_on_the_block(system):
+    """Blocks of 1 and 32 trials and the budgeted block give bitwise the
+    same rows, and so does the one-state reduction."""
+    from qmarginal.harness import _block_trials
+    from qmarginal.tensor import (
+        PhiloxStreams,
+        complex_gaussian_stack,
+        haar_vectors,
+        hilbert_schmidt_stack,
+    )
+
+    desc = parse_system(system)
+    basis = fermion_basis(desc.r, desc.n)
+    budgeted = _block_trials(desc, 10 ** 9)
+    streams = PhiloxStreams(47, range(max(budgeted, 32) + 3))
+    states = (haar_vectors(basis.dim, streams) if desc.pure else
+              hilbert_schmidt_stack(complex_gaussian_stack((basis.dim,) * 2, streams)))
+    rows = [np.concatenate([one_rdm_stack(basis, states[lo:lo + size])
+                            for lo in range(0, len(states), size)])
+            for size in (1, 32, budgeted)]
+    assert all(np.array_equal(rows[0], other) for other in rows[1:])
+    for t in (0, len(states) - 1):
+        single = (one_rdm(FermionState(basis, states[t])) if desc.pure
+                  else one_rdm_mixed(states[t], basis))
+        assert np.array_equal(single.entries, rows[0][t])
 
 
 def test_fermion_commands_never_import_scipy(tmp_path):

@@ -118,6 +118,18 @@ def test_basic_draws_mixed_states_with_nu_on_a_pure_format():
     assert (pure.min_slack, pure.worst_trial) == (mixed.min_slack, mixed.worst_trial)
 
 
+@pytest.mark.parametrize("system", ["qubits:2", "fermi:4:2"])
+def test_sample_bundle_refuses_a_state_spectrum_for_pure_draws(system):
+    from qmarginal.harness import sample_bundle
+
+    desc = parse_system(system)
+    nu = spectrum((0.4, 0.3, 0.2, 0.1) + (0.0,) * (desc.dim - 4), 1.0)
+    with pytest.raises(ValueError, match="--nu"):
+        sample_bundle(desc, 1, 0, nu=nu)
+    mixed = sample_bundle(parse_system(f"{system}:mixed"), 1, 0, nu=nu)
+    assert np.allclose(mixed.joint.as_floats(), nu.as_floats(), rtol=0, atol=1e-12)
+
+
 def test_mc_verify_rejects_unknown_family():
     from qmarginal.catalog import CatalogError
 
@@ -390,7 +402,7 @@ def _reference_blocks(system, seed, trials, nu=None, basic=False):
     import math
 
     from qmarginal.catalog import SpectraBlock
-    from qmarginal.fermion import fermion_basis, one_rdm_block, pure_one_rdm_entries
+    from qmarginal.fermion import fermion_basis, one_rdm_stack
     from qmarginal.harness import _bipartitions, _pure_joint
     from qmarginal.tensor import (
         fixed_spectrum_stack,
@@ -418,9 +430,7 @@ def _reference_blocks(system, seed, trials, nu=None, basic=False):
         basis = fermion_basis(system.r, system.n)
         dim, n = basis.dim, system.n
         if system.pure:
-            lam = spectra_of_stack(
-                one_rdm_block(basis, pure_one_rdm_entries(basis, haar_vectors(dim))),
-                float(n))
+            lam = spectra_of_stack(one_rdm_stack(basis, haar_vectors(dim)), float(n))
             return [SpectraBlock(one_body=lam, one_body_trace=np.full(len(lam), float(n)),
                                  joint=_pure_joint(len(lam), dim))]
         draws, gaussians = [], []
@@ -433,9 +443,7 @@ def _reference_blocks(system, seed, trials, nu=None, basic=False):
                 else np.tile(nu.as_floats(), (len(trials), 1)))
         rho = fixed_spectrum_stack(unitaries_from_gaussian(np.array(gaussians)), vals)
         trace = n * np.trace(rho, axis1=1, axis2=2).real
-        terms = basis.one_rdm_map()
-        gamma = one_rdm_block(basis, rho[:, terms.dst, terms.src].conj())
-        return [SpectraBlock(one_body=spectra_of_stack(gamma, trace),
+        return [SpectraBlock(one_body=spectra_of_stack(one_rdm_stack(basis, rho), trace),
                              one_body_trace=trace, joint=vals)]
     dims = system.dims
     size = math.prod(dims)
