@@ -9,10 +9,11 @@ one-particle RDM uses the chemists' normalization Tr = n.  The two-particle
 RDM is normalized to trace n(n-1); the binomial factor of the energy
 formula is applied inside ``energy_from_two_rdm``.
 
-The RDMs are products of annihilated states, gathered through cached
-index maps of the basis: gamma[i, j] = <a_j psi | a_i psi>.
-``one_rdm_stack`` is the one 1-RDM reduction, for pure or mixed states,
-one or a block.
+The RDMs are products of annihilated states, gathered through one cached
+index map of the basis, ``FermionBasis.annihilation_map``: gamma[i, j] =
+<a_j psi | a_i psi>.  ``one_rdm_stack`` is the one 1-RDM reduction, for
+pure or mixed states, one or a block; ``two_rdm`` applies the same gather
+twice, to a_j a_i psi.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ class FermionBasis:
         self.index = {s: i for i, s in enumerate(self.subsets)}
         self.dim = len(self.subsets)
         self._ann_map = None
-        self._pair_map = None
 
     def __repr__(self):
         return f"FermionBasis(r={self.r}, n={self.n}, dim={self.dim})"
@@ -73,37 +73,6 @@ class FermionBasis:
         sign.setflags(write=False)
         self._ann_map = (idx, sign)
         return self._ann_map
-
-    def pair_annihilation_map(self) -> tuple:
-        """Read-only index arrays (rows, src, sign) of psi -> W.flat, where
-        column p of W is a_{p2} a_{p1} psi for the p-th orbital pair
-        (p1 < p2), rows indexed by the (n-2)-sector: W.flat[rows] =
-        sign * psi[src], and W is zero elsewhere.  Cached."""
-        if self._pair_map is not None:
-            return self._pair_map
-        if self.n < 2:
-            raise FermionError("pair annihilation needs n >= 2")
-        pairs = tuple(combinations(range(1, self.r + 1), 2))
-        sub = fermion_basis(self.r, self.n - 2)
-        rows, cols, vals = [], [], []
-        for src, s in enumerate(self.subsets):
-            for (pa, pb) in combinations(s, 2):
-                pos_a = s.index(pa)
-                rest = s[:pos_a] + s[pos_a + 1:]
-                sign = -1 if pos_a % 2 else 1
-                pos_b = rest.index(pb)
-                if pos_b % 2:
-                    sign = -sign
-                rest2 = rest[:pos_b] + rest[pos_b + 1:]
-                p_idx = pairs.index((pa, pb))
-                dst = sub.index[rest2]
-                rows.append(dst * len(pairs) + p_idx)
-                cols.append(src)
-                vals.append(sign)
-        self._pair_map = tuple(np.array(v, dtype=np.intp) for v in (rows, cols, vals))
-        for arr in self._pair_map:
-            arr.setflags(write=False)
-        return self._pair_map
 
 
 @dataclass(frozen=True)
@@ -143,6 +112,17 @@ def slater(r: int, n: int, subset) -> FermionState:
     return FermionState(basis, amps)
 
 
+def _annihilated(basis: FermionBasis, states: np.ndarray) -> np.ndarray:
+    """(T, r, D') stack Phi[t, i] = a_i psi_t of a (T, dim) stack of
+    amplitude vectors, by one gather through ``annihilation_map``."""
+    idx, sign = basis.annihilation_map()
+    pad = np.zeros((len(states), basis.dim + 1), dtype=complex)
+    pad[:, :-1] = states
+    phi = pad[:, idx]
+    phi *= sign
+    return phi
+
+
 def one_rdm_stack(basis: FermionBasis, states: np.ndarray) -> np.ndarray:
     """(T, r, r) Hermitian one-particle RDMs of a (T, dim) stack of
     amplitude vectors or a (T, dim, dim) stack of density matrices.
@@ -152,16 +132,13 @@ def one_rdm_stack(basis: FermionBasis, states: np.ndarray) -> np.ndarray:
     the (n-1)-sector index k.  Each trial is reduced alone, so its RDM is
     bitwise the same whatever T is.
     """
-    idx, sign = basis.annihilation_map()
-    pad = np.zeros((len(states),) + (basis.dim + 1,) * (states.ndim - 1), dtype=complex)
     if states.ndim == 2:
-        pad[:, :-1] = states
-        phi = pad[:, idx]
-        phi *= sign
+        phi = _annihilated(basis, states)
         gamma = phi @ phi.conj().swapaxes(-1, -2)
     else:
+        idx, sign = (m.T for m in basis.annihilation_map())
+        pad = np.zeros((len(states), basis.dim + 1, basis.dim + 1), dtype=complex)
         pad[:, :-1, :-1] = states
-        idx, sign = idx.T, sign.T
         terms = pad[:, idx[:, :, None], idx[:, None, :]]
         terms *= sign[:, :, None] * sign[:, None, :]
         # added one k at a time: a reduction over an axis may change its
@@ -201,14 +178,18 @@ class TwoRDM:
 
 
 def two_rdm(psi: FermionState) -> TwoRDM:
-    """Two-particle RDM of a pure state, trace n(n-1)."""
+    """Two-particle RDM of a pure state, trace n(n-1): the Gram matrix of
+    the states a_{p2} a_{p1} psi over orbital pairs p1 < p2, built by two
+    gathers through ``annihilation_map`` (the n- then the (n-1)-sector's)."""
     basis = psi.basis
     if basis.n < 2:
         raise FermionError("two-particle RDM needs n >= 2")
     pairs = tuple(combinations(range(1, basis.r + 1), 2))
-    rows, src, sign = basis.pair_annihilation_map()
-    w = np.zeros((fermion_basis(basis.r, basis.n - 2).dim, len(pairs)), dtype=complex)
-    w.flat[rows] = sign * psi.amplitudes[src]
+    # twice[i, j] = a_j a_i psi; the upper triangle lists the pairs i < j in
+    # ``combinations`` order, so column p of w is a_{p2} a_{p1} psi
+    once = _annihilated(basis, psi.amplitudes[None])[0]
+    twice = _annihilated(fermion_basis(basis.r, basis.n - 1), once)
+    w = twice[np.triu_indices(basis.r, 1)].T
     g = (w.conj().T @ w).conj()
     g = (g + g.conj().T) / 2
     return TwoRDM(2.0 * g, pairs)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -231,16 +231,18 @@ def mc_verify(family_id: str, system, trials: int, seed: int,
     Deterministic per (family, system, trials, seed) and independent of the
     worker count: the min-slack/violation-count reduction is associative,
     and the worst trial is the lowest stream index reaching the minimum.
-    Before sampling, it refuses a family of pure states of one system on a
-    mixed system, and a state spectrum ``nu`` when the campaign draws pure
-    states.
+    Before sampling, it refuses a family of one ``fixed`` system on any
+    other kind, dims or (r, n), and on a mixed system unless the family is
+    mixed; and a state spectrum ``nu`` when the campaign draws pure states.
     """
     if isinstance(system, str):
         system = parse_system(system)
     fam = get_family(family_id)
-    if fam.fixed is not None and fam.fixed.pure and not system.pure:
-        raise CatalogError(f"{family_id} holds for the pure states of {fam.fixed}, "
-                           f"not for the mixed states of {system}")
+    fixed = fam.fixed
+    if fixed is not None and not (fam.applies(replace(system, pure=fixed.pure))
+                                  and (system.pure or not fixed.pure)):
+        also = "" if fixed.pure else " or its pure states"
+        raise CatalogError(f"{family_id} holds for {fixed}{also}, not for {system}")
     if system.pure and not _draws_basic(family_id, system):
         _refuse_nu_for_pure_draws(nu, f"{family_id} on {system}")
     _check_count("trials", trials)

@@ -299,10 +299,7 @@ def gram_of_slices(array, axis: int) -> np.ndarray:
         raise StateError(f"expected a three-index array, got ndim={arr.ndim}")
     if axis not in (1, 2, 3):
         raise StateError(f"axis must be 1, 2 or 3, got {axis}")
-    ax = axis - 1
-    moved = np.moveaxis(arr, ax, 0)
-    flat = moved.reshape(moved.shape[0], -1)
-    return flat @ flat.conj().T
+    return pure_marginal_stack(arr.reshape(1, -1), arr.shape, [axis - 1])[0]
 
 
 # numpy's SeedSequence pool hash (NEP 19 keeps it stable): pool size, the
@@ -513,10 +510,11 @@ def flat_dirichlet(rng: np.random.Generator, k: int):
 
 def haar_vectors(size: int, rngs) -> np.ndarray:
     """(T, size) Haar-random unit vectors, row i drawn from the i-th
-    generator of ``rngs``: normalized i.i.d. standard complex Gaussians."""
+    generator of ``rngs``: normalized i.i.d. standard complex Gaussians.
+    Each norm is ``np.linalg.norm``'s re.re + im.im, batched: bitwise per row."""
     out = complex_gaussian_stack((size,), rngs)
-    for vec in out:
-        vec /= np.linalg.norm(vec)
+    re, im = out.real[:, None, :], out.imag[:, None, :]
+    out /= np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, :, 0])
     return out
 
 

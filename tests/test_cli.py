@@ -620,6 +620,20 @@ def test_verify_refuses_a_pure_family_on_a_mixed_system(capsys):
     assert "fermi:6:3:pure" in error["message"] and "fermi:6:3:mixed" in error["message"]
 
 
+def test_verify_refuses_a_family_on_another_system_with_the_same_widths(capsys):
+    """F84_14's records on fermi:8:3 would renormalize trace 3 to 4 and
+    report false violations; the campaign is refused before it samples."""
+    code, records, errors = _main_records(capsys, [
+        "verify", "--family", "F84_14", "--system", "fermi:8:3",
+        "--trials", "200", "--seed", "1",
+    ])
+    assert code == 2
+    assert records == []
+    (error,) = errors
+    assert error["record"] == "error" and error["kind"] == "CatalogError"
+    assert "fermi:8:4:pure" in error["message"] and "fermi:8:3:pure" in error["message"]
+
+
 @pytest.mark.parametrize("family,system,nu", [
     ("POLYGON", "qubits:2", "0.4,0.3,0.2,0.1"),
     ("BD6", "fermi:6:3:pure", ",".join(["0.05"] * 20)),

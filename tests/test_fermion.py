@@ -279,7 +279,8 @@ def test_one_rdm_mixed_matches_csr_product(r, n):
         assert np.max(np.abs(gamma - _csr_one_rdm(basis, rho.conj().ravel()))) <= 1e-14
 
 
-@pytest.mark.parametrize("r,n", CSR_CASES + [(4, 4)])
+# (5, 2): the second gather runs on the one-particle sector
+@pytest.mark.parametrize("r,n", CSR_CASES + [(4, 4), (5, 2), (5, 4), (7, 3)])
 def test_two_rdm_matches_csr_product(r, n):
     for psi in _states(r, n):
         assert np.max(np.abs(two_rdm(psi).matrix - _csr_two_rdm(psi))) <= 1e-14

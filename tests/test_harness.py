@@ -84,8 +84,21 @@ def test_mc_verify_refuses_a_state_spectrum_that_is_not_one(system, nu):
     ("BD6", "fermi:6:3:mixed", "fermi:6:3:pure"),
     ("F84_14", "fermi:8:4:mixed", "fermi:8:4:pure"),
     ("FRANZ_3QUTRIT", "3x3x3:mixed", "3x3x3:pure"),
+    # another system of the same kind, pure or mixed
+    ("F84_14", "fermi:8:3:pure", "fermi:8:4:pure"),
+    ("F8_31", "fermi:8:4:pure", "fermi:8:3:pure"),
+    ("BD6", "fermi:7:3:pure", "fermi:6:3:pure"),
+    ("W2H4_MIXED", "fermi:5:2:mixed", "fermi:4:2:mixed"),
+    ("BRAVYI_2Q", "3x3:mixed", "2x2:mixed"),
+    ("THREE_QUBIT_MIXED", "qubits:4:mixed", "2x2x2:mixed"),
+    ("FRANZ_3QUTRIT", "2x2x2:pure", "3x3x3:pure"),
+    # another kind
+    ("BRAVYI_2Q", "fermi:4:2:mixed", "2x2:mixed"),
+    ("W2H4_MIXED", "2x2:mixed", "fermi:4:2:mixed"),
 ])
 def test_mc_verify_refuses_a_pure_family_on_mixed_states(monkeypatch, family, system, fixed):
+    """A family of one fixed system runs only on its kind, dims and (r, n),
+    and on a mixed system only if the family is mixed."""
     from qmarginal import harness
     from qmarginal.records import get_family
 
@@ -94,6 +107,23 @@ def test_mc_verify_refuses_a_pure_family_on_mixed_states(monkeypatch, family, sy
     with pytest.raises(CatalogError) as err:
         mc_verify(family, system, trials=3, seed=1)
     assert fixed in str(err.value) and system in str(err.value)
+
+
+@pytest.mark.parametrize("family,system", [
+    ("W2H4_MIXED", "fermi:4:2:pure"),
+    ("BRAVYI_2Q", "qubits:2:mixed"),
+    ("BRAVYI_2Q", "2x2:pure"),
+    ("THREE_QUBIT_MIXED", "qubits:3:mixed"),
+    ("BD6", "fermi:6:3"),
+    ("BASIC", "2x2x2:mixed"),
+    ("PAULI", "fermi:5:2:mixed"),
+    ("POLYGON", "qubits:4"),
+])
+def test_mc_verify_runs_a_family_on_its_system(family, system):
+    """A mixed family of one system also runs on its pure states, a qubit
+    array matches its tensor format, and a matcher family is never refused."""
+    report = mc_verify(family, system, trials=3, seed=1)
+    assert report.trials == 3 and report.violations == 0
 
 
 @pytest.mark.parametrize("family,system", [

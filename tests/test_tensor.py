@@ -11,9 +11,11 @@ from qmarginal.tensor import (
     PureState,
     StateError,
     complex_gaussian,
+    complex_gaussian_stack,
     flat_dirichlet,
     gram_of_slices,
     haar_pure,
+    haar_vectors,
     partial_trace,
     philox_keys,
     pure_marginal,
@@ -236,7 +238,7 @@ def test_gram_matches_partial_trace_oracle():
     traces = []
     for axis in (1, 2, 3):
         g = gram_of_slices(arr, axis)
-        rho = pure_marginal(psi, [axis - 1])
+        rho = partial_trace(psi.density_matrix(), [axis - 1])
         assert np.max(np.abs(g - rho.entries)) < 1e-12
         traces.append(np.trace(g).real)
     assert max(abs(t - traces[0]) for t in traces) < 1e-12
@@ -248,6 +250,16 @@ def test_haar_determinism():
     assert np.array_equal(a.amplitudes, b.amplitudes)
     c = haar_pure((3, 3), 1000)
     assert not np.array_equal(a.amplitudes, c.amplitudes)
+
+
+@pytest.mark.parametrize("size", [8, 16, 20, 27, 35, 56, 70])
+def test_haar_vectors_match_the_per_row_norm_bitwise(size):
+    """The batched norm divides each row by bitwise the value
+    ``np.linalg.norm`` gives that row alone."""
+    streams = PhiloxStreams(20260809, range(3000))
+    z = complex_gaussian_stack((size,), streams)
+    expected = np.array([vec / np.linalg.norm(vec) for vec in z])
+    assert np.array_equal(haar_vectors(size, streams), expected)
 
 
 def test_random_mixed_spectrum_exact():
