@@ -114,12 +114,13 @@ def _sequential_sum(rows: np.ndarray) -> np.ndarray:
     return total
 
 
-def _need_sites(block, count, size, family_id):
-    if len(block.sites) != count:
-        raise CatalogError(f"{family_id} needs {count} site spectra")
-    for s in block.sites:
+def _need_sites(block, fam):
+    dims = fam.fixed.dims
+    if len(block.sites) != len(dims):
+        raise CatalogError(f"{fam.family_id} needs {len(dims)} site spectra")
+    for s, size in zip(block.sites, dims):
         if s.shape[1] != size:
-            raise CatalogError(f"{family_id} needs site spectra of length {size}")
+            raise CatalogError(f"{fam.family_id} needs site spectra of length {size}")
     return [_desc(s) for s in block.sites]
 
 
@@ -165,14 +166,14 @@ def _polygon_slots(fam, block):
 
 
 def _bravyi_slots(fam, block):
-    sites = _need_sites(block, 2, 2, fam.family_id)
-    joint = _need_joint(block, 4, fam.family_id)
+    sites = _need_sites(block, fam)
+    joint = _need_joint(block, fam.fixed.dim, fam.family_id)
     return _Canonical({"mins": np.column_stack([sites[0][:, 1], sites[1][:, 1]]),
                        "joint": joint})
 
 
 def _franz_slots(fam, block):
-    sites = _need_sites(block, 3, 3, fam.family_id)
+    sites = _need_sites(block, fam)
     return _Canonical({f"site{i}": s[:, ::-1] for i, s in enumerate(sites)},
                       notes=("sites sorted increasing",))
 
@@ -186,8 +187,8 @@ def _basic_slots(fam, block):
 
 
 def _three_qubit_slots(fam, block):
-    sites = _need_sites(block, 3, 2, fam.family_id)
-    joint = _need_joint(block, 8, fam.family_id)
+    sites = _need_sites(block, fam)
+    joint = _need_joint(block, fam.fixed.dim, fam.family_id)
     gaps = np.sort(np.column_stack([s[:, 0] - s[:, 1] for s in sites]), axis=1)
     return _Canonical({"delta": gaps, "joint": joint},
                       notes=("gaps sorted increasing",))
@@ -227,8 +228,8 @@ def _even_degeneracy_slots(fam, block):
 
 
 def _w2h4_slots(fam, block):
-    lam, off = _renormalize(block, _one_body(block, fam.family_id, 4), 1)
-    nu = _need_joint(block, 6, fam.family_id)
+    lam, off = _renormalize(block, _one_body(block, fam.family_id, fam.fixed.r), 1)
+    nu = _need_joint(block, fam.fixed.dim, fam.family_id)
     return _Canonical({"lam": lam, "nu": nu}, renormalized=off, target=1)
 
 

@@ -24,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .tensor import DensityMatrix, haar_vectors, rng_from_seed
+from .tensor import DensityMatrix, _require_unit, haar_vectors, rng_from_seed
 
 
 class FermionError(ValueError):
@@ -83,18 +83,12 @@ class FermionState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if amps.size != self.basis.dim:
             raise FermionError(
                 f"amplitude count {amps.size} does not match basis dim {self.basis.dim}"
             )
-        finite = np.isfinite(amps)
-        if not finite.all():
-            raise FermionError(f"amplitude {amps[~finite][0]} is not finite")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-12:
-            raise FermionError(f"state norm {norm}, expected 1")
-        amps = amps.copy()
+        _require_unit(amps, FermionError)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 

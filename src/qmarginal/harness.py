@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,7 +68,6 @@ class CampaignReport:
     violations: int
     wall_time: float
     tolerance: float
-    notes: tuple = ()
     # Lowest stream index whose slack is min_slack; None without trials.
     worst_trial: int = None
 
@@ -231,20 +230,18 @@ def mc_verify(family_id: str, system, trials: int, seed: int,
     Deterministic per (family, system, trials, seed) and independent of the
     worker count: the min-slack/violation-count reduction is associative,
     and the worst trial is the lowest stream index reaching the minimum.
-    Before sampling, it refuses a family of one ``fixed`` system on any
-    other kind, dims or (r, n), and on a mixed system unless the family is
-    mixed; and a state spectrum ``nu`` when the campaign draws pure states.
+    Before sampling, it refuses a state spectrum ``nu`` when the campaign
+    draws pure states, and a family where ``Family.applies`` does not place
+    it, but for BASIC's site-versus-rest campaign on tensor or qubit formats.
     """
     if isinstance(system, str):
         system = parse_system(system)
     fam = get_family(family_id)
-    fixed = fam.fixed
-    if fixed is not None and not (fam.applies(replace(system, pure=fixed.pure))
-                                  and (system.pure or not fixed.pure)):
-        also = "" if fixed.pure else " or its pure states"
-        raise CatalogError(f"{family_id} holds for {fixed}{also}, not for {system}")
     if system.pure and not _draws_basic(family_id, system):
         _refuse_nu_for_pure_draws(nu, f"{family_id} on {system}")
+    if not (fam.applies(system) or _draws_basic(family_id, system)):
+        raise CatalogError(f"{family_id} holds for {fam.fixed or fam.scope}, "
+                           f"not for {system}")
     _check_count("trials", trials)
     start = time.perf_counter()
     nu_vals = None if nu is None else tuple(nu.as_floats())
@@ -326,7 +323,6 @@ class WitnessReport:
     targets: tuple
     amplitudes: tuple = None
     restarts: int = 0
-    notes: tuple = ()
 
 
 def _sorted_marginal_spectra(x: np.ndarray, dims):

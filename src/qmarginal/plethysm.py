@@ -19,7 +19,7 @@ from operator import ge
 
 from .chambers import HullResult, canon_inequality, convex_hull
 from .rational import dot, nullspace, to_fractions
-from .records import FAMILIES
+from .records import FAMILIES, applicable_families
 from .systems import SystemDescriptor
 
 CAP_BASIS = 70
@@ -347,13 +347,9 @@ def _facet_matches(r, n, hull, points) -> tuple:
     directions = nullspace(eq_rows, ncols=r) if eq_rows else [
         tuple(Fraction(int(i == j)) for j in range(r)) for i in range(r)
     ]
-    system = SystemDescriptor("fermion", r=r, n=n, pure=True)
     catalog = []
-    for fid in sorted(FAMILIES):
-        fam = FAMILIES[fid]
-        if not fam.applies(system):
-            continue
-        for rec in fam.records:
+    for fid in applicable_families(SystemDescriptor("fermion", r=r, n=n, pure=True)):
+        for rec in FAMILIES[fid].records:
             terms = dict(rec.terms)
             if set(terms) != {"lam"} or rec.relation != "<=":
                 continue

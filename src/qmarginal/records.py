@@ -372,7 +372,8 @@ def _pauli_records(widths):
 class Family:
     """A registered family and where it applies.
 
-    A family of one system declares that system's descriptor as ``fixed``.
+    A family of one system declares that system's descriptor as ``fixed``;
+    a family fixed to a mixed system also holds for its pure states.
     An open-ended family declares a ``matcher`` on descriptors instead, and
     its ``scope`` in words.  ``generate`` makes the records of a family
     whose inequalities depend on the slot widths.
@@ -403,7 +404,8 @@ class Family:
             return self.matcher(system)
         if system.kind == "qubits":   # a qubit array is a tensor format
             system = replace(system, kind="tensor")
-        return system == self.fixed
+        return system == self.fixed or (
+            system.pure and replace(system, pure=False) == self.fixed)
 
 
 def _tensor(d: SystemDescriptor) -> bool:

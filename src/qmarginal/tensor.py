@@ -18,7 +18,6 @@ from .spectra import SUM_TOL, Spectrum, SpectrumError
 
 HERM_TOL = 1e-10
 PSD_CLAMP = 1e-12
-NORM_TOL = 1e-12
 
 
 class StateError(ValueError):
@@ -41,10 +40,7 @@ class PureState:
             raise StateError(
                 f"amplitude count {amps.size} does not match dims {dims}"
             )
-        _require_finite(amps, "amplitude")
-        norm2 = float(np.vdot(amps, amps).real)
-        if abs(norm2 - 1.0) > 1e-12:
-            raise StateError(f"state norm^2 = {norm2}, expected 1")
+        _require_unit(amps)
         amps = amps.reshape(-1)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -87,11 +83,19 @@ class DensityMatrix:
         object.__setattr__(self, "_eigenvalues", eigs)
 
 
-def _require_finite(values: np.ndarray, what: str):
+def _require_finite(values: np.ndarray, what: str, error=StateError):
     finite = np.isfinite(values)
     if not finite.all():
         bad = values[~finite].flat[0]
-        raise StateError(f"{what} {bad} is not finite")
+        raise error(f"{what} {bad} is not finite")
+
+
+def _require_unit(amps: np.ndarray, error=StateError):
+    """Every pure state's rule: finite amplitudes, squared norm 1 within 1e-12."""
+    _require_finite(amps, "amplitude", error)
+    norm2 = float(np.vdot(amps, amps).real)
+    if abs(norm2 - 1.0) > 1e-12:
+        raise error(f"state norm^2 = {norm2}, expected 1")
 
 
 def _checked_eigenvalues(mats: np.ndarray, trace) -> np.ndarray:
@@ -125,8 +129,7 @@ def spectra_rows(values: np.ndarray, trace) -> np.ndarray:
     checks its entries: finite, and summing to ``trace`` (a scalar or one
     value per row) within SUM_TOL."""
     rows = np.sort(values, axis=1)[:, ::-1]
-    if not np.isfinite(rows).all():
-        raise SpectrumError(f"spectrum value {rows[~np.isfinite(rows)][0]} is not finite")
+    _require_finite(rows, "spectrum value", SpectrumError)
     sums = rows.sum(axis=1)
     declared = np.broadcast_to(np.asarray(trace, dtype=float), sums.shape)
     off = ~(np.abs(sums - declared) <= SUM_TOL)
@@ -222,6 +225,7 @@ def spectrum_of(hermitian, trace_tag=None, tol: float = HERM_TOL) -> Spectrum:
     mat = np.asarray(hermitian, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise StateError(f"expected square matrix, got shape {mat.shape}")
+    _require_finite(mat, "matrix entry")
     if np.max(np.abs(mat - mat.conj().T)) > tol:
         raise StateError("matrix is not Hermitian")
     if eigs is None:
@@ -299,6 +303,8 @@ def gram_of_slices(array, axis: int) -> np.ndarray:
         raise StateError(f"expected a three-index array, got ndim={arr.ndim}")
     if axis not in (1, 2, 3):
         raise StateError(f"axis must be 1, 2 or 3, got {axis}")
+    if 0 in arr.shape:
+        raise StateError(f"axis lengths must be positive: {arr.shape}")
     return pure_marginal_stack(arr.reshape(1, -1), arr.shape, [axis - 1])[0]
 
 

@@ -215,6 +215,7 @@ def test_applicable_families_examples():
     assert "TWO_PARTICLE_PURE" in applicable_families("fermi:5:2:pure")
     assert "F84_14" in applicable_families("fermi:8:4:pure")
     assert "W2H4_MIXED" in applicable_families("fermi:4:2:mixed")
+    assert "W2H4_MIXED" in applicable_families("fermi:4:2:pure")
 
 
 def test_applicable_families_unknown_descriptor():

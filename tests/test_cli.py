@@ -634,6 +634,30 @@ def test_verify_refuses_a_family_on_another_system_with_the_same_widths(capsys):
     assert "fermi:8:4:pure" in error["message"] and "fermi:8:3:pure" in error["message"]
 
 
+@pytest.mark.parametrize("family,system,scope", [
+    ("TWO_PARTICLE_PURE", "fermi:4:2:mixed", "fermionic (r, 2) or (r, r-2) pure"),
+    ("POLYGON", "qubits:3:mixed", "qubit arrays, pure"),
+])
+def test_verify_refuses_a_matcher_family_outside_its_scope(capsys, family, system, scope):
+    """TWO_PARTICLE_PURE's pairing fails on mixed states (false violations)
+    and POLYGON's check passes vacuously; both are refused before sampling."""
+    code, records, errors = _main_records(capsys, [
+        "verify", "--family", family, "--system", system,
+        "--trials", "300", "--seed", "1",
+    ])
+    assert code == 2
+    assert records == []
+    (error,) = errors
+    assert error["record"] == "error" and error["kind"] == "CatalogError"
+    assert scope in error["message"] and system in error["message"]
+
+
+def test_families_lists_a_mixed_family_on_its_pure_states(capsys):
+    code, records, errors = _main_records(capsys, ["families", "--system", "fermi:4:2:pure"])
+    assert code == 0 and errors == []
+    assert records[-1]["families"] == ["PAULI", "TWO_PARTICLE_PURE", "W2H4_MIXED"]
+
+
 @pytest.mark.parametrize("family,system,nu", [
     ("POLYGON", "qubits:2", "0.4,0.3,0.2,0.1"),
     ("BD6", "fermi:6:3:pure", ",".join(["0.05"] * 20)),

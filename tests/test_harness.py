@@ -120,10 +120,45 @@ def test_mc_verify_refuses_a_pure_family_on_mixed_states(monkeypatch, family, sy
     ("POLYGON", "qubits:4"),
 ])
 def test_mc_verify_runs_a_family_on_its_system(family, system):
-    """A mixed family of one system also runs on its pure states, a qubit
-    array matches its tensor format, and a matcher family is never refused."""
+    """A family runs where ``Family.applies`` says it holds: a mixed family
+    of one system also on its pure states, a qubit array as its tensor
+    format, and a matcher family where its matcher holds.  BASIC also runs
+    site against rest on any tensor or qubit format."""
     report = mc_verify(family, system, trials=3, seed=1)
     assert report.trials == 3 and report.violations == 0
+
+
+def _applicability_grid():
+    """The criterion-5 campaign systems, the pure or mixed twin of each, and
+    fermi:5:2, 3x3 and qubits:2 in both purities."""
+    from tests.test_acceptance import CAMPAIGNS
+
+    stems = [system.rsplit(":", 1)[0] for _, system, _, _ in CAMPAIGNS]
+    return [f"{stem}:{purity}"
+            for stem in dict.fromkeys(stems + ["fermi:5:2", "3x3", "qubits:2"])
+            for purity in ("pure", "mixed")]
+
+
+@pytest.mark.parametrize("system", _applicability_grid())
+def test_mc_verify_refuses_exactly_the_families_that_do_not_apply(monkeypatch, system):
+    """``verify`` and ``families`` read one rule: a campaign is refused
+    before sampling exactly when the family is not listed for the system.
+    BASIC on a tensor or qubit format is the one exception: its campaign
+    checks each site against the rest of a mixed state."""
+    from qmarginal import harness
+    from qmarginal.records import applicable_families, family_ids
+
+    monkeypatch.setattr(harness, "_sample_blocks", None)   # nothing is sampled
+    listed = applicable_families(system)
+    for family in family_ids():
+        basic = family == "BASIC" and not system.startswith("fermi")
+        try:
+            report = mc_verify(family, system, trials=0, seed=1)
+        except CatalogError:
+            assert family not in listed and not basic, (family, system)
+        else:
+            assert family in listed or basic, (family, system)
+            assert report.trials == 0 and report.worst_trial is None
 
 
 @pytest.mark.parametrize("family,system", [

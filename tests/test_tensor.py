@@ -46,6 +46,30 @@ def test_states_reject_non_finite_entries(bad):
         DensityMatrix(np.array([[bad, 0.0], [0.0, 0.5]]), (2,))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spectrum_of_refuses_non_finite_entries_without_a_warning(bad):
+    """A NaN passes the Hermitian test, as a NaN comparison is false; the
+    entries are checked first, and no subtraction runs on them."""
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StateError, match="not finite"):
+            spectrum_of(np.array([[bad, 0.0], [0.0, 0.5]]))
+
+
+def test_pure_and_fermion_states_share_one_unit_vector_rule():
+    """A norm of 1 + 6e-13 is a squared norm of about 1 + 1.2e-12."""
+    from qmarginal.fermion import FermionError, FermionState, fermion_basis
+
+    amps = np.zeros(6, dtype=complex)
+    amps[0] = 1 + 6e-13
+    with pytest.raises(StateError, match="norm"):
+        PureState(amps, (2, 3))
+    with pytest.raises(FermionError, match="norm"):
+        FermionState(fermion_basis(4, 2), amps)
+
+
 def test_spectrum_of_reuses_the_constructor_eigenvalues(monkeypatch):
     rho = random_density((2, 3), rng_from_seed(3))
     calls = []
@@ -221,6 +245,12 @@ def test_gram_single_entry():
         g = gram_of_slices(arr, axis)
         assert abs(np.trace(g) - 1) < 1e-14
         assert np.linalg.matrix_rank(g) == 1
+
+
+@pytest.mark.parametrize("axis", [1, 2, 3])
+def test_gram_refuses_an_empty_axis(axis):
+    with pytest.raises(StateError, match="positive"):
+        gram_of_slices(np.zeros((2, 0, 3)), axis)
 
 
 def test_gram_ghz():
