@@ -2,15 +2,17 @@
 
 The families themselves, their exact ``Fraction`` records and where they
 apply, are registered in ``records``.  Each family carries its own ordering
-and normalization convention; ``check_family`` canonicalizes the input
-bundle (re-sorting and re-normalizing as declared, recording that it did)
-before evaluating.  Checks evaluate a float64 linear system compiled from
-the records on first use, over a block of bundles at once.
+and normalization convention; ``check_block`` canonicalizes the input
+(re-sorting and re-normalizing as declared, recording that it did) into the
+slots its records name, then evaluates the float64 linear system compiled
+from the records on first use, over a block of bundles at once.  Every
+family takes this one path: the absolute-value form of (8, 4) and the
+even-degeneracy criterion are linear in their canonical slots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -18,7 +20,13 @@ import numpy as np
 # The families' exact data lives in the numpy-free records module; catalog
 # re-exports InequalityRecord and CatalogError, so catalog.InequalityRecord
 # is the same class.
-from .records import F84_ABS_PATTERNS, CatalogError, InequalityRecord, get_family  # noqa: F401
+from .records import (  # noqa: F401
+    F84_ABS_PATTERNS,
+    PAIR_TOL,
+    CatalogError,
+    InequalityRecord,
+    get_family,
+)
 from .spectra import Spectrum, SpectrumError
 
 
@@ -50,11 +58,11 @@ class CheckReport:
 # Blocks of bundles
 #
 # A check canonicalizes the bundle's slot arrays as the family declares
-# (sorting, renormalizing, gap sorting, minimum entries) and then evaluates
-# every inequality at once.  Linear families evaluate a float64 system
-# compiled from their records; F84_ABS and TWO_PARTICLE_PURE are nonlinear
-# and have evaluators of their own.  Campaigns pass blocks of trials through
-# the same code; ``check_family`` passes a block of one.
+# (sorting, renormalizing, gap sorting, minimum entries, absolute values of
+# sign-pattern sums, a pairing defect) and then evaluates every inequality
+# at once, as a float64 system compiled from the family's records.
+# Campaigns pass blocks of trials through the same code; ``check_family``
+# passes a block of one.
 
 # Samples per block in equivalence runs, which hold r <= 8 floats a sample.
 EQUIV_BLOCK = 256
@@ -94,12 +102,14 @@ def _block_of_one(bundle: SpectraBundle) -> SpectraBlock:
 @dataclass(frozen=True)
 class _Canonical:
     """Canonical slot arrays of a block; ``renormalized`` marks the rows
-    whose one-body spectrum was rescaled to trace ``target``."""
+    whose one-body spectrum was rescaled to trace ``target``.  A family
+    whose slots carry their own tolerance fixes the check's ``tolerance``."""
 
     values: dict
     notes: tuple = ()
     renormalized: np.ndarray = None
     target: object = None
+    tolerance: float = None
 
 
 def _desc(rows: np.ndarray) -> np.ndarray:
@@ -157,6 +167,12 @@ def _fermi_slots(fam, block):
     return _Canonical({"lam": lam}, renormalized=off, target=n)
 
 
+def _f84_abs_slots(fam, block):
+    canon = _fermi_slots(fam, block)
+    x = _combine(canon.values["lam"], np.array(F84_ABS_PATTERNS, dtype=float))
+    return replace(canon, values={"abs": np.abs(x)})
+
+
 def _polygon_slots(fam, block):
     if len(block.sites) < 2:
         raise CatalogError("POLYGON needs at least two site spectra")
@@ -200,10 +216,7 @@ def _pauli_slots(fam, block):
     return _Canonical({"lam": _one_body(block, fam.family_id)})
 
 
-PAIR_TOL = 1e-8
-
-
-def _even_degeneracy_slots(fam, block):
+def _pairing_defect_slots(fam, block):
     lam = _one_body(block, fam.family_id)
     # The system is taken from the bundle: r entries, n the trace, which
     # must be an integer (so nothing is renormalized).
@@ -223,21 +236,24 @@ def _even_degeneracy_slots(fam, block):
             f"even-degeneracy criterion applies to two particles or two "
             f"holes, not (r={r}, n={n})"
         )
-    return _Canonical({"lam": lam}, notes=(f"pairing tolerance {PAIR_TOL}",),
-                      target=n)
+    parts = [np.zeros((len(lam), 1))]
+    if r % 2 == 1:
+        if n == 2:
+            parts.append(np.abs(lam[:, -1:]))       # the odd eigenvalue must be 0
+            lam = lam[:, :-1]
+        else:
+            parts.append(np.abs(lam[:, :1] - 1))    # holes: the odd eigenvalue is 1
+            lam = lam[:, 1:]
+    parts.append(np.abs(lam[:, 0::2] - lam[:, 1::2]))
+    # the defect is compared with PAIR_TOL itself, so no tolerance is added
+    return _Canonical({"defect": np.hstack(parts).max(axis=1, keepdims=True)},
+                      notes=(f"pairing tolerance {PAIR_TOL}",), tolerance=0.0)
 
 
 def _w2h4_slots(fam, block):
     lam, off = _renormalize(block, _one_body(block, fam.family_id, fam.fixed.r), 1)
     nu = _need_joint(block, fam.fixed.dim, fam.family_id)
     return _Canonical({"lam": lam, "nu": nu}, renormalized=off, target=1)
-
-
-def _w2h5_slots(fam, block):
-    raise CatalogError(
-        "W2H5 is recorded as metadata only (460 independent inequalities); "
-        "the list is not reproduced"
-    )
 
 
 def _chsh_slots(fam, block):
@@ -312,35 +328,6 @@ def _linear_system(family_id: str, widths: tuple) -> LinearSystem:
     return LinearSystem(tuple(slots), A, b, eq, labels)
 
 
-def _linear(fam, canon, tolerance):
-    widths = tuple((name, x.shape[1]) for name, x in canon.values.items())
-    system = _linear_system(fam.family_id, widths)
-    return system.slacks(canon.values), system.labels, tolerance
-
-
-def _abs_sum(fam, canon, tolerance):
-    patterns = np.array(F84_ABS_PATTERNS, dtype=float)
-    total = np.zeros(len(canon.values["lam"]))
-    for col in _combine(canon.values["lam"], patterns).T:
-        total = total + np.abs(col)
-    return (4.0 - total)[:, None], ("sum|x|<=4",), tolerance
-
-
-def _even_degeneracy(fam, canon, tolerance):
-    lam, n = canon.values["lam"], canon.target
-    parts = [np.zeros((len(lam), 1))]
-    if lam.shape[1] % 2 == 1:
-        if n == 2:
-            parts.append(np.abs(lam[:, -1:]))       # the odd eigenvalue must be 0
-            lam = lam[:, :-1]
-        else:
-            parts.append(np.abs(lam[:, :1] - 1))    # holes: the odd eigenvalue is 1
-            lam = lam[:, 1:]
-    parts.append(np.abs(lam[:, 0::2] - lam[:, 1::2]))
-    defect = np.hstack(parts).max(axis=1)
-    return (PAIR_TOL - defect)[:, None], ("even-degeneracy defect",), 0.0
-
-
 @dataclass(frozen=True)
 class BlockCheck:
     """One family's slacks on a block of T bundles, one row per bundle."""
@@ -381,26 +368,25 @@ class BlockCheck:
 
 
 # ---------------------------------------------------------------------------
-# Each family's (canonicalize, evaluate): ``canonicalize`` maps a block to
-# canonical slot arrays, ``evaluate`` maps those to slacks.
+# Each family's canonicalizer: a block to the canonical slot arrays its
+# records read.  A family without an inequality list (W2H5_META) has none.
 
-EVALUATORS = {
-    "POLYGON": (_polygon_slots, _linear),
-    "BRAVYI_2Q": (_bravyi_slots, _linear),
-    "FRANZ_3QUTRIT": (_franz_slots, _linear),
-    "BASIC": (_basic_slots, _linear),
-    "THREE_QUBIT_MIXED": (_three_qubit_slots, _linear),
-    "PAULI": (_pauli_slots, _linear),
-    "TWO_PARTICLE_PURE": (_even_degeneracy_slots, _even_degeneracy),
-    "BD6": (_fermi_slots, _linear),
-    "F7_BD": (_fermi_slots, _linear),
-    "F7_LIST": (_fermi_slots, _linear),
-    "F8_31": (_fermi_slots, _linear),
-    "F84_14": (_fermi_slots, _linear),
-    "F84_ABS": (_fermi_slots, _abs_sum),
-    "W2H4_MIXED": (_w2h4_slots, _linear),
-    "W2H5_META": (_w2h5_slots, _linear),
-    "CHSH_16": (_chsh_slots, _linear),
+CANONICALIZERS = {
+    "POLYGON": _polygon_slots,
+    "BRAVYI_2Q": _bravyi_slots,
+    "FRANZ_3QUTRIT": _franz_slots,
+    "BASIC": _basic_slots,
+    "THREE_QUBIT_MIXED": _three_qubit_slots,
+    "PAULI": _pauli_slots,
+    "TWO_PARTICLE_PURE": _pairing_defect_slots,
+    "BD6": _fermi_slots,
+    "F7_BD": _fermi_slots,
+    "F7_LIST": _fermi_slots,
+    "F8_31": _fermi_slots,
+    "F84_14": _fermi_slots,
+    "F84_ABS": _f84_abs_slots,
+    "W2H4_MIXED": _w2h4_slots,
+    "CHSH_16": _chsh_slots,
 }
 
 
@@ -408,11 +394,14 @@ def check_block(family_id: str, block: SpectraBlock,
                 tolerance: float = 1e-10) -> BlockCheck:
     """Evaluate every inequality of a family on each bundle of a block."""
     fam = get_family(family_id)
-    canonicalize, evaluate = EVALUATORS[family_id]
-    canon = canonicalize(fam, block)
-    slacks, labels, tolerance = evaluate(fam, canon, tolerance)
-    return BlockCheck(family_id, slacks, labels, tolerance, canon.notes,
-                      canon.renormalized, canon.target)
+    fam.require_list()
+    canon = CANONICALIZERS[family_id](fam, block)
+    widths = tuple((name, x.shape[1]) for name, x in canon.values.items())
+    system = _linear_system(family_id, widths)
+    if canon.tolerance is not None:
+        tolerance = canon.tolerance
+    return BlockCheck(family_id, system.slacks(canon.values), system.labels, tolerance,
+                      canon.notes, canon.renormalized, canon.target)
 
 
 def check_family(family_id: str, bundle: SpectraBundle, tolerance: float = 1e-10) -> CheckReport:

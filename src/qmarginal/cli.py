@@ -71,6 +71,18 @@ def _parse_number(text: str):
     return value
 
 
+def _parse_real(text: str):
+    """A number as ``_parse_number`` reads it, for a flag read as a float:
+    a value too large for a float is a usage error that names it.  An exact
+    value stays exact."""
+    value = _parse_number(text)
+    try:
+        float(value)
+    except OverflowError:
+        raise UsageError(f"too large for a float: {text.strip()!r}") from None
+    return value
+
+
 def _count(text: str, minimum: int = 0) -> int:
     """An integer of at least ``minimum`` (a count or a seed); argparse
     names the flag on a refusal."""
@@ -90,7 +102,7 @@ def _positive_count(text: str) -> int:
 def _finite_float(text: str) -> float:
     """A finite number as a float; argparse names the flag on a refusal."""
     try:
-        return float(_parse_number(text))
+        return float(_parse_real(text))
     except UsageError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -118,6 +130,10 @@ def _finite_number(value) -> bool:
 
 def _parse_vector(text: str):
     return tuple(_parse_number(t) for t in text.split(",") if t.strip())
+
+
+def _parse_reals(text: str):
+    return tuple(_parse_real(t) for t in text.split(",") if t.strip())
 
 
 def _parse_perm(text: str):
@@ -248,6 +264,14 @@ def _complex_array(entries, shape: tuple, what: str):
     return complex(*entries)
 
 
+def _read_text(path: str) -> str:
+    """The text of a file, or of stdin for ``-``."""
+    if path == "-":
+        return sys.stdin.read()
+    with open(path) as handle:
+        return handle.read()
+
+
 def load_state(path: str):
     """(system, states): a state file as a stack of one, a (1, D) unit vector
     checked by ``PureState`` or ``FermionState``, or a (1, D, D) matrix that
@@ -258,8 +282,7 @@ def load_state(path: str):
     from .systems import parse_system
     from .tensor import PureState
 
-    data = sys.stdin.read() if path == "-" else open(path).read()
-    state = json.loads(data)
+    state = json.loads(_read_text(path))
     if not isinstance(state, dict) or state.get("format_version") != 1:
         raise UsageError("unsupported state file format_version")
     if not isinstance(state.get("system"), str):
@@ -311,8 +334,7 @@ def _bundle_from_args(args):
     joint = None
     one_body = None
     if args.bundle:
-        text = sys.stdin.read() if args.bundle == "-" else open(args.bundle).read()
-        for number, line in enumerate(text.splitlines(), 1):
+        for number, line in enumerate(_read_text(args.bundle).splitlines(), 1):
             line = line.strip()
             if not line:
                 continue
@@ -340,13 +362,13 @@ def _bundle_from_args(args):
             elif slot == "one_body":
                 one_body = spec
     if args.spectrum:
-        vals = _parse_vector(args.spectrum)
-        trace = _parse_number(args.trace) if args.trace else None
+        vals = _parse_reals(args.spectrum)
+        trace = _parse_real(args.trace) if args.trace else None
         one_body = _sorted_spectrum(vals, trace, "one_body")
     for text in args.site:
-        sites.append(_sorted_spectrum(_parse_vector(text), None, "site"))
+        sites.append(_sorted_spectrum(_parse_reals(text), None, "site"))
     if args.joint:
-        joint = _sorted_spectrum(_parse_vector(args.joint), None, "joint")
+        joint = _sorted_spectrum(_parse_reals(args.joint), None, "joint")
     return SpectraBundle(sites=tuple(sites), joint=joint, one_body=one_body)
 
 
@@ -375,7 +397,7 @@ def cmd_check(args) -> int:
 def cmd_chsh(args) -> int:
     from .catalog import check_chsh
 
-    corr = _parse_vector(args.correlations)
+    corr = _parse_reals(args.correlations)
     return _emit_check_report(check_chsh([float(c) for c in corr]))
 
 
@@ -545,7 +567,7 @@ def cmd_verify(args) -> int:
     jobs = _jobs(args)
     nu = None
     if args.nu:
-        nu = _sorted_spectrum([float(x) for x in _parse_vector(args.nu)], 1.0, "nu")
+        nu = _sorted_spectrum([float(x) for x in _parse_reals(args.nu)], 1.0, "nu")
     report = mc_verify(
         args.family, args.system, args.trials, args.seed,
         tolerance=args.tolerance, nu=nu, jobs=jobs,
@@ -586,7 +608,7 @@ def cmd_witness(args) -> int:
     from .harness import witness_search
 
     targets = [
-        [float(x) for x in _parse_vector(part)]
+        [float(x) for x in _parse_reals(part)]
         for part in args.targets.split(";")
         if part.strip()
     ]

@@ -230,13 +230,15 @@ def mc_verify(family_id: str, system, trials: int, seed: int,
     Deterministic per (family, system, trials, seed) and independent of the
     worker count: the min-slack/violation-count reduction is associative,
     and the worst trial is the lowest stream index reaching the minimum.
-    Before sampling, it refuses a state spectrum ``nu`` when the campaign
+    Before sampling, it refuses a family without an inequality list
+    (``Family.require_list``), a state spectrum ``nu`` when the campaign
     draws pure states, and a family where ``Family.applies`` does not place
     it, but for BASIC's site-versus-rest campaign on tensor or qubit formats.
     """
     if isinstance(system, str):
         system = parse_system(system)
     fam = get_family(family_id)
+    fam.require_list()
     if system.pure and not _draws_basic(family_id, system):
         _refuse_nu_for_pure_draws(nu, f"{family_id} on {system}")
     if not (fam.applies(system) or _draws_basic(family_id, system)):

@@ -232,9 +232,6 @@ class PlethysmDecomposition:
     m: int
     multiplicities: tuple  # ((weight, mult), ...) sorted lex descending
 
-    def as_dict(self) -> dict:
-        return dict(self.multiplicities)
-
     @property
     def total_dimension(self) -> int:
         return comb(comb(self.r, self.n) + self.m - 1, self.m)

@@ -191,6 +191,17 @@ F84_ABS_PATTERNS = (
     (-1, 1, -1, 1, 1, -1, 1, -1),
     (-1, -1, 1, 1, 1, 1, -1, -1),
 )
+# The seven values |x_i| are the canonical slot ``abs`` (``catalog`` forms
+# them), so the system is one linear record.
+F84_ABS_RECORDS = (_rec((("abs", (1,) * 7),), 4, "<=", "sum|x|<=4"),)
+
+# Two particles or two holes: the occupation numbers pair up, with an odd
+# leftover 0 (particles) or 1 (holes).  ``catalog`` forms the pairing
+# defect, the largest deviation from that, as the canonical slot ``defect``.
+PAIR_TOL = 1e-8
+TWO_PARTICLE_RECORDS = (
+    _rec((("defect", (1,)),), PAIR_TOL, "<=", "even-degeneracy defect"),
+)
 
 # Two-particle four-orbital mixed system; both spectra normalized to the
 # same trace (canonicalized to 1 here), written in decreasing order.
@@ -407,6 +418,16 @@ class Family:
         return system == self.fixed or (
             system.pure and replace(system, pure=False) == self.fixed)
 
+    def require_list(self) -> None:
+        """Refuse a family whose inequalities are only counted: it stores no
+        records and generates none, so nothing can be checked."""
+        if not self.records and self.generate is None:
+            raise CatalogError(
+                f"{self.family_id.removesuffix('_META')} is recorded as metadata only "
+                f"({self.declared_count} independent inequalities); the list is not "
+                f"reproduced"
+            )
+
 
 def _tensor(d: SystemDescriptor) -> bool:
     return d.kind in ("tensor", "qubits")
@@ -438,7 +459,8 @@ _add("PAULI", "occupation numbers in [0, 1], chemist trace n", 0,
      scope="fermionic (r, n)", generate=_pauli_records,
      matcher=lambda d: d.kind == "fermion")
 _add("TWO_PARTICLE_PURE", "even degeneracy of occupation numbers; odd leftover 0 "
-     "(particles) or 1 (holes)", 1, scope="fermionic (r, 2) or (r, r-2) pure",
+     "(particles) or 1 (holes)", 1, TWO_PARTICLE_RECORDS,
+     scope="fermionic (r, 2) or (r, r-2) pure",
      matcher=lambda d: d.kind == "fermion" and d.pure and d.n in (2, d.r - 2))
 _add("BD6", "three pair equalities and l4 <= l5 + l6, chemist trace 3",
      4, BD6_RECORDS, fixed="fermi:6:3:pure")
@@ -451,7 +473,7 @@ _add("F8_31", "31 inequalities grouped by extremal edge, chemist trace 3",
 _add("F84_14", "14 inequalities in two edge groups, chemist trace 4",
      14, F84_14_RECORDS, fixed="fermi:8:4:pure")
 _add("F84_ABS", "absolute-value form sum_i |x_i| <= 4 over seven sign patterns",
-     1, fixed="fermi:8:4:pure")
+     1, F84_ABS_RECORDS, fixed="fermi:8:4:pure")
 _add("W2H4_MIXED", "both spectra normalized to equal trace (canonical 1), decreasing order",
      22, W2H4_RECORDS, fixed="fermi:4:2:mixed")
 _add("W2H5_META", "460 independent inequalities recorded as metadata; list not reproduced",

@@ -34,13 +34,18 @@ class Spectrum:
     def __post_init__(self):
         vals = tuple(self.values)
         object.__setattr__(self, "values", vals)
-        for v in vals + (self.trace_tag,):
-            if not math.isfinite(float(v)):
-                raise SpectrumError(f"spectrum value {v} is not finite")
+        try:
+            total = sum(vals, Fraction(0) if _all_exact(vals) else 0.0)
+            float(total)
+            for v in vals + (self.trace_tag,):
+                if not math.isfinite(float(v)):
+                    raise SpectrumError(f"spectrum value {v} is not finite")
+        except OverflowError:
+            # an exact entry, trace or sum that no float holds
+            raise SpectrumError("spectrum too large for a float") from None
         for a, b in zip(vals, vals[1:]):
             if float(a) < float(b) - SORT_TOL:
                 raise SpectrumError(f"spectrum not nonincreasing: {a} < {b}")
-        total = sum(vals, Fraction(0) if _all_exact(vals) else 0.0)
         if abs(float(total) - float(self.trace_tag)) > SUM_TOL:
             raise SpectrumError(
                 f"spectrum sum {float(total)} does not match trace tag {self.trace_tag}"

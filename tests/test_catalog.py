@@ -34,9 +34,14 @@ def test_declared_counts_match_stored_records():
 
 
 def test_evaluators_cover_exactly_the_registered_families():
-    from qmarginal.catalog import EVALUATORS
+    """Every family with inequalities has a canonicalizer; W2H5_META, a
+    count without a list, is the only family without one."""
+    from qmarginal.catalog import CANONICALIZERS
 
-    assert sorted(EVALUATORS) == sorted(FAMILIES)
+    listed = sorted(fid for fid, fam in FAMILIES.items()
+                    if fam.records or fam.generate is not None)
+    assert sorted(CANONICALIZERS) == listed
+    assert sorted(set(FAMILIES) - set(CANONICALIZERS)) == ["W2H5_META"]
 
 
 def test_each_family_names_its_system_in_words():
@@ -428,7 +433,7 @@ def test_equivalence_disagreements_do_not_depend_on_the_block(monkeypatch):
     raised = tuple(dataclasses.replace(rec, bound=Fraction(-21, 20)) for rec in fam.records)
     monkeypatch.setitem(FAMILIES, "F7_RAISED",
                         dataclasses.replace(fam, family_id="F7_RAISED", records=raised))
-    monkeypatch.setitem(catalog.EVALUATORS, "F7_RAISED", catalog.EVALUATORS["F7_BD"])
+    monkeypatch.setitem(catalog.CANONICALIZERS, "F7_RAISED", catalog.CANONICALIZERS["F7_BD"])
     want = _reference_equivalence("F7_BD", "F7_RAISED", 700, 5)
     assert want[0] > 0
     for block in (1, 32, 256, 1024):
@@ -843,6 +848,110 @@ def test_check_chsh_matches_record_loop():
         rep = check_chsh(corr)
         assert abs(rep.worst_slack - worst) <= 1e-12
         assert (rep.satisfied, rep.violated, rep.n_inequalities) == (sat, bad, count)
+
+
+# ---------------------------------------------------------------------------
+# F84_ABS and TWO_PARTICLE_PURE as linear systems over canonical slots
+#
+# The two oracles below are the hand-written evaluators these families had
+# before their slots (|x_i| and the pairing defect) were made canonical:
+# they map the canonical spectrum straight to slacks.
+
+
+def _oracle_abs_sum(lam):
+    from qmarginal.catalog import _combine
+
+    patterns = np.array(F84_ABS_PATTERNS, dtype=float)
+    total = np.zeros(len(lam))
+    for col in _combine(lam, patterns).T:
+        total = total + np.abs(col)
+    return (4.0 - total)[:, None]
+
+
+def _oracle_even_degeneracy(lam, n):
+    from qmarginal.records import PAIR_TOL
+
+    parts = [np.zeros((len(lam), 1))]
+    if lam.shape[1] % 2 == 1:
+        if n == 2:
+            parts.append(np.abs(lam[:, -1:]))
+            lam = lam[:, :-1]
+        else:
+            parts.append(np.abs(lam[:, :1] - 1))
+            lam = lam[:, 1:]
+    parts.append(np.abs(lam[:, 0::2] - lam[:, 1::2]))
+    defect = np.hstack(parts).max(axis=1)
+    return (PAIR_TOL - defect)[:, None]
+
+
+def _f84_block(rng, count):
+    """Rows of trace 4 in random order, a third declaring another trace (they
+    are renormalized), and rows on the boundary sum |x_i| = 4."""
+    from qmarginal.catalog import SpectraBlock
+
+    lam = rng.dirichlet(np.ones(8) * rng.choice([0.5, 2.0, 8.0]), size=count) * 4
+    trace = np.full(count, 4.0)
+    off = rng.random(count) < 1 / 3
+    lam[off] *= rng.choice([0.5, 0.25, 1.001], size=(int(off.sum()), 1))
+    trace[off] = lam[off].sum(axis=1)
+    lam[0] = (1, 1, 1, 1, 0, 0, 0, 0)
+    trace[0] = 4.0
+    return SpectraBlock(one_body=rng.permuted(lam, axis=1), one_body_trace=trace)
+
+
+def _pairing_block(rng, count):
+    """Two particles or two holes on r = 4..9 orbitals: paired rows, some
+    nudged by noise that keeps the trace an integer n."""
+    from qmarginal.catalog import SpectraBlock
+
+    r = int(rng.integers(4, 10))
+    n = int(rng.choice([2, r - 2]))
+    pairs = rng.dirichlet(np.ones(r // 2), size=count)
+    lam = np.repeat(pairs, 2, axis=1)
+    if r % 2:
+        lam = np.hstack([lam, np.zeros((count, 1))])
+    if n != 2:
+        lam = 1 - lam
+    noisy = rng.random(count) < 0.5
+    noise = rng.choice([1e-9, 1e-6], size=(count, 1)) * rng.standard_normal((count, r))
+    lam[noisy] += (noise - noise.mean(axis=1, keepdims=True))[noisy]
+    return SpectraBlock(one_body=rng.permuted(lam, axis=1),
+                        one_body_trace=np.full(count, float(n))), n
+
+
+def test_linear_slacks_equal_the_former_evaluators_bitwise():
+    """F84_ABS and TWO_PARTICLE_PURE slacks from the compiled linear system
+    equal the former evaluators' bit for bit, signs of zero included, on
+    renormalized rows, odd r and two-hole systems."""
+    from qmarginal.catalog import _desc, _fermi_slots, check_block
+    from qmarginal.tensor import rng_from_seed
+
+    rng = rng_from_seed(20261019)
+    seen = set()
+    for _ in range(60):
+        block = _f84_block(rng, 40)
+        canon = _fermi_slots(get_family("F84_ABS"), block)
+        got = check_block("F84_ABS", block, tolerance=1e-9)
+        want = _oracle_abs_sum(canon.values["lam"])
+        assert np.array_equal(got.slacks, want)
+        assert np.array_equal(np.signbit(got.slacks), np.signbit(want))
+        assert got.labels == ("sum|x|<=4",) and got.tolerance == 1e-9
+        assert np.array_equal(got.renormalized, canon.renormalized)
+        seen.add(("renormalized", bool(canon.renormalized.any())))
+        seen.add(("boundary", bool((want == 0).any())))
+
+        block, n = _pairing_block(rng, 40)
+        got = check_block("TWO_PARTICLE_PURE", block, tolerance=1e-3)
+        want = _oracle_even_degeneracy(_desc(block.one_body), n)
+        assert np.array_equal(got.slacks, want)
+        assert np.array_equal(np.signbit(got.slacks), np.signbit(want))
+        assert got.labels == ("even-degeneracy defect",) and got.tolerance == 0.0
+        r = block.one_body.shape[1]
+        seen |= {("odd r", r % 2 == 1), ("holes", n != 2),
+                 ("violated", bool((want < 0).any()))}
+    assert seen >= {("renormalized", True), ("boundary", True), ("odd r", True),
+                    ("odd r", False), ("holes", True), ("holes", False),
+                    ("violated", True)}
 
 
 def test_compiled_system_is_immutable_and_cached():

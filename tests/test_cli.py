@@ -136,6 +136,25 @@ def test_reduce_pure_state_and_check_round_trip(tmp_path):
     assert records2[-1]["satisfied"] is True
 
 
+def test_state_and_bundle_files_are_closed(tmp_path, capsys):
+    """``reduce --state`` and ``check --bundle`` close the files they read:
+    no ResourceWarning is left when the file objects are collected."""
+    import gc
+    import warnings
+
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"format_version": 1, "kind": "pure", "system": "2x2",
+                                 "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 3}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["reduce", "--state", str(state)]) == 0
+        bundle = tmp_path / "bundle.jsonl"
+        bundle.write_text(capsys.readouterr().out)
+        assert main(["check", "--family", "BRAVYI_2Q", "--bundle", str(bundle)]) == 0
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
 def test_reduce_fermion_state(tmp_path):
     from qmarginal.fermion import fermion_basis
 

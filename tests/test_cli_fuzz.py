@@ -398,3 +398,41 @@ def test_fuzz_reaches_every_exit_code(state_path):
     }
     for want, argv in cases.items():
         assert _run(argv)[0] == want, argv
+
+
+# A 401-digit integer, which no float holds, and an integer that a float
+# holds but twice of which it does not.
+HUGE = "1" + "0" * 400
+BIG = str(int(1.5e308))
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--family", "BD6", "--spectrum", f"{HUGE},1,1,0,0,0"],
+    ["check", "--family", "BD6", "--spectrum", "1,1,1,0,0,0", "--trace", HUGE],
+    ["check", "--family", "POLYGON", "--site", f"{HUGE},0", "--site", "0.5,0.5"],
+    ["check", "--family", "BRAVYI_2Q", "--site", "0.5,0.5", "--site", "0.5,0.5",
+     "--joint", f"{HUGE},0,0,0"],
+    ["check", "--family", "BD6", "--spectrum", "1,1,1,0,0,0", "--tolerance", HUGE],
+    ["check", "--family", "POLYGON", "--site", f"{BIG},{BIG}", "--site", "0.5,0.5"],
+    ["chsh", "--correlations", f"{HUGE},0,0,0"],
+    ["verify", "--family", "BRAVYI_2Q", "--system", "2x2:mixed", "--trials", "2",
+     "--seed", "1", "--nu", f"{HUGE},0,0,0"],
+    ["verify", "--family", "BRAVYI_2Q", "--system", "2x2:mixed", "--trials", "2",
+     "--seed", "1", "--tolerance", HUGE],
+    ["witness", "--system", "2x2", "--targets", f"{HUGE},0;0.5,0.5", "--seed", "1"],
+])
+def test_numbers_too_large_for_a_float_are_exit_two_errors(argv):
+    code, records = _holds_the_contract(argv)
+    assert code == 2 and records == [], argv
+
+
+def test_exact_commands_read_integers_too_large_for_a_float_exactly():
+    """``coeff`` and ``generate`` compute in rationals: a sum order does not
+    change when the test spectrum is scaled, and the edge prints as given."""
+    coeff = ["coeff", "--v", "1,2", "--w", "1,2", "--fermi-n", "1"]
+    code, records = _holds_the_contract(coeff + ["--a", f"{HUGE},-{HUGE}"])
+    assert code == 0
+    assert records == _holds_the_contract(coeff + ["--a", "1,-1"])[1]
+    code, records = _holds_the_contract(["generate", "--system", "qubits:2",
+                                         "--edge", f"{HUGE},0"])
+    assert code == 0 and records[-1]["edge"] == [HUGE, "0"]

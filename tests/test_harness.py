@@ -142,9 +142,10 @@ def _applicability_grid():
 @pytest.mark.parametrize("system", _applicability_grid())
 def test_mc_verify_refuses_exactly_the_families_that_do_not_apply(monkeypatch, system):
     """``verify`` and ``families`` read one rule: a campaign is refused
-    before sampling exactly when the family is not listed for the system.
-    BASIC on a tensor or qubit format is the one exception: its campaign
-    checks each site against the rest of a mixed state."""
+    before sampling exactly when the family is not listed for the system,
+    or has no inequality list to check (W2H5_META).  BASIC on a tensor or
+    qubit format is the one exception: its campaign checks each site
+    against the rest of a mixed state."""
     from qmarginal import harness
     from qmarginal.records import applicable_families, family_ids
 
@@ -152,13 +153,39 @@ def test_mc_verify_refuses_exactly_the_families_that_do_not_apply(monkeypatch, s
     listed = applicable_families(system)
     for family in family_ids():
         basic = family == "BASIC" and not system.startswith("fermi")
+        runs = (family in listed or basic) and family != "W2H5_META"
         try:
             report = mc_verify(family, system, trials=0, seed=1)
         except CatalogError:
-            assert family not in listed and not basic, (family, system)
+            assert not runs, (family, system)
         else:
-            assert family in listed or basic, (family, system)
+            assert runs, (family, system)
             assert report.trials == 0 and report.worst_trial is None
+
+
+@pytest.mark.parametrize("system", ["fermi:5:2:pure", "fermi:5:2:mixed"])
+@pytest.mark.parametrize("trials", [0, 10])
+def test_verify_refuses_a_family_without_a_list_before_sampling(monkeypatch, capsys,
+                                                                 system, trials):
+    """W2H5_META applies to fermi:5:2 but stores only its count: the campaign
+    exits 2 with an error record and draws no state, with or without trials."""
+    import json
+
+    from qmarginal import harness
+    from qmarginal.cli import main
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before refusing")
+
+    monkeypatch.setattr(harness, "_sample_blocks", no_sampling)
+    code = main(["verify", "--family", "W2H5_META", "--system", system,
+                 "--trials", str(trials), "--seed", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    (error,) = [json.loads(line) for line in err.splitlines()]
+    assert error["record"] == "error" and error["kind"] == "CatalogError"
+    assert error["message"] == ("W2H5 is recorded as metadata only (460 independent "
+                                "inequalities); the list is not reproduced")
 
 
 @pytest.mark.parametrize("family,system", [
