@@ -120,6 +120,16 @@ def _factor_indices(text: str) -> list:
     return keep
 
 
+def _perm_word(text: str) -> tuple:
+    """Comma-separated integers, a permutation in one-line notation that
+    ``check_perm`` then checks; argparse names the flag on a refusal."""
+    try:
+        return tuple(int(t) for t in text.split(",") if t.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}") from None
+
+
 def _finite_number(value) -> bool:
     """A JSON number, not a boolean, of finite float value."""
     try:
@@ -134,10 +144,6 @@ def _parse_vector(text: str):
 
 def _parse_reals(text: str):
     return tuple(_parse_real(t) for t in text.split(",") if t.strip())
-
-
-def _parse_perm(text: str):
-    return tuple(int(t) for t in text.split(",") if t.strip())
 
 
 def _sorted_spectrum(values, trace=None, warn_slot=None):
@@ -187,9 +193,9 @@ def build_parser() -> Parser:
                     help="c11,c12,c21,c22 in [-1,1]")
 
     sp = sub.add_parser("coeff", help="structure coefficient for (u, v, w)")
-    sp.add_argument("--u", default=None)
-    sp.add_argument("--v", required=True)
-    sp.add_argument("--w", required=True)
+    sp.add_argument("--u", type=_perm_word, default=None)
+    sp.add_argument("--v", type=_perm_word, required=True)
+    sp.add_argument("--w", type=_perm_word, required=True)
     sp.add_argument("--a", required=True, help="test spectrum, rationals allowed")
     sp.add_argument("--b", default=None, help="second test spectrum (two-sided)")
     sp.add_argument("--fermi-n", type=int, default=None,
@@ -401,32 +407,37 @@ def cmd_chsh(args) -> int:
     return _emit_check_report(check_chsh([float(c) for c in corr]))
 
 
+def _refuse_length_mismatch(perm_flag: str, perm, spectrum_flag: str, values) -> None:
+    if len(perm) != len(values):
+        raise UsageError(f"{perm_flag} permutes the {len(values)} entries of "
+                         f"{spectrum_flag}, but has {len(perm)}")
+
+
 def cmd_coeff(args) -> int:
     from .schubert import coeff_fermi, coeff_two, fermi_sum_order, sum_order
 
     a = _parse_vector(args.a)
-    v = _parse_perm(args.v)
-    w = _parse_perm(args.w)
     if args.b is not None:
         if args.u is None:
             raise UsageError("two-sided coefficient needs --u")
         if args.fermi_n is not None:
             raise UsageError("--fermi-n sets the fermionic coefficient; "
                              "the two-sided one (--b) takes no --fermi-n")
-        u = _parse_perm(args.u)
-        order = sum_order(a, _parse_vector(args.b))
-        value = coeff_two(u, v, w, order)
+        b = _parse_vector(args.b)
+        _refuse_length_mismatch("--u", args.u, "--a", a)
+        _refuse_length_mismatch("--v", args.v, "--b", b)
+        value = coeff_two(args.u, args.v, args.w, sum_order(a, b))
     else:
         if args.u is not None:
             raise UsageError("--u belongs to the two-sided coefficient, which needs --b")
         if args.fermi_n is None:
             raise UsageError("fermionic coefficient needs --fermi-n")
+        _refuse_length_mismatch("--v", args.v, "--a", a)
         if not 0 < args.fermi_n < len(a):
             raise UsageError(
                 f"--fermi-n needs 0 < n < r = {len(a)} (the length of --a), "
                 f"got {args.fermi_n}")
-        order = fermi_sum_order(a, args.fermi_n)
-        value = coeff_fermi(v, w, order)
+        value = coeff_fermi(args.v, args.w, fermi_sum_order(a, args.fermi_n))
     emit({"record": "coefficient", "value": value})
     return 0
 

@@ -13,7 +13,7 @@ fermionic ones a few dozen (``_block_trials``).  Each trial still draws from
 its own Philox stream ``(seed, trial)`` the values and generator words the
 per-trial samplers draw; the block is then reduced and eigensolved by
 ``reduce_states``, as ``qmarginal reduce`` reduces a state file, and checked
-at once.  The keys of a chunk are derived a window of streams at a time
+at once.  The keys of a block's streams are derived when the block is drawn
 (``tensor.PhiloxStreams``) and one generator is re-keyed per trial, which
 draws exactly what ``rng_from_seed(seed, trial)`` draws.  Every operation on
 a block acts on each trial's rows alone, so a trial's slack is bitwise the
@@ -207,12 +207,11 @@ def _campaign_chunk(args):
     system = parse_system(system_str)
     nu = spectrum(nu_vals, 1.0) if nu_vals is not None else None
     basic = _draws_basic(family_id, system)
-    streams = PhiloxStreams(seed, range(lo, hi))
     size = _block_trials(system, hi - lo, basic)
     worst, worst_trial, violations = math.inf, None, 0
     for start in range(lo, hi, size):
         trials = range(start, min(start + size, hi))
-        blocks = _sample_blocks(system, streams[start - lo:trials.stop - lo], nu, basic)
+        blocks = _sample_blocks(system, PhiloxStreams(seed, trials), nu, basic)
         slack = np.min([check_block(family_id, block, tolerance).worst()
                         for block in blocks], axis=0)
         violations += int(np.count_nonzero(slack < -tolerance))
@@ -300,14 +299,13 @@ def isospectrality_campaign(formats, trials: int, seed: int) -> IsospectralityRe
             raise ValueError(f"isospectrality needs a two-factor format, got {fmt}")
         if not system.pure:
             raise ValueError(f"isospectrality draws pure states, got the mixed format {fmt}")
-    streams = PhiloxStreams(seed, range(len(systems) * trials))
     worst = 0.0
     for fmt_i, system in enumerate(systems):
         k, base = min(system.dims), fmt_i * trials
         size = _block_trials(system, trials)
         for lo in range(base, base + trials, size):
             hi = min(lo + size, base + trials)
-            (block,) = _sample_blocks(system, streams[lo:hi])
+            (block,) = _sample_blocks(system, PhiloxStreams(seed, range(lo, hi)))
             sa, sb = block.sites
             worst = max(worst, np.abs(sa[:, :k] - sb[:, :k]).max(initial=0.0),
                         np.abs(sa[:, k:]).max(initial=0.0),

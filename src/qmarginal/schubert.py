@@ -513,13 +513,21 @@ def _chain_coefficient(groups: dict, words) -> int:
     return total
 
 
+def _check_order(order, picks, what: str) -> None:
+    """Refuse a combined-sum order that does not list each of ``picks``
+    (in lexicographic order) exactly once."""
+    if sorted(map(tuple, order)) != list(picks):
+        raise SchubertError(f"order must list {what} once each")
+
+
 def coeff_two(u, v, w, order) -> int:
     """Coefficient activating the two-sided inequality for (u, v, w).
 
     Substitutes z_k = x^A_i + x^B_j per the combined-sum order, then applies
     the divided-difference chains for u in the A block and v in the B block.
     Zero when l(w) != l(u) + l(v); the surviving polynomial must be a
-    constant, and that integer is returned.
+    constant, and that integer is returned.  The order must list the pairs
+    (i, j) of 1..len(u) x 1..len(v), each once.
     """
     u, v, w = check_perm(u), check_perm(v), check_perm(w)
     m, n = len(u), len(v)
@@ -527,6 +535,8 @@ def coeff_two(u, v, w, order) -> int:
         raise SchubertError(
             f"need w and order of size {m * n}, got {len(w)}, {len(order)}"
         )
+    _check_order(order, product(range(1, m + 1), range(1, n + 1)),
+                 f"the pairs (i, j) of 1..{m} x 1..{n}")
     if length(w) != length(u) + length(v):
         return 0
     groups = _Substitution(order, (0, m), (m, n)).by_block_degree(schubert_poly(w))
@@ -535,15 +545,17 @@ def coeff_two(u, v, w, order) -> int:
 
 def coeff_fermi(v, w, order) -> int:
     """Fermionic coefficient: substitute z_k = sum of x over the k-th
-    subset, then apply the chain for v.
+    subset, then apply the chain for v.  The order must list the n-subsets
+    of 1..len(v), each once.
     """
     v, w = check_perm(v), check_perm(w)
     if len(w) != len(order):
         raise SchubertError(f"need order of size {len(w)}, got {len(order)}")
+    r, n = len(v), len(order[0]) if len(order) else 0
+    _check_order(order, combinations(range(1, r + 1), n), f"the {n}-subsets of 1..{r}")
     if length(w) != length(v):
         return 0
     # every subset indexes the one block x_1..x_r (an n-subset has n < r entries)
-    r = len(v)
     groups = _Substitution(order, (0,) * r, (r,)).by_block_degree(schubert_poly(w))
     return _chain_coefficient(groups, (minimal_word(v),))
 

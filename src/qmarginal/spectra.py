@@ -70,7 +70,10 @@ def spectrum(values, trace_tag=None) -> Spectrum:
 
     If ``trace_tag`` is omitted the actual sum is used as the tag.
     """
-    vals = sorted(values, key=float, reverse=True)
+    try:
+        vals = sorted(values, key=float, reverse=True)
+    except OverflowError:
+        raise SpectrumError("spectrum too large for a float") from None
     if trace_tag is None:
         trace_tag = sum(vals, Fraction(0) if _all_exact(vals) else 0.0)
     return Spectrum(tuple(vals), trace_tag)

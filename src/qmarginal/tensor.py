@@ -7,7 +7,6 @@ throughout: the first factor is the slowest index.
 
 from __future__ import annotations
 
-import copy
 import math
 import operator
 from dataclasses import dataclass
@@ -376,8 +375,18 @@ def _seed_pool(seed: int):
     return pool, next(steps)[0]
 
 
-def _stream_keys(pool, const: int, streams) -> np.ndarray:
-    """(T, 2) uint64 keys of ``streams`` from a seed's ``_seed_pool``."""
+def philox_keys(seed: int, streams) -> np.ndarray:
+    """(T, 2) uint64 Philox keys of the streams of one seed.
+
+    Row i is the key that ``np.random.Philox`` takes from
+    ``np.random.SeedSequence(entropy=seed, spawn_key=(streams[i],))``: the
+    seed's 32-bit words, zero-padded to the pool size, then the stream's
+    words are hashed into a 4-word pool, which ``generate_state(2, uint64)``
+    expands.  The seed-only part is hashed once; each stream word position
+    is mixed in for all streams at once.  Seeds and streams of any size are
+    accepted; a negative one is a ``ValueError``.
+    """
+    pool, const = _seed_pool(seed)
     rest = np.array(streams, dtype=object).reshape(-1)
     if (rest < 0).any():
         raise ValueError(f"stream must be a non-negative integer, got {rest[rest < 0][0]}")
@@ -397,20 +406,6 @@ def _stream_keys(pool, const: int, streams) -> np.ndarray:
     return np.ascontiguousarray((words[0::2] | words[1::2] << 32).T)
 
 
-def philox_keys(seed: int, streams) -> np.ndarray:
-    """(T, 2) uint64 Philox keys of the streams of one seed.
-
-    Row i is the key that ``np.random.Philox`` takes from
-    ``np.random.SeedSequence(entropy=seed, spawn_key=(streams[i],))``: the
-    seed's 32-bit words, zero-padded to the pool size, then the stream's
-    words are hashed into a 4-word pool, which ``generate_state(2, uint64)``
-    expands.  The seed-only part is hashed once; each stream word position
-    is mixed in for all streams at once.  Seeds and streams of any size are
-    accepted; a negative one is a ``ValueError``.
-    """
-    return _stream_keys(*_seed_pool(seed), streams)
-
-
 def rng_from_seed(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator (Philox) keyed by a seed of any size.
 
@@ -425,59 +420,32 @@ def rng_from_seed(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 class PhiloxStreams:
-    """Generators of the streams of one seed, keyed a window at a time.
+    """Generators of the given streams of one seed.
 
-    The seed's part of the key hash (``philox_keys``) is done once.  The
-    keys of a window of ``KEY_WINDOW`` consecutive streams are derived in one
-    pass when the first of them is drawn, so memory stays bounded however
-    many streams there are.  One Philox bit generator is then set to the
-    start of each stream in turn, so it draws exactly what
-    ``rng_from_seed(seed, stream)`` draws.  Iterating yields that one
-    Generator once per stream: make a stream's draws before taking the next.
-    ``streams`` is a sequence (a range or a list); a negative stream is a
-    ``ValueError`` when its window is keyed.  A slice is the streams of a
-    sub-range, sharing the generator and the keyed window.
+    The keys of all the streams are derived in one ``philox_keys`` pass when
+    the object is built, so a campaign builds one per block.  One Philox bit
+    generator is then set to the start of each stream in turn, so it draws
+    exactly what ``rng_from_seed(seed, stream)`` draws.  Iterating yields
+    that one Generator once per stream: make a stream's draws before taking
+    the next.  A negative stream is a ``ValueError``.
     """
 
-    # 16 KB of keys; a 750-trial campaign chunk is keyed in one pass.
-    KEY_WINDOW = 1024
-
     def __init__(self, seed: int, streams):
-        self._pool = _seed_pool(seed)
-        self._streams = streams
-        self._lo, self._hi = 0, len(streams)
-        # (first stream index, keys) of the keyed window, shared by slices.
-        self._window = [None, None]
+        self._keys = philox_keys(seed, streams)
         bitgen = np.random.Philox(key=0)
         # The state at the start of a stream; only the key is replaced.
         self._start = bitgen.state
         self._rng = np.random.Generator(bitgen)
 
     def __len__(self) -> int:
-        return self._hi - self._lo
-
-    def __getitem__(self, index: slice) -> "PhiloxStreams":
-        sub = range(self._lo, self._hi)[index]
-        if sub.step != 1:
-            raise ValueError("PhiloxStreams slices must be contiguous")
-        part = copy.copy(self)
-        part._lo, part._hi = sub.start, sub.start + len(sub)
-        return part
-
-    def _keys(self, first: int) -> np.ndarray:
-        """The keys of the window of streams that starts at index ``first``."""
-        if self._window[0] != first:
-            self._window[:] = first, _stream_keys(
-                *self._pool, self._streams[first:first + self.KEY_WINDOW])
-        return self._window[1]
+        return len(self._keys)
 
     def __iter__(self):
         bitgen = self._rng.bit_generator
-        for first in range(self._lo - self._lo % self.KEY_WINDOW, self._hi, self.KEY_WINDOW):
-            for key in self._keys(first)[max(self._lo - first, 0):self._hi - first]:
-                self._start["state"]["key"] = key
-                bitgen.state = self._start
-                yield self._rng
+        for key in self._keys:
+            self._start["state"]["key"] = key
+            bitgen.state = self._start
+            yield self._rng
 
 
 def complex_gaussian_stack(shape: tuple, rngs) -> np.ndarray:

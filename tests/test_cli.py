@@ -600,6 +600,35 @@ def test_coeff_fermi_n_inside_the_range_still_runs(capsys):
     assert records[-1]["record"] == "coefficient"
 
 
+@pytest.mark.parametrize("args,perm_flag,spectrum_flag", [
+    (["--u", "1,2,3", "--v", "2,1", "--w", "1,2,3,4,6,5", "--a", "1,-1",
+      "--b", "5,1,-6"], "--u", "--a"),
+    (["--u", "1,2,3", "--v", "1,2", "--w", "1,2,3,4,5,6", "--a", "1,-1",
+      "--b", "5,1,-6"], "--u", "--a"),
+    (["--u", "1,2", "--v", "1,2", "--w", "1,2,3,4", "--a", "1,-1",
+      "--b", "5,1,-6"], "--v", "--b"),
+    (["--v", "2,1,3", "--w", "2,1", "--a", "1,-1", "--fermi-n", "1"], "--v", "--a"),
+])
+def test_coeff_permutation_lengths_must_fit_the_spectra(capsys, args, perm_flag,
+                                                        spectrum_flag):
+    code, records, errors = _main_records(capsys, ["coeff"] + args)
+    assert code == 2 and records == []
+    (error,) = errors
+    assert error["kind"] == "usage"
+    assert perm_flag in error["message"] and spectrum_flag in error["message"]
+
+
+@pytest.mark.parametrize("flag,bad", [("--u", "1,2.5"), ("--v", "1,x"), ("--w", "1,2,3,x")])
+def test_coeff_permutation_tokens_are_usage_errors_naming_the_flag(capsys, flag, bad):
+    argv = {"--u": "1,2", "--v": "1,2", "--w": "1,2,3,4", "--a": "1,-1", "--b": "2,-2"}
+    argv[flag] = bad
+    code, records, errors = _main_records(
+        capsys, ["coeff"] + [tok for pair in argv.items() for tok in pair])
+    assert code == 2 and records == []
+    (error,) = errors
+    assert error["kind"] == "usage" and f"argument {flag}" in error["message"]
+
+
 @pytest.mark.parametrize("formats,bad", [
     ("2x2:mixed", "2x2:mixed"),
     ("2x2;3x3:MIXED", "3x3:MIXED"),

@@ -66,16 +66,31 @@ def _perm(size):
         lambda word: ",".join(map(str, word)))
 
 
+def _length(draw, size, mismatched):
+    """``size``, or another length of 1..size + 2 if ``mismatched``."""
+    if mismatched:
+        return draw(st.integers(1, size + 2).filter(lambda k: k != size))
+    return size
+
+
 @st.composite
-def _coeff(draw):
+def _coeff(draw, mismatch=st.sampled_from([False, False, True])):
+    """Coefficient flags; with a drawn ``mismatch``, --u or --v (or both) is
+    a permutation of a length other than its test spectrum's, and --w fits
+    the permutations rather than the spectra."""
+    mismatched = draw(mismatch)
     if draw(st.booleans()):
         m, n = draw(st.integers(1, 2)), draw(st.integers(1, 3))
-        return {"--u": draw(_perm(m)), "--v": draw(_perm(n)),
-                "--w": draw(_perm(m * n)), "--a": draw(_test_spectrum(m)),
+        side = draw(st.sampled_from(["u", "v", "both"]))
+        pu = _length(draw, m, mismatched and side != "v")
+        pv = _length(draw, n, mismatched and side != "u")
+        return {"--u": draw(_perm(pu)), "--v": draw(_perm(pv)),
+                "--w": draw(_perm(pu * pv)), "--a": draw(_test_spectrum(m)),
                 "--b": draw(_test_spectrum(n))}
     r = draw(st.integers(2, 4))
     k = draw(st.integers(1, r - 1))
-    return {"--v": draw(_perm(r)), "--w": draw(_perm(comb(r, k))),
+    return {"--v": draw(_perm(_length(draw, r, mismatched))),
+            "--w": draw(_perm(comb(r, k))),
             "--a": draw(_test_spectrum(r)), "--fermi-n": str(draw(st.integers(0, r)))}
 
 
@@ -253,6 +268,20 @@ def _holds_the_contract(argv):
 def test_cli_never_raises(command, state_path, data):
     argv = data.draw(_argv(command), label="argv")
     _holds_the_contract([tok.replace("STATE", state_path) for tok in argv])
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(flags=_coeff(mismatch=st.just(True)))
+def test_coeff_refuses_permutations_that_do_not_fit_their_spectra(flags):
+    """A --u or --v whose length is not its test spectrum's is a usage error
+    naming both flags, never a coefficient or a traceback."""
+    code, records, errors = _run(["coeff"] + [f"{f}={v}" for f, v in flags.items()])
+    assert code == 2 and records == [], flags
+    (error,) = errors
+    assert error["kind"] == "usage", flags
+    pairs = {"--u": "--a", "--v": "--b" if "--b" in flags else "--a"}
+    assert any(p in error["message"] and s in error["message"]
+               for p, s in pairs.items()), error
 
 
 @pytest.mark.parametrize("command", sorted(SAMPLING_FLAGS))

@@ -588,8 +588,7 @@ def test_sample_blocks_equal_the_per_trial_reference_bitwise(system, nu, basic, 
     nu = None if nu is None else spectrum(nu, 1.0)
     size = 32
     seed, trials = 20260809, range(first, first + size)
-    streams = PhiloxStreams(seed, range(first + 2 * size))[first:first + size]
-    got = _sample_blocks(desc, streams, nu, basic)
+    got = _sample_blocks(desc, PhiloxStreams(seed, trials), nu, basic)
     want = _reference_blocks(desc, seed, trials, nu, basic)
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -602,7 +601,8 @@ def test_sample_blocks_equal_the_per_trial_reference_bitwise(system, nu, basic, 
 
 
 def test_a_campaign_builds_one_philox_per_chunk(monkeypatch):
-    """Trials are re-keyed on one bit generator, not given one each."""
+    """Trials are re-keyed on one bit generator per block, not given one
+    each; 96 BD6 trials are one block."""
     real, built = np.random.Philox, []
 
     def counting(*args, **kwargs):
@@ -613,3 +613,24 @@ def test_a_campaign_builds_one_philox_per_chunk(monkeypatch):
     rep = mc_verify("BD6", "fermi:6:3:pure", trials=96, seed=3)
     assert rep.trials == 96 and rep.worst_trial is not None
     assert len(built) <= 1
+
+
+def test_a_campaign_keys_each_stream_once_a_block_at_a_time(monkeypatch):
+    """Every ``philox_keys`` pass of a campaign covers one block, at most
+    ``_block_trials`` streams, and no stream is keyed twice."""
+    from qmarginal import tensor
+    from qmarginal.harness import _block_trials
+
+    real, keyed = tensor.philox_keys, []
+
+    def counted(seed, streams):
+        keyed.append(list(streams))
+        return real(seed, streams)
+
+    monkeypatch.setattr(tensor, "philox_keys", counted)
+    rep = mc_verify("F84_14", "fermi:8:4:pure", trials=200, seed=1)
+    assert rep.worst_trial is not None
+    size = _block_trials(parse_system("fermi:8:4:pure"), 200)
+    assert size < 200 and len(keyed) > 1
+    assert all(0 < len(block) <= size for block in keyed)
+    assert sorted(s for block in keyed for s in block) == list(range(200))

@@ -311,6 +311,28 @@ def test_identity_coefficient_is_one_over_all_small_chambers():
             assert value == 1
 
 
+@pytest.mark.parametrize("u,v,order", [
+    # the pairs of a 2x3 format given to permutations of a 3x2 one
+    ((1, 2, 3), (1, 2), sum_order((1, -1), (5, 1, -6))),
+    ((1, 2), (1, 2), ((1, 1), (1, 2), (2, 1), (2, 1))),   # a pair twice
+    ((1, 2), (1, 2), ((1, 1), (1, 2), (2, 1), (2, 3))),   # j out of range
+])
+def test_coeff_two_refuses_an_order_that_is_not_the_pairs(u, v, order):
+    with pytest.raises(SchubertError, match="pairs"):
+        coeff_two(u, v, tuple(range(1, len(order) + 1)), order)
+
+
+@pytest.mark.parametrize("v,w,order", [
+    # the 1-subsets of 1..2 given to a permutation of 3 orbitals
+    ((2, 1, 3), (2, 1), fermi_sum_order((1, -1), 1)),
+    ((1, 2, 3, 4), identity_perm(6), ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (2, 4))),
+    ((1, 2, 3), (1, 2, 3), ((1, 2), (1, 3), (2,))),   # subsets of two sizes
+])
+def test_coeff_fermi_refuses_an_order_that_is_not_the_subsets(v, w, order):
+    with pytest.raises(SchubertError, match="subsets"):
+        coeff_fermi(v, w, order)
+
+
 def test_degree_mismatch_is_zero():
     order = sum_order((1, -1), (2, -2))
     assert coeff_two((2, 1), (2, 1), (2, 1, 3, 4), order) == 0

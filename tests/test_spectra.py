@@ -28,6 +28,16 @@ def test_spectrum_rejects_non_finite_values(bad):
         Spectrum((0.5, 0.5), bad)
 
 
+@pytest.mark.parametrize("trace_tag", [None, 1])
+def test_spectrum_of_an_integer_no_float_holds_is_a_spectrum_error(trace_tag):
+    """``spectrum`` sorts by float; an entry no float holds is refused as
+    ``Spectrum`` refuses it, not with a bare OverflowError."""
+    with pytest.raises(SpectrumError, match="too large for a float"):
+        spectrum((10 ** 400, 1), trace_tag)
+    with pytest.raises(SpectrumError, match="too large for a float"):
+        Spectrum((10 ** 400, 1), 1)
+
+
 def test_spectrum_validation():
     spectrum((0.5, 0.5))
     with pytest.raises(SpectrumError):
