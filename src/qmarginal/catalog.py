@@ -390,9 +390,17 @@ CANONICALIZERS = {
 }
 
 
+def _check_tolerance(tolerance: float) -> None:
+    """Refuse a tolerance that is negative or NaN: it would report a
+    satisfied inequality as violated, or compare nothing."""
+    if not tolerance >= 0:
+        raise CatalogError(f"tolerance must be >= 0, got {tolerance}")
+
+
 def check_block(family_id: str, block: SpectraBlock,
                 tolerance: float = 1e-10) -> BlockCheck:
     """Evaluate every inequality of a family on each bundle of a block."""
+    _check_tolerance(tolerance)
     fam = get_family(family_id)
     fam.require_list()
     canon = CANONICALIZERS[family_id](fam, block)
@@ -421,6 +429,7 @@ def check_chsh(correlations, tolerance: float = 1e-10) -> CheckReport:
     c_ij is the expectation of the product of the i-th A-site and j-th
     B-site measurements.
     """
+    _check_tolerance(tolerance)
     corr = tuple(float(c) for c in correlations)
     if len(corr) != 4:
         raise CatalogError("expected four correlation values")
@@ -513,6 +522,7 @@ def check_equivalence(family_a: str, family_b: str, samples: int, seed: int,
                 f"one-body spectra of pure fermi:{r}:{n} states"
             )
     _check_count("samples", samples)
+    _check_tolerance(tolerance)
     rng = rng_from_seed(seed)
     disagreements = 0
     first = None

@@ -484,7 +484,7 @@ class HullResult:
     dim: int
 
 
-def convex_hull(points, dim_cap: int = DIM_CAP) -> HullResult:
+def convex_hull(points) -> HullResult:
     """Irredundant facet description of the convex hull of rational points.
 
     Works inside the affine span of the points (dual double description on
@@ -501,8 +501,8 @@ def convex_hull(points, dim_cap: int = DIM_CAP) -> HullResult:
     diffs = [tuple(a - b for a, b in zip(p, p0)) for p in pts[1:]]
     basis, pivots, _ = echelon(diffs)
     k = len(pivots)
-    if k > dim_cap:
-        raise GeometryError(f"hull dimension {k} exceeds the cap {dim_cap}")
+    if k > DIM_CAP:
+        raise GeometryError(f"hull dimension {k} exceeds the cap {DIM_CAP}")
 
     equalities = []
     for nv in null_vectors(basis, pivots, D):

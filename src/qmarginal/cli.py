@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -21,7 +20,8 @@ SCHEMA = "qmarginal/1"
 
 
 class UsageError(Exception):
-    pass
+    """An exit-2 refusal that no flag's argparse type can make: a rule across
+    flags, or malformed content of a state or bundle file."""
 
 
 def emit(record: dict, stream=None):
@@ -51,9 +51,9 @@ def _fmt_real(x: float) -> float:
     return float(f"{float(x):.17g}")
 
 
-def _parse_number(text: str):
-    """An int, a p/q rational or a finite float; any other token is a usage
-    error that names it."""
+def _number(text: str):
+    """An int, a p/q rational or a finite float; argparse names the flag and
+    the token on a refusal."""
     text = text.strip()
     try:
         if "/" in text:
@@ -65,22 +65,44 @@ def _parse_number(text: str):
                 pass  # "nan", "inf": named below
         value = float(text)
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"not a number: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not math.isfinite(value):
-        raise UsageError(f"not a finite number: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     return value
 
 
-def _parse_real(text: str):
-    """A number as ``_parse_number`` reads it, for a flag read as a float:
-    a value too large for a float is a usage error that names it.  An exact
-    value stays exact."""
-    value = _parse_number(text)
+def _real(text: str):
+    """A number as ``_number`` reads it, for a flag read as a float: a value
+    too large for a float is refused.  An exact value stays exact."""
+    value = _number(text)
     try:
         float(value)
     except OverflowError:
-        raise UsageError(f"too large for a float: {text.strip()!r}") from None
+        raise argparse.ArgumentTypeError(f"too large for a float: {text.strip()!r}") from None
     return value
+
+
+def _float(text: str) -> float:
+    return float(_real(text))
+
+
+def _tolerance(text: str) -> float:
+    """A finite number >= 0: a negative one would report slack 0 violated."""
+    value = _float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a number >= 0, got {text!r}")
+    return value
+
+
+def _listed(item, sep: str = ","):
+    """The argparse type of a ``sep``-separated list of ``item`` values, as a
+    tuple; blank entries are skipped and a list with none is refused."""
+    def parse(text: str) -> tuple:
+        values = tuple(item(t) for t in text.split(sep) if t.strip())
+        if not values:
+            raise argparse.ArgumentTypeError(f"no value in {text!r}")
+        return values
+    return parse
 
 
 def _count(text: str, minimum: int = 0) -> int:
@@ -99,14 +121,6 @@ def _positive_count(text: str) -> int:
     return _count(text, minimum=1)
 
 
-def _finite_float(text: str) -> float:
-    """A finite number as a float; argparse names the flag on a refusal."""
-    try:
-        return float(_parse_real(text))
-    except UsageError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _factor_indices(text: str) -> list:
     """Distinct integer factor indices, comma-separated; argparse names the
     flag on a refusal."""
@@ -120,30 +134,12 @@ def _factor_indices(text: str) -> list:
     return keep
 
 
-def _perm_word(text: str) -> tuple:
-    """Comma-separated integers, a permutation in one-line notation that
-    ``check_perm`` then checks; argparse names the flag on a refusal."""
-    try:
-        return tuple(int(t) for t in text.split(",") if t.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"not a comma-separated list of integers: {text!r}") from None
-
-
 def _finite_number(value) -> bool:
     """A JSON number, not a boolean, of finite float value."""
     try:
         return type(value) in (int, float) and math.isfinite(value)
     except OverflowError:
         return False
-
-
-def _parse_vector(text: str):
-    return tuple(_parse_number(t) for t in text.split(",") if t.strip())
-
-
-def _parse_reals(text: str):
-    return tuple(_parse_real(t) for t in text.split(",") if t.strip())
 
 
 def _sorted_spectrum(values, trace=None, warn_slot=None):
@@ -178,26 +174,32 @@ def build_parser() -> Parser:
 
     sp = sub.add_parser("check", help="spectra + family -> report")
     sp.add_argument("--family", required=True)
-    sp.add_argument("--spectrum", default=None,
+    sp.add_argument("--spectrum", type=_listed(_real), default=None,
                     help="one-body spectrum for fermionic families")
-    sp.add_argument("--trace", default=None, help="declared trace of --spectrum")
-    sp.add_argument("--site", action="append", default=[],
+    sp.add_argument("--trace", type=_real, default=None,
+                    help="declared trace of --spectrum")
+    sp.add_argument("--site", type=_listed(_real), action="append", default=[],
                     help="site marginal spectrum (repeatable)")
-    sp.add_argument("--joint", default=None, help="joint/state spectrum")
+    sp.add_argument("--joint", type=_listed(_real), default=None,
+                    help="joint/state spectrum")
     sp.add_argument("--bundle", default=None,
                     help="read reduce-format records from file, or - for stdin")
-    sp.add_argument("--tolerance", type=_finite_float, default=1e-10)
+    sp.add_argument("--tolerance", type=_tolerance, default=1e-10)
 
     sp = sub.add_parser("chsh", help="check correlation data")
-    sp.add_argument("--correlations", required=True,
+    sp.add_argument("--correlations", type=_listed(_float), required=True,
                     help="c11,c12,c21,c22 in [-1,1]")
 
     sp = sub.add_parser("coeff", help="structure coefficient for (u, v, w)")
-    sp.add_argument("--u", type=_perm_word, default=None)
-    sp.add_argument("--v", type=_perm_word, required=True)
-    sp.add_argument("--w", type=_perm_word, required=True)
-    sp.add_argument("--a", required=True, help="test spectrum, rationals allowed")
-    sp.add_argument("--b", default=None, help="second test spectrum (two-sided)")
+    # permutations in one-line notation, which ``check_perm`` then checks
+    perm_word = _listed(_positive_count)
+    sp.add_argument("--u", type=perm_word, default=None)
+    sp.add_argument("--v", type=perm_word, required=True)
+    sp.add_argument("--w", type=perm_word, required=True)
+    sp.add_argument("--a", type=_listed(_number), required=True,
+                    help="test spectrum, rationals allowed")
+    sp.add_argument("--b", type=_listed(_number), default=None,
+                    help="second test spectrum (two-sided)")
     sp.add_argument("--fermi-n", type=int, default=None,
                     help="subset size for the fermionic coefficient")
 
@@ -207,7 +209,8 @@ def build_parser() -> Parser:
 
     sp = sub.add_parser("generate", help="inequalities from an extremal edge")
     sp.add_argument("--system", required=True)
-    sp.add_argument("--edge", required=True, help="per-site values or coordinates")
+    sp.add_argument("--edge", type=_listed(_number), required=True,
+                    help="per-site values or coordinates")
     sp.add_argument("--raw", action="store_true",
                     help="skip the in-group redundancy filter")
 
@@ -226,10 +229,10 @@ def build_parser() -> Parser:
     sp.add_argument("--system", required=True)
     sp.add_argument("--trials", type=_count, required=True)
     sp.add_argument("--seed", type=_count, required=True)
-    sp.add_argument("--nu", default=None, help="fixed state spectrum")
-    sp.add_argument("--tolerance", type=_finite_float, default=1e-10)
-    # default: QMARGINAL_JOBS, read on each call (see ``_jobs``)
-    sp.add_argument("--jobs", type=_positive_count, default=None)
+    sp.add_argument("--nu", type=_listed(_float), default=None,
+                    help="fixed state spectrum")
+    sp.add_argument("--tolerance", type=_tolerance, default=1e-10)
+    sp.add_argument("--jobs", type=_positive_count, default=1)
 
     sp = sub.add_parser("equiv", help="cross-family equivalence campaign")
     sp.add_argument("--family-a", required=True)
@@ -239,14 +242,15 @@ def build_parser() -> Parser:
 
     sp = sub.add_parser("witness", help="search for a state with target marginals")
     sp.add_argument("--system", required=True)
-    sp.add_argument("--targets", required=True,
+    sp.add_argument("--targets", type=_listed(_listed(_float), ";"), required=True,
                     help="semicolon-separated site spectra, e.g. '0.7,0.3;0.6,0.4'")
     sp.add_argument("--restarts", type=_positive_count, default=20)
     sp.add_argument("--iters", type=_count, default=200)
     sp.add_argument("--seed", type=_count, required=True)
 
     sp = sub.add_parser("isospec", help="isospectrality campaign")
-    sp.add_argument("--formats", required=True, help="e.g. '2x2;2x3;3x3'")
+    sp.add_argument("--formats", type=_listed(str, ";"), required=True,
+                    help="e.g. '2x2;2x3;3x3'")
     sp.add_argument("--trials", type=_count, required=True)
     sp.add_argument("--seed", type=_count, required=True)
 
@@ -368,13 +372,13 @@ def _bundle_from_args(args):
             elif slot == "one_body":
                 one_body = spec
     if args.spectrum:
-        vals = _parse_reals(args.spectrum)
-        trace = _parse_real(args.trace) if args.trace else None
-        one_body = _sorted_spectrum(vals, trace, "one_body")
-    for text in args.site:
-        sites.append(_sorted_spectrum(_parse_reals(text), None, "site"))
+        one_body = _sorted_spectrum(args.spectrum, args.trace, "one_body")
+    elif args.trace is not None:
+        raise UsageError("--trace declares the trace of --spectrum, which is not given")
+    for values in args.site:
+        sites.append(_sorted_spectrum(values, None, "site"))
     if args.joint:
-        joint = _sorted_spectrum(_parse_reals(args.joint), None, "joint")
+        joint = _sorted_spectrum(args.joint, None, "joint")
     return SpectraBundle(sites=tuple(sites), joint=joint, one_body=one_body)
 
 
@@ -403,8 +407,7 @@ def cmd_check(args) -> int:
 def cmd_chsh(args) -> int:
     from .catalog import check_chsh
 
-    corr = _parse_reals(args.correlations)
-    return _emit_check_report(check_chsh([float(c) for c in corr]))
+    return _emit_check_report(check_chsh(args.correlations))
 
 
 def _refuse_length_mismatch(perm_flag: str, perm, spectrum_flag: str, values) -> None:
@@ -416,28 +419,26 @@ def _refuse_length_mismatch(perm_flag: str, perm, spectrum_flag: str, values) ->
 def cmd_coeff(args) -> int:
     from .schubert import coeff_fermi, coeff_two, fermi_sum_order, sum_order
 
-    a = _parse_vector(args.a)
     if args.b is not None:
         if args.u is None:
             raise UsageError("two-sided coefficient needs --u")
         if args.fermi_n is not None:
             raise UsageError("--fermi-n sets the fermionic coefficient; "
                              "the two-sided one (--b) takes no --fermi-n")
-        b = _parse_vector(args.b)
-        _refuse_length_mismatch("--u", args.u, "--a", a)
-        _refuse_length_mismatch("--v", args.v, "--b", b)
-        value = coeff_two(args.u, args.v, args.w, sum_order(a, b))
+        _refuse_length_mismatch("--u", args.u, "--a", args.a)
+        _refuse_length_mismatch("--v", args.v, "--b", args.b)
+        value = coeff_two(args.u, args.v, args.w, sum_order(args.a, args.b))
     else:
         if args.u is not None:
             raise UsageError("--u belongs to the two-sided coefficient, which needs --b")
         if args.fermi_n is None:
             raise UsageError("fermionic coefficient needs --fermi-n")
-        _refuse_length_mismatch("--v", args.v, "--a", a)
-        if not 0 < args.fermi_n < len(a):
+        _refuse_length_mismatch("--v", args.v, "--a", args.a)
+        if not 0 < args.fermi_n < len(args.a):
             raise UsageError(
-                f"--fermi-n needs 0 < n < r = {len(a)} (the length of --a), "
+                f"--fermi-n needs 0 < n < r = {len(args.a)} (the length of --a), "
                 f"got {args.fermi_n}")
-        value = coeff_fermi(args.v, args.w, fermi_sum_order(a, args.fermi_n))
+        value = coeff_fermi(args.v, args.w, fermi_sum_order(args.a, args.fermi_n))
     emit({"record": "coefficient", "value": value})
     return 0
 
@@ -481,13 +482,12 @@ def cmd_generate(args) -> int:
     from .systems import parse_system
 
     system = parse_system(args.system)
-    edge = _parse_vector(args.edge)
     if system.kind == "qubits":
-        if len(edge) != len(system.dims):
+        if len(args.edge) != len(system.dims):
             raise UsageError(
-                f"edge needs {len(system.dims)} per-site values, got {len(edge)}"
+                f"edge needs {len(system.dims)} per-site values, got {len(args.edge)}"
             )
-        group = generate_qubit_array(edge, irredundant=not args.raw)
+        group = generate_qubit_array(args.edge, irredundant=not args.raw)
         records = group.records
     elif system.kind == "tensor" and len(system.dims) == 2:
         # edge given in arrangement coordinates; emits the basic inequality
@@ -498,9 +498,9 @@ def cmd_generate(args) -> int:
                              "format emits one basic inequality, with no filter")
         m, n = system.dims
         arr = cubicle_arrangement(args.system)
-        if len(edge) != arr.dim:
-            raise UsageError(f"edge needs {arr.dim} coordinates, got {len(edge)}")
-        a, b = arr.chart.to_test_spectra(edge)
+        if len(args.edge) != arr.dim:
+            raise UsageError(f"edge needs {arr.dim} coordinates, got {len(args.edge)}")
+        a, b = arr.chart.to_test_spectra(args.edge)
         records = (
             generate_inequality(a, b, identity_perm(m), identity_perm(n),
                                 identity_perm(m * n)),
@@ -510,7 +510,7 @@ def cmd_generate(args) -> int:
     for rec in records:
         emit({"record": "inequality", **_record_to_json(rec)})
     emit({"record": "generate_summary", "system": args.system,
-          "edge": [str(Fraction(x)) for x in edge], "count": len(records)})
+          "edge": [str(Fraction(x)) for x in args.edge], "count": len(records)})
     return 0
 
 
@@ -562,26 +562,13 @@ def cmd_hull(args) -> int:
     return 0
 
 
-def _jobs(args) -> int:
-    """--jobs, or else QMARGINAL_JOBS (default 1), as a positive count."""
-    if args.jobs is not None:
-        return args.jobs
-    try:
-        return _positive_count(os.environ.get("QMARGINAL_JOBS", "1"))
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"argument --jobs (from QMARGINAL_JOBS): {exc}") from None
-
-
 def cmd_verify(args) -> int:
     from .harness import mc_verify
 
-    jobs = _jobs(args)
-    nu = None
-    if args.nu:
-        nu = _sorted_spectrum([float(x) for x in _parse_reals(args.nu)], 1.0, "nu")
+    nu = _sorted_spectrum(args.nu, 1.0, "nu") if args.nu else None
     report = mc_verify(
         args.family, args.system, args.trials, args.seed,
-        tolerance=args.tolerance, nu=nu, jobs=jobs,
+        tolerance=args.tolerance, nu=nu, jobs=args.jobs,
     )
     emit({
         "record": "campaign",
@@ -618,13 +605,8 @@ def cmd_equiv(args) -> int:
 def cmd_witness(args) -> int:
     from .harness import witness_search
 
-    targets = [
-        [float(x) for x in _parse_reals(part)]
-        for part in args.targets.split(";")
-        if part.strip()
-    ]
     report = witness_search(
-        targets, args.system, restarts=args.restarts, iters=args.iters,
+        args.targets, args.system, restarts=args.restarts, iters=args.iters,
         seed=args.seed,
     )
     record = {
@@ -649,10 +631,7 @@ def cmd_witness(args) -> int:
 def cmd_isospec(args) -> int:
     from .harness import isospectrality_campaign
 
-    formats = [f for f in args.formats.split(";") if f.strip()]
-    if not formats:
-        raise UsageError(f"argument --formats: no format in {args.formats!r}")
-    report = isospectrality_campaign(formats, args.trials, args.seed)
+    report = isospectrality_campaign(args.formats, args.trials, args.seed)
     emit({
         "record": "isospectrality",
         "formats": list(report.formats),
@@ -700,7 +679,7 @@ def main(argv=None) -> int:
         emit({"record": "error", "kind": "usage", "message": str(exc)},
              stream=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         emit({"record": "error", "kind": type(exc).__name__, "message": str(exc)},
              stream=sys.stderr)
         return 2

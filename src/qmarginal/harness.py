@@ -34,6 +34,7 @@ from .catalog import (
     SpectraBlock,
     SpectraBundle,
     _check_count,
+    _check_tolerance,
     check_block,
 )
 from .fermion import fermion_basis, one_rdm_stack
@@ -231,8 +232,9 @@ def mc_verify(family_id: str, system, trials: int, seed: int,
     and the worst trial is the lowest stream index reaching the minimum.
     Before sampling, it refuses a family without an inequality list
     (``Family.require_list``), a state spectrum ``nu`` when the campaign
-    draws pure states, and a family where ``Family.applies`` does not place
-    it, but for BASIC's site-versus-rest campaign on tensor or qubit formats.
+    draws pure states, a family where ``Family.applies`` does not place it,
+    but for BASIC's site-versus-rest campaign on tensor or qubit formats,
+    and a negative or NaN tolerance.
     """
     if isinstance(system, str):
         system = parse_system(system)
@@ -244,6 +246,7 @@ def mc_verify(family_id: str, system, trials: int, seed: int,
         raise CatalogError(f"{family_id} holds for {fam.fixed or fam.scope}, "
                            f"not for {system}")
     _check_count("trials", trials)
+    _check_tolerance(tolerance)
     start = time.perf_counter()
     nu_vals = None if nu is None else tuple(nu.as_floats())
     if jobs > 1 and trials >= 4 * jobs:

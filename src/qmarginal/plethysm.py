@@ -314,12 +314,12 @@ class InnerApproximation:
     facet_matches: tuple  # per facet: tuple of matching catalog labels
 
 
-def inner_approximation(r: int, n: int, max_power: int, dim_cap: int = 7) -> InnerApproximation:
+def inner_approximation(r: int, n: int, max_power: int) -> InnerApproximation:
     """Convex hull of the occurring spectra, with each facet matched against
     the catalogued linear constraints of the system (modulo the affine hull).
     """
     points = occurring_spectra(r, n, max_power)
-    hull = convex_hull(points, dim_cap=dim_cap)
+    hull = convex_hull(points)
     matches = _facet_matches(r, n, hull, points)
     return InnerApproximation(r, n, max_power, points, hull, matches)
 

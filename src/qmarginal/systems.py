@@ -37,6 +37,16 @@ class SystemDescriptor:
         return f"fermi:{self.r}:{self.n}:{purity}"
 
 
+def _integers(fields, form: str, text: str) -> tuple:
+    """The integer fields of ``text``, one per ``<field>`` of ``form``."""
+    try:
+        if len(fields) == form.count(":"):
+            return tuple(int(f) for f in fields)
+    except ValueError:
+        pass
+    raise SystemError(f"expected {form} (integer fields), got {text!r}")
+
+
 def parse_system(text: str) -> SystemDescriptor:
     """Parse a descriptor string; see the module docstring for the grammar."""
     parts = text.strip().lower().split(":")
@@ -47,16 +57,12 @@ def parse_system(text: str) -> SystemDescriptor:
         raise SystemError(f"empty system descriptor: {text!r}")
     head = parts[0]
     if head == "qubits":
-        if len(parts) != 2:
-            raise SystemError(f"expected qubits:<count>, got {text!r}")
-        count = int(parts[1])
+        (count,) = _integers(parts[1:], "qubits:<count>", text)
         if count < 1:
             raise SystemError(f"qubit count must be positive, got {count}")
         return SystemDescriptor("qubits", dims=(2,) * count, pure=pure)
     if head == "fermi":
-        if len(parts) != 3:
-            raise SystemError(f"expected fermi:<r>:<n>, got {text!r}")
-        r, n = int(parts[1]), int(parts[2])
+        r, n = _integers(parts[1:], "fermi:<r>:<n>", text)
         if not 0 < n < r:
             raise SystemError(f"need 0 < n < r, got r={r}, n={n}")
         return SystemDescriptor("fermion", r=r, n=n, pure=pure)

@@ -338,6 +338,20 @@ def test_equivalence_refuses_a_negative_sample_count():
     assert rep.samples == 0 and rep.disagreements == 0
 
 
+@pytest.mark.parametrize("tolerance", [-1, -1e-300, float("nan")])
+def test_checks_refuse_a_negative_or_nan_tolerance(tolerance):
+    """A negative tolerance would report satisfied rows as violated (BD6 at
+    slack 0 here), and NaN would compare nothing."""
+    bundle = SpectraBundle(one_body=spectrum([1, 1, 1, 0, 0, 0]))
+    assert check_family("BD6", bundle, 0.0).satisfied
+    with pytest.raises(CatalogError, match="tolerance"):
+        check_family("BD6", bundle, tolerance)
+    with pytest.raises(CatalogError, match="tolerance"):
+        check_chsh([0, 0, 0, 0], tolerance)
+    with pytest.raises(CatalogError, match="tolerance"):
+        check_equivalence("F7_BD", "F7_LIST", 0, 1, tolerance)
+
+
 @pytest.mark.parametrize("family", ["W2H4_MIXED", "W2H5_META"])
 @pytest.mark.parametrize("samples", [50, 0])
 def test_equivalence_refuses_families_that_need_more_than_one_body_spectra(

@@ -412,7 +412,7 @@ def test_hull_matches_bruteforce_oracle_random_3d():
 def test_hull_dimension_cap():
     pts = [tuple(F(int(i == j)) for j in range(9)) for i in range(9)]
     with pytest.raises(GeometryError):
-        convex_hull(pts, dim_cap=7)
+        convex_hull(pts)
 
 
 def test_redundancy_filter_duplicates_and_domination():

@@ -311,7 +311,7 @@ def test_verify_zero_trials_emits_null_min_slack():
 
 
 def test_non_finite_output_is_an_exit_two_error():
-    # -1e400 parses to -inf; the report would carry a NaN slack
+    # -1e400 is -inf as a float: refused before any report would carry a NaN slack
     proc = subprocess.run(
         [sys.executable, "-m", "qmarginal.cli", "check", "--family", "BD6",
          "--spectrum", "1,1,0.5,0.5,0,-1e400"],
@@ -786,11 +786,9 @@ VERIFY_BD6 = ["verify", "--family", "BD6", "--system", "fermi:6:3:pure",
                  "--seed", "1", "--iters", "-1"]),
     ("--jobs", VERIFY_BD6 + ["--jobs", "0"]),
     ("--jobs", VERIFY_BD6 + ["--jobs", "-3"]),
-    ("--jobs", (VERIFY_BD6, {"QMARGINAL_JOBS": "x"})),
 ])
 def test_negative_counts_are_usage_errors(flag, args):
-    args, env = args if isinstance(args, tuple) else (args, None)
-    code, records, errors = run_cli(args, env=env)
+    code, records, errors = run_cli(args)
     assert code == 2
     assert records == []
     (error,) = errors
@@ -859,9 +857,13 @@ def test_zero_counts_stay_valid(args, count_key):
 
 
 def test_jobs_from_environment():
-    code, records, errors = run_cli(VERIFY_BD6, env={"QMARGINAL_JOBS": "2"})
+    """Only --jobs sets the worker count: QMARGINAL_JOBS, which once did,
+    changes nothing, not even when it is malformed."""
+    code, records, errors = run_cli(VERIFY_BD6, env={"QMARGINAL_JOBS": "x"})
     assert code == 0, errors
-    assert records[-1]["trials"] == 10
+    _, plain, _ = run_cli(VERIFY_BD6)
+    assert [dict(r, wall_time=None) for r in records] == [
+        dict(r, wall_time=None) for r in plain]
 
 
 def test_two_particle_pure_non_integer_trace_is_an_error():
@@ -933,16 +935,6 @@ def test_main_calls_share_the_parser_but_no_arguments(tmp_path, capsys):
     assert bundle[0] == 0 and bundle[1][-1]["n_inequalities"] == 4
 
 
-def test_jobs_environment_is_read_on_every_call(monkeypatch, capsys):
-    monkeypatch.setenv("QMARGINAL_JOBS", "x")
-    code, records, errors = _main_records(capsys, VERIFY_BD6)
-    assert code == 2 and records == []
-    assert "--jobs" in errors[0]["message"] and "QMARGINAL_JOBS" in errors[0]["message"]
-    monkeypatch.setenv("QMARGINAL_JOBS", "1")
-    code, records, errors = _main_records(capsys, VERIFY_BD6)
-    assert code == 0 and errors == [] and records[-1]["trials"] == 10
-
-
 @pytest.mark.parametrize("system,targets,words", [
     ("fermi:4:2", "0.5,0.5", "tensor or qubit system"),
     ("qubits:2", "1,1;1,1", "not a spectrum"),
@@ -985,6 +977,8 @@ def test_witness_length_error_prints_plain_floats(capsys):
     ("--fermi-n", ["coeff", "--u", "1,2", "--v", "1,2", "--w", "1,2,3,4",
                    "--a", "1,-1", "--b", "2,-2", "--fermi-n", "1"]),
     ("--raw", ["generate", "--system", "2x2", "--edge", "1,1", "--raw"]),
+    ("--trace", ["check", "--family", "POLYGON", "--site", "0.6,0.4", "--site", "0.7,0.3",
+                 "--site", "0.8,0.2", "--trace", "5"]),
 ])
 def test_flags_the_command_would_ignore_are_usage_errors(capsys, flag, args):
     code, records, errors = _main_records(capsys, args)
@@ -993,7 +987,97 @@ def test_flags_the_command_would_ignore_are_usage_errors(capsys, flag, args):
     (error,) = errors
     assert error["record"] == "error" and error["kind"] == "usage"
     assert flag in error["message"]
+    if flag == "--trace":
+        assert "--spectrum" in error["message"]
     # without the flag the same command runs
     i = args.index(flag)
     rest = args[:i] + args[i + (1 if flag == "--raw" else 2):]
     assert _main_records(capsys, rest)[0] == 0
+
+
+COEFF_TWO = ["coeff", "--u", "1,2", "--v", "1,2", "--w", "1,2,3,4", "--a", "1,-1",
+             "--b", "2,-2"]
+WITNESS = ["witness", "--system", "qubits:2", "--targets", "0.5,0.5;0.5,0.5",
+           "--seed", "1"]
+
+
+@pytest.mark.parametrize("flag,token,argv", [
+    ("--keep", "0,x", ["reduce", "--state", "-"]),
+    ("--spectrum", "x", ["check", "--family", "BD6"]),
+    ("--trace", "3/0", CHECK_BD6),
+    ("--site", "nan", ["check", "--family", "POLYGON", "--site", "0.5,0.5"]),
+    ("--joint", "1e400", ["check", "--family", "BRAVYI_2Q", "--site", "0.5,0.5",
+                          "--site", "0.5,0.5"]),
+    ("--tolerance", "-1", CHECK_BD6),
+    ("--correlations", "y", ["chsh"]),
+    ("--u", "y", COEFF_TWO),
+    ("--v", "y", COEFF_TWO),
+    ("--w", "y", COEFF_TWO),
+    ("--a", "x", COEFF_TWO),
+    ("--b", "1/0", COEFF_TWO),
+    ("--fermi-n", "two", ["coeff", "--v", "1,2", "--w", "1,2", "--a", "1,-1"]),
+    ("--dim-cap", "x", ["edges", "--system", "qubits:3"]),
+    ("--edge", "inf", ["generate", "--system", "qubits:2"]),
+    ("-r", "x", ["plethysm", "-n", "2", "-m", "2"]),
+    ("-n", "x", ["plethysm", "-r", "4", "-m", "2"]),
+    ("-m", "x", ["plethysm", "-r", "4", "-n", "2"]),
+    ("-M", "x", ["hull", "-r", "4", "-n", "2"]),
+    ("--trials", "x", VERIFY_BD6),
+    ("--seed", "x", VERIFY_BD6),
+    ("--nu", "x", ["verify", "--family", "BRAVYI_2Q", "--system", "2x2:mixed",
+                   "--trials", "2", "--seed", "1"]),
+    ("--tolerance", "-1", VERIFY_BD6),
+    ("--jobs", "x", VERIFY_BD6),
+    ("--samples", "x", ["equiv", "--family-a", "F7_BD", "--family-b", "F7_LIST",
+                        "--seed", "1"]),
+    ("--targets", "x", WITNESS),
+    ("--targets", ";", WITNESS),
+    ("--restarts", "x", WITNESS),
+    ("--iters", "x", WITNESS),
+    ("--formats", ";", ["isospec", "--trials", "2", "--seed", "1"]),
+    ("--trials", "x", ["isospec", "--formats", "2x2", "--seed", "1"]),
+])
+def test_a_malformed_value_is_refused_by_its_flag(capsys, flag, token, argv):
+    """Every typed value flag refuses a malformed token at parse time, as an
+    exit-2 usage error that names the flag and the token."""
+    # a list flag names the entry it refuses
+    value = {"--site": "0.5,", "--joint": "0,0,0,", "--a": "1,", "--u": "1,",
+             "--v": "1,", "--w": "1,2,3,", "--correlations": "0,0,0,"}.get(flag, "") + token
+    code, records, errors = _main_records(capsys, argv + [flag, value])
+    assert code == 2 and records == []
+    (error,) = errors
+    assert error["record"] == "error" and error["kind"] == "usage"
+    assert error["message"].startswith(f"argument {flag}:")
+    assert token in error["message"]
+
+
+@pytest.mark.parametrize("system,form", [
+    ("qubits:x", "qubits:<count>"),
+    ("qubits:3.0", "qubits:<count>"),
+    ("fermi:6:x", "fermi:<r>:<n>"),
+])
+def test_families_names_a_malformed_system(capsys, system, form):
+    code, records, errors = _main_records(capsys, ["families", "--system", system])
+    assert code == 2 and records == []
+    (error,) = errors
+    assert error["record"] == "error" and error["kind"] == "SystemError"
+    assert repr(system) in error["message"] and form in error["message"]
+
+
+def test_memory_error_is_an_exit_two_error(capsys, monkeypatch):
+    """An allocation that fails is an exit-2 error record, not a traceback
+    with the violation exit code; a stub raises it, since a real oversized
+    allocation may succeed lazily or take the machine's memory."""
+    import qmarginal.harness
+
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 16.0 TiB")
+
+    monkeypatch.setattr(qmarginal.harness, "mc_verify", refuse)
+    code, records, errors = _main_records(capsys, [
+        "verify", "--family", "POLYGON", "--system", "qubits:40:pure", "--trials", "1",
+        "--seed", "1"])
+    assert code == 2 and records == []
+    (error,) = errors
+    assert error["record"] == "error" and error["kind"] == "MemoryError"
+    assert "16.0 TiB" in error["message"]

@@ -109,6 +109,16 @@ def test_mc_verify_refuses_a_pure_family_on_mixed_states(monkeypatch, family, sy
     assert fixed in str(err.value) and system in str(err.value)
 
 
+@pytest.mark.parametrize("tolerance", [-1, float("nan")])
+def test_mc_verify_refuses_a_negative_or_nan_tolerance_before_sampling(monkeypatch,
+                                                                        tolerance):
+    from qmarginal import harness
+
+    monkeypatch.setattr(harness, "_campaign_chunk", None)   # nothing is sampled
+    with pytest.raises(CatalogError, match="tolerance"):
+        mc_verify("BD6", "fermi:6:3:pure", trials=5, seed=1, tolerance=tolerance)
+
+
 @pytest.mark.parametrize("family,system", [
     ("W2H4_MIXED", "fermi:4:2:pure"),
     ("BRAVYI_2Q", "qubits:2:mixed"),
