@@ -7,7 +7,8 @@ Library layout:
   Haar sampling
 - ``spectra``: majorization, Young diagrams, Gale-Ryser, particle-hole
 - ``fermion``: occupation-number basis, 1- and 2-particle RDMs, energy
-- ``catalog``: float64 checks of the printed inequality families
+- ``catalog``: float64 checks of the printed inequality families on blocks
+  of bundles (campaigns), and cross-family equivalence sampling
 - ``schubert``: divided differences, Schubert polynomials, structure
   coefficients, inequality generation
 - ``chambers``: exact rational cubicle arrangements, extremal edges,
@@ -16,12 +17,14 @@ Library layout:
 - ``plethysm``: symmetric-power decompositions and the inner approximation
 - ``harness``: seeded Monte-Carlo campaigns and witness search
 - ``records``: ``InequalityRecord`` and the family registry: each printed
-  family's exact records and the system it applies to (no numpy)
+  family's exact records and the system it applies to, and the check of
+  one spectra bundle on Python floats (no numpy)
 - ``cli``: the ``qmarginal`` command
 
 The names in ``__all__`` load on first access: ``import qmarginal`` imports
 no submodule, and ``qmarginal.spectrum_of`` imports ``tensor`` (and with it
-numpy) only when it is first read.
+numpy) only when it is first read.  ``qmarginal.check_family`` needs no
+numpy.
 """
 
 import importlib
@@ -30,13 +33,13 @@ import importlib
 # first access (PEP 562), so ``import qmarginal`` imports no submodule and
 # the exact commands never pull in numpy through the package namespace.
 _SOURCE_OF = {
-    **dict.fromkeys(("CheckReport", "SpectraBundle", "check_chsh",
-                     "check_equivalence", "check_family"), "catalog"),
+    "check_equivalence": "catalog",
     **dict.fromkeys(("FermionState", "energy_from_two_rdm", "fermion_basis",
                      "haar_fermion", "one_rdm", "one_rdm_mixed", "slater",
                      "two_rdm"), "fermion"),
-    **dict.fromkeys(("InequalityRecord", "applicable_families", "family_ids"),
-                    "records"),
+    **dict.fromkeys(("CheckReport", "InequalityRecord", "SpectraBundle",
+                     "applicable_families", "check_chsh", "check_family",
+                     "family_ids"), "records"),
     **dict.fromkeys(("Spectrum", "YoungDiagram", "gale_ryser", "majorizes",
                      "particle_hole", "renormalize", "spectrum", "transpose"),
                     "spectra"),

@@ -1,13 +1,16 @@
-"""Float64 checks of the printed spectral-constraint families.
+"""Float64 checks of the printed spectral-constraint families, a block of
+bundles at a time.
 
 The families themselves, their exact ``Fraction`` records and where they
-apply, are registered in ``records``.  Each family carries its own ordering
-and normalization convention; ``check_block`` canonicalizes the input
-(re-sorting and re-normalizing as declared, recording that it did) into the
-slots its records name, then evaluates the float64 linear system compiled
-from the records on first use, over a block of bundles at once.  Every
-family takes this one path: the absolute-value form of (8, 4) and the
-even-degeneracy criterion are linear in their canonical slots.
+apply, are registered in ``records``, which also checks one bundle on
+Python floats (``check_family``, ``check_chsh``; re-exported here).  Each
+family carries its own ordering and normalization convention;
+``check_block`` canonicalizes the input (re-sorting and re-normalizing as
+declared, recording that it did) into the slots its records name, then
+evaluates the float64 linear system compiled from the records on first use,
+over a block of bundles at once.  Campaigns and equivalence runs take this
+path.  Every family is linear in its canonical slots: the absolute-value
+form of (8, 4) and the even-degeneracy criterion included.
 """
 
 from __future__ import annotations
@@ -17,41 +20,22 @@ from functools import lru_cache
 
 import numpy as np
 
-# The families' exact data lives in the numpy-free records module; catalog
-# re-exports InequalityRecord and CatalogError, so catalog.InequalityRecord
-# is the same class.
+# The families' exact data and the one-bundle checks live in the numpy-free
+# records module; catalog re-exports them, so catalog.check_family is the
+# same function.
 from .records import (  # noqa: F401
     F84_ABS_PATTERNS,
     PAIR_TOL,
     CatalogError,
+    CheckReport,
     InequalityRecord,
+    SpectraBundle,
+    _check_tolerance,
+    check_chsh,
+    check_family,
     get_family,
 )
-from .spectra import Spectrum, SpectrumError
-
-
-@dataclass(frozen=True)
-class SpectraBundle:
-    """Marginal data handed to a family check.
-
-    ``sites`` are per-subsystem spectra, ``joint`` the global state
-    spectrum, ``one_body`` the fermionic one-particle spectrum.
-    """
-
-    sites: tuple = ()
-    joint: Spectrum = None
-    one_body: Spectrum = None
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    family_id: str
-    satisfied: bool
-    worst_slack: float
-    violated: tuple
-    n_inequalities: int
-    tolerance: float
-    notes: tuple = ()
+from .spectra import SpectrumError
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +45,8 @@ class CheckReport:
 # (sorting, renormalizing, gap sorting, minimum entries, absolute values of
 # sign-pattern sums, a pairing defect) and then evaluates every inequality
 # at once, as a float64 system compiled from the family's records.
-# Campaigns pass blocks of trials through the same code; ``check_family``
-# passes a block of one.
+# Campaigns and equivalence runs pass blocks of trials; ``check_family``
+# takes the same steps, in the same order, on one bundle of Python floats.
 
 # Samples per block in equivalence runs, which hold r <= 8 floats a sample.
 EQUIV_BLOCK = 256
@@ -81,22 +65,6 @@ class SpectraBlock:
     joint: np.ndarray = None
     one_body: np.ndarray = None
     one_body_trace: np.ndarray = None
-
-
-def _rows(spec: Spectrum):
-    if spec is None:
-        return None
-    return np.array(spec.as_floats(), dtype=float).reshape(1, len(spec))
-
-
-def _block_of_one(bundle: SpectraBundle) -> SpectraBlock:
-    lam = bundle.one_body
-    return SpectraBlock(
-        sites=tuple(_rows(s) for s in bundle.sites),
-        joint=_rows(bundle.joint),
-        one_body=_rows(lam),
-        one_body_trace=None if lam is None else np.array([float(lam.trace_tag)]),
-    )
 
 
 @dataclass(frozen=True)
@@ -349,23 +317,6 @@ class BlockCheck:
     def satisfied(self) -> np.ndarray:
         return self.worst() >= -self.tolerance
 
-    def report(self, row: int) -> CheckReport:
-        slacks = self.slacks[row]
-        worst = float(self.worst()[row])
-        notes = self.notes
-        if self.renormalized is not None and self.renormalized[row]:
-            notes = (f"renormalized one-body spectrum to trace {self.target}",) + notes
-        return CheckReport(
-            family_id=self.family_id,
-            satisfied=worst >= -self.tolerance,
-            worst_slack=worst,
-            violated=tuple(lbl for s, lbl in zip(slacks, self.labels)
-                           if s < -self.tolerance),
-            n_inequalities=len(self.labels),
-            tolerance=self.tolerance,
-            notes=notes,
-        )
-
 
 # ---------------------------------------------------------------------------
 # Each family's canonicalizer: a block to the canonical slot arrays its
@@ -390,13 +341,6 @@ CANONICALIZERS = {
 }
 
 
-def _check_tolerance(tolerance: float) -> None:
-    """Refuse a tolerance that is negative or NaN: it would report a
-    satisfied inequality as violated, or compare nothing."""
-    if not tolerance >= 0:
-        raise CatalogError(f"tolerance must be >= 0, got {tolerance}")
-
-
 def check_block(family_id: str, block: SpectraBlock,
                 tolerance: float = 1e-10) -> BlockCheck:
     """Evaluate every inequality of a family on each bundle of a block."""
@@ -410,35 +354,6 @@ def check_block(family_id: str, block: SpectraBlock,
         tolerance = canon.tolerance
     return BlockCheck(family_id, system.slacks(canon.values), system.labels, tolerance,
                       canon.notes, canon.renormalized, canon.target)
-
-
-def check_family(family_id: str, bundle: SpectraBundle, tolerance: float = 1e-10) -> CheckReport:
-    """Evaluate every inequality of a family on a spectra bundle.
-
-    Input spectra are canonicalized per the family's declared conventions
-    (re-sorted, re-normalized); equalities are checked two-sided.  The
-    bundle runs as a block of one through ``check_block``.
-    """
-    return check_block(family_id, _block_of_one(bundle), tolerance).report(0)
-
-
-def check_chsh(correlations, tolerance: float = 1e-10) -> CheckReport:
-    """Evaluate all sixteen correlation inequalities.
-
-    ``correlations`` is (c11, c12, c21, c22) with entries in [-1, 1], where
-    c_ij is the expectation of the product of the i-th A-site and j-th
-    B-site measurements.
-    """
-    _check_tolerance(tolerance)
-    corr = tuple(float(c) for c in correlations)
-    if len(corr) != 4:
-        raise CatalogError("expected four correlation values")
-    for c in corr:
-        if abs(c) > 1 + 1e-12:
-            raise CatalogError(f"correlation {c} outside [-1, 1]")
-    system = _linear_system("CHSH_16", (("corr", 4),))
-    slacks = system.slacks({"corr": np.array([corr])})
-    return BlockCheck("CHSH_16", slacks, system.labels, tolerance).report(0)
 
 
 @dataclass(frozen=True)

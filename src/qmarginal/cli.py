@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -154,6 +155,13 @@ def _sorted_spectrum(values, trace=None, warn_slot=None):
 
 
 class Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A token that starts -<digit> or -.<digit> is a value for the flag's
+        # type to read, as -1,1 or -1e-300; argparse itself lets only plain
+        # negative numbers through.  No option name looks like one.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         emit({"record": "error", "kind": "usage", "message": message},
              stream=sys.stderr)
@@ -338,7 +346,7 @@ def cmd_reduce(args) -> int:
 # Checks
 
 def _bundle_from_args(args):
-    from .catalog import SpectraBundle
+    from .records import SpectraBundle
 
     sites = []
     joint = None
@@ -397,7 +405,7 @@ def _emit_check_report(report) -> int:
 
 
 def cmd_check(args) -> int:
-    from .catalog import check_family
+    from .records import check_family
 
     bundle = _bundle_from_args(args)
     report = check_family(args.family, bundle, args.tolerance)
@@ -405,7 +413,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_chsh(args) -> int:
-    from .catalog import check_chsh
+    from .records import check_chsh
 
     return _emit_check_report(check_chsh(args.correlations))
 

@@ -29,16 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import (
-    CatalogError,
-    SpectraBlock,
-    SpectraBundle,
-    _check_count,
-    _check_tolerance,
-    check_block,
-)
+from .catalog import SpectraBlock, _check_count, check_block
 from .fermion import fermion_basis, one_rdm_stack
-from .records import get_family
+from .records import CatalogError, SpectraBundle, _check_tolerance, get_family
 from .spectra import Spectrum, spectrum
 from .systems import SystemDescriptor, parse_system
 from .tensor import (

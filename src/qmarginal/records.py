@@ -1,12 +1,16 @@
-"""The printed constraint families, exactly.
+"""The printed constraint families, exactly, and the check of one bundle.
 
 ``InequalityRecord`` is one linear constraint over named spectrum slots:
 the output of the exact side (Schubert generation) and the form of every
 printed family.  The family registry lives here too: each family's exact
-records, the system it applies to and its declared count.  The float64
-evaluation of the families is ``catalog``'s.  This module imports neither
-numpy nor ``catalog``, so the exact commands (``hull``, ``families``) read
-the registry without numpy.
+records, the system it applies to and its declared count.
+
+``check_family`` and ``check_chsh`` evaluate the families on one spectra
+bundle in Python floats, with the operation order of ``catalog``'s float64
+block path, so their reports equal a block of one bit for bit.  This module
+imports neither numpy nor ``catalog``, so the exact commands (``hull``,
+``families``) and the one-bundle commands (``check``, ``chsh``) run
+without numpy.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import permutations
 
+from .spectra import Spectrum, SpectrumError, sequential_sum
 from .systems import SystemDescriptor, parse_system
 
 
@@ -37,6 +42,8 @@ class InequalityRecord:
     meta: object = field(default=None, compare=False, hash=False)
 
     def lhs(self, values: dict) -> float:
+        """Each slot's products summed in term order, then the slot sums in
+        order, as ``catalog.LinearSystem.slacks`` adds them."""
         total = 0.0
         for slot, coeffs in self.terms:
             vec = values[slot]
@@ -44,7 +51,7 @@ class InequalityRecord:
                 raise CatalogError(
                     f"slot {slot!r} expects {len(coeffs)} entries, got {len(vec)}"
                 )
-            total += sum(float(c) * float(v) for c, v in zip(coeffs, vec))
+            total += sequential_sum(float(c) * float(v) for c, v in zip(coeffs, vec))
         return total
 
     def slack(self, values: dict) -> float:
@@ -498,3 +505,259 @@ def applicable_families(system) -> tuple:
     if isinstance(system, str):
         system = parse_system(system)
     return tuple(fid for fid in sorted(FAMILIES) if FAMILIES[fid].applies(system))
+
+
+# ---------------------------------------------------------------------------
+# Checks of one bundle, on Python floats
+#
+# A check canonicalizes the bundle's spectra as the family declares
+# (sorting, renormalizing, gap sorting, minimum entries, absolute values of
+# sign-pattern sums, a pairing defect) into the slots its records name, and
+# evaluates each record with ``InequalityRecord.slack``.  ``catalog`` holds
+# the float64 block path that campaigns take; every step here keeps that
+# path's operation order, so a report is the block path's bit for bit.
+
+@dataclass(frozen=True)
+class SpectraBundle:
+    """Marginal data handed to a family check.
+
+    ``sites`` are per-subsystem spectra, ``joint`` the global state
+    spectrum, ``one_body`` the fermionic one-particle spectrum.
+    """
+
+    sites: tuple = ()
+    joint: Spectrum = None
+    one_body: Spectrum = None
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    family_id: str
+    satisfied: bool
+    worst_slack: float
+    violated: tuple
+    n_inequalities: int
+    tolerance: float
+    notes: tuple = ()
+
+
+def _check_tolerance(tolerance: float) -> None:
+    """Refuse a tolerance that is negative or NaN: it would report a
+    satisfied inequality as violated, or compare nothing."""
+    if not tolerance >= 0:
+        raise CatalogError(f"tolerance must be >= 0, got {tolerance}")
+
+
+@dataclass(frozen=True)
+class _Slots:
+    """A bundle's canonical slot values.  A family whose slots carry their
+    own tolerance fixes the check's ``tolerance``."""
+
+    values: dict
+    notes: tuple = ()
+    tolerance: float = None
+
+
+def _desc(spec: Spectrum) -> list:
+    return sorted(spec.as_floats(), reverse=True)
+
+
+def _need_sites(bundle, fam):
+    dims = fam.fixed.dims
+    if len(bundle.sites) != len(dims):
+        raise CatalogError(f"{fam.family_id} needs {len(dims)} site spectra")
+    for s, size in zip(bundle.sites, dims):
+        if len(s) != size:
+            raise CatalogError(f"{fam.family_id} needs site spectra of length {size}")
+    return [_desc(s) for s in bundle.sites]
+
+
+def _need_joint(bundle, size, family_id):
+    if bundle.joint is None or len(bundle.joint) != size:
+        raise CatalogError(f"{family_id} needs a joint spectrum of length {size}")
+    return _desc(bundle.joint)
+
+
+def _one_body(bundle, family_id, r=None):
+    lam = bundle.one_body
+    if lam is None or (r is not None and len(lam) != r):
+        length = "" if r is None else f" of length {r}"
+        raise CatalogError(f"{family_id} needs a one-body spectrum{length}")
+    return _desc(lam)
+
+
+def _renormalize(bundle, lam, n):
+    """``lam`` rescaled to sum to ``n`` if its declared trace is not ``n``,
+    and the note saying so.  The sorted entries are summed left to right."""
+    if abs(float(bundle.one_body.trace_tag) - n) <= 1e-10:
+        return lam, ()
+    total = sequential_sum(lam)
+    if total == 0.0:
+        raise SpectrumError("cannot renormalize a zero-sum spectrum")
+    scale = float(n) / total
+    return [v * scale for v in lam], (f"renormalized one-body spectrum to trace {n}",)
+
+
+def _fermi_slots(fam, bundle):
+    lam, notes = _renormalize(bundle, _one_body(bundle, fam.family_id, fam.fixed.r),
+                              fam.fixed.n)
+    return _Slots({"lam": lam}, notes)
+
+
+def _f84_abs_slots(fam, bundle):
+    slots = _fermi_slots(fam, bundle)
+    lam = slots.values["lam"]
+    return _Slots({"abs": [abs(sequential_sum(v * c for v, c in zip(lam, pattern)))
+                           for pattern in F84_ABS_PATTERNS]}, slots.notes)
+
+
+def _polygon_slots(fam, bundle):
+    if len(bundle.sites) < 2:
+        raise CatalogError("POLYGON needs at least two site spectra")
+    if any(len(s) != 2 for s in bundle.sites):
+        raise CatalogError("POLYGON applies to qubit marginals")
+    return _Slots({"mins": [min(s.as_floats()) for s in bundle.sites]})
+
+
+def _bravyi_slots(fam, bundle):
+    sites = _need_sites(bundle, fam)
+    joint = _need_joint(bundle, fam.fixed.dim, fam.family_id)
+    return _Slots({"mins": [sites[0][1], sites[1][1]], "joint": joint})
+
+
+def _franz_slots(fam, bundle):
+    sites = _need_sites(bundle, fam)
+    return _Slots({f"site{i}": s[::-1] for i, s in enumerate(sites)},
+                  ("sites sorted increasing",))
+
+
+def _basic_slots(fam, bundle):
+    if len(bundle.sites) != 2:
+        raise CatalogError("BASIC needs two site spectra")
+    a, b = _desc(bundle.sites[0]), _desc(bundle.sites[1])
+    joint = _need_joint(bundle, len(a) * len(b), fam.family_id)
+    return _Slots({"a": a, "b": b, "joint": joint})
+
+
+def _three_qubit_slots(fam, bundle):
+    sites = _need_sites(bundle, fam)
+    joint = _need_joint(bundle, fam.fixed.dim, fam.family_id)
+    return _Slots({"delta": sorted(s[0] - s[1] for s in sites), "joint": joint},
+                  ("gaps sorted increasing",))
+
+
+def _pauli_slots(fam, bundle):
+    # The occupation-box criterion applies to the spectrum as given; the
+    # chemist normalization (trace n) is the caller's contract.
+    return _Slots({"lam": _one_body(bundle, fam.family_id)})
+
+
+def _pairing_defect_slots(fam, bundle):
+    lam = _one_body(bundle, fam.family_id)
+    # The system is taken from the bundle: r entries, n the trace, which
+    # must be an integer (so nothing is renormalized).
+    trace = float(bundle.one_body.trace_tag)
+    n = round(trace)
+    if abs(trace - n) > 1e-10:
+        raise CatalogError(
+            f"{fam.family_id} needs an integer particle number, got trace {trace!r}")
+    r = len(lam)
+    if n not in (2, r - 2):
+        raise CatalogError(
+            f"even-degeneracy criterion applies to two particles or two "
+            f"holes, not (r={r}, n={n})"
+        )
+    parts = [0.0]
+    if r % 2 == 1:
+        if n == 2:
+            parts.append(abs(lam.pop()))        # the odd eigenvalue must be 0
+        else:
+            parts.append(abs(lam.pop(0) - 1))   # holes: the odd eigenvalue is 1
+    parts += [abs(a - b) for a, b in zip(lam[0::2], lam[1::2])]
+    # the defect is compared with PAIR_TOL itself, so no tolerance is added
+    return _Slots({"defect": [max(parts)]}, (f"pairing tolerance {PAIR_TOL}",), 0.0)
+
+
+def _w2h4_slots(fam, bundle):
+    lam, notes = _renormalize(bundle, _one_body(bundle, fam.family_id, fam.fixed.r), 1)
+    nu = _need_joint(bundle, fam.fixed.dim, fam.family_id)
+    return _Slots({"lam": lam, "nu": nu}, notes)
+
+
+def _chsh_slots(fam, bundle):
+    raise CatalogError("use check_chsh for correlation data")
+
+
+# Each family's canonicalizer: a bundle to the slot values its records read.
+# A family without an inequality list (W2H5_META) has none.
+SLOTS_OF = {
+    "POLYGON": _polygon_slots,
+    "BRAVYI_2Q": _bravyi_slots,
+    "FRANZ_3QUTRIT": _franz_slots,
+    "BASIC": _basic_slots,
+    "THREE_QUBIT_MIXED": _three_qubit_slots,
+    "PAULI": _pauli_slots,
+    "TWO_PARTICLE_PURE": _pairing_defect_slots,
+    "BD6": _fermi_slots,
+    "F7_BD": _fermi_slots,
+    "F7_LIST": _fermi_slots,
+    "F8_31": _fermi_slots,
+    "F84_14": _fermi_slots,
+    "F84_ABS": _f84_abs_slots,
+    "W2H4_MIXED": _w2h4_slots,
+    "CHSH_16": _chsh_slots,
+}
+
+
+def _report(family_id, records, values, tolerance, notes=()) -> CheckReport:
+    slacks = [rec.slack(values) for rec in records]
+    # Only an equality's slack can be -0.0.  numpy's minimum of a short row
+    # keeps the later of two equal values, and so does min() from the end.
+    worst = min(reversed(slacks)) if slacks else 0.0
+    return CheckReport(
+        family_id=family_id,
+        satisfied=worst >= -tolerance,
+        worst_slack=worst,
+        violated=tuple(rec.label or f"#{i}" for i, (rec, s) in enumerate(zip(records, slacks))
+                       if s < -tolerance),
+        n_inequalities=len(records),
+        tolerance=tolerance,
+        notes=notes,
+    )
+
+
+def check_family(family_id: str, bundle: SpectraBundle, tolerance: float = 1e-10) -> CheckReport:
+    """Evaluate every inequality of a family on a spectra bundle.
+
+    Input spectra are canonicalized per the family's declared conventions
+    (re-sorted, re-normalized); equalities are checked two-sided.  The
+    report equals that of ``catalog.check_block`` on a block of this one
+    bundle, bit for bit.
+    """
+    _check_tolerance(tolerance)
+    fam = get_family(family_id)
+    fam.require_list()
+    slots = SLOTS_OF[family_id](fam, bundle)
+    records = fam.records
+    if fam.generate is not None:
+        records = fam.generate({name: len(v) for name, v in slots.values.items()})
+    if slots.tolerance is not None:
+        tolerance = slots.tolerance
+    return _report(family_id, records, slots.values, tolerance, slots.notes)
+
+
+def check_chsh(correlations, tolerance: float = 1e-10) -> CheckReport:
+    """Evaluate all sixteen correlation inequalities.
+
+    ``correlations`` is (c11, c12, c21, c22) with entries in [-1, 1], where
+    c_ij is the expectation of the product of the i-th A-site and j-th
+    B-site measurements.
+    """
+    _check_tolerance(tolerance)
+    corr = tuple(float(c) for c in correlations)
+    if len(corr) != 4:
+        raise CatalogError("expected four correlation values")
+    for c in corr:
+        if abs(c) > 1 + 1e-12:
+            raise CatalogError(f"correlation {c} outside [-1, 1]")
+    return _report("CHSH_16", CHSH_RECORDS, {"corr": corr}, tolerance)

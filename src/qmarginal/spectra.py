@@ -174,9 +174,19 @@ def particle_hole(lam: Spectrum, r: int) -> Spectrum:
     return Spectrum(vals, tag)
 
 
+def sequential_sum(values, start=0.0):
+    """``start`` plus the values, added left to right.  A plain loop:
+    ``sum`` compensates its rounding of floats from Python 3.12 on."""
+    total = start
+    for v in values:
+        total += v
+    return total
+
+
 def renormalize(lam: Spectrum, target) -> Spectrum:
-    """Scaled copy of the spectrum with a new declared trace."""
-    current = sum(lam.values, Fraction(0) if _all_exact(lam.values) else 0.0)
+    """Scaled copy of the spectrum with a new declared trace; a float sum is
+    taken in order."""
+    current = sequential_sum(lam.values, Fraction(0) if _all_exact(lam.values) else 0.0)
     if float(current) == 0.0:
         raise SpectrumError("cannot renormalize a zero-sum spectrum")
     if _all_exact(lam.values) and isinstance(target, (int, Fraction)):

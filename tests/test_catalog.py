@@ -34,13 +34,15 @@ def test_declared_counts_match_stored_records():
 
 
 def test_evaluators_cover_exactly_the_registered_families():
-    """Every family with inequalities has a canonicalizer; W2H5_META, a
-    count without a list, is the only family without one."""
+    """Every family with inequalities has a canonicalizer on each path;
+    W2H5_META, a count without a list, is the only family without one."""
     from qmarginal.catalog import CANONICALIZERS
+    from qmarginal.records import SLOTS_OF
 
     listed = sorted(fid for fid, fam in FAMILIES.items()
                     if fam.records or fam.generate is not None)
     assert sorted(CANONICALIZERS) == listed
+    assert sorted(SLOTS_OF) == listed
     assert sorted(set(FAMILIES) - set(CANONICALIZERS)) == ["W2H5_META"]
 
 
@@ -441,13 +443,14 @@ def test_equivalence_disagreements_do_not_depend_on_the_block(monkeypatch):
     import dataclasses
     from fractions import Fraction
 
-    from qmarginal import catalog
+    from qmarginal import catalog, records
 
     fam = get_family("F7_BD")
     raised = tuple(dataclasses.replace(rec, bound=Fraction(-21, 20)) for rec in fam.records)
     monkeypatch.setitem(FAMILIES, "F7_RAISED",
                         dataclasses.replace(fam, family_id="F7_RAISED", records=raised))
     monkeypatch.setitem(catalog.CANONICALIZERS, "F7_RAISED", catalog.CANONICALIZERS["F7_BD"])
+    monkeypatch.setitem(records.SLOTS_OF, "F7_RAISED", records.SLOTS_OF["F7_BD"])
     want = _reference_equivalence("F7_BD", "F7_RAISED", 700, 5)
     assert want[0] > 0
     for block in (1, 32, 256, 1024):
@@ -976,3 +979,116 @@ def test_compiled_system_is_immutable_and_cached():
     assert system.A.shape == (31, 8)
     with pytest.raises(ValueError):
         system.A[0, 0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# One bundle on Python floats against the block path
+#
+# ``check_family`` and ``check_chsh`` evaluate one bundle without numpy.
+# Their oracle is the block path on a block of that one bundle: the report
+# below is the one ``check_block`` gives for a row, and the two must agree
+# bit for bit, refusals included.
+
+def _block_of_one(bundle):
+    from qmarginal.catalog import SpectraBlock
+
+    def rows(spec):
+        if spec is None:
+            return None
+        return np.array(spec.as_floats(), dtype=float).reshape(1, len(spec))
+
+    lam = bundle.one_body
+    return SpectraBlock(
+        sites=tuple(rows(s) for s in bundle.sites),
+        joint=rows(bundle.joint),
+        one_body=rows(lam),
+        one_body_trace=None if lam is None else np.array([float(lam.trace_tag)]),
+    )
+
+
+def _block_report(check, row=0):
+    """The report of one row of a ``catalog.BlockCheck``."""
+    from qmarginal.records import CheckReport
+
+    slacks = check.slacks[row]
+    worst = float(check.worst()[row])
+    notes = check.notes
+    if check.renormalized is not None and check.renormalized[row]:
+        notes = (f"renormalized one-body spectrum to trace {check.target}",) + notes
+    return CheckReport(
+        family_id=check.family_id,
+        satisfied=worst >= -check.tolerance,
+        worst_slack=worst,
+        violated=tuple(lbl for s, lbl in zip(slacks, check.labels)
+                       if s < -check.tolerance),
+        n_inequalities=len(check.labels),
+        tolerance=check.tolerance,
+        notes=notes,
+    )
+
+
+def _outcome(check):
+    """A report with its worst slack's repr (which tells -0.0 from 0.0), or
+    the refusal's exception type and message."""
+    try:
+        rep = check()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return rep, repr(rep.worst_slack)
+
+
+# Bundles on the edges of the arithmetic: exact entries, slacks of exactly
+# zero (BD6's equalities give -0.0, its inequality 0.0), a zero-sum spectrum
+# that cannot be renormalized, a family with no inequality for r = 0, and
+# refusals for the families ``_BAD_BUNDLES`` has none for.
+_EDGE_BUNDLES = {
+    "BD6": [SpectraBundle(one_body=spectrum([1, 1, 1, 0, 0, 0])),
+            SpectraBundle(one_body=spectrum([0.5, 0.5, 0.5, 0.5, 0.5, 0.5], 3.0)),
+            SpectraBundle(one_body=spectrum([0.0] * 6, 0.0))],
+    "F7_BD": [SpectraBundle(one_body=spectrum([1, 1, 1, 0, 0, 0]))],
+    "F7_LIST": [SpectraBundle(sites=(spectrum([1, 0]),))],
+    "F84_14": [SpectraBundle(one_body=spectrum([1, 1, 1, 1, 0, 0, 0, 0, 0]))],
+    "F84_ABS": [SpectraBundle(one_body=spectrum([1, 1, 1, 1, 0, 0, 0, 0]))],
+    "PAULI": [SpectraBundle(one_body=spectrum([], 0))],
+    "POLYGON": [SpectraBundle(sites=(spectrum([1, 0]), spectrum([1, 0])))],
+    "TWO_PARTICLE_PURE": [SpectraBundle(one_body=spectrum([1, 1, 0, 0, 0]))],
+    "W2H4_MIXED": [SpectraBundle(one_body=spectrum([0.0] * 4, 0.0),
+                                 joint=spectrum([1, 0, 0, 0, 0, 0]))],
+}
+
+
+@pytest.mark.parametrize("family_id", sorted(FAMILIES))
+def test_one_bundle_checks_equal_the_block_path_bitwise(family_id):
+    from qmarginal.catalog import check_block
+    from qmarginal.tensor import rng_from_seed
+
+    rng = rng_from_seed(4242, stream=sorted(FAMILIES).index(family_id))
+    bundles = (_bundles(family_id, rng, 240) + _BAD_BUNDLES.get(family_id, [])
+               + _EDGE_BUNDLES.get(family_id, []))
+    seen = set()
+    for i, bundle in enumerate(bundles):
+        tol = (1e-10, 0.0, 1e-3)[i % 3]
+        got = _outcome(lambda: check_family(family_id, bundle, tol))
+        want = _outcome(lambda: _block_report(
+            check_block(family_id, _block_of_one(bundle), tol)))
+        assert got == want, bundle
+        seen.add("refused" if isinstance(got[0], type) else
+                 "violated" if got[0].violated else "satisfied")
+    assert "refused" in seen
+    if family_id not in ("W2H5_META", "CHSH_16"):
+        assert {"violated", "satisfied"} <= seen
+
+
+def test_check_chsh_equals_the_block_path_bitwise():
+    from qmarginal.catalog import BlockCheck, _linear_system
+    from qmarginal.tensor import rng_from_seed
+
+    rng = rng_from_seed(77)
+    draws = [tuple(float(c) for c in rng.uniform(-1, 1, size=4)) for _ in range(200)]
+    draws += [(1, 1, 1, -1), (1, 1, 1, 1), (0.5, 0.5, 0.5, -0.5)]
+    system = _linear_system("CHSH_16", (("corr", 4),))
+    for corr in draws:
+        slacks = system.slacks({"corr": np.array([corr], dtype=float)})
+        want = _block_report(BlockCheck("CHSH_16", slacks, system.labels, 1e-10))
+        got = check_chsh(corr)
+        assert (got, repr(got.worst_slack)) == (want, repr(want.worst_slack))

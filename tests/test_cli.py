@@ -1009,6 +1009,7 @@ WITNESS = ["witness", "--system", "qubits:2", "--targets", "0.5,0.5;0.5,0.5",
     ("--joint", "1e400", ["check", "--family", "BRAVYI_2Q", "--site", "0.5,0.5",
                           "--site", "0.5,0.5"]),
     ("--tolerance", "-1", CHECK_BD6),
+    ("--tolerance", "-1e-300", CHECK_BD6),
     ("--correlations", "y", ["chsh"]),
     ("--u", "y", COEFF_TWO),
     ("--v", "y", COEFF_TWO),
@@ -1049,6 +1050,31 @@ def test_a_malformed_value_is_refused_by_its_flag(capsys, flag, token, argv):
     assert error["record"] == "error" and error["kind"] == "usage"
     assert error["message"].startswith(f"argument {flag}:")
     assert token in error["message"]
+
+
+@pytest.mark.parametrize("flag,value,argv", [
+    ("--a", "-1,1", ["coeff", "--v", "1,2", "--w", "1,2", "--fermi-n", "1"]),
+    ("--site", "-0.1,1.1", ["check", "--family", "POLYGON", "--site", "0.5,0.5"]),
+    ("--spectrum", "-.5,1,2.5", ["check", "--family", "PAULI"]),
+    ("--nu", "-1e-3,1.001,0,0", ["verify", "--family", "BRAVYI_2Q",
+                                 "--system", "2x2:mixed", "--trials", "2", "--seed", "1"]),
+])
+def test_a_value_with_a_leading_minus_reaches_its_flag(capsys, flag, value, argv):
+    """A list with a negative first entry, or a negative number in exponent
+    form, is a value whichever way it is attached to its flag."""
+    split = _main_records(capsys, argv + [flag, value])
+    joined = _main_records(capsys, argv + [f"{flag}={value}"])
+    for rec in split[1] + joined[1]:
+        rec.pop("wall_time", None)
+    assert split == joined
+    assert not any("expected one argument" in e["message"] for e in split[2])
+
+
+@pytest.mark.parametrize("value", ["-x", "-inf", "-.x", "--"])
+def test_an_option_like_value_is_still_refused(capsys, value):
+    code, records, errors = _main_records(capsys, COEFF_TWO[:-2] + ["--b", value])
+    assert code == 2 and records == []
+    assert errors[0]["message"] == "argument --b: expected one argument"
 
 
 @pytest.mark.parametrize("system,form", [

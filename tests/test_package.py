@@ -2,9 +2,11 @@
 
 ``qmarginal`` resolves its public names lazily, and the exact commands
 (``edges``, ``generate``, ``coeff``, ``plethysm``, ``hull``, ``families``)
-run without numpy.
+and the one-bundle checks (``check``, ``chsh``) run without numpy.
 """
 
+import ast
+import json
 import subprocess
 import sys
 
@@ -40,6 +42,14 @@ def test_catalog_reexports_the_record_types():
     assert qmarginal.InequalityRecord is records.InequalityRecord
 
 
+@pytest.mark.parametrize("name", ["CheckReport", "SpectraBundle", "check_chsh",
+                                  "check_family", "_check_tolerance"])
+def test_catalog_reexports_the_one_bundle_checks(name):
+    assert getattr(catalog, name) is getattr(records, name)
+    if not name.startswith("_"):
+        assert getattr(qmarginal, name) is getattr(records, name)
+
+
 def test_exact_commands_never_import_numpy():
     """The exact modules and commands use integers and Fractions only, so
     none of them may load numpy, directly or through the package."""
@@ -66,6 +76,69 @@ def test_exact_commands_never_import_numpy():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# One bundle per family with an inequality list, as ``reduce`` prints
+# spectra: (slot, values, trace).  BD6's declares trace 1.5, so it is
+# renormalized; PAULI's has an entry outside [0, 1].
+ONE_BUNDLE_SPECTRA = {
+    "POLYGON": [("site0", [0.6, 0.4], None), ("site1", [0.7, 0.3], None),
+                ("site2", [0.8, 0.2], None)],
+    "BRAVYI_2Q": [("site0", [0.6, 0.4], None), ("site1", [0.7, 0.3], None),
+                  ("joint", [0.4, 0.3, 0.2, 0.1], None)],
+    "FRANZ_3QUTRIT": [(f"site{i}", [0.5, 0.3, 0.2], None) for i in range(3)],
+    "BASIC": [("site0", [0.6, 0.4], None), ("site1", [0.5, 0.3, 0.2], None),
+              ("joint", [0.3, 0.2, 0.2, 0.1, 0.1, 0.1], None)],
+    "THREE_QUBIT_MIXED": [(f"site{i}", [0.6, 0.4], None) for i in range(3)]
+    + [("joint", [0.3, 0.2, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05], None)],
+    "PAULI": [("one_body", [1.1, 1, 0.5, 0.4, 0, 0], 3)],
+    "TWO_PARTICLE_PURE": [("one_body", [0.5, 0.5, 0.5, 0.5, 0, 0], 2)],
+    "BD6": [("one_body", [0.5, 0.5, 0.5, 0, 0, 0], 1.5)],
+    "F7_BD": [("one_body", [1, 1, 0.5, 0.5, 0, 0, 0], 3)],
+    "F7_LIST": [("one_body", [1, 1, 0.5, 0.5, 0, 0, 0], 3)],
+    "F8_31": [("one_body", [0.9, 0.85, 0.8, 0.2, 0.1, 0.08, 0.05, 0.02], 3)],
+    "F84_14": [("one_body", [1, 1, 0.5, 0.5, 0.5, 0.5, 0, 0], 4)],
+    "F84_ABS": [("one_body", [1, 1, 0.5, 0.5, 0.5, 0.5, 0, 0], 4)],
+    "W2H4_MIXED": [("one_body", [0.5, 0.5, 0.5, 0.5], 2),
+                   ("joint", [0.5, 0.2, 0.1, 0.1, 0.05, 0.05], None)],
+}
+
+
+def test_one_bundle_commands_never_import_numpy():
+    """``check`` of every family with an inequality list, read through
+    ``--bundle -``, and ``chsh`` evaluate on Python floats: neither they nor
+    the package's one-bundle names load numpy."""
+    listed = sorted(fid for fid, fam in records.FAMILIES.items()
+                    if fid != "CHSH_16" and (fam.records or fam.generate is not None))
+    assert sorted(ONE_BUNDLE_SPECTRA) == listed
+    bundles = {
+        fid: "".join(json.dumps({"record": "spectrum", "slot": slot, "values": values,
+                                 **({} if trace is None else {"trace": trace})}) + "\n"
+                     for slot, values, trace in spectra)
+        for fid, spectra in ONE_BUNDLE_SPECTRA.items()
+    }
+    script = (
+        "import contextlib, io, sys\n"
+        "import qmarginal\n"
+        "qmarginal.check_family, qmarginal.check_chsh, qmarginal.SpectraBundle\n"
+        "from qmarginal.cli import main\n"
+        "codes = {}\n"
+        f"for fid, text in {bundles!r}.items():\n"
+        "    sys.stdin = io.StringIO(text)\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes[fid] = main(['check', '--family', fid, '--bundle', '-'])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes['chsh'] = main(['chsh', '--correlations', '0.5,0.5,0.5,-0.5'])\n"
+        "print(codes)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = proc.stdout.splitlines()
+    codes = ast.literal_eval(codes)
+    assert set(codes.values()) == {0, 1}, codes   # every check ran to a report
+    assert codes["PAULI"] == 1 and codes["chsh"] == 0
+    assert loaded == "[]"
 
 
 EXACT_MODULES = ("chambers", "schubert", "rational", "plethysm", "systems")

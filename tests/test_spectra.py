@@ -207,3 +207,18 @@ def test_renormalize():
     assert all(abs(a - b) < 1e-14 for a, b in zip(back.as_floats(), lam.as_floats()))
     with pytest.raises(SpectrumError):
         renormalize(Spectrum((0.0,), 0.0), 1)
+
+
+def test_float_sums_are_taken_in_order():
+    """Ten entries of 0.1 add up to 0.9999999999999999 left to right, the
+    order the block path adds in; ``sum`` gives 1.0 from Python 3.12 on."""
+    from qmarginal.records import InequalityRecord
+    from qmarginal.spectra import sequential_sum
+
+    tenth = [0.1] * 10
+    in_order = 0.9999999999999999
+    assert sequential_sum(tenth) == in_order
+    assert InequalityRecord((("x", (1,) * 10),)).lhs({"x": tenth}) == in_order
+    scaled = renormalize(Spectrum(tuple(tenth), 1.0), 2.0)
+    assert scaled.values == (0.1 * (2.0 / in_order),) * 10
+    assert scaled.values[0] != 0.2
