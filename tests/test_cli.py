@@ -1009,7 +1009,6 @@ WITNESS = ["witness", "--system", "qubits:2", "--targets", "0.5,0.5;0.5,0.5",
     ("--joint", "1e400", ["check", "--family", "BRAVYI_2Q", "--site", "0.5,0.5",
                           "--site", "0.5,0.5"]),
     ("--tolerance", "-1", CHECK_BD6),
-    ("--tolerance", "-1e-300", CHECK_BD6),
     ("--correlations", "y", ["chsh"]),
     ("--u", "y", COEFF_TWO),
     ("--v", "y", COEFF_TWO),
@@ -1037,6 +1036,7 @@ WITNESS = ["witness", "--system", "qubits:2", "--targets", "0.5,0.5;0.5,0.5",
     ("--iters", "x", WITNESS),
     ("--formats", ";", ["isospec", "--trials", "2", "--seed", "1"]),
     ("--trials", "x", ["isospec", "--formats", "2x2", "--seed", "1"]),
+    ("--tolerance", "-1e-300", CHECK_BD6),
 ])
 def test_a_malformed_value_is_refused_by_its_flag(capsys, flag, token, argv):
     """Every typed value flag refuses a malformed token at parse time, as an
