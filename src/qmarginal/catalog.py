@@ -365,39 +365,99 @@ class EquivalenceReport:
     first_disagreement: tuple = None
 
 
-def _valid_occupations(rng, r, n, trials) -> list:
-    """One trace-n vector inside the Pauli box [0, 1]^r per trial, by
-    rejection: Dirichlet(1, ..., 1) times n on even trials, |n/r + 0.3 z|
-    rescaled to trace n on odd ones.
+def _dirichlet_proposals(rng, r, n):
+    """k -> the next k rows of ``rng.dirichlet(np.ones(r)) * n``, bit for
+    bit: numpy draws gamma(1) variates as standard exponentials, adds each
+    row left to right and scales it by the inverse of its sum."""
+    def propose(k):
+        xs = rng.standard_exponential((k, r))
+        return xs * (1.0 / np.add.accumulate(xs, axis=1)[:, -1:]) * n
+    return propose
 
-    A try is one draw call and scalar arithmetic, with the values and
-    generator words of ``rng.dirichlet(np.ones(r)) * n`` and of
-    ``np.abs(n / r + 0.3 * rng.standard_normal(r))`` scaled by
-    ``n / vals.sum()``.  Rounding a product by a positive scale is monotone,
-    so a try is accepted on its largest entry alone, and its row is built
-    only then.
+
+def _perturbed_proposals(rng, r, n):
+    """k -> the next k rows of ``|n/r + 0.3 z|``, z standard normal, each
+    scaled by n over numpy's own sum of the row, which adds 8 or more
+    entries pairwise."""
+    def propose(k):
+        vals = np.abs(n / r + 0.3 * rng.standard_normal((k, r)))
+        return vals * (n / np.add.reduce(vals, axis=1))[:, None]
+    return propose
+
+
+class _AcceptedRows:
+    """The proposals of one stream that lie in the Pauli box [0, 1]^r, in
+    draw order.
+
+    ``propose(k)`` returns the stream's next k proposals as a (k, r) array;
+    a k-row draw equals k one-row draws, so the accepted rows do not depend
+    on how the draws are chunked.  A chunk holds as many proposals as the
+    acceptance rate so far says the wanted rows need, and at most
+    ``PATIENCE``; rows accepted beyond the wanted ones wait for the next
+    ``take``.  A row is refused after ``PATIENCE`` consecutive rejected
+    proposals, as a one-try-at-a-time loop would refuse it.
     """
-    from .tensor import flat_dirichlet
 
-    base = n / r
-    rows = []
-    for trial in trials:
-        for _ in range(10000):
-            if trial % 2:
-                vals = [abs(base + 0.3 * z) for z in rng.standard_normal(r).tolist()]
-                # numpy's own sum: it adds 8 or more entries pairwise
-                scale = n / float(np.add.reduce(vals))
-                if max(vals) * scale <= 1.0:
-                    rows.append([v * scale for v in vals])
-                    break
+    PATIENCE = 10000
+
+    def __init__(self, propose, r, n):
+        self._propose = propose
+        self._r, self._n = r, n
+        self._ready = np.empty((0, r))
+        self._tries = self._hits = 0
+        self._misses = 0  # proposals rejected since the last accepted one
+
+    def take(self, k: int) -> np.ndarray:
+        """The next k accepted rows, as a (k, r) array."""
+        while len(self._ready) < k:
+            if self._misses >= self.PATIENCE:
+                raise CatalogError(f"could not sample a valid occupation spectrum "
+                                   f"for ({self._r}, {self._n})")
+            want = k - len(self._ready)
+            chunk = (want * (self._tries + 1) + self._hits) // (self._hits + 1)
+            rows = self._propose(min(chunk, self.PATIENCE))
+            hits = np.flatnonzero(rows.max(axis=1) <= 1.0)
+            # rejections before each accepted row, the first run continuing
+            # the previous chunk's
+            gaps = np.diff(hits, prepend=-1 - self._misses) - 1
+            refused = np.flatnonzero(gaps >= self.PATIENCE)
+            if len(refused):
+                hits = hits[:refused[0]]
+                self._misses = self.PATIENCE
+            elif len(hits):
+                self._misses = len(rows) - 1 - int(hits[-1])
             else:
-                xs, inv = flat_dirichlet(rng, r)
-                if max(xs) * inv * n <= 1.0:
-                    rows.append([x * inv * n for x in xs])
-                    break
-        else:
-            raise CatalogError(f"could not sample a valid occupation spectrum for ({r}, {n})")
-    return rows
+                self._misses += len(rows)
+            self._ready = np.concatenate([self._ready, rows[hits]])
+            self._tries += len(rows)
+            self._hits += len(hits)
+        out, self._ready = self._ready[:k], self._ready[k:]
+        return out
+
+
+class _ValidOccupations:
+    """Trace-n vectors inside the Pauli box [0, 1]^r for equivalence runs,
+    by rejection from two proposal streams of one seed: sample t is the next
+    accepted Dirichlet(1, ..., 1) row times n of stream 0 if t is even, the
+    next accepted ``|n/r + 0.3 z|`` rescaled to trace n of stream 1 if t is
+    odd."""
+
+    def __init__(self, seed: int, r: int, n: int):
+        from .tensor import rng_from_seed
+
+        self._r = r
+        self._kinds = (
+            _AcceptedRows(_dirichlet_proposals(rng_from_seed(seed, 0), r, n), r, n),
+            _AcceptedRows(_perturbed_proposals(rng_from_seed(seed, 1), r, n), r, n),
+        )
+
+    def rows(self, trials: range) -> np.ndarray:
+        """One row per trial of the consecutive ``trials``, in order."""
+        out = np.empty((len(trials), self._r))
+        for kind, stream in enumerate(self._kinds):
+            first = (kind - trials.start) % 2
+            out[first::2] = stream.take(len(range(first, len(trials), 2)))
+        return out
 
 
 def _check_count(name, value):
@@ -412,13 +472,13 @@ def check_equivalence(family_a: str, family_b: str, samples: int, seed: int,
     normalized valid spectra (a mix of simplex-like and perturbed points,
     all inside the Pauli box).
 
-    The samples are drawn one after another from one generator and checked
-    in blocks of ``EQUIV_BLOCK``; a sample's slacks do not depend on its
-    block, and the first disagreement is the first in sample order.  Both
-    families must apply to pure fermi:r:n states, since only the one-body
-    spectrum is sampled.
+    Even samples come from stream 0 of the seed and odd ones from stream 1
+    (``_ValidOccupations``); they are checked in blocks of ``EQUIV_BLOCK``.
+    A sample's values and slacks do not depend on its block, and the first
+    disagreement is the first in sample order.  Both families must apply to
+    pure fermi:r:n states, since only the one-body spectrum is sampled.
     """
-    from .tensor import rng_from_seed, spectra_rows
+    from .tensor import spectra_rows
 
     fa, fb = get_family(family_a), get_family(family_b)
     if any(fam.fixed is None or fam.fixed.kind != "fermion" for fam in (fa, fb)):
@@ -438,12 +498,11 @@ def check_equivalence(family_a: str, family_b: str, samples: int, seed: int,
             )
     _check_count("samples", samples)
     _check_tolerance(tolerance)
-    rng = rng_from_seed(seed)
+    sampler = _ValidOccupations(seed, r, n)
     disagreements = 0
     first = None
     for lo in range(0, samples, EQUIV_BLOCK):
-        lam = spectra_rows(np.array(_valid_occupations(
-            rng, r, n, range(lo, min(lo + EQUIV_BLOCK, samples)))), float(n))
+        lam = spectra_rows(sampler.rows(range(lo, min(lo + EQUIV_BLOCK, samples))), float(n))
         block = SpectraBlock(one_body=lam, one_body_trace=np.full(len(lam), float(n)))
         differ = np.flatnonzero(check_block(family_a, block, tolerance).satisfied()
                                 != check_block(family_b, block, tolerance).satisfied())

@@ -106,13 +106,17 @@ def _listed(item, sep: str = ","):
     return parse
 
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+
+
 def _count(text: str, minimum: int = 0) -> int:
     """An integer of at least ``minimum`` (a count or a seed); argparse
     names the flag on a refusal."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    value = _integer(text)
     if value < minimum:
         raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
     return value
@@ -123,13 +127,9 @@ def _positive_count(text: str) -> int:
 
 
 def _factor_indices(text: str) -> list:
-    """Distinct integer factor indices, comma-separated; argparse names the
-    flag on a refusal."""
-    try:
-        keep = [int(t) for t in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"not a comma-separated list of integers: {text!r}") from None
+    """Distinct integer factor indices, a list as ``_listed`` reads one;
+    argparse names the flag on a refusal."""
+    keep = list(_listed(_integer)(text))
     if len(set(keep)) != len(keep):
         raise argparse.ArgumentTypeError(f"repeated factor index in {text!r}")
     return keep

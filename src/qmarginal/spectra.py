@@ -35,7 +35,7 @@ class Spectrum:
         vals = tuple(self.values)
         object.__setattr__(self, "values", vals)
         try:
-            total = sum(vals, Fraction(0) if _all_exact(vals) else 0.0)
+            total = _total(vals)
             float(total)
             for v in vals + (self.trace_tag,):
                 if not math.isfinite(float(v)):
@@ -65,17 +65,23 @@ def _all_exact(values) -> bool:
     return all(isinstance(v, (int, Fraction)) for v in values)
 
 
+def _total(values):
+    """The values added in order, exactly if every one is exact."""
+    return sequential_sum(values, Fraction(0) if _all_exact(values) else 0.0)
+
+
 def spectrum(values, trace_tag=None) -> Spectrum:
     """Sort ``values`` nonincreasing and wrap them as a Spectrum.
 
-    If ``trace_tag`` is omitted the actual sum is used as the tag.
+    If ``trace_tag`` is omitted the actual sum, taken in order, is used as
+    the tag.
     """
     try:
         vals = sorted(values, key=float, reverse=True)
     except OverflowError:
         raise SpectrumError("spectrum too large for a float") from None
     if trace_tag is None:
-        trace_tag = sum(vals, Fraction(0) if _all_exact(vals) else 0.0)
+        trace_tag = _total(vals)
     return Spectrum(tuple(vals), trace_tag)
 
 
@@ -91,7 +97,7 @@ def majorizes(nu: Spectrum, lam: Spectrum, tol: float = SUM_TOL) -> bool:
     size = max(len(a), len(b))
     a += [0.0] * (size - len(a))
     b += [0.0] * (size - len(b))
-    if abs(sum(a) - sum(b)) > tol:
+    if abs(sequential_sum(a) - sequential_sum(b)) > tol:
         raise SpectrumError("majorization requires equal sums")
     pa = pb = 0.0
     for x, y in zip(a, b):
@@ -186,7 +192,7 @@ def sequential_sum(values, start=0.0):
 def renormalize(lam: Spectrum, target) -> Spectrum:
     """Scaled copy of the spectrum with a new declared trace; a float sum is
     taken in order."""
-    current = sequential_sum(lam.values, Fraction(0) if _all_exact(lam.values) else 0.0)
+    current = _total(lam.values)
     if float(current) == 0.0:
         raise SpectrumError("cannot renormalize a zero-sum spectrum")
     if _all_exact(lam.values) and isinstance(target, (int, Fraction)):

@@ -363,14 +363,14 @@ def test_equivalence_refuses_families_that_need_more_than_one_body_spectra(
     def no_sampling(*args):
         raise AssertionError("sampled before refusing")
 
-    monkeypatch.setattr(catalog, "_valid_occupations", no_sampling)
+    monkeypatch.setattr(catalog, "_ValidOccupations", no_sampling)
     with pytest.raises(CatalogError, match=f"{family} .*one-body spectra of pure"):
         check_equivalence(family, family, samples, seed=1)
 
 
 def _reference_sample_valid_occupation(rng, r, n, perturbed: bool):
-    """The equivalence sampler as ``rng.dirichlet`` and numpy arrays draw it:
-    the reference for ``_valid_occupations``."""
+    """The equivalence sampler as ``rng.dirichlet`` and numpy arrays draw it,
+    one try at a time: the reference for ``_ValidOccupations``."""
     alpha = np.ones(r)
     for _ in range(10000):
         if perturbed:
@@ -381,6 +381,16 @@ def _reference_sample_valid_occupation(rng, r, n, perturbed: bool):
         if vals.max() <= 1.0:
             return vals
     raise CatalogError(f"could not sample a valid occupation spectrum for ({r}, {n})")
+
+
+def _reference_occupations(seed, r, n, trials):
+    """Sample t from the reference on stream 0 of the seed if t is even, on
+    stream 1 if it is odd, each stream taken in order."""
+    from qmarginal.tensor import rng_from_seed
+
+    rngs = (rng_from_seed(seed, 0), rng_from_seed(seed, 1))
+    return np.array([_reference_sample_valid_occupation(rngs[t % 2], r, n, t % 2 == 1)
+                     for t in trials])
 
 
 # Every fixed (r, n) of the catalog, two more, and r = 20 (numpy sums 8 or
@@ -396,38 +406,89 @@ def test_sampler_sizes_cover_the_fixed_catalog_systems():
 
 @pytest.mark.parametrize("r,n", SAMPLER_SIZES)
 def test_valid_occupations_draw_what_the_reference_draws(r, n):
-    """Same samples bit for bit, and the generators left in the same state."""
-    from qmarginal.catalog import _valid_occupations
-    from qmarginal.tensor import rng_from_seed
+    """Same samples bit for bit.  The generators' states are not compared:
+    chunks draw past the last accepted row."""
+    from qmarginal.catalog import _ValidOccupations
 
     for seed in (0, 1, 20260809):
-        want_rng, got_rng = rng_from_seed(seed), rng_from_seed(seed)
-        want = np.array([_reference_sample_valid_occupation(want_rng, r, n, t % 2 == 1)
-                         for t in range(3000)])
-        got = np.array(_valid_occupations(got_rng, r, n, range(3000)))
+        want = _reference_occupations(seed, r, n, range(3000))
+        got = _ValidOccupations(seed, r, n).rows(range(3000))
         assert np.array_equal(got, want), (r, n, seed)
-        assert got_rng.standard_normal() == want_rng.standard_normal()
 
 
 def test_valid_occupations_take_the_parity_of_the_trial_index():
-    from qmarginal.catalog import _valid_occupations
+    """Even samples are the Dirichlet rows of stream 0 and odd ones the
+    perturbed rows of stream 1, whatever index the block starts at."""
+    from qmarginal.catalog import _ValidOccupations
+
+    for first in (0, 1, 256, 257):
+        trials = range(first, first + 43)
+        want = _reference_occupations(4, 8, 4, trials)
+        assert np.array_equal(_ValidOccupations(4, 8, 4).rows(trials), want), first
+
+
+@pytest.mark.parametrize("kind", ["_dirichlet_proposals", "_perturbed_proposals"])
+@pytest.mark.parametrize("r,n", [(8, 4), (20, 3)])
+def test_accepted_rows_do_not_depend_on_chunk_sizes(kind, r, n):
+    """Takes of 7, 300 and 1193 rows equal one take of 1500."""
+    from qmarginal import catalog
     from qmarginal.tensor import rng_from_seed
 
-    want_rng, got_rng = rng_from_seed(4), rng_from_seed(4)
-    want = [_reference_sample_valid_occupation(want_rng, 8, 4, t % 2 == 1)
-            for t in range(257, 300)]
-    assert np.array_equal(_valid_occupations(got_rng, 8, 4, range(257, 300)), want)
+    def stream():
+        propose = getattr(catalog, kind)(rng_from_seed(3, 0), r, n)
+        return catalog._AcceptedRows(propose, r, n)
+
+    pieces = stream()
+    got = np.concatenate([pieces.take(k) for k in (7, 300, 1193)])
+    assert np.array_equal(got, stream().take(1500))
+    assert np.all(got.max(axis=1) <= 1.0)
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_an_unsampleable_size_is_refused(first):
+    """A trace-2 pair lies in the box only at (1, 1), which neither kind of
+    proposal draws: both kinds are refused."""
+    from qmarginal.catalog import _ValidOccupations
+
+    with pytest.raises(CatalogError) as refusal:
+        _ValidOccupations(1, 2, 2).rows(range(first, first + 1))
+    assert str(refusal.value) == "could not sample a valid occupation spectrum for (2, 2)"
+
+
+def _scripted_proposals(accepted_at, total):
+    """Proposal i is (0.5, i / total) if i is in ``accepted_at`` and
+    (2.0, i / total) otherwise, so only the listed ones are accepted."""
+    drawn = [0]
+
+    def propose(k):
+        index = np.arange(drawn[0], drawn[0] + k)
+        drawn[0] += k
+        return np.stack([np.where(np.isin(index, accepted_at), 0.5, 2.0), index / total],
+                        axis=1)
+    return propose
+
+
+@pytest.mark.parametrize("takes", [(1, 1), (2,)])
+def test_a_row_is_refused_after_ten_thousand_rejections_in_a_row(takes):
+    """Runs of 9 999 rejected proposals, at the start of the stream and
+    between two rows, are waited out whichever chunks split them; a run of
+    10 000 refuses the row after it."""
+    from qmarginal.catalog import _AcceptedRows
+
+    total = 10 ** 6
+    rows = _AcceptedRows(_scripted_proposals([9999, 19999, 30000], total), 2, 2)
+    got = np.concatenate([rows.take(k) for k in takes])
+    assert got[:, 1].tolist() == [9999 / total, 19999 / total]
+    with pytest.raises(CatalogError, match=r"valid occupation spectrum for \(2, 2\)"):
+        rows.take(1)
 
 
 def _reference_equivalence(family_a, family_b, samples, seed):
     """(disagreements, first) from one sample and one ``check_family`` at a time."""
-    from qmarginal.tensor import rng_from_seed
-
     r, n = get_family(family_a).fixed.r, get_family(family_a).fixed.n
-    rng = rng_from_seed(seed)
     disagreements, first = 0, None
-    for t in range(samples):
-        lam = spectrum(_reference_sample_valid_occupation(rng, r, n, t % 2 == 1), float(n))
+    for vals in _reference_occupations(seed, r, n, range(samples)):
+        lam = spectrum(vals, float(n))
         bundle = SpectraBundle(one_body=lam)
         if (check_family(family_a, bundle).satisfied
                 != check_family(family_b, bundle).satisfied):

@@ -546,22 +546,35 @@ def test_reduce_refuses_keep_on_fermion_state(tmp_path):
     assert "--keep" in error["message"]
 
 
-@pytest.mark.parametrize("keep", ["0,0", "1,0,1", "x", "0,,1", "", "0.5"])
-def test_reduce_keep_must_be_distinct_integers(tmp_path, capsys, keep):
+def _pure_state_file(tmp_path, dims):
     from qmarginal.tensor import haar_pure
 
-    psi = haar_pure((2, 3), 5)
+    psi = haar_pure(dims, 5)
     path = tmp_path / "state.json"
     path.write_text(json.dumps({
-        "format_version": 1, "kind": "pure", "system": "2x3",
+        "format_version": 1, "kind": "pure", "system": "x".join(map(str, dims)),
         "amplitudes": [[float(a.real), float(a.imag)] for a in psi.amplitudes],
     }))
+    return path
+
+
+@pytest.mark.parametrize("keep", ["0,0", "1,0,1", "x", "", ",", "0.5"])
+def test_reduce_keep_must_be_distinct_integers(tmp_path, capsys, keep):
+    path = _pure_state_file(tmp_path, (2, 3))
     assert main(["reduce", "--state", str(path), "--keep", keep]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     (error,) = [json.loads(line) for line in err.splitlines()]
     assert error["record"] == "error" and error["kind"] == "usage"
     assert "--keep" in error["message"]
+
+
+@pytest.mark.parametrize("blank,plain", [(",1", "1"), ("0,,1", "0,1"), ("2, ", "2")])
+def test_reduce_keep_skips_blank_entries_as_every_list_flag_does(tmp_path, blank, plain):
+    path = str(_pure_state_file(tmp_path, (2, 3, 2)))
+    code, records, errors = run_cli(["reduce", "--state", path, "--keep", blank])
+    assert (code, errors) == (0, [])
+    assert records == run_cli(["reduce", "--state", path, "--keep", plain])[1]
 
 
 def test_families_command():
@@ -1002,7 +1015,7 @@ WITNESS = ["witness", "--system", "qubits:2", "--targets", "0.5,0.5;0.5,0.5",
 
 
 @pytest.mark.parametrize("flag,token,argv", [
-    ("--keep", "0,x", ["reduce", "--state", "-"]),
+    ("--keep", "x", ["reduce", "--state", "-"]),
     ("--spectrum", "x", ["check", "--family", "BD6"]),
     ("--trace", "3/0", CHECK_BD6),
     ("--site", "nan", ["check", "--family", "POLYGON", "--site", "0.5,0.5"]),
@@ -1042,7 +1055,7 @@ def test_a_malformed_value_is_refused_by_its_flag(capsys, flag, token, argv):
     """Every typed value flag refuses a malformed token at parse time, as an
     exit-2 usage error that names the flag and the token."""
     # a list flag names the entry it refuses
-    value = {"--site": "0.5,", "--joint": "0,0,0,", "--a": "1,", "--u": "1,",
+    value = {"--keep": "0,", "--site": "0.5,", "--joint": "0,0,0,", "--a": "1,", "--u": "1,",
              "--v": "1,", "--w": "1,2,3,", "--correlations": "0,0,0,"}.get(flag, "") + token
     code, records, errors = _main_records(capsys, argv + [flag, value])
     assert code == 2 and records == []

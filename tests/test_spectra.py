@@ -222,3 +222,10 @@ def test_float_sums_are_taken_in_order():
     scaled = renormalize(Spectrum(tuple(tenth), 1.0), 2.0)
     assert scaled.values == (0.1 * (2.0 / in_order),) * 10
     assert scaled.values[0] != 0.2
+    # spectrum's default tag, Spectrum's own total and majorizes' sums
+    assert spectrum(tenth).trace_tag == in_order
+    assert spectrum([0.3] * 10).trace_tag == 2.9999999999999996
+    with pytest.raises(SpectrumError, match=f"spectrum sum {in_order} does not match"):
+        Spectrum(tuple(tenth), 2.0)
+    with pytest.raises(SpectrumError, match="equal sums"):
+        majorizes(spectrum([1.0]), spectrum(tenth), tol=0.0)
