@@ -2,126 +2,61 @@
 bundles at a time.
 
 The families themselves, their exact ``Fraction`` records and where they
-apply, are registered in ``records``, which also checks one bundle on
-Python floats (``check_family``, ``check_chsh``; re-exported here).  Each
-family carries its own ordering and normalization convention;
-``check_block`` canonicalizes the input (re-sorting and re-normalizing as
-declared, recording that it did) into the slots its records name, then
-evaluates the float64 linear system compiled from the records on first use,
-over a block of bundles at once.  Campaigns and equivalence runs take this
-path.  Every family is linear in its canonical slots: the absolute-value
-form of (8, 4) and the even-degeneracy criterion included.
+apply, are registered in ``records``, together with each family's
+canonicalizer and the check of one bundle on Python floats
+(``check_family``, ``check_chsh``; re-exported here).  ``check_block``
+runs the same canonicalizers on (T, k) float64 arrays, through the numpy
+row operations below: they re-sort and re-normalize the input as the family
+declares, recording that they did, into the slots its records name.  It
+then evaluates the float64 linear system compiled from the records on
+first use, over the whole block at once.  Campaigns and equivalence runs
+take this path.  Every family is linear in its canonical slots: the
+absolute-value form of (8, 4) and the even-degeneracy criterion included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-# The families' exact data and the one-bundle checks live in the numpy-free
-# records module; catalog re-exports them, so catalog.check_family is the
-# same function.
+# The families' exact data, canonicalizers and one-bundle checks live in
+# the numpy-free records module; catalog re-exports them, so
+# catalog.check_family is the same function.
 from .records import (  # noqa: F401
+    CANONICALIZERS,
     F84_ABS_PATTERNS,
     PAIR_TOL,
     CatalogError,
     CheckReport,
     InequalityRecord,
+    RowOps,
+    SpectraBlock,
     SpectraBundle,
+    _canonicalize,
     _check_tolerance,
+    _particle_number,
     check_chsh,
     check_family,
     get_family,
 )
-from .spectra import SpectrumError
-
-
-# ---------------------------------------------------------------------------
-# Blocks of bundles
-#
-# A check canonicalizes the bundle's slot arrays as the family declares
-# (sorting, renormalizing, gap sorting, minimum entries, absolute values of
-# sign-pattern sums, a pairing defect) and then evaluates every inequality
-# at once, as a float64 system compiled from the family's records.
-# Campaigns and equivalence runs pass blocks of trials; ``check_family``
-# takes the same steps, in the same order, on one bundle of Python floats.
+from .spectra import SpectrumError, sequential_sum
 
 # Samples per block in equivalence runs, which hold r <= 8 floats a sample.
 EQUIV_BLOCK = 256
 
 
-@dataclass(frozen=True)
-class SpectraBlock:
-    """T spectra bundles stacked slot by slot, one row per bundle.
+# ---------------------------------------------------------------------------
+# Row operations on a block: a slot is a (T, k) array, a column a (T,) one
 
-    ``sites`` holds one (T, d) array per site, ``joint`` a (T, D) array and
-    ``one_body`` a (T, r) array with ``one_body_trace`` its (T,) declared
-    traces.  Rows may be in any order; each family canonicalizes them.
-    """
-
-    sites: tuple = ()
-    joint: np.ndarray = None
-    one_body: np.ndarray = None
-    one_body_trace: np.ndarray = None
-
-
-@dataclass(frozen=True)
-class _Canonical:
-    """Canonical slot arrays of a block; ``renormalized`` marks the rows
-    whose one-body spectrum was rescaled to trace ``target``.  A family
-    whose slots carry their own tolerance fixes the check's ``tolerance``."""
-
-    values: dict
-    notes: tuple = ()
-    renormalized: np.ndarray = None
-    target: object = None
-    tolerance: float = None
-
-
-def _desc(rows: np.ndarray) -> np.ndarray:
-    return np.sort(rows, axis=1)[:, ::-1]
-
-
-def _sequential_sum(rows: np.ndarray) -> np.ndarray:
-    """Row sums added left to right, as Python's ``sum`` adds a tuple."""
-    total = np.zeros(len(rows))
-    for j in range(rows.shape[1]):
-        total = total + rows[:, j]
-    return total
-
-
-def _need_sites(block, fam):
-    dims = fam.fixed.dims
-    if len(block.sites) != len(dims):
-        raise CatalogError(f"{fam.family_id} needs {len(dims)} site spectra")
-    for s, size in zip(block.sites, dims):
-        if s.shape[1] != size:
-            raise CatalogError(f"{fam.family_id} needs site spectra of length {size}")
-    return [_desc(s) for s in block.sites]
-
-
-def _need_joint(block, size, family_id):
-    if block.joint is None or block.joint.shape[1] != size:
-        raise CatalogError(f"{family_id} needs a joint spectrum of length {size}")
-    return _desc(block.joint)
-
-
-def _one_body(block, family_id, r=None):
-    lam = block.one_body
-    if lam is None or (r is not None and lam.shape[1] != r):
-        length = "" if r is None else f" of length {r}"
-        raise CatalogError(f"{family_id} needs a one-body spectrum{length}")
-    return _desc(lam)
-
-
-def _renormalize(block, lam, n):
+def _renormalize(lam, traces, n):
     """Rescale the rows whose declared trace is not ``n`` to sum to ``n``,
-    as ``spectra.renormalize`` does."""
-    off = np.abs(block.one_body_trace - n) > 1e-10
+    each summed left to right as one bundle's row is; returns the rows and
+    which of them were rescaled."""
+    off = np.abs(traces - n) > 1e-10
     if off.any():
-        total = _sequential_sum(lam[off])
+        total = sequential_sum(lam[off].T)
         if np.any(total == 0.0):
             raise SpectrumError("cannot renormalize a zero-sum spectrum")
         lam = lam.copy()
@@ -129,103 +64,28 @@ def _renormalize(block, lam, n):
     return lam, off
 
 
-def _fermi_slots(fam, block):
-    r, n = fam.fixed.r, fam.fixed.n
-    lam, off = _renormalize(block, _one_body(block, fam.family_id, r), n)
-    return _Canonical({"lam": lam}, renormalized=off, target=n)
-
-
-def _f84_abs_slots(fam, block):
-    canon = _fermi_slots(fam, block)
-    x = _combine(canon.values["lam"], np.array(F84_ABS_PATTERNS, dtype=float))
-    return replace(canon, values={"abs": np.abs(x)})
-
-
-def _polygon_slots(fam, block):
-    if len(block.sites) < 2:
-        raise CatalogError("POLYGON needs at least two site spectra")
-    if any(s.shape[1] != 2 for s in block.sites):
-        raise CatalogError("POLYGON applies to qubit marginals")
-    return _Canonical({"mins": np.column_stack([s.min(axis=1) for s in block.sites])})
-
-
-def _bravyi_slots(fam, block):
-    sites = _need_sites(block, fam)
-    joint = _need_joint(block, fam.fixed.dim, fam.family_id)
-    return _Canonical({"mins": np.column_stack([sites[0][:, 1], sites[1][:, 1]]),
-                       "joint": joint})
-
-
-def _franz_slots(fam, block):
-    sites = _need_sites(block, fam)
-    return _Canonical({f"site{i}": s[:, ::-1] for i, s in enumerate(sites)},
-                      notes=("sites sorted increasing",))
-
-
-def _basic_slots(fam, block):
-    if len(block.sites) != 2:
-        raise CatalogError("BASIC needs two site spectra")
-    a, b = _desc(block.sites[0]), _desc(block.sites[1])
-    joint = _need_joint(block, a.shape[1] * b.shape[1], fam.family_id)
-    return _Canonical({"a": a, "b": b, "joint": joint})
-
-
-def _three_qubit_slots(fam, block):
-    sites = _need_sites(block, fam)
-    joint = _need_joint(block, fam.fixed.dim, fam.family_id)
-    gaps = np.sort(np.column_stack([s[:, 0] - s[:, 1] for s in sites]), axis=1)
-    return _Canonical({"delta": gaps, "joint": joint},
-                      notes=("gaps sorted increasing",))
-
-
-def _pauli_slots(fam, block):
-    # The occupation-box criterion applies to the spectrum as given; the
-    # chemist normalization (trace n) is the caller's contract.
-    return _Canonical({"lam": _one_body(block, fam.family_id)})
-
-
-def _pairing_defect_slots(fam, block):
-    lam = _one_body(block, fam.family_id)
-    # The system is taken from the bundle: r entries, n the trace, which
-    # must be an integer (so nothing is renormalized).
-    traces = block.one_body_trace
+def _block_particle_number(traces, family_id):
+    """The particle number of every row; the first trace off an integer is
+    refused as one bundle's trace is."""
     ns = np.rint(traces)
-    off = np.abs(traces - ns) > 1e-10
-    if off.any():
-        raise CatalogError(
-            f"{fam.family_id} needs an integer particle number, got trace "
-            f"{float(traces[np.argmax(off)])!r}"
-        )
-    r, n = lam.shape[1], int(ns[0])
+    n = _particle_number(float(traces[np.argmax(np.abs(traces - ns) > 1e-10)]), family_id)
     if np.any(ns != n):
-        raise CatalogError(f"{fam.family_id} needs one particle number per block")
-    if n not in (2, r - 2):
-        raise CatalogError(
-            f"even-degeneracy criterion applies to two particles or two "
-            f"holes, not (r={r}, n={n})"
-        )
-    parts = [np.zeros((len(lam), 1))]
-    if r % 2 == 1:
-        if n == 2:
-            parts.append(np.abs(lam[:, -1:]))       # the odd eigenvalue must be 0
-            lam = lam[:, :-1]
-        else:
-            parts.append(np.abs(lam[:, :1] - 1))    # holes: the odd eigenvalue is 1
-            lam = lam[:, 1:]
-    parts.append(np.abs(lam[:, 0::2] - lam[:, 1::2]))
-    # the defect is compared with PAIR_TOL itself, so no tolerance is added
-    return _Canonical({"defect": np.hstack(parts).max(axis=1, keepdims=True)},
-                      notes=(f"pairing tolerance {PAIR_TOL}",), tolerance=0.0)
+        raise CatalogError(f"{family_id} needs one particle number per block")
+    return n
 
 
-def _w2h4_slots(fam, block):
-    lam, off = _renormalize(block, _one_body(block, fam.family_id, fam.fixed.r), 1)
-    nu = _need_joint(block, fam.fixed.dim, fam.family_id)
-    return _Canonical({"lam": lam, "nu": nu}, renormalized=off, target=1)
-
-
-def _chsh_slots(fam, block):
-    raise CatalogError("use check_chsh for correlation data")
+_ARRAY_ROWS = RowOps(
+    width=lambda x: x.shape[1],
+    desc=lambda x: np.sort(x, axis=1)[:, ::-1],
+    sort=lambda x: np.sort(x, axis=1),
+    reverse=lambda x: x[:, ::-1],
+    column=lambda x, j: x[:, j],
+    stack=np.column_stack,
+    row_min=lambda x: x.min(axis=1),
+    row_max=lambda x: x.max(axis=1),
+    renormalize=_renormalize,
+    particle_number=_block_particle_number,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -318,42 +178,14 @@ class BlockCheck:
         return self.worst() >= -self.tolerance
 
 
-# ---------------------------------------------------------------------------
-# Each family's canonicalizer: a block to the canonical slot arrays its
-# records read.  A family without an inequality list (W2H5_META) has none.
-
-CANONICALIZERS = {
-    "POLYGON": _polygon_slots,
-    "BRAVYI_2Q": _bravyi_slots,
-    "FRANZ_3QUTRIT": _franz_slots,
-    "BASIC": _basic_slots,
-    "THREE_QUBIT_MIXED": _three_qubit_slots,
-    "PAULI": _pauli_slots,
-    "TWO_PARTICLE_PURE": _pairing_defect_slots,
-    "BD6": _fermi_slots,
-    "F7_BD": _fermi_slots,
-    "F7_LIST": _fermi_slots,
-    "F8_31": _fermi_slots,
-    "F84_14": _fermi_slots,
-    "F84_ABS": _f84_abs_slots,
-    "W2H4_MIXED": _w2h4_slots,
-    "CHSH_16": _chsh_slots,
-}
-
-
 def check_block(family_id: str, block: SpectraBlock,
                 tolerance: float = 1e-10) -> BlockCheck:
     """Evaluate every inequality of a family on each bundle of a block."""
-    _check_tolerance(tolerance)
-    fam = get_family(family_id)
-    fam.require_list()
-    canon = CANONICALIZERS[family_id](fam, block)
+    canon = _canonicalize(family_id, block, _ARRAY_ROWS, tolerance)
     widths = tuple((name, x.shape[1]) for name, x in canon.values.items())
     system = _linear_system(family_id, widths)
-    if canon.tolerance is not None:
-        tolerance = canon.tolerance
-    return BlockCheck(family_id, system.slacks(canon.values), system.labels, tolerance,
-                      canon.notes, canon.renormalized, canon.target)
+    return BlockCheck(family_id, system.slacks(canon.values), system.labels,
+                      canon.tolerance, canon.notes, canon.renormalized, canon.target)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ same whatever block it falls in.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -249,7 +250,10 @@ def mc_verify(family_id: str, system, trials: int, seed: int,
             for lo, hi in zip(bounds, bounds[1:])
             if hi > lo
         ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # At most one process per CPU, as the fork start method starts every
+        # worker at the first submit; the ``jobs`` chunks, and so the
+        # report, stay the same.
+        with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
             partials = list(pool.map(_campaign_chunk, chunks))
     else:
         partials = [_campaign_chunk(

@@ -5,12 +5,16 @@ the output of the exact side (Schubert generation) and the form of every
 printed family.  The family registry lives here too: each family's exact
 records, the system it applies to and its declared count.
 
-``check_family`` and ``check_chsh`` evaluate the families on one spectra
-bundle in Python floats, with the operation order of ``catalog``'s float64
-block path, so their reports equal a block of one bit for bit.  This module
-imports neither numpy nor ``catalog``, so the exact commands (``hull``,
-``families``) and the one-bundle commands (``check``, ``chsh``) run
-without numpy.
+Each family's canonicalizer, which turns its spectra into the slots its
+records read, is written once here (``CANONICALIZERS``), over a
+``SpectraBlock`` and a table of row operations (``RowOps``).  On Python
+floats (``_FLOAT_ROWS``) it serves ``check_family`` and ``check_chsh``,
+which check one bundle; ``catalog.check_block`` runs it on float64 blocks
+through a numpy table.  Both tables act on each bundle's row alone, in the
+same order, so a one-bundle report equals a block of one bit for bit.
+This module imports neither numpy nor ``catalog``, so the exact commands
+(``hull``, ``families``) and the one-bundle commands (``check``, ``chsh``)
+run without numpy.
 """
 
 from __future__ import annotations
@@ -513,9 +517,13 @@ def applicable_families(system) -> tuple:
 # A check canonicalizes the bundle's spectra as the family declares
 # (sorting, renormalizing, gap sorting, minimum entries, absolute values of
 # sign-pattern sums, a pairing defect) into the slots its records name, and
-# evaluates each record with ``InequalityRecord.slack``.  ``catalog`` holds
-# the float64 block path that campaigns take; every step here keeps that
-# path's operation order, so a report is the block path's bit for bit.
+# evaluates each record with ``InequalityRecord.slack``.  Each family's
+# canonicalizer is written once, over a ``SpectraBlock`` and a table of row
+# operations for its kind of slot: ``_FLOAT_ROWS`` below for one bundle of
+# Python floats, ``catalog``'s numpy table for the (T, k) arrays of a
+# block, the path campaigns take.  Every operation acts on each bundle's
+# row alone, in the same order on both kinds, so a one-bundle report is the
+# block path's bit for bit.
 
 @dataclass(frozen=True)
 class SpectraBundle:
@@ -549,148 +557,176 @@ def _check_tolerance(tolerance: float) -> None:
 
 
 @dataclass(frozen=True)
-class _Slots:
-    """A bundle's canonical slot values.  A family whose slots carry their
-    own tolerance fixes the check's ``tolerance``."""
+class SpectraBlock:
+    """Spectra bundles stacked slot by slot, one row per bundle.
+
+    In a block of T bundles, ``sites`` holds one (T, d) array per site,
+    ``joint`` a (T, D) array and ``one_body`` a (T, r) array with
+    ``one_body_trace`` its (T,) declared traces.  A block of one bundle
+    holds lists of floats and one float trace instead.  Rows may be in any
+    order; each family canonicalizes them.
+    """
+
+    sites: tuple = ()
+    joint: object = None
+    one_body: object = None
+    one_body_trace: object = None
+
+
+@dataclass(frozen=True)
+class RowOps:
+    """The operations a canonicalizer reads a slot with.  A slot holds one
+    row per bundle; a column holds one entry per bundle (a float, or a
+    (T,) array)."""
+
+    width: object            # slot -> entries per row
+    desc: object             # slot -> rows sorted decreasing
+    sort: object             # slot -> rows sorted increasing
+    reverse: object          # slot -> rows in reverse order
+    column: object           # (slot, j) -> column j
+    stack: object            # columns -> the slot they make
+    row_min: object          # slot -> column of row minima
+    row_max: object          # slot -> column of row maxima
+    renormalize: object      # (slot, traces, n) -> (rows rescaled to sum n
+                             # where the trace is not n, which rows were)
+    particle_number: object  # (traces, family_id) -> the integer trace of all rows
+
+
+@dataclass(frozen=True)
+class _Canonical:
+    """A block's canonical slot values.  ``renormalized`` marks the rows
+    whose one-body spectrum was rescaled to trace ``target``; a family
+    whose slots carry their own tolerance fixes the check's ``tolerance``."""
 
     values: dict
     notes: tuple = ()
+    renormalized: object = None
+    target: object = None
     tolerance: float = None
 
 
-def _desc(spec: Spectrum) -> list:
-    return sorted(spec.as_floats(), reverse=True)
-
-
-def _need_sites(bundle, fam):
+def _need_sites(block, fam, rows):
     dims = fam.fixed.dims
-    if len(bundle.sites) != len(dims):
+    if len(block.sites) != len(dims):
         raise CatalogError(f"{fam.family_id} needs {len(dims)} site spectra")
-    for s, size in zip(bundle.sites, dims):
-        if len(s) != size:
+    for s, size in zip(block.sites, dims):
+        if rows.width(s) != size:
             raise CatalogError(f"{fam.family_id} needs site spectra of length {size}")
-    return [_desc(s) for s in bundle.sites]
+    return [rows.desc(s) for s in block.sites]
 
 
-def _need_joint(bundle, size, family_id):
-    if bundle.joint is None or len(bundle.joint) != size:
-        raise CatalogError(f"{family_id} needs a joint spectrum of length {size}")
-    return _desc(bundle.joint)
+def _need_joint(block, size, fam, rows):
+    if block.joint is None or rows.width(block.joint) != size:
+        raise CatalogError(f"{fam.family_id} needs a joint spectrum of length {size}")
+    return rows.desc(block.joint)
 
 
-def _one_body(bundle, family_id, r=None):
-    lam = bundle.one_body
-    if lam is None or (r is not None and len(lam) != r):
+def _one_body(block, fam, rows, r=None):
+    lam = block.one_body
+    if lam is None or (r is not None and rows.width(lam) != r):
         length = "" if r is None else f" of length {r}"
-        raise CatalogError(f"{family_id} needs a one-body spectrum{length}")
-    return _desc(lam)
+        raise CatalogError(f"{fam.family_id} needs a one-body spectrum{length}")
+    return rows.desc(lam)
 
 
-def _renormalize(bundle, lam, n):
-    """``lam`` rescaled to sum to ``n`` if its declared trace is not ``n``,
-    and the note saying so.  The sorted entries are summed left to right."""
-    if abs(float(bundle.one_body.trace_tag) - n) <= 1e-10:
-        return lam, ()
-    total = sequential_sum(lam)
-    if total == 0.0:
-        raise SpectrumError("cannot renormalize a zero-sum spectrum")
-    scale = float(n) / total
-    return [v * scale for v in lam], (f"renormalized one-body spectrum to trace {n}",)
+def _fermi_slots(fam, block, rows):
+    r, n = fam.fixed.r, fam.fixed.n
+    lam, off = rows.renormalize(_one_body(block, fam, rows, r), block.one_body_trace, n)
+    return _Canonical({"lam": lam}, renormalized=off, target=n)
 
 
-def _fermi_slots(fam, bundle):
-    lam, notes = _renormalize(bundle, _one_body(bundle, fam.family_id, fam.fixed.r),
-                              fam.fixed.n)
-    return _Slots({"lam": lam}, notes)
+def _f84_abs_slots(fam, block, rows):
+    canon = _fermi_slots(fam, block, rows)
+    lam = canon.values["lam"]
+    cols = [rows.column(lam, j) for j in range(rows.width(lam))]
+    # each pattern's products summed in term order
+    sums = [sequential_sum((c * x for c, x in zip(pattern[1:], cols[1:])),
+                           pattern[0] * cols[0]) for pattern in F84_ABS_PATTERNS]
+    return replace(canon, values={"abs": rows.stack([abs(x) for x in sums])})
 
 
-def _f84_abs_slots(fam, bundle):
-    slots = _fermi_slots(fam, bundle)
-    lam = slots.values["lam"]
-    return _Slots({"abs": [abs(sequential_sum(v * c for v, c in zip(lam, pattern)))
-                           for pattern in F84_ABS_PATTERNS]}, slots.notes)
-
-
-def _polygon_slots(fam, bundle):
-    if len(bundle.sites) < 2:
+def _polygon_slots(fam, block, rows):
+    if len(block.sites) < 2:
         raise CatalogError("POLYGON needs at least two site spectra")
-    if any(len(s) != 2 for s in bundle.sites):
+    if any(rows.width(s) != 2 for s in block.sites):
         raise CatalogError("POLYGON applies to qubit marginals")
-    return _Slots({"mins": [min(s.as_floats()) for s in bundle.sites]})
+    return _Canonical({"mins": rows.stack([rows.row_min(s) for s in block.sites])})
 
 
-def _bravyi_slots(fam, bundle):
-    sites = _need_sites(bundle, fam)
-    joint = _need_joint(bundle, fam.fixed.dim, fam.family_id)
-    return _Slots({"mins": [sites[0][1], sites[1][1]], "joint": joint})
+def _bravyi_slots(fam, block, rows):
+    sites = _need_sites(block, fam, rows)
+    joint = _need_joint(block, fam.fixed.dim, fam, rows)
+    return _Canonical({"mins": rows.stack([rows.column(s, 1) for s in sites]),
+                       "joint": joint})
 
 
-def _franz_slots(fam, bundle):
-    sites = _need_sites(bundle, fam)
-    return _Slots({f"site{i}": s[::-1] for i, s in enumerate(sites)},
-                  ("sites sorted increasing",))
+def _franz_slots(fam, block, rows):
+    sites = _need_sites(block, fam, rows)
+    return _Canonical({f"site{i}": rows.reverse(s) for i, s in enumerate(sites)},
+                      notes=("sites sorted increasing",))
 
 
-def _basic_slots(fam, bundle):
-    if len(bundle.sites) != 2:
+def _basic_slots(fam, block, rows):
+    if len(block.sites) != 2:
         raise CatalogError("BASIC needs two site spectra")
-    a, b = _desc(bundle.sites[0]), _desc(bundle.sites[1])
-    joint = _need_joint(bundle, len(a) * len(b), fam.family_id)
-    return _Slots({"a": a, "b": b, "joint": joint})
+    a, b = (rows.desc(s) for s in block.sites)
+    joint = _need_joint(block, rows.width(a) * rows.width(b), fam, rows)
+    return _Canonical({"a": a, "b": b, "joint": joint})
 
 
-def _three_qubit_slots(fam, bundle):
-    sites = _need_sites(bundle, fam)
-    joint = _need_joint(bundle, fam.fixed.dim, fam.family_id)
-    return _Slots({"delta": sorted(s[0] - s[1] for s in sites), "joint": joint},
-                  ("gaps sorted increasing",))
+def _three_qubit_slots(fam, block, rows):
+    sites = _need_sites(block, fam, rows)
+    joint = _need_joint(block, fam.fixed.dim, fam, rows)
+    gaps = rows.stack([rows.column(s, 0) - rows.column(s, 1) for s in sites])
+    return _Canonical({"delta": rows.sort(gaps), "joint": joint},
+                      notes=("gaps sorted increasing",))
 
 
-def _pauli_slots(fam, bundle):
+def _pauli_slots(fam, block, rows):
     # The occupation-box criterion applies to the spectrum as given; the
     # chemist normalization (trace n) is the caller's contract.
-    return _Slots({"lam": _one_body(bundle, fam.family_id)})
+    return _Canonical({"lam": _one_body(block, fam, rows)})
 
 
-def _pairing_defect_slots(fam, bundle):
-    lam = _one_body(bundle, fam.family_id)
+def _pairing_defect_slots(fam, block, rows):
+    lam = _one_body(block, fam, rows)
     # The system is taken from the bundle: r entries, n the trace, which
     # must be an integer (so nothing is renormalized).
-    trace = float(bundle.one_body.trace_tag)
-    n = round(trace)
-    if abs(trace - n) > 1e-10:
-        raise CatalogError(
-            f"{fam.family_id} needs an integer particle number, got trace {trace!r}")
-    r = len(lam)
+    n = rows.particle_number(block.one_body_trace, fam.family_id)
+    r = rows.width(lam)
     if n not in (2, r - 2):
         raise CatalogError(
             f"even-degeneracy criterion applies to two particles or two "
             f"holes, not (r={r}, n={n})"
         )
-    parts = [0.0]
+    cols = [rows.column(lam, j) for j in range(r)]
+    parts = []
     if r % 2 == 1:
         if n == 2:
-            parts.append(abs(lam.pop()))        # the odd eigenvalue must be 0
+            parts.append(abs(cols.pop()))        # the odd eigenvalue must be 0
         else:
-            parts.append(abs(lam.pop(0) - 1))   # holes: the odd eigenvalue is 1
-    parts += [abs(a - b) for a, b in zip(lam[0::2], lam[1::2])]
+            parts.append(abs(cols.pop(0) - 1))   # holes: the odd eigenvalue is 1
+    parts += [abs(a - b) for a, b in zip(cols[0::2], cols[1::2])]
     # the defect is compared with PAIR_TOL itself, so no tolerance is added
-    return _Slots({"defect": [max(parts)]}, (f"pairing tolerance {PAIR_TOL}",), 0.0)
+    return _Canonical({"defect": rows.stack([rows.row_max(rows.stack(parts))])},
+                      notes=(f"pairing tolerance {PAIR_TOL}",), tolerance=0.0)
 
 
-def _w2h4_slots(fam, bundle):
-    lam, notes = _renormalize(bundle, _one_body(bundle, fam.family_id, fam.fixed.r), 1)
-    nu = _need_joint(bundle, fam.fixed.dim, fam.family_id)
-    return _Slots({"lam": lam, "nu": nu}, notes)
+def _w2h4_slots(fam, block, rows):
+    lam, off = rows.renormalize(_one_body(block, fam, rows, fam.fixed.r),
+                                block.one_body_trace, 1)
+    nu = _need_joint(block, fam.fixed.dim, fam, rows)
+    return _Canonical({"lam": lam, "nu": nu}, renormalized=off, target=1)
 
 
-def _chsh_slots(fam, bundle):
+def _chsh_slots(fam, block, rows):
     raise CatalogError("use check_chsh for correlation data")
 
 
-# Each family's canonicalizer: a bundle to the slot values its records read.
-# A family without an inequality list (W2H5_META) has none.
-SLOTS_OF = {
+# Each family's canonicalizer: (family, block, row operations) to the slot
+# values its records read.  A family without an inequality list (W2H5_META)
+# has none.
+CANONICALIZERS = {
     "POLYGON": _polygon_slots,
     "BRAVYI_2Q": _bravyi_slots,
     "FRANZ_3QUTRIT": _franz_slots,
@@ -707,6 +743,53 @@ SLOTS_OF = {
     "W2H4_MIXED": _w2h4_slots,
     "CHSH_16": _chsh_slots,
 }
+
+
+def _renormalize(lam, trace, n):
+    """``lam`` rescaled to sum to ``n`` if ``trace`` is not ``n``, and
+    whether it was.  The sorted entries are summed left to right."""
+    off = abs(trace - n) > 1e-10
+    if not off:
+        return lam, off
+    total = sequential_sum(lam)
+    if total == 0.0:
+        raise SpectrumError("cannot renormalize a zero-sum spectrum")
+    scale = float(n) / total
+    return [v * scale for v in lam], off
+
+
+def _particle_number(trace, family_id):
+    n = round(trace)
+    if abs(trace - n) > 1e-10:
+        raise CatalogError(
+            f"{family_id} needs an integer particle number, got trace {trace!r}")
+    return n
+
+
+# Row operations on one bundle: a slot is a list of floats, a column a float.
+_FLOAT_ROWS = RowOps(
+    width=len,
+    desc=lambda x: sorted(x, reverse=True),
+    sort=sorted,
+    reverse=lambda x: x[::-1],
+    column=lambda x, j: x[j],
+    stack=list,
+    row_min=min,
+    row_max=max,
+    renormalize=_renormalize,
+    particle_number=_particle_number,
+)
+
+
+def _canonicalize(family_id: str, block: SpectraBlock, rows: RowOps,
+                  tolerance: float) -> _Canonical:
+    """A block's canonical slots, with the tolerance its check compares
+    slacks with; refuses a bad tolerance and a family without a list."""
+    _check_tolerance(tolerance)
+    fam = get_family(family_id)
+    fam.require_list()
+    canon = CANONICALIZERS[family_id](fam, block, rows)
+    return canon if canon.tolerance is not None else replace(canon, tolerance=tolerance)
 
 
 def _report(family_id, records, values, tolerance, notes=()) -> CheckReport:
@@ -734,16 +817,21 @@ def check_family(family_id: str, bundle: SpectraBundle, tolerance: float = 1e-10
     report equals that of ``catalog.check_block`` on a block of this one
     bundle, bit for bit.
     """
-    _check_tolerance(tolerance)
+    def row(spec):
+        return None if spec is None else list(spec.as_floats())
+
+    lam = bundle.one_body
+    block = SpectraBlock(tuple(row(s) for s in bundle.sites), row(bundle.joint), row(lam),
+                         None if lam is None else float(lam.trace_tag))
+    canon = _canonicalize(family_id, block, _FLOAT_ROWS, tolerance)
     fam = get_family(family_id)
-    fam.require_list()
-    slots = SLOTS_OF[family_id](fam, bundle)
     records = fam.records
     if fam.generate is not None:
-        records = fam.generate({name: len(v) for name, v in slots.values.items()})
-    if slots.tolerance is not None:
-        tolerance = slots.tolerance
-    return _report(family_id, records, slots.values, tolerance, slots.notes)
+        records = fam.generate({name: len(v) for name, v in canon.values.items()})
+    notes = canon.notes
+    if canon.renormalized:
+        notes = (f"renormalized one-body spectrum to trace {canon.target}",) + notes
+    return _report(family_id, records, canon.values, canon.tolerance, notes)
 
 
 def check_chsh(correlations, tolerance: float = 1e-10) -> CheckReport:
@@ -758,6 +846,6 @@ def check_chsh(correlations, tolerance: float = 1e-10) -> CheckReport:
     if len(corr) != 4:
         raise CatalogError("expected four correlation values")
     for c in corr:
-        if abs(c) > 1 + 1e-12:
+        if not abs(c) <= 1 + 1e-12:   # NaN fails this too
             raise CatalogError(f"correlation {c} outside [-1, 1]")
     return _report("CHSH_16", CHSH_RECORDS, {"corr": corr}, tolerance)

@@ -34,15 +34,16 @@ def test_declared_counts_match_stored_records():
 
 
 def test_evaluators_cover_exactly_the_registered_families():
-    """Every family with inequalities has a canonicalizer on each path;
-    W2H5_META, a count without a list, is the only family without one."""
-    from qmarginal.catalog import CANONICALIZERS
-    from qmarginal.records import SLOTS_OF
+    """Every family with inequalities has one canonicalizer, which both
+    paths share; W2H5_META, a count without a list, is the only family
+    without one."""
+    from qmarginal import catalog
+    from qmarginal.records import CANONICALIZERS
 
     listed = sorted(fid for fid, fam in FAMILIES.items()
                     if fam.records or fam.generate is not None)
     assert sorted(CANONICALIZERS) == listed
-    assert sorted(SLOTS_OF) == listed
+    assert catalog.CANONICALIZERS is CANONICALIZERS
     assert sorted(set(FAMILIES) - set(CANONICALIZERS)) == ["W2H5_META"]
 
 
@@ -210,6 +211,17 @@ def test_chsh_tsirelson_and_pr_box():
 def test_chsh_rejects_out_of_range():
     with pytest.raises(CatalogError):
         check_chsh((1.5, 0, 0, 0))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("position", range(4))
+def test_chsh_rejects_a_correlation_that_is_not_finite(bad, position):
+    """NaN compares false with every bound, so it must fail the range
+    check as an infinity does, not yield a report with a NaN slack."""
+    corr = [0.0] * 4
+    corr[position] = bad
+    with pytest.raises(CatalogError, match=r"outside \[-1, 1\]"):
+        check_chsh(corr)
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +522,7 @@ def test_equivalence_disagreements_do_not_depend_on_the_block(monkeypatch):
     raised = tuple(dataclasses.replace(rec, bound=Fraction(-21, 20)) for rec in fam.records)
     monkeypatch.setitem(FAMILIES, "F7_RAISED",
                         dataclasses.replace(fam, family_id="F7_RAISED", records=raised))
-    monkeypatch.setitem(catalog.CANONICALIZERS, "F7_RAISED", catalog.CANONICALIZERS["F7_BD"])
-    monkeypatch.setitem(records.SLOTS_OF, "F7_RAISED", records.SLOTS_OF["F7_BD"])
+    monkeypatch.setitem(records.CANONICALIZERS, "F7_RAISED", records.CANONICALIZERS["F7_BD"])
     want = _reference_equivalence("F7_BD", "F7_RAISED", 700, 5)
     assert want[0] > 0
     for block in (1, 32, 256, 1024):
@@ -1001,14 +1012,15 @@ def test_linear_slacks_equal_the_former_evaluators_bitwise():
     """F84_ABS and TWO_PARTICLE_PURE slacks from the compiled linear system
     equal the former evaluators' bit for bit, signs of zero included, on
     renormalized rows, odd r and two-hole systems."""
-    from qmarginal.catalog import _desc, _fermi_slots, check_block
+    from qmarginal.catalog import _ARRAY_ROWS, check_block
+    from qmarginal.records import _fermi_slots
     from qmarginal.tensor import rng_from_seed
 
     rng = rng_from_seed(20261019)
     seen = set()
     for _ in range(60):
         block = _f84_block(rng, 40)
-        canon = _fermi_slots(get_family("F84_ABS"), block)
+        canon = _fermi_slots(get_family("F84_ABS"), block, _ARRAY_ROWS)
         got = check_block("F84_ABS", block, tolerance=1e-9)
         want = _oracle_abs_sum(canon.values["lam"])
         assert np.array_equal(got.slacks, want)
@@ -1020,7 +1032,7 @@ def test_linear_slacks_equal_the_former_evaluators_bitwise():
 
         block, n = _pairing_block(rng, 40)
         got = check_block("TWO_PARTICLE_PURE", block, tolerance=1e-3)
-        want = _oracle_even_degeneracy(_desc(block.one_body), n)
+        want = _oracle_even_degeneracy(_ARRAY_ROWS.desc(block.one_body), n)
         assert np.array_equal(got.slacks, want)
         assert np.array_equal(np.signbit(got.slacks), np.signbit(want))
         assert got.labels == ("even-degeneracy defect",) and got.tolerance == 0.0
@@ -1030,6 +1042,54 @@ def test_linear_slacks_equal_the_former_evaluators_bitwise():
     assert seen >= {("renormalized", True), ("boundary", True), ("odd r", True),
                     ("odd r", False), ("holes", True), ("holes", False),
                     ("violated", True)}
+
+
+def test_row_operations_agree_row_by_row():
+    """Each numpy row operation gives on every row of a block what the
+    one-bundle operation gives on that row alone, on 200 random blocks with
+    -0.0 entries, ties and rows to renormalize.  The renormalized rows are
+    bitwise equal, signs of zero included; a sort may order 0.0 and -0.0
+    differently, so the others are compared by value."""
+    from qmarginal.catalog import _ARRAY_ROWS as block_ops
+    from qmarginal.records import _FLOAT_ROWS as row_ops
+    from qmarginal.tensor import rng_from_seed
+
+    rng = rng_from_seed(20261020)
+    seen = set()
+    for _ in range(200):
+        t, k = int(rng.integers(1, 9)), int(rng.integers(1, 13))
+        x = rng.choice([0.25, 0.5, 1.0], size=(t, k)) * rng.random((t, k))
+        x[rng.random((t, k)) < 0.3] = -0.0
+        x[rng.random((t, k)) < 0.2] = 0.25
+        x[np.arange(t), rng.integers(k, size=t)] = 0.5   # no zero-sum row
+        traces = np.where(rng.random(t) < 0.5, 3.0, x.sum(axis=1) + 1e-6)
+        x[0] = -0.0   # a zero-sum row at its declared trace is left as it is
+        traces[0] = 3.0
+        lam, off = block_ops.renormalize(x, traces, 3)
+        for i, row in enumerate(x.tolist()):
+            want, flag = row_ops.renormalize(row, float(traces[i]), 3)
+            assert bool(off[i]) == flag
+            assert np.array_equal(lam[i], want)
+            assert np.array_equal(np.signbit(lam[i]), np.signbit(want))
+            seen.add(("renormalized", flag))
+            assert block_ops.width(x) == row_ops.width(row)
+            for op in ("desc", "sort", "reverse"):
+                assert np.array_equal(getattr(block_ops, op)(x)[i], getattr(row_ops, op)(row))
+            for op in ("row_min", "row_max"):
+                assert getattr(block_ops, op)(x)[i] == getattr(row_ops, op)(row)
+            cols = [block_ops.column(x, j) for j in range(k)]
+            assert np.array_equal(block_ops.stack(cols)[i],
+                                  row_ops.stack([row_ops.column(row, j) for j in range(k)]))
+    assert seen == {("renormalized", True), ("renormalized", False)}
+    ns = np.array([2.0, 2.0 + 1e-11, 2.0 - 1e-11])
+    assert block_ops.particle_number(ns, "F") == row_ops.particle_number(2.0, "F") == 2
+    with pytest.raises(CatalogError) as got:
+        block_ops.particle_number(np.append(ns, 2.5), "F")
+    with pytest.raises(CatalogError) as want:
+        row_ops.particle_number(2.5, "F")
+    assert str(got.value) == str(want.value)
+    with pytest.raises(CatalogError, match="F needs one particle number per block"):
+        block_ops.particle_number(np.append(ns, 3.0), "F")
 
 
 def test_compiled_system_is_immutable_and_cached():

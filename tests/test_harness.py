@@ -396,6 +396,58 @@ def test_blocks_do_not_depend_on_worker_count(family, system):
     assert abs(replayed - a.min_slack) <= 1e-12
 
 
+@pytest.mark.parametrize("family,system", [p for p in CRITERION_5_PAIRS
+                                            if p != ("BASIC", "2x2x2:mixed")],
+                         ids=[f"{f}@{s}" for f, s in CRITERION_5_PAIRS
+                              if (f, s) != ("BASIC", "2x2x2:mixed")])
+def test_a_worst_trial_replays_through_the_one_bundle_path(family, system):
+    """The worst trial of a campaign, drawn alone and checked on Python
+    floats, gives the campaign's minimum slack exactly.  BASIC's
+    site-versus-rest splits of three sites are no bundle of one check."""
+    from qmarginal.harness import sample_bundle
+    from qmarginal.records import check_family
+
+    report = mc_verify(family, system, trials=750, seed=20260809)
+    bundle = sample_bundle(parse_system(system), 20260809, report.worst_trial)
+    assert check_family(family, bundle).worst_slack == report.min_slack
+
+
+@pytest.mark.parametrize("jobs,cpus,workers", [(64, 2, 2), (3, 8, 3), (5, None, 1)])
+def test_a_campaign_starts_at_most_one_worker_per_cpu(monkeypatch, jobs, cpus, workers):
+    """``jobs`` chunks still split the trials, so the report is the same,
+    but no more processes start than there are CPUs."""
+    from qmarginal import harness
+
+    pools = []
+
+    class InProcessPool:
+        """Records its worker count and chunks, and maps them in this process."""
+
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            self.chunks = list(chunks)
+            return map(fn, self.chunks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    got = mc_verify("BD6", "fermi:6:3:pure", trials=256, seed=11, jobs=jobs)
+    (pool,) = pools
+    assert pool.max_workers == workers
+    assert len(pool.chunks) == jobs
+    want = mc_verify("BD6", "fermi:6:3:pure", trials=256, seed=11)
+    assert (got.min_slack, got.violations, got.worst_trial) == (
+        want.min_slack, want.violations, want.worst_trial)
+
+
 def _with_block_sizes(monkeypatch, run):
     """``run()`` with blocks of 1 and 32 trials and of the budgeted size."""
     from qmarginal import harness
