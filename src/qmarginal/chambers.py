@@ -4,7 +4,9 @@ Cubicle hyperplane arrangements for test spectra, chamber enumeration by
 depth-first double description, extremal-edge extraction, convex hulls of
 rational point sets, and redundancy filtering.  The double-description
 engine works on primitive integer vectors and keeps one incidence bitmask
-per ray.  No floating point enters this module.
+per ray.  Hulls and the filter homogenize in full coordinates, and
+``_generators`` alone splits their cones into lineality space and pointed
+part.  No floating point enters this module.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from math import gcd, lcm
 from operator import mul, sub
 
 from .rational import (
-    affine_solutions,
     canon_hyperplane,
     dot,
     echelon,
@@ -235,6 +236,7 @@ def rays_from_inequalities(ineqs, d: int) -> tuple:
     rays of the face it is; the cone {0} yields ().
     """
     rows = [primitive(r) for r in ineqs]
+    _check_lengths(rows, d, "a normal")
     rows = [r for r in rows if any(r)]
     chosen, rays = _simplicial_start(rows, d)
     full = (1 << d) - 1
@@ -487,42 +489,25 @@ class HullResult:
 def convex_hull(points) -> HullResult:
     """Irredundant facet description of the convex hull of rational points.
 
-    Works inside the affine span of the points (dual double description on
-    the homogenized cone).  In the reduced echelon basis of the span's
-    directions, a point's coordinates are its entries in the pivot columns,
-    and a facet normal gamma lifts to gamma placed at the pivot columns.
+    Dual double description on the homogenized cone of the normals
+    (gamma0, gamma) with gamma.p <= gamma0 + gamma.p0 at every point p.  Its
+    lineality space holds the normals of the points' affine span, and each
+    extreme ray with gamma != 0 is a facet.
     """
-    pts = [to_fractions(p) for p in points]
-    pts = list(dict.fromkeys(pts))
+    pts = list(dict.fromkeys(to_fractions(p) for p in points))
     if not pts:
         raise GeometryError("convex hull of an empty point set")
     D = len(pts[0])
+    _check_lengths(pts, D, "a point")
     p0 = pts[0]
-    diffs = [tuple(a - b for a, b in zip(p, p0)) for p in pts[1:]]
-    basis, pivots, _ = echelon(diffs)
-    k = len(pivots)
-    if k > DIM_CAP:
-        raise GeometryError(f"hull dimension {k} exceeds the cap {DIM_CAP}")
-
-    equalities = []
-    for nv in null_vectors(basis, pivots, D):
-        nv = canon_hyperplane(nv)
-        equalities.append((nv, dot(to_fractions(nv), p0)))
-    if k == 0:
-        return HullResult((), tuple(sorted(equalities)), 0)
-
-    rows = [(1,) + tuple(p0[c] - p[c] for c in pivots) for p in pts]
-    facets = []
-    for ray in rays_from_inequalities(rows, k + 1):
-        gamma0, gamma = ray[0], ray[1:]
-        if not any(gamma):
-            continue
-        lift = [0] * D
-        for c, g in zip(pivots, gamma):
-            lift[c] = g
-        rhs = gamma0 + dot(gamma, [p0[c] for c in pivots])
-        facets.append(canon_inequality(lift, rhs))
-    return HullResult(tuple(sorted(facets)), tuple(sorted(equalities)), k)
+    rows = [(1,) + tuple(a - b for a, b in zip(p0, p)) for p in pts]
+    lineality, rays = _generators(rows, D + 1, hull_cap=DIM_CAP)
+    normals = [canon_hyperplane(v[1:]) for v in lineality]
+    equalities = [(n, dot(n, p0)) for n in normals]
+    facets = [canon_inequality(g[1:], g[0] + dot(g[1:], p0))
+              for g in rays if any(g[1:])]
+    return HullResult(tuple(sorted(facets)), tuple(sorted(equalities)),
+                      D - len(lineality))
 
 
 def canon_inequality(normal, rhs):
@@ -531,43 +516,34 @@ def canon_inequality(normal, rhs):
     return scaled[:-1], Fraction(scaled[-1])
 
 
-def _affine_chart(ambient_eqs, d):
-    """(x0, basis) with {x : eqs} = {x0 + sum y_i basis_i}, or None if empty.
-
-    The basis vectors are primitive integer vectors.
-    """
-    if not ambient_eqs:
-        return (0,) * d, [tuple(int(i == j) for j in range(d)) for i in range(d)]
-    sol = affine_solutions([n for n, _ in ambient_eqs], [r for _, r in ambient_eqs], d)
-    if sol is None:
-        return None
-    return sol[0], [primitive(v) for v in sol[1]]
+def _check_lengths(vectors, n, what):
+    for v in vectors:
+        if len(v) != n:
+            raise GeometryError(f"{what} has length {len(v)}, expected {n}")
 
 
-def _homogenize(normal, rhs, chart):
-    """normal.x <= rhs on the chart, as a primitive row g with g.(t, y) >= 0."""
-    x0, basis = chart
-    return primitive((rhs - _idot(normal, x0),)
-                       + tuple(-_idot(normal, b) for b in basis))
+def _homogenize(normal, rhs):
+    """A canonical normal.x <= rhs as the row g with g.(t, x) >= 0."""
+    return (int(rhs),) + tuple(-x for x in normal)
 
 
-def _generators(rows, D):
+def _generators(rows, D, hull_cap=None):
     """Generators of the cone {z in R^D : row.z >= 0 for every row}.
 
     Returns (lineality basis, extreme rays of the pointed part) as integer
-    vectors; the pointed part lies in the row space of ``rows``.
+    vectors.  The pointed part lies on the pivot columns of the rows'
+    echelon form, which meet the lineality space only in 0.  ``hull_cap``
+    bounds a hull's dimension, the rank less one, before any cut.
     """
     basis, pivots, _ = echelon(rows)
-    rho = len(pivots)
-    if rho == D:
-        return (), rays_from_inequalities(rows, D)
+    if hull_cap is not None and len(pivots) - 1 > hull_cap:
+        raise GeometryError(
+            f"hull dimension {len(pivots) - 1} exceeds the cap {hull_cap}")
     lineality = tuple(primitive(v) for v in null_vectors(basis, pivots, D))
-    if rho == 0:
-        return lineality, ()
-    rays = rays_from_inequalities(
-        [tuple(_idot(r, b) for b in basis) for r in rows], rho)
-    return lineality, tuple(
-        primitive([_idot(c, col) for col in zip(*basis)]) for c in rays)
+    rays = rays_from_inequalities([[r[p] for p in pivots] for r in rows], len(pivots))
+    at = {p: k for k, p in enumerate(pivots)}
+    return lineality, tuple(tuple(c[at[j]] if j in at else 0 for j in range(D))
+                            for c in rays)
 
 
 def _feasible(gens) -> bool:
@@ -594,33 +570,32 @@ def redundancy_filter(inequalities, ambient_ineqs=(), ambient_eqs=()):
     ambient system, are feasible and imply it.  Raises GeometryError if the
     ambient system is infeasible.
 
-    The ambient equalities are substituted away and the system homogenized
-    (t >= 0), so the polyhedron becomes a cone whose generators are
-    enumerated once by double description.  When the inequalities leave the
-    polyhedron nonempty and of the ambient system's dimension, an inequality
-    is kept iff its tight generators span a facet that no ambient inequality
-    and no later inequality also defines.  Otherwise each inequality is
-    decided in order with one enumeration of the others.
+    The system is homogenized in full coordinates (t >= 0), each ambient
+    equality as a pair of opposite inequalities, so the polyhedron becomes
+    a cone whose generators are enumerated once by double description.
+    When the inequalities leave the polyhedron nonempty and of the ambient
+    system's dimension, an inequality is kept iff its tight generators span
+    a facet that no ambient inequality and no later inequality also
+    defines.  Otherwise each inequality is decided in order with one
+    enumeration of the others.
     """
     ineqs = [canon_inequality(n, r) for n, r in inequalities]
     ineqs = list(dict.fromkeys(ineqs))
-    # integer normals, as the inequalities have: homogenizing is then much
-    # cheaper, and primitive() removes the positive scale again
     amb_ub = [canon_inequality(n, r) for n, r in ambient_ineqs]
-    amb_eq = [(to_fractions(n), Fraction(r)) for n, r in ambient_eqs]
+    amb_eq = [canon_inequality(n, r) for n, r in ambient_eqs]
     if ineqs:
         d = len(ineqs[0][0])
     elif amb_ub:
         d = len(amb_ub[0][0])
     else:
         return []
-    chart = _affine_chart(amb_eq, d)
-    if chart is None:
-        raise GeometryError("ambient system is infeasible")
-    D = len(chart[1]) + 1
-    records = [_homogenize(n, r, chart) for n, r in ineqs]
-    ambient = [_homogenize(n, r, chart) for n, r in amb_ub]
-    ambient.append((1,) + (0,) * (D - 1))               # t >= 0
+    _check_lengths([n for n, _ in ineqs + amb_ub + amb_eq], d, "a normal")
+    D = d + 1
+    records = [_homogenize(n, r) for n, r in ineqs]
+    ambient = [_homogenize(n, r) for n, r in amb_ub]
+    ambient += [tuple(s * x for x in _homogenize(n, r))
+                for n, r in amb_eq for s in (1, -1)]
+    ambient.append((1,) + (0,) * d)                     # t >= 0
 
     gens = _generators(records + ambient, D)
     rays = gens[1]

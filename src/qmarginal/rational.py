@@ -5,8 +5,9 @@ floating point.  All elimination goes through one kernel, ``echelon``: it
 scales each row to primitive integers and reduces it fraction-free against
 the rows kept so far, so the kept rows are always a scaled reduced row
 echelon form.  ``rank``, ``row_space_basis``, ``solve_square``,
-``solve_any`` and ``nullspace`` read their answers off that form, as
-callers holding one do through ``null_vectors`` and ``affine_solutions``.
+``solve_any`` and ``nullspace`` read their answers off that form, the two
+solvers through ``affine_solutions``; a caller holding an echelon form
+reads its null space through ``null_vectors``.
 
 The simplex uses Bland's rule, so it terminates on degenerate problems.
 The library no longer calls it; the tests keep it as the oracle of

@@ -13,6 +13,7 @@ from qmarginal.chambers import (
     cubicle_arrangement,
     enumerate_chambers,
     extremal_edges,
+    rays_from_inequalities,
     redundancy_filter,
     split_cone,
     sorted_nonneg_cone,
@@ -409,10 +410,33 @@ def test_hull_matches_bruteforce_oracle_random_3d():
         assert set(h.facets) == _bruteforce_facets(pts)
 
 
-def test_hull_dimension_cap():
+def test_hull_dimension_cap(monkeypatch):
+    """The cap is checked before any double description step."""
+    import qmarginal.chambers as chambers
+
+    def fail(*args):
+        raise AssertionError("double description ran before the cap check")
+
+    monkeypatch.setattr(chambers, "rays_from_inequalities", fail)
     pts = [tuple(F(int(i == j)) for j in range(9)) for i in range(9)]
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="hull dimension 8 exceeds the cap 7"):
         convex_hull(pts)
+
+
+@pytest.mark.parametrize("call,expected", [
+    (lambda: convex_hull([(0, 0), (1, 0, 5), (0, 1)]), 2),
+    (lambda: convex_hull([(0, 0, 0), (1, 0), (0, 1, 0)]), 3),
+    (lambda: redundancy_filter([((1, 0), F(1)), ((1,), F(2))]), 2),
+    (lambda: redundancy_filter([((1, 0), F(1))], [], [((1,), F(0))]), 2),
+    (lambda: redundancy_filter([((1, 0), F(1)), ((0, 1, 1), F(1))]), 2),
+    (lambda: redundancy_filter([], [((1, 0), F(1)), ((1, 0, 0), F(1))]), 2),
+    (lambda: rays_from_inequalities([(1, 0, 0), (0, 1, 0)], 2), 2),
+], ids=["hull-long-point", "hull-short-point", "filter-short-normal",
+        "filter-short-equality", "filter-long-normal", "filter-long-ambient",
+        "rays-long-normal"])
+def test_ragged_vectors_are_refused(call, expected):
+    with pytest.raises(GeometryError, match=f"expected {expected}$"):
+        call()
 
 
 def test_redundancy_filter_duplicates_and_domination():
@@ -423,6 +447,21 @@ def test_redundancy_filter_duplicates_and_domination():
 def test_redundancy_filter_infeasible_ambient():
     with pytest.raises(GeometryError):
         redundancy_filter([((1,), F(1))], [((1,), F(-1)), ((-1,), F(-1))])
+
+
+@pytest.mark.parametrize("records,ub,eq", [
+    ([((0, 1), F(1))], [], [((1, 0), F(0)), ((1, 0), F(1))]),
+    ([((1, 1, 1), F(3))], [((0, 0, 1), F(5))],
+     [((1, 1, 0), F(1)), ((0, 1, 1), F(1)), ((1, 2, 1), F(3))]),
+    ([], [((1, 0, 0), F(1))], [((2, 0, 0), F(1)), ((1, 0, 0), F(1))]),
+])
+def test_redundancy_filter_clashing_ambient_equalities(records, ub, eq):
+    """Equalities with no common solution make the ambient system empty;
+    the second case is dependent on the left (row 3 = row 1 + row 2) but
+    not on the right (3 != 1 + 1)."""
+    for fn in (_lp_redundancy_filter, redundancy_filter):
+        with pytest.raises(GeometryError, match="ambient system is infeasible"):
+            fn(records, ub, eq)
 
 
 def test_redundancy_filter_basic_2x2_against_vertex_oracle():
@@ -1031,4 +1070,8 @@ def test_redundancy_filter_matches_sequential_lp_on_random_systems():
             raised += 1
             continue
         assert redundancy_filter(records, ub, eq) == want, (case, records, ub, eq)
+        if case in ("equality", "equality_twin"):
+            # each equality as a pair of opposite ambient inequalities
+            pairs = [(tuple(s * x for x in n), s * c) for n, c in eq for s in (1, -1)]
+            assert redundancy_filter(records, ub + pairs) == want, (case, records, eq)
     assert raised >= 24   # every infeasible-ambient system raised in both

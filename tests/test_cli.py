@@ -747,6 +747,16 @@ def test_hull_records_match_the_pinned_benchmark_output(capsys, r, n, M):
     assert sorted(json.dumps(rec, sort_keys=True) for rec in records) == pinned
 
 
+@pytest.mark.parametrize("edge", ["0,0,1", "0,1,1", "1,1,1", "1,1,2"])
+def test_generate_records_match_the_pinned_benchmark_output(capsys, edge):
+    """These jobs run the exact redundancy filter on each qubit group."""
+    pinned = json.loads(PINNED.read_text())["outputs"][f"generate qubits:3 {edge}"]
+    code, records, errors = _main_records(
+        capsys, ["generate", "--system", "qubits:3", "--edge", edge])
+    assert code == 0 and errors == []
+    assert sorted(json.dumps(rec, sort_keys=True) for rec in records) == pinned
+
+
 def test_main_callable_in_process(capsys):
     assert main(["families", "--system", "2x2:mixed"]) == 0
     out = capsys.readouterr().out
