@@ -199,11 +199,11 @@ class EquivalenceReport:
 
 def _dirichlet_proposals(rng, r, n):
     """k -> the next k rows of ``rng.dirichlet(np.ones(r)) * n``, bit for
-    bit: numpy draws gamma(1) variates as standard exponentials, adds each
-    row left to right and scales it by the inverse of its sum."""
+    bit."""
+    from .tensor import flat_dirichlet_rows
+
     def propose(k):
-        xs = rng.standard_exponential((k, r))
-        return xs * (1.0 / np.add.accumulate(xs, axis=1)[:, -1:]) * n
+        return flat_dirichlet_rows(rng.standard_exponential((k, r))) * n
     return propose
 
 

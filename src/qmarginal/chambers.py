@@ -583,13 +583,11 @@ def redundancy_filter(inequalities, ambient_ineqs=(), ambient_eqs=()):
     ineqs = list(dict.fromkeys(ineqs))
     amb_ub = [canon_inequality(n, r) for n, r in ambient_ineqs]
     amb_eq = [canon_inequality(n, r) for n, r in ambient_eqs]
-    if ineqs:
-        d = len(ineqs[0][0])
-    elif amb_ub:
-        d = len(amb_ub[0][0])
-    else:
+    normals = [n for n, _ in ineqs + amb_ub + amb_eq]
+    if not normals:
         return []
-    _check_lengths([n for n, _ in ineqs + amb_ub + amb_eq], d, "a normal")
+    d = len(normals[0])
+    _check_lengths(normals, d, "a normal")
     D = d + 1
     records = [_homogenize(n, r) for n, r in ineqs]
     ambient = [_homogenize(n, r) for n, r in amb_ub]

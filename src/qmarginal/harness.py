@@ -41,7 +41,7 @@ from .tensor import (
     complex_gaussian_stack,
     fixed_spectrum_stack,
     fixed_spectrum_values,
-    flat_dirichlet,
+    flat_dirichlet_rows,
     haar_vectors,
     hilbert_schmidt_stack,
     partial_trace_stack,
@@ -147,11 +147,11 @@ def _sample_blocks(system: SystemDescriptor, streams: PhiloxStreams, nu=None,
         gaussians = np.empty((len(streams), size, size), dtype=complex)
         for i, rng in enumerate(streams):
             if vals is None:
-                xs, inv = flat_dirichlet(rng, size)
-                draws[i] = [x * inv for x in xs]
+                draws[i] = rng.standard_exponential(size)
             gaussians[i] = complex_gaussian((size, size), rng)
         # the drawn spectrum is the joint one; rho is not solved again
-        joint = spectra_rows(draws, 1.0) if vals is None else np.tile(vals, (len(streams), 1))
+        joint = (spectra_rows(flat_dirichlet_rows(draws), 1.0) if vals is None
+                 else np.tile(vals, (len(streams), 1)))
         rho = fixed_spectrum_stack(unitaries_from_gaussian(gaussians), joint)
         return [reduce_states(system, rho, joint=joint)]
     gaussians = complex_gaussian_stack((size, size), streams)

@@ -13,13 +13,13 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import comb, factorial
-from operator import ge
 
 from .chambers import HullResult, canon_inequality, convex_hull
 from .rational import dot, nullspace, to_fractions
 from .records import FAMILIES, applicable_families
+from .spectra import dominates
 from .systems import SystemDescriptor
 
 CAP_BASIS = 70
@@ -170,7 +170,7 @@ def kostka(lam: tuple, mu: tuple) -> int:
         raise PlethysmError(f"|lam| = {sum(lam)} differs from |mu| = {sum(mu)}")
     if not mu:
         return 1
-    if not _dominates(lam, mu):
+    if not dominates(lam, mu):   # K(lam, mu) != 0 exactly when lam dominates mu
         return 0
     last = mu[-1]
     rest = mu[:-1]
@@ -178,12 +178,6 @@ def kostka(lam: tuple, mu: tuple) -> int:
     for nu in _strip_predecessors(lam, last):
         total += kostka(nu, rest)
     return total
-
-
-def _dominates(lam, mu) -> bool:
-    """lam dominates mu: every partial sum of lam reaches mu's (both
-    non-increasing, of one total).  K(lam, mu) is nonzero exactly then."""
-    return all(map(ge, accumulate(lam), accumulate(mu)))
 
 
 def _strip_predecessors(lam, size):
@@ -254,7 +248,7 @@ def _decompose(r: int, n: int, m: int, dominant: dict) -> PlethysmDecomposition:
     for lam in sorted(dominant, reverse=True):
         value = dominant[lam]
         for mu, c in mults.items():
-            if _dominates(mu, lam):
+            if dominates(mu, lam):
                 value -= c * kostka(mu, lam)
         if value < 0:
             raise PlethysmError(

@@ -752,40 +752,17 @@ def generate_qubit_array(a, irredundant: bool = True) -> QubitArrayGroup:
 
 
 def _filter_qubit_group(records, n):
-    """LP redundancy filter over independent (gaps, spectrum) variables."""
-    from .chambers import canon_inequality, redundancy_filter
+    """Redundancy filter over independent (gaps, spectrum) variables, within
+    the sorted cones of the gaps and of the reversed spectrum at unit trace."""
+    from .chambers import canon_inequality, redundancy_filter, sorted_nonneg_cone
 
     size = 2 ** n
-    d = n + size
-
-    def flat(rec):
-        terms = dict(rec.terms)
-        return canon_inequality(
-            tuple(terms["delta"]) + tuple(terms["joint"]), Fraction(rec.bound)
-        )
-
-    ambient_ub = []
-    ambient_eq = []
-    row = [Fraction(0)] * d
-    row[0] = Fraction(-1)
-    ambient_ub.append((tuple(row), Fraction(0)))          # delta_1 >= 0
-    for i in range(n - 1):
-        row = [Fraction(0)] * d
-        row[i] = Fraction(1)
-        row[i + 1] = Fraction(-1)
-        ambient_ub.append((tuple(row), Fraction(0)))      # delta_i <= delta_{i+1}
-    for k in range(size - 1):
-        row = [Fraction(0)] * d
-        row[n + k] = Fraction(-1)
-        row[n + k + 1] = Fraction(1)
-        ambient_ub.append((tuple(row), Fraction(0)))      # lambda nonincreasing
-    row = [Fraction(0)] * d
-    row[n + size - 1] = Fraction(-1)
-    ambient_ub.append((tuple(row), Fraction(0)))          # lambda_last >= 0
-    row = [Fraction(0)] * n + [Fraction(1)] * size
-    ambient_eq.append((tuple(row), Fraction(1)))          # unit trace
-
-    flats = [flat(r) for r in records]
-    kept = redundancy_filter(flats, ambient_ub, ambient_eq)
-    kept_set = set(kept)
-    return [r for r in records if flat(r) in kept_set]
+    gaps = [(tuple(-x for x in row) + (0,) * size, 0)
+            for row in sorted_nonneg_cone(n).ineqs]
+    spectrum = [((0,) * n + tuple(-x for x in reversed(row)), 0)
+                for row in reversed(sorted_nonneg_cone(size).ineqs)]
+    trace = [((0,) * n + (1,) * size, 1)]
+    flats = [canon_inequality(tuple(x for _, c in r.terms for x in c), r.bound)
+             for r in records]
+    kept = set(redundancy_filter(flats, gaps + spectrum, trace))
+    return [r for r, f in zip(records, flats) if f in kept]

@@ -1,8 +1,8 @@
 """Spectrum and Young-diagram combinatorics.
 
-Majorization, diagram transposition, the Gale-Ryser feasibility test for
-0/1-matrix margins, particle-hole duality of fermionic occupation spectra,
-and trace renormalization.
+Partial-sum dominance, majorization, diagram transposition, the Gale-Ryser
+feasibility test for 0/1-matrix margins, particle-hole duality of fermionic
+occupation spectra, and trace renormalization.
 """
 
 from __future__ import annotations
@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain, repeat
+from operator import add, ge
 
 SUM_TOL = 1e-10
 SORT_TOL = 1e-12
@@ -85,27 +87,33 @@ def spectrum(values, trace_tag=None) -> Spectrum:
     return Spectrum(tuple(vals), trace_tag)
 
 
+def dominates(a, b, tol=0) -> bool:
+    """Every partial sum of ``a`` plus ``tol`` reaches the matching partial
+    sum of ``b``, the shorter vector padded with zeros: the order majorization,
+    Gale-Ryser and nonzero Kostka numbers read.  ``accumulate`` adds in order;
+    ``sum`` compensates its rounding of floats from Python 3.12 on."""
+    extra = len(b) - len(a)
+    if extra > 0:
+        a = chain(a, repeat(0, extra))
+    elif extra:
+        b = chain(b, repeat(0, -extra))
+    sums = accumulate(a)
+    if tol:
+        sums = map(add, sums, repeat(tol))
+    return all(map(ge, sums, accumulate(b)))
+
+
 def majorizes(nu: Spectrum, lam: Spectrum, tol: float = SUM_TOL) -> bool:
     """True iff ``lam`` is majorized by ``nu`` (every partial sum of lam
-    is bounded by the matching partial sum of nu).
+    is bounded by the matching partial sum of nu, within ``tol``).
 
     The shorter vector is padded with zeros; total sums must agree within
     ``tol``.
     """
-    a = list(lam.as_floats())
-    b = list(nu.as_floats())
-    size = max(len(a), len(b))
-    a += [0.0] * (size - len(a))
-    b += [0.0] * (size - len(b))
-    if abs(sequential_sum(a) - sequential_sum(b)) > tol:
+    lam_vals, nu_vals = lam.as_floats(), nu.as_floats()
+    if abs(sequential_sum(lam_vals) - sequential_sum(nu_vals)) > tol:
         raise SpectrumError("majorization requires equal sums")
-    pa = pb = 0.0
-    for x, y in zip(a, b):
-        pa += x
-        pb += y
-        if pa > pb + tol:
-            return False
-    return True
+    return dominates(nu_vals, lam_vals, tol)
 
 
 @dataclass(frozen=True)
@@ -149,17 +157,7 @@ def gale_ryser(lam: YoungDiagram, mu: YoungDiagram) -> bool:
     """
     if lam.size != mu.size:
         raise SpectrumError("margins must have equal total size")
-    mut = transpose(mu).rows
-    size = max(len(lam.rows), len(mut))
-    a = list(lam.rows) + [0] * (size - len(lam.rows))
-    b = list(mut) + [0] * (size - len(mut))
-    pa = pb = 0
-    for x, y in zip(a, b):
-        pa += x
-        pb += y
-        if pa > pb:
-            return False
-    return True
+    return dominates(transpose(mu).rows, lam.rows)
 
 
 def particle_hole(lam: Spectrum, r: int) -> Spectrum:

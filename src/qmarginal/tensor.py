@@ -1,8 +1,8 @@
 """Dense complex linear algebra for multipartite states.
 
 Marginals, spectra, Schmidt decomposition, purification, Gram matrices of
-tensor slices, and seeded Haar sampling.  Index flattening is row-major
-throughout: the first factor is the slowest index.
+tensor slices, seeded Haar sampling and flat Dirichlet spectra.  Index
+flattening is row-major throughout: the first factor is the slowest index.
 """
 
 from __future__ import annotations
@@ -464,22 +464,13 @@ def complex_gaussian(shape: tuple, rng: np.random.Generator) -> np.ndarray:
     return complex_gaussian_stack(shape, [rng])[0]
 
 
-def flat_dirichlet(rng: np.random.Generator, k: int):
-    """A Dirichlet(1, ..., 1) draw of length k as its k exponential variates
-    and the inverse of their sum: the point ``[x * inv for x in xs]`` is bit
-    for bit ``rng.dirichlet(np.ones(k))``, from the same generator words.
-
-    numpy draws gamma(1) variates as standard exponentials, sums them left
-    to right and scales them by 1 / sum; one ``standard_exponential`` call
-    skips ``dirichlet``'s argument checks, most of its cost on short vectors.
-    The sum is a plain loop: ``sum`` compensates its rounding from Python
-    3.12 on.
-    """
-    xs = rng.standard_exponential(k).tolist()
-    acc = 0.0
-    for x in xs:
-        acc += x
-    return xs, 1.0 / acc
+def flat_dirichlet_rows(xs: np.ndarray) -> np.ndarray:
+    """Dirichlet(1, ..., 1) points of a (T, k) block of standard exponentials:
+    bit for bit the T ``rng.dirichlet(np.ones(k))`` draws of the same generator
+    words, which add each row left to right (``np.sum`` adds 8 or more entries
+    pairwise) and scale it by the inverse of its sum.  Drawing exponentials
+    skips ``dirichlet``'s argument checks, most of its cost on short rows."""
+    return xs * (1.0 / np.add.accumulate(xs, axis=1)[:, -1:])
 
 
 def haar_vectors(size: int, rngs) -> np.ndarray:

@@ -454,14 +454,21 @@ def test_redundancy_filter_infeasible_ambient():
     ([((1, 1, 1), F(3))], [((0, 0, 1), F(5))],
      [((1, 1, 0), F(1)), ((0, 1, 1), F(1)), ((1, 2, 1), F(3))]),
     ([], [((1, 0, 0), F(1))], [((2, 0, 0), F(1)), ((1, 0, 0), F(1))]),
+    ([], [], [((1,), F(0)), ((1,), F(1))]),
 ])
 def test_redundancy_filter_clashing_ambient_equalities(records, ub, eq):
     """Equalities with no common solution make the ambient system empty;
     the second case is dependent on the left (row 3 = row 1 + row 2) but
-    not on the right (3 != 1 + 1)."""
+    not on the right (3 != 1 + 1).  The last has equalities and nothing
+    else."""
     for fn in (_lp_redundancy_filter, redundancy_filter):
         with pytest.raises(GeometryError, match="ambient system is infeasible"):
             fn(records, ub, eq)
+
+
+def test_redundancy_filter_feasible_equalities_alone_keep_nothing():
+    for fn in (_lp_redundancy_filter, redundancy_filter):
+        assert fn([], [], [((1, 1), F(1)), ((1, -1), F(0))]) == []
 
 
 def test_redundancy_filter_basic_2x2_against_vertex_oracle():
@@ -978,12 +985,10 @@ def _lp_redundancy_filter(inequalities, ambient_ineqs=(), ambient_eqs=()):
     amb_ub = [(list(map(F, n)), F(r)) for n, r in ambient_ineqs]
     a_eq = [list(map(F, n)) for n, _ in ambient_eqs]
     b_eq = [F(r) for _, r in ambient_eqs]
-    if ineqs:
-        d = len(ineqs[0][0])
-    elif amb_ub:
-        d = len(amb_ub[0][0])
-    else:
+    normals = [n for n, _ in ineqs] + [n for n, _ in amb_ub] + a_eq
+    if not normals:
         return []
+    d = len(normals[0])
     feas = lp_max([0] * d, [n for n, _ in amb_ub], [r for _, r in amb_ub], a_eq, b_eq)
     if feas.status == "infeasible":
         raise GeometryError("ambient system is infeasible")

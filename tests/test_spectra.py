@@ -11,6 +11,7 @@ from qmarginal.spectra import (
     Spectrum,
     SpectrumError,
     YoungDiagram,
+    dominates,
     gale_ryser,
     majorizes,
     particle_hole,
@@ -55,6 +56,35 @@ def test_majorizes_trivial():
 
 def test_majorizes_pads_zeros():
     assert majorizes(spectrum((1,), 1), spectrum((0.5, 0.3, 0.2), 1))
+    # only the padded third partial sum (1.2 > 1.0) decides this one
+    assert not majorizes(spectrum((1.0,), 1.0), spectrum((0.6, 0.6, -0.2), 1.0))
+
+
+def _dominates_by_padded_partial_sums(a, b, tol):
+    size = max(len(a), len(b))
+    a = list(a) + [0] * (size - len(a))
+    b = list(b) + [0] * (size - len(b))
+    return all(sum(a[:k + 1]) + tol >= sum(b[:k + 1]) for k in range(size))
+
+
+@pytest.mark.parametrize("a,b,tol,want", [
+    ((3, 1), (2, 2), 0, True),
+    ((2, 2), (3, 1), 0, False),
+    ((2,), (1, 1), 0, True),                     # first argument shorter
+    ((1,), (1, 1), 0, False),                    # ... and only its padding fails
+    ((1, 1), (2,), 0, False),                    # second argument shorter
+    ((2, -1), (2,), 0, False),                   # ... and only its padding fails
+    ((2, 1, -1), (2,), 0, True),
+    ((1.0,), (0.6, 0.6, -0.2), 0, False),        # a negative entry past the end
+    ((0.5, 0.5), (0.75, 0.25), 0.25, True),      # tol > 0
+    ((0.5, 0.5), (0.75, 0.25), 0.125, False),
+    ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 3)), 0, True),
+    ((Fraction(1, 3),), (Fraction(1, 2),), Fraction(1, 6), True),
+    ((Fraction(1, 3),), (Fraction(1, 2),), Fraction(1, 7), False),
+    ((), (), 0, True),
+])
+def test_dominates_matches_padded_partial_sums(a, b, tol, want):
+    assert dominates(a, b, tol) == _dominates_by_padded_partial_sums(a, b, tol) == want
 
 
 def test_majorizes_sum_mismatch():

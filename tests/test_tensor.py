@@ -12,7 +12,7 @@ from qmarginal.tensor import (
     StateError,
     complex_gaussian,
     complex_gaussian_stack,
-    flat_dirichlet,
+    flat_dirichlet_rows,
     gram_of_slices,
     haar_pure,
     haar_vectors,
@@ -387,11 +387,12 @@ def test_philox_streams_start_every_stream_afresh():
 
 
 def test_flat_dirichlet_is_numpys_dirichlet_of_ones():
+    """One 200-row block of exponentials is 200 successive draws of
+    ``rng.dirichlet(np.ones(k))``, bit for bit, and uses the same words."""
     for k in range(1, 21):
         got, want = rng_from_seed(k, 1), rng_from_seed(k, 1)
-        for _ in range(200):
-            xs, inv = flat_dirichlet(got, k)
-            assert np.array_equal([x * inv for x in xs], want.dirichlet(np.ones(k)))
+        block = flat_dirichlet_rows(got.standard_exponential((200, k)))
+        assert np.array_equal(block, [want.dirichlet(np.ones(k)) for _ in range(200)])
         assert got.standard_normal() == want.standard_normal()
 
 
