@@ -2,7 +2,8 @@
 
 Subcommands: reduce, check, coeff, edges, generate, plethysm, hull, verify,
 equiv, witness.  Output is line-structured JSON records with a stable
-schema version; reals use 17 significant digits, rationals print as p/q.
+schema version; a real prints as the shortest decimal that reads back as
+the same double, a rational as p/q.
 Exit codes: 0 success/satisfied, 1 violation/failure found, 2 usage error.
 """
 
@@ -46,10 +47,6 @@ def _json_default(value):
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
     raise TypeError(f"cannot serialize {type(value)}")
-
-
-def _fmt_real(x: float) -> float:
-    return float(f"{float(x):.17g}")
 
 
 def _number(text: str):
@@ -336,8 +333,8 @@ def cmd_reduce(args) -> int:
         emit({
             "record": "spectrum",
             "slot": slot,
-            "values": [_fmt_real(v) for v in rows[0]],
-            "trace": _fmt_real(trace),
+            "values": [float(v) for v in rows[0]],
+            "trace": float(trace),
         })
     return 0
 
@@ -395,7 +392,7 @@ def _emit_check_report(report) -> int:
         "record": "check_report",
         "family": report.family_id,
         "satisfied": report.satisfied,
-        "worst_slack": _fmt_real(report.worst_slack),
+        "worst_slack": float(report.worst_slack),
         "violated": list(report.violated),
         "n_inequalities": report.n_inequalities,
         "tolerance": report.tolerance,
@@ -508,6 +505,8 @@ def cmd_generate(args) -> int:
         arr = cubicle_arrangement(args.system)
         if len(args.edge) != arr.dim:
             raise UsageError(f"edge needs {arr.dim} coordinates, got {len(args.edge)}")
+        if not any(args.edge):
+            raise UsageError("--edge is zero: its record 0 <= 0 bounds nothing")
         a, b = arr.chart.to_test_spectra(args.edge)
         records = (
             generate_inequality(a, b, identity_perm(m), identity_perm(n),
@@ -585,11 +584,11 @@ def cmd_verify(args) -> int:
         "trials": report.trials,
         "seed": report.seed,
         # no trials leave the minimum slack at +inf, which JSON cannot hold
-        "min_slack": (_fmt_real(report.min_slack)
+        "min_slack": (float(report.min_slack)
                       if math.isfinite(report.min_slack) else None),
         "worst_trial": report.worst_trial,
         "violations": report.violations,
-        "wall_time": _fmt_real(report.wall_time),
+        "wall_time": float(report.wall_time),
         "tolerance": report.tolerance,
     })
     return 0 if report.violations == 0 else 1
@@ -620,7 +619,7 @@ def cmd_witness(args) -> int:
     record = {
         "record": "witness",
         "success": report.success,
-        "residual": _fmt_real(report.residual),
+        "residual": float(report.residual),
         "targets": [list(t) for t in report.targets],
         "restarts": report.restarts,
     }
@@ -629,7 +628,7 @@ def cmd_witness(args) -> int:
             "format_version": 1,
             "kind": "pure",
             "system": args.system.split(":pure")[0],
-            "amplitudes": [[_fmt_real(re), _fmt_real(im)]
+            "amplitudes": [[float(re), float(im)]
                            for re, im in report.amplitudes],
         }
     emit(record)
@@ -645,8 +644,8 @@ def cmd_isospec(args) -> int:
         "formats": list(report.formats),
         "trials": report.trials,
         "seed": report.seed,
-        "max_discrepancy": _fmt_real(report.max_discrepancy),
-        "wall_time": _fmt_real(report.wall_time),
+        "max_discrepancy": float(report.max_discrepancy),
+        "wall_time": float(report.wall_time),
     })
     return 0 if report.max_discrepancy < 1e-10 else 1
 

@@ -189,25 +189,6 @@ def two_rdm(psi: FermionState) -> TwoRDM:
     return TwoRDM(2.0 * g, pairs)
 
 
-def contract_two_rdm(rdm: TwoRDM, r: int, n: int) -> np.ndarray:
-    """Contract one particle index; returns (n-1) * gamma for a pure state."""
-    pair_index = {p: k for k, p in enumerate(rdm.pairs)}
-    out = np.zeros((r, r), dtype=complex)
-    for i in range(1, r + 1):
-        for k in range(1, r + 1):
-            acc = 0.0 + 0.0j
-            for j in range(1, r + 1):
-                if j == i or j == k:
-                    continue
-                si = 1 if i < j else -1
-                sk = 1 if k < j else -1
-                p = pair_index[(min(i, j), max(i, j))]
-                q = pair_index[(min(k, j), max(k, j))]
-                acc += si * sk * rdm.matrix[p, q]
-            out[i - 1, k - 1] = acc / 2.0
-    return out
-
-
 def embed_one_body_in_pairs(h1: np.ndarray, pairs) -> np.ndarray:
     """Differential action of a one-body operator on the antisymmetric pair
     space: X(e_k ^ e_l) = (X e_k) ^ e_l + e_k ^ (X e_l).

@@ -269,20 +269,6 @@ def _decompose(r: int, n: int, m: int, dominant: dict) -> PlethysmDecomposition:
     )
 
 
-def complement_weight(lam: tuple, r: int, m: int) -> tuple:
-    """Complement of the diagram in the r x m rectangle, reversed."""
-    lam = tuple(lam) + (0,) * (r - len(lam))
-    return tuple(m - lam[r - 1 - i] for i in range(r))
-
-
-def selfdual_check(r: int, n: int, m: int) -> bool:
-    """True iff every component of S^m(wedge^n C^r) is rectangle-self-dual."""
-    dec = decompose(r, n, m)
-    return all(
-        complement_weight(w, r, m) == w for w, _ in dec.multiplicities
-    )
-
-
 def occurring_spectra(r: int, n: int, max_power: int) -> tuple:
     """Normalized highest weights lam/m over all components with m <= M.
 

@@ -1,9 +1,9 @@
 """Exact Schubert calculus for marginal-inequality coefficients.
 
-Permutations in one-line notation, integer multivariate polynomials,
-divided differences, Schubert polynomials, the structure coefficients
-attached to a pair of test spectra (two-sided and fermionic), and
-inequality generation from extremal edges.
+Permutations in one-line notation, integer multivariate polynomials as
+{exponent tuple: int} dicts, divided differences, Schubert polynomials,
+the structure coefficients attached to a pair of test spectra (two-sided
+and fermionic), and inequality generation from extremal edges.
 
 Schubert polynomials come from the Lascoux–Schützenberger transition
 recursion, memoized in a bounded cache on w without its trailing fixed
@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb
-from operator import add, itemgetter
+from operator import itemgetter
 
 from .records import InequalityRecord
 from .rational import to_fractions
@@ -46,18 +46,6 @@ def check_perm(w) -> tuple:
 
 def identity_perm(n: int) -> tuple:
     return tuple(range(1, n + 1))
-
-
-def perm_mul(u, v) -> tuple:
-    """(u v)(i) = u(v(i))."""
-    return tuple(u[v[i] - 1] for i in range(len(v)))
-
-
-def perm_inverse(w) -> tuple:
-    inv = [0] * len(w)
-    for i, x in enumerate(w):
-        inv[x - 1] = i + 1
-    return tuple(inv)
 
 
 def length(w) -> int:
@@ -108,141 +96,9 @@ def minimal_word(w) -> tuple:
     return tuple(reversed(collected))
 
 
-def compose_word(word, n: int) -> tuple:
-    """Product s_{i_1} ... s_{i_l} as a permutation of 1..n."""
-    p = identity_perm(n)
-    for i in word:
-        s = list(identity_perm(n))
-        s[i - 1], s[i] = s[i], s[i - 1]
-        p = perm_mul(p, tuple(s))
-    return p
-
-
 # ---------------------------------------------------------------------------
-# Exact integer polynomials
-
-class Poly:
-    """Sparse multivariate polynomial with integer coefficients.
-
-    Monomial keys are exponent tuples with trailing zeros stripped, so the
-    variable count is open-ended.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for exp, coeff in terms.items():
-                coeff = int(coeff)
-                if coeff:
-                    self.terms[_trim(exp)] = coeff
-
-    @staticmethod
-    def constant(c: int) -> "Poly":
-        return Poly({(): int(c)} if c else {})
-
-    @staticmethod
-    def variable(i: int) -> "Poly":
-        """x_i for 1-based i."""
-        exp = [0] * i
-        exp[i - 1] = 1
-        return Poly({tuple(exp): 1})
-
-    @staticmethod
-    def monomial(exponents, coeff: int = 1) -> "Poly":
-        return Poly({tuple(exponents): coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def constant_term(self):
-        """The integer value if the polynomial is constant, else None."""
-        if not self.terms:
-            return 0
-        if len(self.terms) == 1 and () in self.terms:
-            return self.terms[()]
-        return None
-
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            val = out.get(exp, 0) + c
-            if val:
-                out[exp] = val
-            else:
-                out.pop(exp, None)
-        res = Poly()
-        res.terms = out
-        return res
-
-    def __neg__(self):
-        res = Poly()
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return Poly()
-            res = Poly()
-            res.terms = {e: c * other for e, c in self.terms.items()}
-            return res
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = _mul_exp(e1, e2)
-                val = out.get(exp, 0) + c1 * c2
-                if val:
-                    out[exp] = val
-                else:
-                    out.pop(exp, None)
-        res = Poly()
-        res.terms = out
-        return res
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        result = Poly.constant(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for exp in sorted(self.terms, key=lambda e: (-sum(e), e)):
-            c = self.terms[exp]
-            mono = "*".join(
-                f"x{i+1}" + (f"^{p}" if p > 1 else "")
-                for i, p in enumerate(exp)
-                if p
-            )
-            parts.append(f"{c}" if not mono else f"{c}*{mono}" if c != 1 else mono)
-        return " + ".join(parts)
-
-
-def _trim(exp):
-    return _strip(tuple(int(e) for e in exp))
-
+# Exact integer polynomials, as {exponent tuple: coefficient} dicts: the
+# tuples have no trailing zeros and every coefficient is a nonzero int
 
 def _strip(exp: tuple) -> tuple:
     """An integer exponent tuple without its trailing zeros."""
@@ -252,13 +108,7 @@ def _strip(exp: tuple) -> tuple:
     return exp if end == len(exp) else exp[:end]
 
 
-def _mul_exp(e1, e2):
-    if len(e1) < len(e2):
-        e1, e2 = e2, e1
-    return _strip(tuple(map(add, e1, e2)) + e1[len(e2):])
-
-
-def divided_difference(i: int, p: Poly) -> Poly:
+def divided_difference(i: int, p: dict) -> dict:
     """The finite-difference operator (f - s_i f) / (x_i - x_{i+1}).
 
     The quotient is always an exact polynomial; 1-based variable index.
@@ -268,7 +118,7 @@ def divided_difference(i: int, p: Poly) -> Poly:
     if i < 1:
         raise SchubertError(f"divided difference index must be >= 1, got {i}")
     out = {}
-    for exp, coeff in p.terms.items():
+    for exp, coeff in p.items():
         size = len(exp)
         a = exp[i - 1] if i <= size else 0
         b = exp[i] if i < size else 0
@@ -286,12 +136,10 @@ def divided_difference(i: int, p: Poly) -> Poly:
                 out[key] = val
             else:
                 del out[key]
-    res = Poly()
-    res.terms = out
-    return res
+    return out
 
 
-def apply_chain(word, p: Poly, offset: int = 0) -> Poly:
+def apply_chain(word, p: dict, offset: int = 0) -> dict:
     """Apply the divided-difference chain of a reduced word.
 
     The operator for w = s_{i_1} ... s_{i_l} applies the last letter first.
@@ -299,24 +147,22 @@ def apply_chain(word, p: Poly, offset: int = 0) -> Poly:
     """
     for i in reversed(word):
         p = divided_difference(offset + i, p)
-        if p.is_zero():
+        if not p:
             break
     return p
 
 
-def schubert_poly(w) -> Poly:
+def schubert_poly(w) -> dict:
     """Schubert polynomial of the permutation w (any sequence of 1..n).
 
     Built by the transition recursion (``_transition``), at a cost that
     follows the size of S_w rather than a chain down from the staircase
     monomial.  Homogeneous of degree l(w), nonnegative integer
     coefficients, and stable: appending fixed points to w leaves S_w
-    unchanged.  Each call returns a new Poly, so changing its terms never
-    reaches the memo that later S_w are built from.
+    unchanged.  Each call returns a new dict, so changing it never reaches
+    the memo that later S_w are built from.
     """
-    res = Poly()
-    res.terms = dict(_transition(_drop_fixed_tail(check_perm(w))))
-    return res
+    return dict(_transition(_drop_fixed_tail(check_perm(w))))
 
 
 def _drop_fixed_tail(w) -> tuple:
@@ -478,11 +324,11 @@ class _Substitution:
             self.images[beta] = got
         return got
 
-    def by_block_degree(self, poly: Poly) -> dict:
+    def by_block_degree(self, poly: dict) -> dict:
         """The substituted poly as {block degrees: [(block exponents,
         coefficient), ...]}, without the monomials no chain can reach."""
         sub = {}
-        for beta, c in poly.terms.items():
+        for beta, c in poly.items():
             for key, d in self.image(beta).items():
                 sub[key] = sub.get(key, 0) + c * d
         groups = {}
@@ -495,8 +341,9 @@ class _Substitution:
 
 @lru_cache(maxsize=1 << 14)
 def _chain_on_monomial(word: tuple, exp: tuple) -> int:
-    """The integer d_word(x^exp) of a monomial of degree len(word)."""
-    return apply_chain(word, Poly.monomial(exp)).constant_term()
+    """The integer d_word(x^exp) of a monomial of degree len(word); a block
+    slice keeps its trailing zeros, so its key is stripped first."""
+    return apply_chain(word, {_strip(exp): 1}).get((), 0)
 
 
 def _chain_coefficient(groups: dict, words) -> int:
@@ -658,11 +505,9 @@ def _edge_record(prefix, slots, spectra, perms, w, neg_sums, coeff) -> Inequalit
     )
 
 
-def _two_sided_record(a, b, u, v, w, coeff, neg_sums=None) -> InequalityRecord:
+def _two_sided_record(a, b, u, v, w, coeff, neg_sums) -> InequalityRecord:
     """Record of the triple (u, v, w); ``neg_sums`` are the decreasing pair
-    sums of (a, b), negated, computed when not given."""
-    if neg_sums is None:
-        neg_sums = [-x for x, _ in _pair_sums(a, b, ties=True)]
+    sums of (a, b), negated."""
     return _edge_record("edge", ("A", "B", "AB"), {"a": a, "b": b}, {"u": u, "v": v},
                         w, neg_sums, coeff)
 
@@ -724,12 +569,16 @@ def generate_qubit_array(a, irredundant: bool = True) -> QubitArrayGroup:
     exact duplicates removed, and (by default) records implied by the rest
     of the group under the gap/spectrum ordering ambience are dropped.
 
-    Site values must be nonnegative and are expected sorted increasing to
+    Site values must be nonnegative, not all zero, and sorted increasing to
     match gaps arranged in increasing order.
     """
     a = tuple(Fraction(x) for x in a)
     if any(x < 0 for x in a):
-        raise SchubertError(f"per-site test values must be nonnegative: {a}")
+        raise SchubertError(f"per-site test values must be nonnegative: {_fmt(a)}")
+    if any(x > y for x, y in zip(a, a[1:])):
+        raise SchubertError(f"qubit edge {_fmt(a)} must be sorted increasing")
+    if not any(a):
+        raise SchubertError(f"qubit edge {_fmt(a)} is zero and bounds nothing")
     n = len(a)
     rhs = tuple(x for x, _ in _ordered_sums([(x, -x) for x in a],
                                             product((1, 2), repeat=n), ties=True))

@@ -110,6 +110,24 @@ def test_generate_qubit_group():
     assert ineq["terms"]["delta"] == ["0", "1", "1"]
 
 
+@pytest.mark.parametrize("system,edge,kind,message", [
+    ("qubits:3", "1,1,0", "SchubertError", "qubit edge (1,1,0) must be sorted increasing"),
+    ("qubits:3", "0,1,0", "SchubertError", "qubit edge (0,1,0) must be sorted increasing"),
+    ("qubits:3", "0,0,0", "SchubertError", "qubit edge (0,0,0) is zero"),
+    ("2x2", "0,0", "usage", "--edge is zero"),
+    ("2x3", "0,0,0", "usage", "--edge is zero"),
+])
+def test_generate_refuses_an_edge_outside_its_chart_cone(capsys, system, edge, kind,
+                                                          message):
+    """An unsorted qubit edge would print another edge's weaker record under
+    its own label, and a zero edge the vacuous record 0 <= 0."""
+    code, records, errors = _main_records(
+        capsys, ["generate", "--system", system, "--edge", edge])
+    assert code == 2 and records == []
+    (error,) = errors
+    assert error["kind"] == kind and message in error["message"]
+
+
 def test_reduce_pure_state_and_check_round_trip(tmp_path):
     psi = np.zeros(8)
     psi[0] = psi[7] = 1 / math.sqrt(2)  # GHZ

@@ -463,5 +463,5 @@ def test_exact_commands_read_integers_too_large_for_a_float_exactly():
     assert code == 0
     assert records == _holds_the_contract(coeff + ["--a", "1,-1"])[1]
     code, records = _holds_the_contract(["generate", "--system", "qubits:2",
-                                         "--edge", f"{HUGE},0"])
-    assert code == 0 and records[-1]["edge"] == [HUGE, "0"]
+                                         "--edge", f"0,{HUGE}"])
+    assert code == 0 and records[-1]["edge"] == ["0", HUGE]

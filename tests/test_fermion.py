@@ -18,7 +18,6 @@ import pytest
 from qmarginal.fermion import (
     FermionError,
     FermionState,
-    contract_two_rdm,
     energy_from_two_rdm,
     fermion_basis,
     haar_fermion,
@@ -405,6 +404,25 @@ def test_two_rdm_slater_pair():
     expect[0, 0] = 2.0
     assert np.allclose(rdm.matrix, expect, atol=1e-14)
     assert rdm.trace_convention == "n(n-1)"
+
+
+def contract_two_rdm(rdm, r: int, n: int) -> np.ndarray:
+    """Contract one particle index; returns (n-1) * gamma for a pure state."""
+    pair_index = {p: k for k, p in enumerate(rdm.pairs)}
+    out = np.zeros((r, r), dtype=complex)
+    for i in range(1, r + 1):
+        for k in range(1, r + 1):
+            acc = 0.0 + 0.0j
+            for j in range(1, r + 1):
+                if j == i or j == k:
+                    continue
+                si = 1 if i < j else -1
+                sk = 1 if k < j else -1
+                p = pair_index[(min(i, j), max(i, j))]
+                q = pair_index[(min(k, j), max(k, j))]
+                acc += si * sk * rdm.matrix[p, q]
+            out[i - 1, k - 1] = acc / 2.0
+    return out
 
 
 def test_two_rdm_trace_and_contraction():

@@ -230,3 +230,52 @@ def test_float_scan_flags_each_kind_of_float_use():
     source = ("x = 0.5\ny = float(x)\nimport numpy as np\n"
               "from numpy.linalg import eigvalsh\nz = 2j\nok = 1 / 3\n")
     assert [line for line, _ in _float_uses(ast.parse(source))] == [1, 2, 3, 4, 5]
+
+
+# Uncalled on purpose: the fermionic family generator of ROADMAP item 1
+# replaces it.  Drop the entry when that lands.
+UNCALLED_ALLOWED = ("schubert.generate_fermi_inequality",)
+
+
+def _uncalled_definitions(sources):
+    """"module.name" of each public module-level function or class of the
+    {module: source} map that no other top-level statement of any module
+    names (as a variable, an attribute or an imported name)."""
+    defined, named_by = [], {}
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            owner = (module, getattr(stmt, "name", None))
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name[0] != "_":
+                defined.append(owner)
+            for node in ast.walk(stmt):
+                names = ([node.id] if isinstance(node, ast.Name) else
+                         [node.attr] if isinstance(node, ast.Attribute) else
+                         [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                         else [])
+                for name in names:
+                    named_by.setdefault(name, set()).add(owner)
+    return [f"{module}.{name}" for module, name in defined
+            if not named_by.get(name, set()) - {(module, name)}]
+
+
+def test_uncalled_scan_skips_self_and_private_references():
+    sources = {"a": "def f():\n    return f()\n\ndef g():\n    return h\n\n"
+                    "def _p():\n    pass\n\nclass C:\n    pass\n",
+               "b": "from .a import C\n\ndef h():\n    return 1\n"}
+    assert _uncalled_definitions(sources) == ["a.f", "a.g"]
+
+
+def test_library_keeps_only_code_its_callers_run():
+    """Every public function or class of ``src/qmarginal`` is called by the
+    library, exported in ``qmarginal.__all__`` or traced by name by the
+    benchmark; a helper that only tests call lives beside those tests."""
+    from pathlib import Path
+
+    from tests.test_tracing_names import _listed_names
+
+    package = Path(qmarginal.__file__).parent
+    sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
+    traced = {f"{mod}.{name}" for mod, name in _listed_names()}
+    uncalled = [name for name in _uncalled_definitions(sources)
+                if name not in traced and name.split(".")[1] not in qmarginal.__all__]
+    assert uncalled == list(UNCALLED_ALLOWED)

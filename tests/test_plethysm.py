@@ -12,12 +12,10 @@ from qmarginal.plethysm import (
     PlethysmError,
     _dominant_characters,
     _restricted_form,
-    complement_weight,
     decompose,
     inner_approximation,
     kostka,
     occurring_spectra,
-    selfdual_check,
     weight_multiplicities,
     weyl_dimension,
 )
@@ -325,6 +323,20 @@ def test_dimension_identity_exact():
         dec = decompose(r, n, m)  # raises internally if the identity fails
         total = sum(mult * weyl_dimension(w, r) for w, mult in dec.multiplicities)
         assert total == comb(comb(r, n) + m - 1, m)
+
+
+def complement_weight(lam: tuple, r: int, m: int) -> tuple:
+    """Complement of the diagram in the r x m rectangle, reversed."""
+    lam = tuple(lam) + (0,) * (r - len(lam))
+    return tuple(m - lam[r - 1 - i] for i in range(r))
+
+
+def selfdual_check(r: int, n: int, m: int) -> bool:
+    """True iff every component of S^m(wedge^n C^r) is rectangle-self-dual."""
+    dec = decompose(r, n, m)
+    return all(
+        complement_weight(w, r, m) == w for w, _ in dec.multiplicities
+    )
 
 
 def test_selfduality_63():
