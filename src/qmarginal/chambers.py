@@ -257,12 +257,8 @@ class Chamber:
     cone: Cone
 
     def barycenter(self):
-        d = len(self.cone.rays[0])
-        total = [Fraction(0)] * d
-        for r in self.cone.rays:
-            for j in range(d):
-                total[j] += Fraction(r[j])
-        return tuple(total)
+        """Sum of the extreme rays, as Fractions: a point of the interior."""
+        return tuple(Fraction(sum(col)) for col in zip(*self.cone.rays))
 
 
 @dataclass(frozen=True)
@@ -272,7 +268,7 @@ class Arrangement:
     system: SystemDescriptor
     cone: Cone
     hyperplanes: tuple
-    chart: object = field(compare=False)
+    chart: Chart = field(compare=False)
 
     @property
     def dim(self):
@@ -284,79 +280,63 @@ def _cuts_interior(h, cone: Cone) -> bool:
     return any(v > 0 for v in vals) and any(v < 0 for v in vals)
 
 
-class QubitChart:
-    """Coordinates are per-site test values 0 <= a_1 <= ... <= a_n.
+@dataclass(frozen=True)
+class Chart:
+    """Exact linear map from chart coordinates to concatenated test spectra:
+    entry i is rows[i] . x / denom for integer ``rows``.  ``sizes`` are the
+    lengths of the spectra, in order."""
 
-    Site i's test spectrum is (a_i, -a_i); the concatenated test spectra
-    are (a_1, -a_1, ..., a_n, -a_n).
-    """
-
-    def __init__(self, n):
-        self.n = n
-        self.size = 2 * n
-
-    def to_test_spectra(self, vec):
-        return tuple((Fraction(v), -Fraction(v)) for v in vec)
-
-    def pullback(self, diff):
-        """Chart normal of the functional x -> diff . (concatenated spectra)."""
-        return tuple(diff[2 * i] - diff[2 * i + 1] for i in range(self.n))
-
-
-class DifferenceChart:
-    """Coordinates are the successive differences of each test spectrum.
-
-    ``sizes`` are the lengths of the spectra: (m, n) for an m x n tensor
-    format, (r,) for r fermionic orbitals.  Each spectrum is nonincreasing
-    with zero sum.
-    """
-
-    def __init__(self, sizes):
-        self.sizes = tuple(sizes)
-        self.size = sum(self.sizes)
-        self.dim = self.size - len(self.sizes)
+    rows: tuple
+    denom: int
+    sizes: tuple
 
     def to_test_spectra(self, vec):
-        out, start = [], 0
-        for size in self.sizes:
-            diffs = [Fraction(v) for v in vec[start:start + size - 1]]
-            out.append(_diffs_to_spectrum(diffs, size))
-            start += size - 1
-        return tuple(out)
-
-    def pullback(self, diff):
-        """Chart normal of the functional x -> diff . (concatenated spectra).
-
-        Valid when ``diff`` sums to zero on each spectrum's block: the shift
-        that centres the spectrum then drops out, and the coefficient of the
-        p-th difference is the block's prefix sum diff_1 + ... + diff_p.
-        """
-        row, start = [], 0
-        for size in self.sizes:
-            row.extend(accumulate(diff[start:start + size - 1]))
-            start += size
-        return tuple(row)
+        """The test spectra of a chart point, as Fractions.  A non-int
+        coordinate is read exactly by ``Fraction``, so a float keeps its
+        binary value.  The point is put over one denominator, so each entry
+        is one integer dot product and one division."""
+        _check_lengths([vec], len(self.rows[0]), "a chart point")
+        x = [v if type(v) is int else Fraction(v) for v in vec]
+        scale = lcm(*(v.denominator for v in x))
+        nums = [v.numerator * (scale // v.denominator) for v in x]
+        flat = [Fraction(_idot(row, nums), self.denom * scale) for row in self.rows]
+        ends = accumulate(self.sizes)
+        return tuple(tuple(flat[end - size:end]) for size, end in zip(self.sizes, ends))
 
 
-def _diffs_to_spectrum(diffs, size):
-    """Nonincreasing zero-sum vector with the given successive differences."""
-    tail = [Fraction(0)] * size
-    for i in range(size - 2, -1, -1):
-        tail[i] = tail[i + 1] + diffs[i]
-    shift = sum(tail, Fraction(0)) / size
-    return tuple(v - shift for v in tail)
+def _qubit_chart(n):
+    """Per-site values a_i; site i's test spectrum is (a_i, -a_i)."""
+    rows = tuple(tuple(sign * (j == i) for j in range(n))
+                 for i in range(n) for sign in (1, -1))
+    return Chart(rows, 1, (2,) * n)
+
+
+def _difference_chart(sizes):
+    """Successive differences of each nonincreasing zero-sum spectrum.  Entry
+    k of a spectrum of size s is the tail sum of its differences less their
+    mean: the sum over p of ([p >= k] - (p + 1) / s) diff_p."""
+    denom, dim = lcm(*sizes), sum(sizes) - len(sizes)
+    rows, start = [], 0
+    for s in sizes:
+        for k in range(s):
+            row = [0] * dim
+            row[start:start + s - 1] = [denom * (p >= k) - denom // s * (p + 1)
+                                        for p in range(s - 1)]
+            rows.append(tuple(row))
+        start += s - 1
+    return Chart(tuple(rows), denom, tuple(sizes))
 
 
 def _tie_hyperplanes(chart, subsets, cone):
     """Walls where two subset sums of the concatenated test spectra tie.
 
-    ``subsets`` are 0-based index tuples into the concatenated spectra.  The
-    wall of subsets s and t is the difference of their indicator vectors
-    pulled back to chart coordinates; the pullback is linear, so that is
-    the difference of the two images.  Returns the canonical normals of
-    the walls that cut the cone's interior, sorted.
+    ``subsets`` are 0-based index tuples into the concatenated spectra.  A
+    subset's image, the sum of its chart rows, is ``denom`` times its sum as
+    a functional of chart coordinates, and the wall of subsets s and t is
+    the difference of their images.  Returns the canonical normals of the
+    walls that cut the cone's interior, sorted.
     """
-    images = [chart.pullback([int(i in s) for i in range(chart.size)]) for s in subsets]
+    images = [tuple(map(sum, zip(*(chart.rows[i] for i in s)))) for s in subsets]
     rows = {tuple(map(sub, p, q)) for p, q in combinations(images, 2)}
     walls = {canon_hyperplane(row) for row in rows if any(row)}
     return tuple(sorted(h for h in walls if _cuts_interior(h, cone)))
@@ -376,7 +356,7 @@ def cubicle_arrangement(system) -> Arrangement:
         system = parse_system(system)
     if system.kind == "qubits":
         n = len(system.dims)
-        chart, cone = QubitChart(n), sorted_nonneg_cone(n)
+        chart, cone = _qubit_chart(n), sorted_nonneg_cone(n)
         subsets = product(*((2 * i, 2 * i + 1) for i in range(n)))
     elif system.kind == "tensor":
         if len(system.dims) != 2:
@@ -385,13 +365,12 @@ def cubicle_arrangement(system) -> Arrangement:
                 "use qubits:<n> for arrays"
             )
         m, n = system.dims
-        chart = DifferenceChart((m, n))
-        cone = positive_orthant(chart.dim)
+        chart, cone = _difference_chart((m, n)), positive_orthant(m + n - 2)
         subsets = [(i, m + j) for i in range(m) for j in range(n)]
     elif system.kind == "fermion":
-        chart = DifferenceChart((system.r,))
-        cone = positive_orthant(chart.dim)
-        subsets = combinations(range(system.r), system.n)
+        r = system.r
+        chart, cone = _difference_chart((r,)), positive_orthant(r - 1)
+        subsets = combinations(range(r), system.n)
     else:
         raise SystemError(f"unknown system kind {system.kind!r}")
     return Arrangement(system, cone, _tie_hyperplanes(chart, subsets, cone), chart)

@@ -1,9 +1,9 @@
 """Command-line frontend.
 
-Subcommands: reduce, check, coeff, edges, generate, plethysm, hull, verify,
-equiv, witness.  Output is line-structured JSON records with a stable
-schema version; a real prints as the shortest decimal that reads back as
-the same double, a rational as p/q.
+Subcommands: reduce, check, chsh, coeff, edges, generate, plethysm, hull,
+verify, equiv, witness, isospec, families.  Output is line-structured JSON
+records with a stable schema version; a real prints as the shortest
+decimal that reads back as the same double, a rational as p/q.
 Exit codes: 0 success/satisfied, 1 violation/failure found, 2 usage error.
 """
 
@@ -210,7 +210,7 @@ def build_parser() -> Parser:
 
     sp = sub.add_parser("edges", help="extremal edges of a system")
     sp.add_argument("--system", required=True)
-    sp.add_argument("--dim-cap", type=int, default=7)
+    sp.add_argument("--dim-cap", type=int, default=None)
 
     sp = sub.add_parser("generate", help="inequalities from an extremal edge")
     sp.add_argument("--system", required=True)
@@ -452,7 +452,10 @@ def cmd_edges(args) -> int:
     from .chambers import cubicle_arrangement, enumerate_chambers, extremal_edges
 
     arrangement = cubicle_arrangement(args.system)
-    chambers = enumerate_chambers(arrangement, dim_cap=args.dim_cap)
+    if args.dim_cap is None:
+        chambers = enumerate_chambers(arrangement)
+    else:
+        chambers = enumerate_chambers(arrangement, dim_cap=args.dim_cap)
     # chambers stream into the edge union; zip draws one tally per chamber
     tally = count()
     edges = extremal_edges(ch for ch, _ in zip(chambers, tally))
@@ -497,6 +500,7 @@ def cmd_generate(args) -> int:
     elif system.kind == "tensor" and len(system.dims) == 2:
         # edge given in arrangement coordinates; emits the basic inequality
         from .chambers import cubicle_arrangement
+        from .rational import dot
 
         if args.raw:
             raise UsageError("--raw applies to qubit arrays; a two-sided tensor "
@@ -507,6 +511,12 @@ def cmd_generate(args) -> int:
             raise UsageError(f"edge needs {arr.dim} coordinates, got {len(args.edge)}")
         if not any(args.edge):
             raise UsageError("--edge is zero: its record 0 <= 0 bounds nothing")
+        # the cone is the positive orthant: inequality k reads coordinate k
+        for k, h in enumerate(arr.cone.ineqs):
+            if dot(h, args.edge) < 0:
+                raise UsageError(
+                    f"--edge coordinate {k + 1} is {Fraction(args.edge[k])}: "
+                    f"the {args.system} cone needs every coordinate >= 0")
         a, b = arr.chart.to_test_spectra(args.edge)
         records = (
             generate_inequality(a, b, identity_perm(m), identity_perm(n),

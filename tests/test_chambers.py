@@ -20,6 +20,7 @@ from qmarginal.chambers import (
 )
 from qmarginal.rational import dot, rank, to_fractions
 from qmarginal.schubert import TieError, sum_order
+from qmarginal.systems import parse_system
 
 
 def test_two_qubit_arrangement():
@@ -237,12 +238,67 @@ def test_tie_hyperplanes_match_per_kind_generators(system):
     assert arr.hyperplanes == want
 
 
+# ---------------------------------------------------------------------------
+# The chart map against its definitions
+
+def _reference_spectra(desc, point):
+    """Test spectra by definition.  Qubit site i has (a_i, -a_i); a block of
+    a tensor or fermionic system has the tail sums of its successive
+    differences, less their mean."""
+    point = [v if type(v) is int else F(v) for v in point]
+    if desc.kind == "qubits":
+        return tuple((F(a), F(-a)) for a in point)
+    out, start = [], 0
+    for size in desc.dims if desc.kind == "tensor" else (desc.r,):
+        diffs = point[start:start + size - 1]
+        tail = [sum(diffs[k:]) for k in range(size)]
+        mean = F(sum(tail), size)
+        out.append(tuple(t - mean for t in tail))
+        start += size - 1
+    return tuple(out)
+
+
+# the systems whose chamber walk takes a second or more
+SLOW_WALKS = ({"qubits:6", "fermi:7:3", "fermi:7:4"}
+              | {f"fermi:8:{n}" for n in range(2, 7)})
+
+
+@pytest.mark.parametrize("system", [s for s in TIE_SYSTEMS if s not in SLOW_WALKS])
+def test_chart_matches_the_reference_spectra_on_edges_and_barycenters(system):
+    """Ints, Fractions and floats are all read exactly, into Fractions.  A
+    barycenter here is a sum of integer rays, so its thirds are Fractions
+    and its quarters exact floats."""
+    arr = cubicle_arrangement(system)
+    chambers = list(enumerate_chambers(arr))
+    points = list(extremal_edges(chambers)) + [ch.barycenter() for ch in chambers]
+    for point in points:
+        ints = [int(v) for v in point]
+        for given in (ints, [F(v, 3) for v in ints], [v / 4 for v in ints]):
+            spectra = arr.chart.to_test_spectra(given)
+            assert spectra == _reference_spectra(arr.system, given), (system, given)
+            assert all(type(x) is F for spec in spectra for x in spec)
+
+
+@pytest.mark.parametrize("system, length", [
+    ("2x3", 2), ("2x3", 4), ("fermi:5:2", 3), ("qubits:3", 2), ("qubits:3", 4),
+])
+def test_chart_refuses_a_point_of_the_wrong_length(system, length):
+    arr = cubicle_arrangement(system)
+    with pytest.raises(GeometryError, match=f"length {length}, expected {arr.dim}"):
+        arr.chart.to_test_spectra((1,) * length)
+
+
+def _image(chart, subset):
+    """A subset's image as ``_tie_hyperplanes`` forms it: the sum of its rows."""
+    return tuple(map(sum, zip(*(chart.rows[i] for i in subset))))
+
+
 @pytest.mark.parametrize("system", ["2x2", "2x3", "3x3", "3x4", "fermi:5:2",
                                     "fermi:6:3", "fermi:7:2"])
 def test_chart_pullback_evaluates_tie_functionals(system):
-    """For two subsets of the concatenated test spectra, the pulled-back
-    indicator difference evaluated at a chart point equals the difference
-    of the two subset sums of the point's test spectra."""
+    """A subset's image, the functional the tie walls are differences of,
+    evaluated at a chart point is ``denom`` times the sum of the point's
+    concatenated test spectra over the subset."""
     import random
 
     arr = cubicle_arrangement(system)
@@ -252,14 +308,9 @@ def test_chart_pullback_evaluates_tie_functionals(system):
         point = [rng.randint(0, 9) for _ in range(arr.dim)]
         flat = [x for spec in chart.to_test_spectra(point) for x in spec]
         for _ in range(5):
-            diff = [0] * chart.size
-            start = 0
-            for size in chart.sizes:   # one unit moved inside each block
-                i, j = rng.sample(range(start, start + size), 2)
-                diff[i] += 1
-                diff[j] -= 1
-                start += size
-            assert dot(chart.pullback(diff), point) == dot(diff, flat)
+            subset = rng.sample(range(len(flat)), rng.randint(1, len(flat)))
+            assert dot(_image(chart, subset), point) == chart.denom * sum(
+                flat[i] for i in subset)
 
 
 def test_qubit_chart_pullback_evaluates_sign_sums():
@@ -268,10 +319,9 @@ def test_qubit_chart_pullback_evaluates_sign_sums():
     arr = cubicle_arrangement("qubits:4")
     point = (1, 2, 4, 7)
     flat = [x for spec in arr.chart.to_test_spectra(point) for x in spec]
-    picks = list(product(*((2 * i, 2 * i + 1) for i in range(4))))
-    for s, t in combinations(picks, 2):
-        diff = [int(i in s) - int(i in t) for i in range(8)]
-        assert dot(arr.chart.pullback(diff), point) == dot(diff, flat)
+    assert arr.chart.denom == 1
+    for picks in product(*((2 * i, 2 * i + 1) for i in range(4))):
+        assert dot(_image(arr.chart, picks), point) == sum(flat[i] for i in picks)
 
 
 @pytest.mark.parametrize("system", ["qubits:3", "qubits:4", "qubits:5", "2x2",

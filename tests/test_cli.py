@@ -42,6 +42,16 @@ def test_edges_over_the_dimension_cap_is_an_error_record():
     assert error["kind"] == "GeometryError" and "cap 3" in error["message"]
 
 
+def test_edges_without_a_dimension_cap_uses_the_library_cap(capsys):
+    from qmarginal.chambers import DIM_CAP
+
+    code, records, errors = _main_records(capsys, ["edges", "--system", "fermi:9:2"])
+    assert code == 2 and records == []
+    (error,) = errors
+    assert error["kind"] == "GeometryError"
+    assert f"dimension 8 exceeds the cap {DIM_CAP}" in error["message"]
+
+
 def test_check_violated_exits_one():
     code, records, _ = run_cli(
         ["check", "--family", "BD6", "--spectrum", "1,1,0.5,0.5,0,0"]
@@ -116,16 +126,35 @@ def test_generate_qubit_group():
     ("qubits:3", "0,0,0", "SchubertError", "qubit edge (0,0,0) is zero"),
     ("2x2", "0,0", "usage", "--edge is zero"),
     ("2x3", "0,0,0", "usage", "--edge is zero"),
+    ("2x2", "-1,1", "usage", "--edge coordinate 1 is -1"),
+    ("2x2", "1,-1", "usage", "--edge coordinate 2 is -1"),
+    ("2x3", "1,-2,1", "usage", "--edge coordinate 2 is -2"),
 ])
 def test_generate_refuses_an_edge_outside_its_chart_cone(capsys, system, edge, kind,
                                                           message):
     """An unsorted qubit edge would print another edge's weaker record under
-    its own label, and a zero edge the vacuous record 0 <= 0."""
+    its own label, a zero edge the vacuous record 0 <= 0, and a tensor edge
+    with a negative difference a test spectrum that is not sorted."""
     code, records, errors = _main_records(
         capsys, ["generate", "--system", system, "--edge", edge])
     assert code == 2 and records == []
     (error,) = errors
     assert error["kind"] == kind and message in error["message"]
+
+
+def test_generate_reads_a_float_tensor_edge_exactly(capsys):
+    code, records, errors = _main_records(
+        capsys, ["generate", "--system", "2x3", "--edge", "0.5,1,1"])
+    assert code == 0 and errors == []
+    assert records == [
+        {"record": "inequality", "relation": "<=", "bound": "0",
+         "terms": {"A": ["1/4", "-1/4"], "B": ["1", "0", "-1"],
+                   "AB": ["-5/4", "-3/4", "-1/4", "1/4", "3/4", "5/4"]},
+         "label": "edge a=(1/4,-1/4) b=(1,0,-1) u=(1, 2) v=(1, 2, 3) "
+                  "w=(1, 2, 3, 4, 5, 6) c=1", "schema": "qmarginal/1"},
+        {"record": "generate_summary", "system": "2x3", "edge": ["1/2", "1", "1"],
+         "count": 1, "schema": "qmarginal/1"},
+    ]
 
 
 def test_reduce_pure_state_and_check_round_trip(tmp_path):
@@ -771,6 +800,15 @@ def test_generate_records_match_the_pinned_benchmark_output(capsys, edge):
     pinned = json.loads(PINNED.read_text())["outputs"][f"generate qubits:3 {edge}"]
     code, records, errors = _main_records(
         capsys, ["generate", "--system", "qubits:3", "--edge", edge])
+    assert code == 0 and errors == []
+    assert sorted(json.dumps(rec, sort_keys=True) for rec in records) == pinned
+
+
+@pytest.mark.parametrize("system", ["qubits:4", "qubits:5", "fermi:6:3", "3x4"])
+def test_edges_records_match_the_pinned_benchmark_output(capsys, system):
+    """Every edge record carries its test spectra, read through the chart."""
+    pinned = json.loads(PINNED.read_text())["outputs"][f"edges {system}"]
+    code, records, errors = _main_records(capsys, ["edges", "--system", system])
     assert code == 0 and errors == []
     assert sorted(json.dumps(rec, sort_keys=True) for rec in records) == pinned
 
