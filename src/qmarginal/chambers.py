@@ -3,10 +3,10 @@
 Cubicle hyperplane arrangements for test spectra, chamber enumeration by
 depth-first double description, extremal-edge extraction, convex hulls of
 rational point sets, and redundancy filtering.  The double-description
-engine works on primitive integer vectors and keeps one incidence bitmask
-per ray.  Hulls and the filter homogenize in full coordinates, and
-``_generators`` alone splits their cones into lineality space and pointed
-part.  No floating point enters this module.
+engine works on primitive integer vectors, and each cone it builds is
+pruned and keeps one incidence bitmask per ray.  Hulls and the filter
+homogenize in full coordinates; ``_generators`` alone splits their cones
+into lineality space and pointed part.  No floating point enters here.
 """
 
 from __future__ import annotations
@@ -41,8 +41,9 @@ class Cone:
 
     ``ineqs`` are integer normals (h.x >= 0); ``rays`` are the primitive
     extreme rays.  ``incidence`` holds one int per ray whose bit j is set
-    when ``ineqs[j]`` is tight on that ray; it is computed when absent.
-    All parts are kept consistent by the constructors in this module.
+    when ``ineqs[j]`` is tight on that ray.  Only a cone in pruned form
+    (implicit equalities and one inequality per facet), as the engine
+    builds them, may carry it; one without it is pruned at its first cut.
     """
 
     ineqs: tuple
@@ -71,12 +72,6 @@ def _bits(mask):
 def _tight_mask(row, vectors) -> int:
     """Bit i is set when ``row`` is orthogonal to ``vectors[i]``."""
     return sum(1 << i for i, v in enumerate(vectors) if _idot(row, v) == 0)
-
-
-def _incidence(cone: Cone) -> tuple:
-    if cone.incidence is not None:
-        return cone.incidence
-    return tuple(_tight_mask(r, cone.ineqs) for r in cone.rays)
 
 
 def positive_orthant(d: int) -> Cone:
@@ -148,7 +143,7 @@ def _facet_side(ineqs, rays, masks, strict):
     return Cone(ineqs, tuple(rays), tuple(masks))
 
 
-def _cut(cone: Cone, h, both: bool, vals=None, facets=False):
+def _cut(cone: Cone, h, both: bool, vals=None):
     """One double-description step: the parts (plus, minus) of ``cone``
     with h.x >= 0 and h.x <= 0, ``minus`` built only when ``both``.
 
@@ -160,8 +155,8 @@ def _cut(cone: Cone, h, both: bool, vals=None, facets=False):
     and a shared tight set below d - 2 rules adjacency out at once.
 
     ``vals`` are the values h.r of the rays when the caller has them.  A
-    built part is pruned, or, when ``facets`` says the cone is in pruned
-    form already, built by ``_facet_side``.
+    cone without ``incidence`` is pruned first.  ``_facet_side`` builds a
+    part with a ray strictly inside, ``_prune`` a face (not when ``both``).
     """
     rays = cone.rays
     if vals is None:
@@ -172,7 +167,9 @@ def _cut(cone: Cone, h, both: bool, vals=None, facets=False):
         return cone, None
     if both and not pos:
         return None, cone
-    masks = _incidence(cone)
+    if cone.incidence is None:
+        cone = _prune(cone.ineqs, rays, [_tight_mask(r, cone.ineqs) for r in rays])
+    masks = cone.incidence
     bit, d = 1 << len(cone.ineqs), cone.dim
     zer = [i for i, v in enumerate(vals) if v == 0]
     on_rays = [rays[i] for i in zer]
@@ -195,7 +192,7 @@ def _cut(cone: Cone, h, both: bool, vals=None, facets=False):
     for side, normal in sides:
         args = (cone.ineqs + (normal,), [rays[i] for i in side] + on_rays,
                 [masks[i] for i in side] + on_masks)
-        parts.append(_facet_side(*args, len(side)) if facets else _prune(*args))
+        parts.append(_facet_side(*args, len(side)) if side else _prune(*args))
     return parts[0], parts[1] if both else None
 
 
@@ -401,8 +398,7 @@ def _walk(root: Cone, hyperplanes):
     depth j the next cut is the lowest hyperplane >= j with a ray on each
     side; the ones before it leave the cone whole and take '-' when a ray
     is negative on them, '+' otherwise, as ``split_cone`` would.  The root
-    may carry redundant inequalities, so its cut is pruned; every cone
-    below it is in pruned form, and ``_facet_side`` builds its sides.
+    carries no incidence, so ``_cut`` prunes it at its first cut.
     """
     normals = [primitive(h) for h in hyperplanes]
     table = {}
@@ -423,9 +419,9 @@ def _walk(root: Cone, hyperplanes):
     def fill(signs, neg, start, stop):
         return signs + tuple("-" if neg >> k & 1 else "+" for k in range(start, stop))
 
-    stack = [((), root, False)]
+    stack = [((), root)]
     while stack:
-        signs, cone, facets = stack.pop()
+        signs, cone = stack.pop()
         rows = [sign_row(r) for r in cone.rays]
         pos = neg = 0
         for _, p, n in rows:
@@ -438,9 +434,9 @@ def _walk(root: Cone, hyperplanes):
             continue
         k = depth + (cutting & -cutting).bit_length() - 1
         signs = fill(signs, neg, depth, k)
-        plus, minus = _cut(cone, normals[k], True, [v[k] for v, _, _ in rows], facets)
+        plus, minus = _cut(cone, normals[k], True, [v[k] for v, _, _ in rows])
         # '-' is pushed first, so the '+' subtree is walked first
-        stack += [(signs + ("-",), minus, True), (signs + ("+",), plus, True)]
+        stack += [(signs + ("-",), minus), (signs + ("+",), plus)]
 
 
 def extremal_edges(chambers) -> tuple:

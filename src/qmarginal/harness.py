@@ -26,7 +26,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -73,21 +73,20 @@ class CampaignReport:
 BLOCK_BYTES = 1 << 20
 
 
-def _block_trials(system: SystemDescriptor, chunk: int, basic: bool = False) -> int:
+def _block_trials(system: SystemDescriptor, chunk: int) -> int:
     """Trials per block of ``system``: as many as fit ``BLOCK_BYTES``, at
     least one and at most ``chunk``.  A trial's arrays hold at most about
     5 D complex numbers for a pure state of dimension D and 5 D^2 for a
-    mixed one (``basic`` draws mixed states).  A fermionic one-RDM adds
-    what ``one_rdm_stack`` holds at once: the zero-padded state (D or D^2),
-    the r x r RDM and, D' being the dimension of the (n-1)-sector, the
-    annihilated states Phi (r x D') and their conjugate for a pure state,
-    or the r x r x D' gathered terms for a mixed one.
+    mixed one.  A fermionic one-RDM adds what ``one_rdm_stack`` holds at
+    once: the zero-padded state (D or D^2), the r x r RDM and, D' being the
+    dimension of the (n-1)-sector, the annihilated states Phi (r x D') and
+    their conjugate for a pure state, or the r x r x D' gathered terms for
+    a mixed one.
     """
-    pure = system.pure and not basic
-    width = 5 * system.dim if pure else 5 * system.dim ** 2
+    width = 5 * system.dim if system.pure else 5 * system.dim ** 2
     if system.kind == "fermion":
         r, sub = system.r, math.comb(system.r, system.n - 1)
-        width += r * r + (system.dim + 2 * r * sub if pure
+        width += r * r + (system.dim + 2 * r * sub if system.pure
                           else system.dim ** 2 + r * r * sub)
     return max(1, min(chunk, BLOCK_BYTES // (16 * width)))
 
@@ -136,10 +135,10 @@ def reduce_states(system: SystemDescriptor, states: np.ndarray, keeps=None,
 def _sample_blocks(system: SystemDescriptor, streams: PhiloxStreams, nu=None,
                    basic=False) -> list:
     """Draw one state per stream of ``streams`` and reduce them to spectra
-    blocks; ``basic`` (tensor systems) draws mixed states and makes one
-    block per single-site-versus-rest split."""
+    blocks; ``basic`` (mixed tensor systems) makes one block per
+    single-site-versus-rest split."""
     size = system.dim
-    if system.pure and not basic:
+    if system.pure:
         return [reduce_states(system, haar_vectors(size, streams))]
     vals = None if nu is None else fixed_spectrum_values(nu, size, system.dims or (size,))
     if system.kind == "fermion":
@@ -202,7 +201,7 @@ def _campaign_chunk(args):
     system = parse_system(system_str)
     nu = spectrum(nu_vals, 1.0) if nu_vals is not None else None
     basic = _draws_basic(family_id, system)
-    size = _block_trials(system, hi - lo, basic)
+    size = _block_trials(system, hi - lo)
     worst, worst_trial, violations = math.inf, None, 0
     for start in range(lo, hi, size):
         trials = range(start, min(start + size, hi))
@@ -228,15 +227,20 @@ def mc_verify(family_id: str, system, trials: int, seed: int,
     (``Family.require_list``), a state spectrum ``nu`` when the campaign
     draws pure states, a family where ``Family.applies`` does not place it,
     but for BASIC's site-versus-rest campaign on tensor or qubit formats,
-    and a negative or NaN tolerance.
+    and a negative or NaN tolerance.  BASIC's campaign draws mixed states,
+    so it runs on, and its report names, the mixed twin of a pure format:
+    ``sample_bundle`` on that system replays its trials.
     """
     if isinstance(system, str):
         system = parse_system(system)
     fam = get_family(family_id)
     fam.require_list()
-    if system.pure and not _draws_basic(family_id, system):
+    basic = _draws_basic(family_id, system)
+    if basic:
+        system = replace(system, pure=False)
+    if system.pure:
         _refuse_nu_for_pure_draws(nu, f"{family_id} on {system}")
-    if not (fam.applies(system) or _draws_basic(family_id, system)):
+    if not (fam.applies(system) or basic):
         raise CatalogError(f"{family_id} holds for {fam.fixed or fam.scope}, "
                            f"not for {system}")
     _check_count("trials", trials)

@@ -322,33 +322,27 @@ BRAVYI_RECORDS = tuple(
 )
 
 
-def _chsh_records_full():
+def _chsh_records():
+    """The 16 facets of the local correlation polytope: the eight sign and
+    swap images of the base CHSH inequality, then the bounds +-c_ij <= 1."""
     base = ((-1, 1), (-1, -1))
     out = []
-    for transpose in (False, True):
-        for swap_a in (False, True):
-            for e1 in (1, -1):
-                for e2 in (1, -1):
-                    mat = [[0, 0], [0, 0]]
-                    eps = (e1, e2)
-                    for i in range(2):
-                        row = 1 - i if swap_a else i
-                        for j in range(2):
-                            mat[row][j] += eps[i] * base[i][j]
-                    if transpose:
-                        mat = [[mat[0][0], mat[1][0]], [mat[0][1], mat[1][1]]]
-                    out.append(
-                        _rec(
-                            (("corr", (mat[0][0], mat[0][1], mat[1][0], mat[1][1])),),
-                            2,
-                            "<=",
-                            f"t={int(transpose)} s={int(swap_a)} e=({e1},{e2})",
-                        )
-                    )
+    for swap_a in (False, True):
+        for e1 in (1, -1):
+            for e2 in (1, -1):
+                rows = [tuple(e * c for c in row) for e, row in zip((e1, e2), base)]
+                if swap_a:
+                    rows.reverse()
+                out.append(_rec((("corr", rows[0] + rows[1]),), 2, "<=",
+                                f"t=0 s={int(swap_a)} e=({e1},{e2})"))
+    for k, name in enumerate(("c11", "c12", "c21", "c22")):
+        for sign, prefix in ((1, ""), (-1, "-")):
+            out.append(_rec((("corr", tuple(sign * (j == k) for j in range(4))),), 1,
+                            "<=", f"{prefix}{name}<=1"))
     return tuple(out)
 
 
-CHSH_RECORDS = _chsh_records_full()
+CHSH_RECORDS = _chsh_records()
 
 
 # Records of the families whose inequalities depend on the system size.
@@ -489,7 +483,8 @@ _add("W2H4_MIXED", "both spectra normalized to equal trace (canonical 1), decrea
      22, W2H4_RECORDS, fixed="fermi:4:2:mixed")
 _add("W2H5_META", "460 independent inequalities recorded as metadata; list not reproduced",
      460, fixed="fermi:5:2:mixed")
-_add("CHSH_16", "sixteen sign/swap images of the base correlation inequality",
+_add("CHSH_16", "eight sign/swap images of the base correlation inequality "
+     "and the bounds |c_ij| <= 1",
      16, CHSH_RECORDS, scope="two-qubit correlations, two settings per site")
 
 
@@ -835,7 +830,7 @@ def check_family(family_id: str, bundle: SpectraBundle, tolerance: float = 1e-10
 
 
 def check_chsh(correlations, tolerance: float = 1e-10) -> CheckReport:
-    """Evaluate all sixteen correlation inequalities.
+    """Evaluate the sixteen facets of the local correlation polytope.
 
     ``correlations`` is (c11, c12, c21, c22) with entries in [-1, 1], where
     c_ij is the expectation of the product of the i-th A-site and j-th

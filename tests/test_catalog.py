@@ -208,6 +208,30 @@ def test_chsh_tsirelson_and_pr_box():
     assert not check_chsh((1, 1, 1, -1)).satisfied
 
 
+def test_chsh_records_are_the_facets_of_the_local_correlation_polytope():
+    """The hull of the eight deterministic correlation vectors has exactly
+    the sixteen records as facets, each once."""
+    from qmarginal.chambers import canon_inequality, convex_hull
+    from qmarginal.records import CHSH_RECORDS
+
+    points = {(a1 * b1, a1 * b2, a2 * b1, a2 * b2)
+              for a1, a2, b1, b2 in product((1, -1), repeat=4)}
+    hull = convex_hull(sorted(points))
+    assert hull.dim == 4 and hull.equalities == ()
+    assert {rec.relation for rec in CHSH_RECORDS} == {"<="}
+    records = {canon_inequality(rec.terms[0][1], rec.bound) for rec in CHSH_RECORDS}
+    assert len(records) == len(CHSH_RECORDS) == 16
+    assert records == set(hull.facets)
+
+
+def test_chsh_box_bounds_are_checked_with_the_range():
+    """A correlation in (1, 1 + 1e-12] passes the range refusal and shows a
+    negative box slack; one inside [-1, 1] leaves the box its margin."""
+    assert check_chsh((0.9, 0, 0, 0)).worst_slack == pytest.approx(0.1, abs=1e-15)
+    rep = check_chsh((1 + 1e-12, 0, 0, 0), tolerance=0)
+    assert -1.1e-12 < rep.worst_slack <= -1e-12 and not rep.satisfied
+
+
 def test_chsh_rejects_out_of_range():
     with pytest.raises(CatalogError):
         check_chsh((1.5, 0, 0, 0))

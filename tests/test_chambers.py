@@ -633,22 +633,32 @@ def test_rays_from_inequalities_cone_without_interior():
     assert rays_from_inequalities([(1, 0), (0, 1), (-1, -1)], 2) == ()
 
 
-def test_rays_from_inequalities_matches_bruteforce_oracle():
+def test_rays_from_inequalities_matches_bruteforce_oracle(monkeypatch):
+    """Some systems hold a pair h, -h: inserting the second normal leaves no
+    ray strictly inside, and ``_cut`` builds that face by ``_prune``, which
+    the simplicial start's pruned cones never need otherwise."""
     import random
 
-    from qmarginal.chambers import rays_from_inequalities
+    from qmarginal import chambers
 
+    faces = []
+    prune = chambers._prune
+    monkeypatch.setattr(chambers, "_prune", lambda *args: faces.append(1) or prune(*args))
     rng = random.Random(20261018)
-    flat = 0
+    flat = pair_faces = 0
     for trial in range(320):
         d = 2 + trial % 4
         normals = _random_pointed_normals(rng, d)
-        got = rays_from_inequalities(normals, d)
+        before = len(faces)
+        got = chambers.rays_from_inequalities(normals, d)
         assert len(got) == len(set(got))
         want = _bruteforce_rays(normals, d)
         assert set(got) == want, (normals, got, want)
         flat += bool(want) and len(want) < d
+        pair_faces += (len(faces) > before
+                       and any(tuple(-x for x in h) in normals for h in normals))
     assert flat >= 20   # nonempty cones without interior were exercised
+    assert pair_faces >= 20   # and so was the face branch of a +-pair
 
 
 def test_split_of_degenerate_cone_matches_bruteforce_oracle():
@@ -725,7 +735,7 @@ def _crossing_rays(rays, masks, vals, pos, neg, d, bit):
 
 def _two_sided_split_cone(cone, h):
     """Both halves of a cut, built by their own copy of the step."""
-    from qmarginal.chambers import _idot, _incidence, _prune
+    from qmarginal.chambers import _idot, _prune
     from qmarginal.rational import primitive
 
     h = primitive(h)
@@ -738,7 +748,8 @@ def _two_sided_split_cone(cone, h):
     if not pos:
         return None, cone
     zer = [i for i, v in enumerate(vals) if v == 0]
-    masks = _incidence(cone)
+    masks = [sum(1 << j for j, n in enumerate(cone.ineqs) if _idot(n, r) == 0)
+             for r in rays]
     bit = 1 << len(cone.ineqs)
     new_rays, new_masks = _crossing_rays(rays, masks, vals, pos, neg, cone.dim, bit)
     zer_rays = [rays[i] for i in zer]
@@ -793,6 +804,27 @@ def test_depth_first_walk_matches_list_walk(system):
             == _chamber_parts(_list_enumerate_chambers(arr)))
 
 
+def _assert_pruned_or_untouched(cone, source):
+    """A cone the engine built carries its incidence and is in the form
+    ``_prune`` leaves; a cone it did not build is its input, untouched."""
+    from qmarginal.chambers import _prune
+
+    if cone.incidence is None:
+        assert cone is source
+        return
+    again = _prune(cone.ineqs, cone.rays, cone.incidence)
+    assert (again.ineqs, again.incidence) == (cone.ineqs, cone.incidence)
+
+
+@pytest.mark.parametrize("system", WALK_SYSTEMS)
+def test_every_chamber_of_a_walk_is_in_pruned_form(system):
+    """``_cut`` builds the sides of a cone with incidence by the facet rule,
+    which holds only for a cone in pruned form."""
+    arr = cubicle_arrangement(system)
+    for ch in enumerate_chambers(arr):
+        _assert_pruned_or_untouched(ch.cone, arr.cone)
+
+
 def test_depth_first_walk_matches_list_walk_on_random_arrangements():
     for arr in _random_arrangements():
         assert (_chamber_parts(enumerate_chambers(arr))
@@ -815,8 +847,12 @@ def test_split_cone_matches_two_sided_copy_on_random_cuts():
         h = tuple(rng.randint(-2, 2) for _ in range(d))
         if not any(h):
             continue
-        assert (list(map(_cone_parts, split_cone(cone, h)))
+        sides = split_cone(cone, h)
+        assert (list(map(_cone_parts, sides))
                 == list(map(_cone_parts, _two_sided_split_cone(cone, h)))), (normals, h)
+        for side in sides:
+            if side is not None:
+                _assert_pruned_or_untouched(side, cone)
 
 
 def _random_walk_arrangements(trials):

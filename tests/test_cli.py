@@ -813,6 +813,42 @@ def test_edges_records_match_the_pinned_benchmark_output(capsys, system):
     assert sorted(json.dumps(rec, sort_keys=True) for rec in records) == pinned
 
 
+def test_schubert_scan_matches_the_pinned_benchmark_output():
+    """The benchmark's one library job: a 2x4 cubicle scan, 218 records,
+    each written as its exact terms, relation, bound and label."""
+    from fractions import Fraction
+
+    from qmarginal.schubert import enumerate_inequalities
+
+    pinned = json.loads(PINNED.read_text())["outputs"][
+        "schubert (3, -3) (8, 1, -3, -6) max_length=3"]
+    records = enumerate_inequalities(a=(3, -3), b=(8, 1, -3, -6), max_length=3)
+    got = [{"terms": [[slot, [str(Fraction(c)) for c in coeffs]]
+                      for slot, coeffs in rec.terms],
+            "relation": rec.relation, "bound": str(Fraction(rec.bound)),
+            "label": rec.label} for rec in records]
+    assert sorted(json.dumps(rec, sort_keys=True) for rec in got) == pinned
+
+
+PINNED_CAMPAIGNS = sorted(json.loads(PINNED.read_text())["min_slack"])
+
+
+@pytest.mark.parametrize("job", PINNED_CAMPAIGNS,
+                         ids=[job.removeprefix("verify ") for job in PINNED_CAMPAIGNS])
+def test_campaign_min_slack_matches_the_pinned_benchmark_output(capsys, job):
+    """The benchmark's campaigns at its seed and trial count reach the
+    pinned minimum slack within its tolerance of 1e-9."""
+    family, system = job.removeprefix("verify ").split("@")
+    pinned = json.loads(PINNED.read_text())["min_slack"][job]
+    code, records, errors = _main_records(capsys, [
+        "verify", "--family", family, "--system", system,
+        "--trials", "750", "--seed", "20260809", "--jobs", "1"])
+    assert code == 0 and errors == []
+    (report,) = records
+    assert report["system"] == system and report["violations"] == 0
+    assert abs(report["min_slack"] - pinned) <= 1e-9
+
+
 def test_main_callable_in_process(capsys):
     assert main(["families", "--system", "2x2:mixed"]) == 0
     out = capsys.readouterr().out

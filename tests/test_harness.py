@@ -220,6 +220,19 @@ def test_basic_draws_mixed_states_with_nu_on_a_pure_format():
     assert (pure.min_slack, pure.worst_trial) == (mixed.min_slack, mixed.worst_trial)
 
 
+@pytest.mark.parametrize("system", ["2x2:pure", "qubits:2", "2x3"])
+def test_a_basic_campaign_on_a_pure_format_replays_from_its_report(system):
+    """BASIC draws mixed states, so its report names the mixed twin, and
+    the worst trial drawn alone on that system gives ``min_slack``."""
+    from qmarginal.harness import sample_bundle
+    from qmarginal.records import check_family
+
+    report = mc_verify("BASIC", system, trials=300, seed=7)
+    assert report.system == str(parse_system(f"{system.removesuffix(':pure')}:mixed"))
+    bundle = sample_bundle(parse_system(report.system), 7, report.worst_trial)
+    assert check_family("BASIC", bundle).worst_slack == report.min_slack
+
+
 @pytest.mark.parametrize("system", ["qubits:2", "fermi:4:2"])
 def test_sample_bundle_refuses_a_state_spectrum_for_pure_draws(system):
     from qmarginal.harness import sample_bundle
@@ -326,10 +339,14 @@ CRITERION_5_PAIRS = [
 
 def _budgeted_block(family, system):
     """Trials per block of the campaign of ``family`` on ``system``."""
+    from dataclasses import replace
+
     from qmarginal.harness import _block_trials, _draws_basic
 
     desc = parse_system(system)
-    return _block_trials(desc, 10 ** 9, _draws_basic(family, desc))
+    if _draws_basic(family, desc):   # BASIC draws the mixed twin's states
+        desc = replace(desc, pure=False)
+    return _block_trials(desc, 10 ** 9)
 
 
 def _replayed_slack(family, system, seed, trial):
@@ -455,7 +472,7 @@ def _with_block_sizes(monkeypatch, run):
     budgeted, results = harness._block_trials, []
     for size in (1, 32, None):
         monkeypatch.setattr(harness, "_block_trials", budgeted if size is None else
-                            lambda system, chunk, basic=False, size=size: min(chunk, size))
+                            lambda system, chunk, size=size: min(chunk, size))
         results.append(run())
     return results
 
